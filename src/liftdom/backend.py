@@ -30,6 +30,12 @@ from .order import (
 )
 
 
+# The classical terminal and initial objects; posets compare structurally,
+# so one shared value serves every caller.
+TERMINAL = FinPoset(("*",), frozenset([("*", "*")]))
+INITIAL = FinPoset((), frozenset())
+
+
 class UnavailableError(Exception):
     """A construction the backend refuses to guess at; carries the reason."""
 
@@ -161,10 +167,10 @@ class ClassicalBackend(_ConstructionCache):
         return MonotoneMap.make(A, B, lambda x: fn(None, x))
 
     def terminal(self):
-        return FinPoset(("*",), frozenset([("*", "*")]))
+        return TERMINAL
 
     def initial(self):
-        return FinPoset((), frozenset())
+        return INITIAL
 
     def bang(self, A):
         return MonotoneMap.make(A, self.terminal(), lambda _: "*")
@@ -256,6 +262,11 @@ class ClassicalBackend(_ConstructionCache):
         return A.is_pointed()
 
     def bottom_point(self, A):
+        """The global element picking A's least element, or None; memoised,
+        because ``is_strict`` asks for it for every hom it filters."""
+        return self.memo(("bottom", A), lambda: self._bottom_point(A))
+
+    def _bottom_point(self, A):
         b = A.bottom()
         if b is None:
             return None
@@ -437,10 +448,10 @@ class PresheafBackend(_ConstructionCache):
         return ps.NatTrans.make(A, B, fn)
 
     def terminal(self):
-        return ps.InternalPoset.constant(self.base, FinPoset(("*",), frozenset([("*", "*")])))
+        return ps.InternalPoset.constant(self.base, TERMINAL)
 
     def initial(self):
-        return ps.InternalPoset.constant(self.base, FinPoset((), frozenset()))
+        return ps.InternalPoset.constant(self.base, INITIAL)
 
     def bang(self, A):
         return ps.NatTrans.make(A, self.terminal(), lambda p, x: "*")

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
 from .dot import export_dot
-from .laws import REGISTRY, Bounds, run_law
+from .laws import REGISTRY, run_law
 from .model import ModelError, ModelSpec, default_model, parse_model
 from .oq1 import OQ1Bounds, search_open_question_1
 from .order import FinPoset
@@ -140,32 +141,15 @@ def main(argv=None) -> int:
         if args.cmd == "check":
             spec = _load_model(args.model)
             backends = (args.backend,) if args.backend else ("classical", "presheaf")
-            bounds = None
-            if args.law == "all":
-                reports = []
-                for name in REGISTRY:
-                    law = REGISTRY[name]
-                    b = law.bounds if args.max_size is None else Bounds(
-                        max_size=args.max_size,
-                        competing=law.bounds.competing,
-                        apex=law.bounds.apex,
-                        base_stages=law.bounds.base_stages,
-                        per_stage=law.bounds.per_stage,
-                    )
-                    reports.append(run_law(name, spec, b, backends))
-            else:
-                if args.law not in REGISTRY:
-                    print(f"unknown law {args.law!r}; known: all, {lawlist}", file=sys.stderr)
-                    return EXIT_UNAVAILABLE
-                law = REGISTRY[args.law]
-                b = law.bounds if args.max_size is None else Bounds(
-                    max_size=args.max_size,
-                    competing=law.bounds.competing,
-                    apex=law.bounds.apex,
-                    base_stages=law.bounds.base_stages,
-                    per_stage=law.bounds.per_stage,
-                )
-                reports = [run_law(args.law, spec, b, backends)]
+            if args.law != "all" and args.law not in REGISTRY:
+                print(f"unknown law {args.law!r}; known: all, {lawlist}", file=sys.stderr)
+                return EXIT_UNAVAILABLE
+            reports = []
+            for name in REGISTRY if args.law == "all" else [args.law]:
+                b = REGISTRY[name].bounds
+                if args.max_size is not None:
+                    b = replace(b, max_size=args.max_size)
+                reports.append(run_law(name, spec, b, backends))
             if args.json:
                 print("[" + ",\n".join(r.to_json() for r in reports) + "]")
             else:

@@ -19,6 +19,7 @@ from .lifting import (
     is_algebra,
     is_homomorphism,
     is_strict,
+    restriction_groups,
     strict_hom_set,
 )
 from .order import StructureError
@@ -176,16 +177,13 @@ def colimit_universal_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple
         for name, s, t in d.edges
     ):
         return False, "colimit legs do not commute"
+    res_legs = [res.legs[n] for n in d.nodes]
     for P in apexes:
-        homs = bk.hom(res.apex, P)
+        groups = restriction_groups(bk, bk.hom(res.apex, P), res_legs)
         for legs in enumerate_cocones(bk, d, P):
-            matching = [
-                h
-                for h in homs
-                if all(bk.compose(h, res.legs[n]) == legs[n] for n in d.nodes)
-            ]
-            if len(matching) != 1:
-                return False, ("cocone", P, len(matching))
+            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
+            if count != 1:
+                return False, ("cocone", P, count)
     return True, None
 
 
@@ -261,18 +259,15 @@ def creation_check(bk, d: Diagram, apexes) -> tuple:
     if structures != [beta]:
         return False, ("structure not unique", len(structures))
     pointed_apexes = [P for P in apexes if bk.is_pointed(P)]
+    res_legs = [res.legs[n] for n in d.nodes]
     for P in pointed_apexes:
-        shoms = strict_hom_set(bk, res.apex, P)
+        groups = restriction_groups(bk, strict_hom_set(bk, res.apex, P), res_legs)
         for legs in enumerate_cocones(
             bk, d, P, leg_pool=lambda X, C: strict_hom_set(bk, X, C)
         ):
-            matching = [
-                h
-                for h in shoms
-                if all(bk.compose(h, res.legs[n]) == legs[n] for n in d.nodes)
-            ]
-            if len(matching) != 1:
-                return False, ("algebra cocone", P, len(matching))
+            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
+            if count != 1:
+                return False, ("algebra cocone", P, count)
     return True, None
 
 
@@ -321,14 +316,11 @@ def coproduct_algebras_universal_check(bk, X, Y, apexes) -> tuple:
     for P in apexes:
         if not bk.is_pointed(P):
             continue
-        shoms = strict_hom_set(bk, Q, P)
-        for f in strict_hom_set(bk, X, P):
-            for g in strict_hom_set(bk, Y, P):
-                matching = [
-                    h
-                    for h in shoms
-                    if bk.compose(h, inj_x) == f and bk.compose(h, inj_y) == g
-                ]
-                if len(matching) != 1:
-                    return False, ("pair", P, len(matching))
+        groups = restriction_groups(bk, strict_hom_set(bk, Q, P), (inj_x, inj_y))
+        fs, gs = strict_hom_set(bk, X, P), strict_hom_set(bk, Y, P)
+        for f in fs:
+            for g in gs:
+                count = len(groups.get((f, g), ()))
+                if count != 1:
+                    return False, ("pair", P, count)
     return True, (Q, inj_x, inj_y)

@@ -215,13 +215,24 @@ def scone_data(bk, A, C) -> list:
     ]
 
 
+def restriction_groups(bk, homs, legs) -> dict:
+    """Group ``homs`` by their restriction along ``legs``.
+
+    Maps the tuple ``(h . leg for leg in legs)`` to the list of homs with
+    that restriction, in hom order.  A universal property then reads its
+    mediators for a competing datum off one lookup: the group size is the
+    number of mediators and its first member is the first one in order.
+    """
+    groups: dict = {}
+    for h in homs:
+        groups.setdefault(tuple(bk.compose(h, leg) for leg in legs), []).append(h)
+    return groups
+
+
 def scone_universal_check(bk, A, C):
     """Exactly one mediating map out of LA for each lax square datum."""
     ld = bk.lift(A)
-    groups: dict = {}
-    for h in bk.hom(ld.obj, C):
-        key = (bk.compose(h, ld.bottom), bk.compose(h, ld.unit))
-        groups.setdefault(key, []).append(h)
+    groups = restriction_groups(bk, bk.hom(ld.obj, C), (ld.bottom, ld.unit))
     data = scone_data(bk, A, C)
     for c0, c1 in data:
         hs = groups.get((c0, c1), [])
@@ -267,10 +278,7 @@ def paths_check(bk, A, B):
     pd = bk.product(sigma.obj, A)
     bot_leg = bk.pair(pd, bk.compose(sigma.bottom, bk.bang(A)), bk.identity(A))
     top_leg = bk.pair(pd, bk.compose(sigma.unit, bk.bang(A)), bk.identity(A))
-    groups: dict = {}
-    for alpha in bk.hom(pd.obj, B):
-        key = (bk.compose(alpha, bot_leg), bk.compose(alpha, top_leg))
-        groups.setdefault(key, []).append(alpha)
+    groups = restriction_groups(bk, bk.hom(pd.obj, B), (bot_leg, top_leg))
     for f in bk.hom(A, B):
         for g in bk.hom(A, B):
             n = len(groups.get((f, g), []))

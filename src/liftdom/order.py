@@ -4,6 +4,23 @@ Elements are opaque hashable identifiers; the declared element sequence
 fixes the canonical iteration order used by every enumeration,
 representative choice, and "first found" answer in the package.  All
 values are immutable after construction and all operations are pure.
+
+Trust boundary.  Maps are validated where their values come from outside
+this module: the public ``MonotoneMap(dom, cod, values)`` constructor and
+``MonotoneMap.make`` (and so the backends' ``mor_from_fn`` and the model
+parser) check totality, membership and monotonicity and raise
+``StructureError`` naming the violated law.  The producers below build
+their results through the unvalidated ``MonotoneMap._trusted`` instead,
+because each result is valid by construction:
+
+* ``compose`` of two valid maps is total, lands in ``g.cod`` and is
+  monotone, since monotone maps compose; it still checks composability;
+* ``MonotoneMap.identity`` is the identity on a valid poset;
+* ``enumerate_monotone_maps`` draws values from the codomain and checks
+  every order pair in both directions as it backtracks.
+
+Re-validating those results would repeat work in the inner loop of every
+universal-property check.
 """
 from __future__ import annotations
 
@@ -232,6 +249,18 @@ class MonotoneMap:
                     )
 
     @classmethod
+    def _trusted(cls, dom: FinPoset, cod: FinPoset, values: tuple) -> "MonotoneMap":
+        """Build without validation; ``values`` must already be a tuple that
+        is total, lands in ``cod`` and is monotone (see the module docstring)."""
+        f = object.__new__(cls)
+        # attribute by attribute, as the dataclass __init__ does: touching
+        # __dict__ would give every map its own dict, about 150 bytes more
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @classmethod
     def make(cls, dom: FinPoset, cod: FinPoset, assignment) -> "MonotoneMap":
         if callable(assignment):
             vals = tuple(assignment(x) for x in dom.elements)
@@ -241,7 +270,7 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, P: FinPoset) -> "MonotoneMap":
-        return cls(P, P, P.elements)
+        return cls._trusted(P, P, P.elements)
 
     def __call__(self, x):
         return self.values[self.dom._index[x]]
@@ -262,9 +291,10 @@ class MonotoneMap:
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     """g after f."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise StructureError("composability", "codomain/domain mismatch")
-    return MonotoneMap(f.dom, g.cod, tuple(g(v) for v in f.values))
+    index, gv = g.dom._index, g.values
+    return MonotoneMap._trusted(f.dom, g.cod, tuple(gv[index[v]] for v in f.values))
 
 
 def map_leq(f: MonotoneMap, g: MonotoneMap) -> bool:
@@ -348,7 +378,7 @@ def enumerate_monotone_maps(A: FinPoset, B: FinPoset) -> list[MonotoneMap]:
 
     def rec(i: int):
         if i == A.n:
-            maps.append(MonotoneMap(A, B, tuple(vals)))
+            maps.append(MonotoneMap._trusted(A, B, tuple(vals)))
             return
         for v in B.elements:
             if ok(i, v):

@@ -304,6 +304,17 @@ class NatTrans:
         return self.components[i][self.dom.at(p).index(x)]
 
     @classmethod
+    def _trusted(cls, dom: InternalPoset, cod: InternalPoset, components: tuple) -> "NatTrans":
+        """Build without validation; ``components`` must already be a tuple of
+        tuples that is total, stagewise monotone and natural (composites and
+        identities of validated transformations are)."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "components", components)
+        return f
+
+    @classmethod
     def make(cls, dom: InternalPoset, cod: InternalPoset, fn) -> "NatTrans":
         comps = tuple(
             tuple(fn(p, x) for x in dom.at(p)) for p in dom.base.stages
@@ -312,7 +323,7 @@ class NatTrans:
 
     @classmethod
     def identity(cls, A: InternalPoset) -> "NatTrans":
-        return cls(A, A, A.carrier.stage_sets)
+        return cls._trusted(A, A, A.carrier.stage_sets)
 
     def __repr__(self):
         return f"NatTrans({self.components!r})"
@@ -320,9 +331,13 @@ class NatTrans:
 
 def nt_compose(g: NatTrans, f: NatTrans) -> NatTrans:
     """g after f."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom and f.cod != g.dom:
         raise StructureError("composability", "codomain/domain mismatch")
-    return NatTrans.make(f.dom, g.cod, lambda p, x: g.apply(p, f.apply(p, x)))
+    comps = tuple(
+        tuple(gc[mid.index(v)] for v in fc)
+        for fc, gc, mid in zip(f.components, g.components, g.dom.carrier.stage_sets)
+    )
+    return NatTrans._trusted(f.dom, g.cod, comps)
 
 
 def nt_leq(f: NatTrans, g: NatTrans) -> bool:

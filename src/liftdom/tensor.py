@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .lifting import commutator, kleisli_extend, strict_hom_set
+from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set
 from .order import FinPoset, StructureError
 
 
@@ -165,11 +165,11 @@ def universal_bistrict_check(bk, T: TensorObject, codomains) -> tuple:
     for C in codomains:
         if not bk.is_pointed(C):
             continue
-        shoms = strict_hom_set(bk, T.obj, C)
+        groups = restriction_groups(bk, strict_hom_set(bk, T.obj, C), (T.universal,))
         for f in bistrict_maps(bk, A, B, C):
-            matching = [h for h in shoms if bk.compose(h, T.universal) == f]
-            if len(matching) != 1:
-                return False, ("bistrict map", C, len(matching))
+            count = len(groups.get((f,), ()))
+            if count != 1:
+                return False, ("bistrict map", C, count)
     return True, None
 
 
@@ -235,15 +235,15 @@ def seal_represents_bilinear_check(bk, A, B, codomains) -> tuple:
         if not bk.is_pointed(C):
             continue
         alpha_c = bk.algebra_structure(C)
-        shoms = strict_hom_set(bk, Q, C)
+        groups = restriction_groups(bk, strict_hom_set(bk, Q, C), (q,))
         for f in bk.hom(pd.obj, C):
             if not is_bilinear(bk, f, A, B):
                 continue
             dagger = bk.compose(alpha_c, bk.lift_map(f))
-            matching = [h for h in shoms if bk.compose(h, q) == dagger]
-            if len(matching) != 1:
-                return False, ("bilinear map", C, len(matching))
-            if bk.compose(matching[0], boxtimes) != f:
+            hs = groups.get((dagger,), ())
+            if len(hs) != 1:
+                return False, ("bilinear map", C, len(hs))
+            if bk.compose(hs[0], boxtimes) != f:
                 return False, ("universal bilinear", C)
     return True, None
 

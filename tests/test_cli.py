@@ -3,6 +3,7 @@ import json
 import pytest
 
 from liftdom.cli import main
+from liftdom.laws import REGISTRY, Bounds
 
 
 def test_check_single_law(capsys):
@@ -34,6 +35,15 @@ def test_check_max_size(capsys):
     assert main(["check", "kz-adjunction", "--max-size", "2"]) == 0
     out = capsys.readouterr().out
     assert "genP3" not in out
+
+
+def test_check_max_size_keeps_other_bounds(capsys, monkeypatch):
+    law = REGISTRY["kz-adjunction"]
+    custom = Bounds(max_size=4, competing=2, apex=3, base_stages=1, per_stage=2)
+    monkeypatch.setattr(law, "bounds", custom)
+    assert main(["check", "kz-adjunction", "--max-size", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload[0]["bounds"] == {**custom.as_dict(), "max_size": 2}
 
 
 def test_lift_and_smash(capsys):

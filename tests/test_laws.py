@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import liftdom
 from liftdom.laws import REGISTRY, Bounds, run_all, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import StructureError
@@ -75,3 +81,31 @@ def test_json_schema():
     d = rep.to_dict()
     assert set(d) == {"law", "status", "instances", "bounds", "elapsed_ms"}
     assert all(set(i) == {"objects", "status", "witness"} for i in d["instances"])
+
+
+# sha256 over every negative control's zero-elapsed JSON, each followed by a
+# newline, in registry order; pinned before the order kernel stopped
+# re-validating its own composites.  A change that moves it must say what
+# changed in the report on purpose.
+NEGATIVES_SHA256 = "b0320b5e784940b332956671b973990b5d3bee07159969cec780f9caeb0105f9"
+
+_NEGATIVES_DIGEST = """
+import hashlib
+from liftdom.laws import REGISTRY, run_negative
+h = hashlib.sha256()
+for name in REGISTRY:
+    h.update(run_negative(name).to_json(zero_elapsed=True).encode("utf-8") + b"\\n")
+print(len(REGISTRY), h.hexdigest())
+"""
+
+
+def test_negative_reports_pinned_across_hash_seeds():
+    src = str(Path(liftdom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        out = subprocess.run(
+            [sys.executable, "-c", _NEGATIVES_DIGEST],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        assert out == ["27", NEGATIVES_SHA256], seed

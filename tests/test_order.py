@@ -255,3 +255,42 @@ def test_hom_order_antisymmetric(A, B):
         for g in maps[:6]:
             if map_leq(f, g) and map_leq(g, f):
                 assert f == g
+
+
+def validated_maps(A, B):
+    # oracle: every |B|^|A| assignment through the validating constructor
+    out = []
+    for vals in iproduct(B.elements, repeat=A.n):
+        try:
+            out.append(MonotoneMap(A, B, vals))
+        except StructureError:
+            continue
+    return out
+
+
+def test_trusted_producers_match_validating_constructor():
+    # compose, identity and hom enumeration skip validation; on every poset
+    # with at most 3 elements their results must be what the validating
+    # constructor builds (and accepts) from the same values
+    small = posets_upto(3)
+    homs = {(A, B): enumerate_monotone_maps(A, B) for A in small for B in small}
+    for (A, B), maps in homs.items():
+        assert maps == validated_maps(A, B)
+    for P in small:
+        assert MonotoneMap.identity(P) == MonotoneMap(P, P, P.elements)
+    for A in small:
+        for B in small:
+            for C in small:
+                for f in homs[(A, B)]:
+                    for g in homs[(B, C)]:
+                        gf = compose(g, f)
+                        assert gf == MonotoneMap(A, C, gf.values)
+                        assert gf.values == tuple(g(f(x)) for x in A.elements)
+
+
+def test_compose_still_checks_composability():
+    f = MonotoneMap.identity(CHAIN2)
+    g = MonotoneMap.identity(ANTI2)
+    with pytest.raises(StructureError) as e:
+        compose(g, f)
+    assert e.value.law == "composability"

@@ -30,6 +30,7 @@ from liftdom.presheaf import (
     is_internal_dcpo,
     is_scott_open_subpresheaf,
     kj_forces,
+    nt_compose,
     omega,
     omega_bot,
     omega_top,
@@ -311,3 +312,44 @@ def test_directed_subpresheaves_and_sups_of_omega():
                 if q == "s0" and d.members:
                     expect |= {"s0"}
         assert all(q in s.members for q in expect & {"s0", "s1"})
+
+
+def test_trusted_nat_trans_match_validating_constructor():
+    # nt_compose and NatTrans.identity skip validation; over the 2-chain base
+    # their results must be what the validating constructor builds (and
+    # accepts) from the same components
+    chain_up = InternalPoset.make(
+        SIERP,
+        {"s1": ("a", "b"), "s0": ("u",)},
+        {("s1", "s0"): {"a": "u", "b": "u"}},
+        {"s1": {("a", "a"), ("b", "b"), ("a", "b")}, "s0": {("u", "u")}},
+    )
+    objs = [
+        omega(SIERP),
+        antichain_over_point(),
+        chain_up,
+        InternalPoset.constant(SIERP, FinPoset.chain(1, prefix="t")),
+        InternalPoset.constant(SIERP, FinPoset.chain(2)),
+    ]
+    homs = {(X, Y): enumerate_nat_trans(X, Y) for X in objs for Y in objs}
+    for X in objs:
+        ident = NatTrans.identity(X)
+        assert ident == NatTrans(X, X, ident.components)
+    checked = 0
+    for X in objs:
+        for Y in objs:
+            for Z in objs:
+                for f in homs[(X, Y)]:
+                    for g in homs[(Y, Z)]:
+                        gf = nt_compose(g, f)
+                        assert gf == NatTrans(X, Z, gf.components)
+                        assert all(
+                            gf.apply(p, x) == g.apply(p, f.apply(p, x))
+                            for p in SIERP.stages
+                            for x in X.at(p)
+                        )
+                        checked += 1
+    assert checked > 0
+    with pytest.raises(StructureError) as e:
+        nt_compose(NatTrans.identity(objs[0]), NatTrans.identity(objs[1]))
+    assert e.value.law == "composability"
