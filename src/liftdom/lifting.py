@@ -335,16 +335,12 @@ def top_opfibration_check(bk):
 # Partial maps and the partial product.
 
 def make_partial_map(bk, A, B, members: dict, value_fn) -> PartialMap:
-    if not bk_is_scott_open(bk, A, members):
+    if not bk.is_scott_open(A, members):
         raise StructureError("scott-openness", "the domain is not a Scott-open subobject")
     sub, incl = bk.subobject(A, members)
     value = bk.mor_from_fn(sub, B, value_fn)
     canon = tuple((p, frozenset(members.get(p, ()))) for p in bk.stages(A))
     return PartialMap(A, B, canon, sub, incl, value)
-
-
-def bk_is_scott_open(bk, A, members: dict) -> bool:
-    return bk.is_scott_open(A, members)
 
 
 def enumerate_partial_maps(bk, A, B) -> list[PartialMap]:

@@ -46,8 +46,9 @@ def _labeled_posets_named(n: int, prefix: str) -> list[FinPoset]:
     ]
 
 
-def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):
-    """All pointed internal dcpos over the base within the size bounds."""
+def internal_posets(base: BasePoset, bounds: OQ1Bounds):
+    """Every internal poset over the base within the size bounds, as labelled
+    stage posets and restrictions (so one object may appear several times)."""
     stages = base.stages
     size_ranges = [range(1, bounds.max_stage + 1) for _ in stages]
     for sizes in iproduct(*size_ranges):
@@ -74,12 +75,14 @@ def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):
                     A = InternalPoset.make(base, sets, restrictions, orders)
                 except StructureError:
                     continue
-                if not is_internal_pointed(A):
-                    continue
-                ok, _ = is_internal_dcpo(A)
-                if not ok:
-                    continue
                 yield A
+
+
+def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):
+    """All pointed internal dcpos over the base within the size bounds."""
+    for A in internal_posets(base, bounds):
+        if is_internal_pointed(A) and is_internal_dcpo(A)[0]:
+            yield A
 
 
 def _small_bases(bounds: OQ1Bounds) -> list[tuple]:

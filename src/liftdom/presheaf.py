@@ -11,11 +11,28 @@ Unlike classical finite posets, a finite internal poset need not have
 suprema of its internally-directed subpresheaves, and a monotone natural
 map need not preserve them; directed-completeness and Scott continuity
 are therefore explicit checks rather than free facts.
+
+Max-family lemma.  Under the forcing clauses, a subpresheaf D supported
+below stage p is internally directed at p iff each D(q), q <= p, is
+inhabited and directed.  A finite, inhabited, directed set has a greatest
+element, so D has stagewise maxima m_q, and they form a lax family:
+res(q, r, m_q) <= m_r whenever r <= q.  Conversely, every lax family is
+the family of maxima of the subpresheaf it generates, which is directed.
+Whether an element bounds D at a stage depends only on the maxima, so the
+internal supremum of D, and whether a monotone map preserves it, depend
+only on D's lax family.  ``is_internal_dcpo``, ``is_continuous``,
+``positive_members`` and the directed-sup half of
+``is_scott_open_subpresheaf`` therefore enumerate lax families (at most
+the product of the stage sizes) rather than subpresheaves (2 to the total
+size) tested by forcing.  ``subpresheaves_below``,
+``directed_subpresheaves_below`` and ``kj_forces`` keep the literal
+definitions: they are the reference the tests compare the kernel with,
+and ``oq1.positivity_by_forcing`` re-verifies search results through them
+on purpose, so that the re-verification shares nothing with the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 from .order import FinPoset, StructureError
@@ -31,6 +48,21 @@ class BasePoset:
 
     poset: FinPoset
 
+    def __post_init__(self):
+        # Computed once and kept off the dataclass fields, so eq, hash and
+        # repr still see only the poset.
+        stages, leq = self.poset.elements, self.poset.leq
+        down = {p: tuple(q for q in stages if leq(q, p)) for p in stages}
+        object.__setattr__(self, "_down", down)
+        object.__setattr__(
+            self, "_strict_pairs", tuple((p, q) for p in stages for q in down[p] if q != p)
+        )
+        object.__setattr__(
+            self,
+            "_desc",
+            tuple(sorted(stages, key=lambda p: (-len(down[p]), self.poset.index(p)))),
+        )
+
     @property
     def stages(self) -> tuple:
         return self.poset.elements
@@ -40,19 +72,15 @@ class BasePoset:
 
     def down_list(self, p) -> tuple:
         """Stages <= p, in canonical stage order."""
-        return tuple(q for q in self.stages if self.leq(q, p))
+        return self._down[p]
 
     def strict_pairs(self) -> tuple:
         """All (p, q) with q < p, in canonical order."""
-        return tuple(
-            (p, q) for p in self.stages for q in self.stages if q != p and self.leq(q, p)
-        )
+        return self._strict_pairs
 
     def stages_desc(self) -> tuple:
         """A linear extension listing higher stages first."""
-        return tuple(
-            sorted(self.stages, key=lambda p: (-len(self.down_list(p)), self.poset.index(p)))
-        )
+        return self._desc
 
 
 @dataclass(frozen=True)
@@ -624,24 +652,57 @@ def directed_subpresheaves_below(A: InternalPoset, p) -> list[Subpresheaf]:
     return [D for D in subpresheaves_below(A, p) if internal_directed(D, p)]
 
 
-def internal_sup(A: InternalPoset, D: Subpresheaf, p):
-    """The internal least upper bound of D at stage p, or None.
+def _below_desc(base: BasePoset, p) -> list:
+    """The stages <= p, higher stages first."""
+    return [q for q in base.stages_desc() if base.leq(q, p)]
+
+
+def _lax_families(A: InternalPoset, stage_list):
+    """Every lax family on ``stage_list`` (down-closed, higher stages first):
+    a dict stage -> element with res(q, r, m[q]) <= m[r] whenever r <= q."""
+    base = A.base
+    above = [[r for r in stage_list[:i] if base.leq(q, r)] for i, q in enumerate(stage_list)]
+    fam: dict = {}
+
+    def rec(i: int):
+        if i == len(stage_list):
+            yield dict(fam)
+            return
+        q = stage_list[i]
+        lower = [A.res_el(r, q, fam[r]) for r in above[i]]
+        P = A.stage_poset(q)
+        for x in A.at(q):
+            if all(P.leq(y, x) for y in lower):
+                fam[q] = x
+                yield from rec(i + 1)
+                del fam[q]
+
+    return rec(0)
+
+
+def _generated(A: InternalPoset, fam: dict) -> Subpresheaf:
+    """The subpresheaf generated by a family: every restriction of a member."""
+    members: dict = {r: set() for r in A.base.stages}
+    for q, m in fam.items():
+        for r in A.base.down_list(q):
+            members[r].add(A.res_el(q, r, m))
+    return Subpresheaf.make(A, members)
+
+
+def _least_upper_bound(A: InternalPoset, below, p):
+    """The internal least upper bound at stage p of everything ``below(r)``
+    lists at the stages r <= p, or None.
 
     s qualifies iff its restriction to every q <= p is the minimum of the
-    stage-q upper bounds of D; this unfolds the forced statement that s is
-    an upper bound and below every upper bound at every lower stage.
+    stage-q upper bounds; this unfolds the forced statement that s is an
+    upper bound and below every upper bound at every lower stage.
     """
     base = A.base
     mins = {}
     for q in base.down_list(p):
+        lower = [(r, d) for r in base.down_list(q) for d in below(r)]
         ubs = [
-            s
-            for s in A.at(q)
-            if all(
-                A.leq_at(r, d, A.res_el(q, r, s))
-                for r in base.down_list(q)
-                for d in D.at(r)
-            )
+            s for s in A.at(q) if all(A.leq_at(r, d, A.res_el(q, r, s)) for r, d in lower)
         ]
         m = next((u for u in ubs if all(A.leq_at(q, u, v) for v in ubs)), None)
         if m is None:
@@ -654,13 +715,26 @@ def internal_sup(A: InternalPoset, D: Subpresheaf, p):
     return s
 
 
-@lru_cache(maxsize=None)
+def internal_sup(A: InternalPoset, D: Subpresheaf, p):
+    """The internal least upper bound of D at stage p, or None."""
+    return _least_upper_bound(A, D.at, p)
+
+
+def _family_sup(A: InternalPoset, fam: dict, p):
+    """The internal supremum at p of the subpresheaf a lax family generates:
+    only the maxima fam[r] need to lie below."""
+    return _least_upper_bound(A, lambda r: (fam[r],) if r in fam else (), p)
+
+
 def is_internal_dcpo(A: InternalPoset):
-    """(True, None), or (False, (stage, offending directed subpresheaf))."""
+    """(True, None), or (False, (stage, offending directed subpresheaf)).
+
+    The offender is the subpresheaf generated by the first lax family
+    without a supremum."""
     for p in A.base.stages:
-        for D in directed_subpresheaves_below(A, p):
-            if internal_sup(A, D, p) is None:
-                return False, (p, D)
+        for fam in _lax_families(A, _below_desc(A.base, p)):
+            if _family_sup(A, fam, p) is None:
+                return False, (p, _generated(A, fam))
     return True, None
 
 
@@ -684,36 +758,31 @@ def is_internal_pointed(A: InternalPoset) -> bool:
     return all(len(s) > 0 for s in A.carrier.stage_sets) and internal_bottom(A) is not None
 
 
-def semidirected_sup(A: InternalPoset, D: Subpresheaf, p):
-    """Least upper bound of a semidirected D at p (equals the sup of D + bottom)."""
-    return internal_sup(A, D, p)
-
-
 def positive_members(A: InternalPoset) -> Subpresheaf:
     """Elements x such that any semidirected subpresheaf whose supremum lies
-    above x is forced to be inhabited, evaluated stage by stage."""
+    above x is forced to be inhabited, evaluated stage by stage.
+
+    A semidirected D below q that is empty at q has stagewise maxima on a
+    sieve S of stages strictly below q: a lax family on S.  If it has a
+    supremum s, the stagewise least upper bounds res(q, r, s), r < q, form
+    a lax family on all stages strictly below q with the same supremum.  So
+    x at p is positive iff no restriction x|q lies below the supremum of a
+    lax family on the stages strictly below q."""
     base = A.base
-    members: dict = {}
-    for p in base.stages:
-        good = set()
-        for x in A.at(p):
-            ok = True
-            for q in base.down_list(p):
-                xq = A.res_el(p, q, x)
-                for D in subpresheaves_below(A, q):
-                    if not internal_semidirected(D, q):
-                        continue
-                    s = internal_sup(A, D, q)
-                    if s is None or not A.leq_at(q, xq, s):
-                        continue
-                    if not D.at(q):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                good.add(x)
-        members[p] = good
+    blocked: dict = {}
+    for q in base.stages:
+        strictly_below = [r for r in _below_desc(base, q) if r != q]
+        sups = {_family_sup(A, fam, q) for fam in _lax_families(A, strictly_below)}
+        sups.discard(None)
+        blocked[q] = {y for y in A.at(q) if any(A.leq_at(q, y, s) for s in sups)}
+    members = {
+        p: {
+            x
+            for x in A.at(p)
+            if all(A.res_el(p, q, x) not in blocked[q] for q in base.down_list(p))
+        }
+        for p in base.stages
+    }
     return Subpresheaf.make(A, members)
 
 
@@ -807,21 +876,18 @@ def enumerate_nat_trans(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
     return out
 
 
-def image_subpresheaf(f: NatTrans, D: Subpresheaf) -> Subpresheaf:
-    return Subpresheaf.make(
-        f.cod, {p: {f.apply(p, x) for x in D.at(p)} for p in f.dom.base.stages}
-    )
-
-
 def is_continuous(f: NatTrans) -> bool:
-    """Whether f preserves internal directed suprema (not automatic here)."""
+    """Whether f preserves internal directed suprema (not automatic here).
+
+    f maps the maxima of a directed D to the maxima of its image, so it is
+    enough to run over lax families."""
     A, B = f.dom, f.cod
     for p in A.base.stages:
-        for D in directed_subpresheaves_below(A, p):
-            s = internal_sup(A, D, p)
+        for fam in _lax_families(A, _below_desc(A.base, p)):
+            s = _family_sup(A, fam, p)
             if s is None:
                 continue
-            t = internal_sup(B, image_subpresheaf(f, D), p)
+            t = _family_sup(B, {q: f.apply(q, m) for q, m in fam.items()}, p)
             if t is None or f.apply(p, s) != t:
                 return False
     return True
@@ -844,10 +910,13 @@ def is_scott_open_subpresheaf(U: Subpresheaf) -> bool:
             for y in P.up_set(x):
                 if y not in U.at(p):
                     return False
+    # U(p) is up-closed, so a directed D meets it at p iff its maximum m[p] does
     for p in A.base.stages:
-        for D in directed_subpresheaves_below(A, p):
-            s = internal_sup(A, D, p)
-            if s is not None and s in U.at(p) and not (D.at(p) & U.at(p)):
+        for fam in _lax_families(A, _below_desc(A.base, p)):
+            if fam[p] in U.at(p):
+                continue
+            s = _family_sup(A, fam, p)
+            if s is not None and s in U.at(p):
                 return False
     return True
 

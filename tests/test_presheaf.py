@@ -2,6 +2,7 @@ from itertools import product as iproduct
 
 import pytest
 
+from liftdom.backend import PresheafBackend
 from liftdom.order import FinPoset, StructureError
 from liftdom.presheaf import (
     BasePoset,
@@ -45,6 +46,7 @@ from liftdom.presheaf import (
 POINT = BasePoset(FinPoset(("s",), frozenset([("s", "s")])))
 SIERP = BasePoset(FinPoset.from_generators(("s0", "s1"), [("s0", "s1")]))
 ANTI = BasePoset(FinPoset.antichain(2, prefix="t"))
+CHAIN3 = BasePoset(FinPoset.chain(3, prefix="s"))
 
 
 def test_sieves():
@@ -125,6 +127,21 @@ def test_non_dcpo_witness():
     assert p == "s1"
     assert internal_directed(D, p)
     assert internal_sup(A, D, p) is None
+
+
+def test_lift_of_omega_over_three_chain_is_a_dcpo():
+    # the lift of a dcpo is a dcpo; over the 3-chain the lift of Omega has
+    # 19 elements, and its positive part is the image of the unit
+    O = omega(CHAIN3)
+    ld = PresheafBackend(CHAIN3).lift(O)
+    L = ld.obj
+    assert L.size() == 19
+    ok, witness = is_internal_dcpo(L)
+    assert ok, witness
+    pos = positive_members(L)
+    assert [len(pos.at(p)) for p in CHAIN3.stages] == [2, 3, 4]
+    for p in CHAIN3.stages:
+        assert pos.at(p) == {ld.unit.apply(p, x) for x in O.at(p)}
 
 
 def test_forcing_basics():
