@@ -946,13 +946,5 @@ class PresheafBackend(_ConstructionCache):
         return ExpData(E, apply_elem, encode)
 
 
-def classical() -> ClassicalBackend:
-    return ClassicalBackend()
-
-
-def presheaf_backend(base: ps.BasePoset) -> PresheafBackend:
-    return PresheafBackend(base)
-
-
 def sierpinski_base() -> ps.BasePoset:
     return ps.BasePoset(FinPoset.from_generators(("s0", "s1"), [("s0", "s1")]))

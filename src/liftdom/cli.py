@@ -83,11 +83,6 @@ def describe(obj) -> str:
     return fmt(obj)
 
 
-def _resolve(spec: ModelSpec, name: str):
-    kind, obj = spec.lookup(name)
-    return kind, obj
-
-
 def _backend_for(spec: ModelSpec, kind: str, obj):
     if kind in ("posets", "maps"):
         return ClassicalBackend()
@@ -160,7 +155,7 @@ def main(argv=None) -> int:
         if args.cmd in ("lift", "smash", "tensor", "hom"):
             spec = _load_model(args.model)
             names = args.objs
-            kinds_objs = [_resolve(spec, n) for n in names]
+            kinds_objs = [spec.lookup(n) for n in names]
             kinds = {k for k, _ in kinds_objs}
             if not kinds <= {"posets", "iposets"}:
                 print("these commands operate on posets or internal posets", file=sys.stderr)
@@ -204,7 +199,7 @@ def main(argv=None) -> int:
 
         if args.cmd == "export-dot":
             spec = _load_model(args.model)
-            _, obj = _resolve(spec, args.obj)
+            _, obj = spec.lookup(args.obj)
             print(export_dot(obj), end="")
             return EXIT_PASS
     except ModelError as e:

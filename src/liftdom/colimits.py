@@ -103,11 +103,6 @@ def nary_coproduct(bk, objs: list):
     return acc, injs, cotupler
 
 
-def coequalizer_dcpo(bk, f, g):
-    """The backend coequaliser (object and surjection)."""
-    return bk.coequalizer(f, g)
-
-
 def colimit(bk, d: Diagram) -> ColimitResult:
     """Colimit from coproducts plus one coequaliser, with a factorisation."""
     objs = [d.objects[n] for n in d.nodes]

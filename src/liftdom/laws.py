@@ -5,29 +5,38 @@ default bounds it runs at, a runner producing per-instance results over
 the model plus generated families, and a negative control that corrupts
 exactly one ingredient and must make the same verification fail with an
 element-level witness.  CLI help and docs are generated from this table.
+
+Runners yield their instance reports.  A check contributes a witness: None
+when it holds, otherwise a short text.  ``_verdict`` turns one witness into
+a report line, and ``_exhaust`` turns a bounded family of them into either
+its failing cases or a single PASS line for the whole family.
 """
 from __future__ import annotations
 
+import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import combinations
 from typing import Callable
 
 from . import colimits as co
 from . import lifting as li
 from . import tensor as te
-from .backend import ClassicalBackend, LiftData, PresheafBackend, UnavailableError
+from .backend import ClassicalBackend, LiftData, PresheafBackend, UnavailableError, sierpinski_base
 from .model import ModelSpec, default_model
 from .order import (
     FinPoset,
     MonotoneMap,
     StructureError,
     Subset,
-    is_semidirected,
+    directed_subsets,
     lub,
+    poset_iso,
     posets_upto,
+    quotient_poset,
     semidirected_subsets,
 )
-from .presheaf import BasePoset, InternalPoset, omega, subobject_classification_check
+from .presheaf import BasePoset, InternalPoset, global_elements_raw, omega, subobject_classification_check
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
 CL = ClassicalBackend()
@@ -41,9 +50,7 @@ def presheaf_for(base: BasePoset) -> PresheafBackend:
 
 
 def sierpinski_backend() -> PresheafBackend:
-    return presheaf_for(
-        BasePoset(FinPoset.from_generators(("s0", "s1"), [("s0", "s1")]))
-    )
+    return presheaf_for(sierpinski_base())
 
 
 @dataclass(frozen=True)
@@ -55,13 +62,7 @@ class Bounds:
     per_stage: int = 3  # elements per stage for generated instances
 
     def as_dict(self) -> dict:
-        return {
-            "max_size": self.max_size,
-            "competing": self.competing,
-            "apex": self.apex,
-            "base_stages": self.base_stages,
-            "per_stage": self.per_stage,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -69,7 +70,7 @@ class Law:
     name: str
     statement: str
     bounds: Bounds
-    runner: Callable  # (spec, bounds, backends) -> list[InstanceReport]
+    runner: Callable  # (spec, bounds, backends) -> iterable of InstanceReport
     negative: Callable  # (bounds) -> list[InstanceReport], at least one FAIL
 
 
@@ -77,98 +78,99 @@ def _gen_posets(n, pointed=False):
     return [(f"gen{'P' if pointed else ''}{P.n}.{i}", P) for i, P in enumerate(posets_upto(n, pointed=pointed))]
 
 
-def _model_posets(spec, n, pointed=False):
-    return [
-        (f"model:{name}", P)
-        for name, P in spec.posets.items()
-        if P.n <= n and (not pointed or P.is_pointed())
+def _classical_instances(spec, n, pointed=False):
+    """The generated posets of at most n elements, then the model's."""
+    return _gen_posets(n, pointed) + [
+        (f"model:{name}", P) for name, P in spec.posets.items() if P.n <= n and (not pointed or P.is_pointed())
     ]
 
 
-def _classical_instances(spec, n, pointed=False):
-    return _gen_posets(n, pointed) + _model_posets(spec, n, pointed)
+def _pairs(gens, label):
+    """Every ordered pair of named objects, named ``label.format(first, second)``."""
+    return ((label.format(na, nb), A, B) for na, A in gens for nb, B in gens)
 
 
-def _ok(name, note=None):
-    return InstanceReport(name, PASS, note)
+def _maps(n, pointed=False):
+    """Every map between generated posets of at most n elements, named by its ends."""
+    return ((name, f) for name, A, B in _pairs(_gen_posets(n, pointed), "{}->{}") for f in CL.hom(A, B))
 
 
-def _bad(name, witness):
-    return InstanceReport(name, FAIL, witness)
+def _witness(result):
+    """The formatted witness of a failed ``(ok, witness)`` check, else None."""
+    ok, w = result
+    return None if ok else fmt(w)
 
 
-def _unavailable(name, reason):
-    return InstanceReport(name, UNAVAILABLE, reason)
+def _verdict(name, witness):
+    """PASS, or FAIL with the witness."""
+    return InstanceReport(name, PASS) if witness is None else InstanceReport(name, FAIL, witness)
 
 
-def _wants(backends, which) -> bool:
-    return which in backends
+def _exhaust(results, summary):
+    """The failing ``(name, witness)`` cases, or one PASS line named ``summary``."""
+    bad = [InstanceReport(name, FAIL, w) for name, w in results if w is not None]
+    return bad or [InstanceReport(summary, PASS)]
+
+
+def _against(competitors, check):
+    """A witness against the first competitor that fails ``check``, else None."""
+    for C in competitors:
+        ok, w = check(C)
+        if not ok:
+            return f"against {fmt(C)}: {fmt(w)}"
+    return None
+
+
+def _attempt(name, check, refusals=(UnavailableError,)):
+    """The verdict of ``check()``, or UNAVAILABLE with the reason a construction was refused."""
+    try:
+        return _verdict(name, check())
+    except refusals as e:
+        return InstanceReport(name, UNAVAILABLE, str(e))
+
+
+def _control(name, caught, witness):
+    """A negative control's report: FAIL when the corruption was caught."""
+    return [InstanceReport(name, FAIL if caught else PASS, witness)]
 
 
 # ---------------------------------------------------------------------------
 # kz-adjunction
 
+def _kz_witness(bk, X):
+    alg = li.algebra_structure(bk, X)
+    if alg is None:
+        return "pointed object without a structure map"
+    ok, failures = li.kz_check(bk, alg)
+    if not ok:
+        return fmt(failures[0])
+    structures = li.all_algebra_structures(bk, X)
+    return None if structures == [alg.structure] else f"{len(structures)} structure maps found"
+
+
 def run_kz(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
+    if "classical" in backends:
         for name, X in _classical_instances(spec, b.max_size, pointed=True):
-            alg = li.algebra_structure(CL, X)
-            if alg is None:
-                out.append(_bad(name, "pointed object without a structure map"))
-                continue
-            ok, failures = li.kz_check(CL, alg)
-            if not ok:
-                out.append(_bad(name, fmt(failures[0])))
-                continue
-            structures = li.all_algebra_structures(CL, X)
-            if structures != [alg.structure]:
-                out.append(_bad(name, f"{len(structures)} structure maps found"))
-                continue
-            out.append(_ok(name))
-    if _wants(backends, "presheaf"):
+            yield _verdict(name, _kz_witness(CL, X))
+    if "presheaf" in backends:
         bk = sierpinski_backend()
-        O = omega(bk.base)
-        alg = li.algebra_structure(bk, O)
-        ok, failures = li.kz_check(bk, alg)
-        structures = li.all_algebra_structures(bk, O)
-        if ok and structures == [alg.structure]:
-            out.append(_ok("omega/2-chain-base"))
-        else:
-            out.append(_bad("omega/2-chain-base", fmt(failures or structures)))
-    return out
+        yield _verdict("omega/2-chain-base", _kz_witness(bk, omega(bk.base)))
+
+
+def _corrupted_fold():
+    """The 3-chain with a fold that sends its middle element to the top."""
+    X = FinPoset.chain(3)
+    ld = CL.lift(X)
+    return X, MonotoneMap.make(ld.obj, X, lambda u: "c0" if ld.is_bot(None, u) else ("c2" if u == "c1" else u))
 
 
 def neg_kz(b: Bounds):
-    X = FinPoset.chain(3)
-    ld = CL.lift(X)
-    bad = MonotoneMap.make(
-        ld.obj, X, lambda u: "c0" if ld.is_bot(None, u) else ("c2" if u == "c1" else u)
-    )
-    ok, failures = li.kz_check(CL, li.Algebra(X, bad))
-    st = FAIL if not ok else PASS
-    return [InstanceReport("corrupted fold on the 3-chain", st, fmt(failures[0]) if failures else None)]
+    ok, failures = li.kz_check(CL, li.Algebra(*_corrupted_fold()))
+    return _control("corrupted fold on the 3-chain", not ok, fmt(failures[0]) if failures else None)
 
 
 # ---------------------------------------------------------------------------
-# scone-universal / sierpinski-cocomma
-
-def run_scone(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    for name, A in _classical_instances(spec, min(b.max_size, 3)):
-        worst = None
-        for _, C in _gen_posets(b.competing):
-            ok, w = li.scone_universal_check(CL, A, C)
-            if not ok:
-                worst = (C, w)
-                break
-        if worst:
-            out.append(_bad(name, f"against {fmt(worst[0])}: {fmt(worst[1])}"))
-        else:
-            out.append(_ok(name))
-    return out
-
+# scone-universal / sierpinski-cocomma / joint-epi / lax-epi
 
 def _fake_scone_backend(junk=False):
     """A backend whose "lift" is coproduct-with-a-point (plus optional junk):
@@ -177,85 +179,72 @@ def _fake_scone_backend(junk=False):
 
     class Fake(ClassicalBackend):
         def lift(self, X):
-            cd = base.coproduct(base.terminal(), X)
-            obj = cd.obj
+            obj = base.coproduct(base.terminal(), X).obj
+            bot, eta = ("in", 0, "*"), (lambda a: ("in", 1, a))
             if junk:
-                cd2 = base.coproduct(obj, base.terminal())
-                obj2 = cd2.obj
-                unit = MonotoneMap.make(X, obj2, lambda a: ("in", 0, ("in", 1, a)))
-                bottom = MonotoneMap.make(
-                    base.terminal(), obj2, lambda _: ("in", 0, ("in", 0, "*"))
-                )
-                return LiftData(
-                    obj2,
-                    unit,
-                    bottom,
-                    lambda st, u: u == ("in", 0, ("in", 0, "*")),
-                    lambda st, u: None,
-                    lambda st, a: ("in", 0, ("in", 1, a)),
-                    lambda st: ("in", 0, ("in", 0, "*")),
-                )
-            unit = MonotoneMap.make(X, obj, lambda a: ("in", 1, a))
-            bottom = MonotoneMap.make(base.terminal(), obj, lambda _: ("in", 0, "*"))
+                obj = base.coproduct(obj, base.terminal()).obj
+                bot, eta = ("in", 0, bot), (lambda a: ("in", 0, ("in", 1, a)))
             return LiftData(
                 obj,
-                unit,
-                bottom,
-                lambda st, u: u == ("in", 0, "*"),
-                lambda st, u: None if u[1] == 0 else u[2],
-                lambda st, a: ("in", 1, a),
-                lambda st: ("in", 0, "*"),
+                MonotoneMap.make(X, obj, eta),
+                MonotoneMap.make(base.terminal(), obj, lambda _: bot),
+                lambda st, u: u == bot,
+                lambda st, u: None if junk or u[1] == 0 else u[2],
+                lambda st, a: eta(a),
+                lambda st: bot,
             )
 
     return Fake()
 
 
-def neg_scone(b: Bounds):
-    fake = _fake_scone_backend()
-    ok, w = li.scone_universal_check(fake, FinPoset.chain(2), FinPoset.chain(2))
-    return [InstanceReport("coproduct-with-a-point posing as the cone", FAIL if not ok else PASS, fmt(w))]
+def _cone_law(check, control, junk):
+    """The runner and the negative control of a law that the lifting
+    checker named ``check`` decides for a lift against a competing object.
+
+    The checker is looked up when it runs, so a stubbed one is seen."""
+
+    def run(spec, b: Bounds, backends):
+        if "classical" in backends:
+            competitors = posets_upto(b.competing)
+            for name, A in _classical_instances(spec, min(b.max_size, 3)):
+                yield _verdict(name, _against(competitors, lambda C: getattr(li, check)(CL, A, C)))
+
+    def negative(b: Bounds):
+        ok, w = getattr(li, check)(_fake_scone_backend(junk), FinPoset.chain(2), FinPoset.chain(2))
+        return _control(control, not ok, fmt(w))
+
+    return run, negative
+
+
+run_scone, neg_scone = _cone_law(
+    "scone_universal_check", "coproduct-with-a-point posing as the cone", junk=False
+)
+run_joint_epi, neg_joint_epi = _cone_law("joint_epi_check", "cone with a stray point", junk=True)
+run_lax_epi, neg_lax_epi = _cone_law("lax_epi_check", "cone with a stray point", junk=True)
 
 
 def run_cocomma(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        worst = None
-        for _, C in _gen_posets(b.competing):
-            ok, w = li.scone_universal_check(CL, CL.terminal(), C)
-            if not ok:
-                worst = (C, w)
-                break
-        out.append(
-            _bad("sigma=lift(1)", f"against {fmt(worst[0])}: {fmt(worst[1])}")
-            if worst
-            else _ok("sigma=lift(1)")
-        )
-    if _wants(backends, "presheaf"):
+    if "classical" in backends:
+        witness = _against(posets_upto(b.competing), lambda C: li.scone_universal_check(CL, CL.terminal(), C))
+        yield _verdict("sigma=lift(1)", witness)
+    if "presheaf" in backends:
         bk = sierpinski_backend()
         one = bk.terminal()
         competing = [one, omega(bk.base), InternalPoset.constant(bk.base, FinPoset.chain(2))]
-        worst = None
-        for C in competing:
-            ok, w = li.scone_universal_check(bk, one, C)
-            if not ok:
-                worst = (C, w)
-                break
-        out.append(
-            _bad("omega-cocomma/2-chain-base", fmt(worst)) if worst else _ok("omega-cocomma/2-chain-base")
-        )
-    return out
+        witness = _against(competing, lambda C: li.scone_universal_check(bk, one, C))
+        yield _verdict("omega-cocomma/2-chain-base", witness)
 
 
 def neg_cocomma(b: Bounds):
     fake = _fake_scone_backend()
     ok, w = li.scone_universal_check(fake, fake.terminal(), FinPoset.chain(2))
-    return [InstanceReport("two-antichain posing as sigma", FAIL if not ok else PASS, fmt(w))]
+    return _control("two-antichain posing as sigma", not ok, fmt(w))
 
 
 # ---------------------------------------------------------------------------
 # open-classifier
 
-def _classical_classification(A) -> tuple:
+def _classification_witness(A):
     sig = CL.lift(CL.terminal())
     opens = CL.scott_open_subobjects(A)
     chis = {}
@@ -270,32 +259,26 @@ def _classical_classification(A) -> tuple:
         chis[frozenset(members[None])] = chi
     homs = set(CL.hom(A, sig.obj))
     if set(chis.values()) != homs or len(chis) != len(opens):
-        return False, f"{len(chis)} characteristic maps vs {len(homs)} maps into sigma"
+        return f"{len(chis)} characteristic maps vs {len(homs)} maps into sigma"
     for members, chi in chis.items():
         recovered = frozenset(
             a for a in A.elements if chi(a) == sig.eta_elem(None, "*")
         )
         if recovered != members:
-            return False, f"pullback of top recovers {fmt(recovered)} not {fmt(members)}"
-    return True, None
+            return f"pullback of top recovers {fmt(recovered)} not {fmt(members)}"
+    return None
 
 
 def run_open_classifier(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
+    if "classical" in backends:
         for name, A in _classical_instances(spec, min(b.max_size, 4)):
-            ok, w = _classical_classification(A)
-            out.append(_ok(name) if ok else _bad(name, w))
-    if _wants(backends, "presheaf"):
+            yield _verdict(name, _classification_witness(A))
+    if "presheaf" in backends:
         bk = sierpinski_backend()
         targets = [("terminal", bk.terminal()), ("omega", omega(bk.base))]
-        for name, ip in spec.iposets.items():
-            if ip.size() <= 4:
-                targets.append((f"model:{name}", ip))
+        targets += [(f"model:{name}", ip) for name, ip in spec.iposets.items() if ip.size() <= 4]
         for name, A in targets:
-            ok = subobject_classification_check(A)
-            out.append(_ok(name) if ok else _bad(name, "classification bijection fails"))
-    return out
+            yield _verdict(name, None if subobject_classification_check(A) else "classification bijection fails")
 
 
 def neg_open_classifier(b: Bounds):
@@ -309,29 +292,27 @@ def neg_open_classifier(b: Bounds):
             sig.obj,
             lambda st, a: sig.eta_elem(st, "*") if a in members else sig.bot_elem(st),
         )
-        return [InstanceReport("down-set posing as an open", PASS, None)]
     except StructureError as e:
-        return [InstanceReport("down-set posing as an open", FAIL, str(e))]
+        return _control("down-set posing as an open", True, str(e))
+    return _control("down-set posing as an open", False, None)
 
 
 # ---------------------------------------------------------------------------
 # partial-product
 
 def run_partial_product(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3))
-        for na, A in gens:
-            for nb, B in gens:
-                ok, w = li.partial_product_check(CL, A, B)
-                if not ok:
-                    out.append(_bad(f"{na}⇀{nb}", fmt(w)))
-        out.append(_ok(f"all pairs ≤ {min(b.max_size, 3)} classical"))
-    if _wants(backends, "presheaf"):
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        yield from _exhaust(
+            (
+                (name, _witness(li.partial_product_check(CL, A, B)))
+                for name, A, B in _pairs(_gen_posets(n), "{}⇀{}")
+            ),
+            f"all pairs ≤ {n} classical",
+        )
+    if "presheaf" in backends:
         bk = sierpinski_backend()
-        ok, w = li.partial_product_check(bk, bk.terminal(), bk.terminal())
-        out.append(_ok("1⇀1/2-chain-base") if ok else _bad("1⇀1/2-chain-base", fmt(w)))
-    return out
+        yield _verdict("1⇀1/2-chain-base", _witness(li.partial_product_check(bk, bk.terminal(), bk.terminal())))
 
 
 def neg_partial_product(b: Bounds):
@@ -340,77 +321,29 @@ def neg_partial_product(b: Bounds):
     pms = li.enumerate_partial_maps(CL, A, A)[1:]
     totals = [li.partial_to_total(CL, pm) for pm in pms]
     homs = CL.hom(A, CL.lift(A).obj)
-    ok = set(totals) == set(homs)
-    return [
-        InstanceReport(
-            "enumeration missing one span",
-            FAIL if not ok else PASS,
-            f"{len(totals)} spans vs {len(homs)} classifying maps",
-        )
-    ]
-
-
-# ---------------------------------------------------------------------------
-# joint-epi / lax-epi
-
-def run_joint_epi(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        for name, A in _classical_instances(spec, min(b.max_size, 3)):
-            for _, C in _gen_posets(b.competing):
-                ok, w = li.joint_epi_check(CL, A, C)
-                if not ok:
-                    out.append(_bad(name, f"against {fmt(C)}: {fmt(w)}"))
-                    break
-            else:
-                out.append(_ok(name))
-    return out
-
-
-def run_lax_epi(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        for name, A in _classical_instances(spec, min(b.max_size, 3)):
-            for _, C in _gen_posets(b.competing):
-                ok, w = li.lax_epi_check(CL, A, C)
-                if not ok:
-                    out.append(_bad(name, f"against {fmt(C)}: {fmt(w)}"))
-                    break
-            else:
-                out.append(_ok(name))
-    return out
-
-
-def neg_joint_epi(b: Bounds):
-    fake = _fake_scone_backend(junk=True)
-    ok, w = li.joint_epi_check(fake, FinPoset.chain(2), FinPoset.chain(2))
-    return [InstanceReport("cone with a stray point", FAIL if not ok else PASS, fmt(w))]
-
-
-def neg_lax_epi(b: Bounds):
-    fake = _fake_scone_backend(junk=True)
-    ok, w = li.lax_epi_check(fake, FinPoset.chain(2), FinPoset.chain(2))
-    return [InstanceReport("cone with a stray point", FAIL if not ok else PASS, fmt(w))]
+    return _control(
+        "enumeration missing one span",
+        set(totals) != set(homs),
+        f"{len(totals)} spans vs {len(homs)} classifying maps",
+    )
 
 
 # ---------------------------------------------------------------------------
 # conservative-L
 
 def run_conservative(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3))
-        for na, A in gens:
-            for nb, B in gens:
-                for f in CL.hom(A, B):
-                    ok, w = li.conservativity_check(CL, f)
-                    if not ok:
-                        out.append(_bad(f"{na}->{nb}", f"{fmt(f)}: {fmt(w)}"))
-        for name, f in spec.maps.items():
-            ok, w = li.conservativity_check(CL, f)
-            out.append(_ok(f"model:{name}") if ok else _bad(f"model:{name}", fmt(w)))
-        out.append(_ok(f"all maps between posets ≤ {min(b.max_size, 3)}"))
-    return out
+    if "classical" not in backends:
+        return
+
+    def witness(f):
+        ok, w = li.conservativity_check(CL, f)
+        return None if ok else f"{fmt(f)}: {fmt(w)}"
+
+    n = min(b.max_size, 3)
+    generated = _exhaust(((name, witness(f)) for name, f in _maps(n)), f"all maps between posets ≤ {n}")
+    for name, f in spec.maps.items():
+        yield _verdict(f"model:{name}", _witness(li.conservativity_check(CL, f)))
+    yield from generated
 
 
 def neg_conservative(b: Bounds):
@@ -422,43 +355,29 @@ def neg_conservative(b: Bounds):
     la = CL.lift(A)
     lg = CL.lift_map(g)
     square = CL.compose(lg, la.unit) == CL.compose(la.unit, f)
-    return [
-        InstanceReport(
-            "mismatched square",
-            FAIL if not square else PASS,
-            "unit square does not commute for the swapped pair",
-        )
-    ]
+    return _control("mismatched square", not square, "unit square does not commute for the swapped pair")
 
 
 # ---------------------------------------------------------------------------
 # pointed-iff-algebra / pointed-iff-inductive / strict-iff-inductive /
 # strict-iff-hom / monadicity-triple
 
+def _pointed_algebra_witness(X):
+    if (li.algebra_structure(CL, X) is not None) != X.is_pointed():
+        return "structure map existence disagrees with pointedness"
+    structures = li.all_algebra_structures(CL, X)
+    return None if len(structures) == int(X.is_pointed()) else f"{len(structures)} structure maps"
+
+
 def run_pointed_iff_algebra(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
+    if "classical" in backends:
         for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            alg = li.algebra_structure(CL, X)
-            if (alg is not None) != X.is_pointed():
-                out.append(_bad(name, "structure map existence disagrees with pointedness"))
-                continue
-            structures = li.all_algebra_structures(CL, X)
-            want = 1 if X.is_pointed() else 0
-            if len(structures) != want:
-                out.append(_bad(name, f"{len(structures)} structure maps"))
-                continue
-            out.append(_ok(name))
-    if _wants(backends, "presheaf"):
+            yield _verdict(name, _pointed_algebra_witness(X))
+    if "presheaf" in backends:
         bk = sierpinski_backend()
-        for nm, A in [("omega", omega(bk.base)), ("terminal", bk.terminal())]:
-            alg = li.algebra_structure(bk, A)
-            out.append(
-                _ok(nm)
-                if (alg is not None) == bk.is_pointed(A)
-                else _bad(nm, "existence disagrees with pointedness")
-            )
-    return out
+        for name, A in [("omega", omega(bk.base)), ("terminal", bk.terminal())]:
+            agree = (li.algebra_structure(bk, A) is not None) == bk.is_pointed(A)
+            yield _verdict(name, None if agree else "existence disagrees with pointedness")
 
 
 def neg_pointed_iff_algebra(b: Bounds):
@@ -467,152 +386,101 @@ def neg_pointed_iff_algebra(b: Bounds):
     ld = CL.lift(X)
     candidate = MonotoneMap.make(ld.obj, X, lambda u: "a0")
     ok = li.is_algebra(CL, X, candidate)
-    return [
-        InstanceReport(
-            "constant fold on the 2-antichain",
-            FAIL if not ok else PASS,
-            "unit law fails: fold(eta(a1)) = a0",
-        )
-    ]
+    return _control("constant fold on the 2-antichain", not ok, "unit law fails: fold(eta(a1)) = a0")
 
 
-def _inductive_object(X) -> bool:
-    return all(lub(X, S) is not None for S in semidirected_subsets(X))
+def _inductive_object(X, subsets=semidirected_subsets) -> bool:
+    return all(lub(X, S) is not None for S in subsets(X))
 
 
 def run_pointed_iff_inductive(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
+    if "classical" in backends:
         for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            if X.is_pointed() != _inductive_object(X):
-                out.append(_bad(name, "pointedness disagrees with semidirected completeness"))
-            else:
-                out.append(_ok(name))
-    return out
+            agree = X.is_pointed() == _inductive_object(X)
+            yield _verdict(name, None if agree else "pointedness disagrees with semidirected completeness")
 
 
 def neg_pointed_iff_inductive(b: Bounds):
     # corrupt the inductive side to quantify over directed subsets only:
     # the empty family is lost and the 2-antichain slips through
-    from liftdom.order import directed_subsets
-
     X = FinPoset.antichain(2)
-    corrupted = all(lub(X, S) is not None for S in directed_subsets(X))
-    mismatch = corrupted != X.is_pointed()
-    return [
-        InstanceReport(
-            "inhabitation dropped from the quantifier",
-            FAIL if mismatch else PASS,
-            "2-antichain: no bottom, yet every inhabited directed subset has a sup",
-        )
-    ]
+    return _control(
+        "inhabitation dropped from the quantifier",
+        _inductive_object(X, directed_subsets) != X.is_pointed(),
+        "2-antichain: no bottom, yet every inhabited directed subset has a sup",
+    )
 
 
-def _preserves_semidirected_sups(f) -> bool:
-    for S in semidirected_subsets(f.dom):
+def _preserves_sups(f, subsets=semidirected_subsets) -> bool:
+    for S in subsets(f.dom):
         v = lub(f.dom, S)
         if v is None:
             continue
-        image = Subset(f.cod, frozenset(f(x) for x in S.members))
-        w = lub(f.cod, image)
+        w = lub(f.cod, Subset(f.cod, frozenset(f(x) for x in S.members)))
         if w is None or f(v) != w:
             return False
     return True
 
 
 def run_strict_iff_inductive(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3), pointed=True)
-        for na, A in gens:
-            for nb, B in gens:
-                for f in CL.hom(A, B):
-                    if li.is_strict(CL, f) != _preserves_semidirected_sups(f):
-                        out.append(_bad(f"{na}->{nb}", fmt(f)))
-        out.append(_ok(f"all maps between pointed posets ≤ {min(b.max_size, 3)}"))
-    return out
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        yield from _exhaust(
+            (
+                (name, None if li.is_strict(CL, f) == _preserves_sups(f) else fmt(f))
+                for name, f in _maps(n, pointed=True)
+            ),
+            f"all maps between pointed posets ≤ {n}",
+        )
 
 
 def neg_strict_iff_inductive(b: Bounds):
     # against directed sups only, the constant-top endomap of the 2-chain
     # wrongly qualifies as inductive despite not being strict
-    from liftdom.order import directed_subsets
-
     S = FinPoset.chain(2)
     f = MonotoneMap.make(S, S, lambda _: "c1")
-
-    def preserves_directed(f):
-        for Sub in directed_subsets(f.dom):
-            v = lub(f.dom, Sub)
-            image = Subset(f.cod, frozenset(f(x) for x in Sub.members))
-            if f(v) != lub(f.cod, image):
-                return False
-        return True
-
-    mismatch = li.is_strict(CL, f) != preserves_directed(f)
-    return [
-        InstanceReport(
-            "empty family dropped from the comparison",
-            FAIL if mismatch else PASS,
-            "const-top preserves all inhabited directed sups but moves bottom",
-        )
-    ]
+    return _control(
+        "empty family dropped from the comparison",
+        li.is_strict(CL, f) != _preserves_sups(f, directed_subsets),
+        "const-top preserves all inhabited directed sups but moves bottom",
+    )
 
 
 def run_strict_iff_hom(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 4), pointed=True)
-        for na, A in gens:
-            for nb, B in gens:
-                for f in CL.hom(A, B):
-                    if not li.strict_iff_hom_check(CL, f):
-                        out.append(_bad(f"{na}->{nb}", fmt(f)))
-        out.append(_ok(f"all maps between pointed posets ≤ {min(b.max_size, 4)}"))
-    return out
+    if "classical" in backends:
+        n = min(b.max_size, 4)
+        yield from _exhaust(
+            (
+                (name, None if li.strict_iff_hom_check(CL, f) else fmt(f))
+                for name, f in _maps(n, pointed=True)
+            ),
+            f"all maps between pointed posets ≤ {n}",
+        )
 
 
 def neg_strict_iff_hom(b: Bounds):
     # against a corrupted fold the equivalence breaks for the identity map
-    X = FinPoset.chain(3)
-    ld = CL.lift(X)
-    good = CL.algebra_structure(X)
-    bad = MonotoneMap.make(
-        ld.obj, X, lambda u: "c0" if ld.is_bot(None, u) else ("c2" if u == "c1" else u)
-    )
+    X, bad = _corrupted_fold()
     f = CL.identity(X)
-    mismatch = li.is_strict(CL, f) != li.is_homomorphism(CL, f, good, bad)
-    return [
-        InstanceReport(
-            "corrupted fold on the codomain",
-            FAIL if mismatch else PASS,
-            "identity is strict but fails the square against the corrupted fold",
-        )
-    ]
+    return _control(
+        "corrupted fold on the codomain",
+        li.is_strict(CL, f) != li.is_homomorphism(CL, f, CL.algebra_structure(X), bad),
+        "identity is strict but fails the square against the corrupted fold",
+    )
 
 
 def run_monadicity(spec, b: Bounds, backends):
-    out = []
-    out.extend(run_pointed_iff_algebra(spec, replace(b, max_size=min(b.max_size, 4)), backends))
-    out.extend(run_pointed_iff_inductive(spec, b, backends))
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3), pointed=True)
-        for na, A in gens:
-            for nb, B in gens:
-                for f in CL.hom(A, B):
-                    strict = li.is_strict(CL, f)
-                    tests = (
-                        li.strict_iff_hom_check(CL, f),
-                        strict == _preserves_semidirected_sups(f),
-                    )
-                    if not all(tests):
-                        out.append(_bad(f"{na}->{nb}", fmt(f)))
-        out.append(_ok("map-level equivalences"))
-    return out
-
-
-def neg_monadicity(b: Bounds):
-    return neg_strict_iff_hom(b)
+    yield from run_pointed_iff_algebra(spec, replace(b, max_size=min(b.max_size, 4)), backends)
+    yield from run_pointed_iff_inductive(spec, b, backends)
+    if "classical" in backends:
+        yield from _exhaust(
+            (
+                (name, None if li.strict_iff_hom_check(CL, f) and li.is_strict(CL, f) == _preserves_sups(f)
+                 else fmt(f))
+                for name, f in _maps(min(b.max_size, 3), pointed=True)
+            ),
+            "map-level equivalences",
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -620,10 +488,8 @@ def neg_monadicity(b: Bounds):
 
 def _generated_diagrams(max_nodes=3, max_carrier=3, count=24):
     """Deterministic connected algebra diagrams over pointed carriers."""
-    import random
-
     rng = random.Random(20240811)
-    carriers = [P for P in posets_upto(max_carrier, pointed=True)]
+    carriers = posets_upto(max_carrier, pointed=True)
     shapes = [
         (("a",), ()),
         (("a", "b"), (("e0", "a", "b"),)),
@@ -633,35 +499,28 @@ def _generated_diagrams(max_nodes=3, max_carrier=3, count=24):
         (("a", "b", "c"), (("e0", "a", "c"), ("e1", "b", "c"))),
     ]
     out = []
-    guard = 0
-    while len(out) < count and guard < 4000:
-        guard += 1
+    for _ in range(4000):
+        if len(out) == count:
+            break
         nodes, edges = shapes[rng.randrange(len(shapes))]
         objects = {n: carriers[rng.randrange(len(carriers))] for n in nodes}
         arrows = {}
-        ok = True
         for name, s, t in edges:
             pool = li.strict_hom_set(CL, objects[s], objects[t])
             if not pool:
-                ok = False
                 break
             arrows[name] = pool[rng.randrange(len(pool))]
-        if not ok:
-            continue
-        out.append(co.Diagram(nodes, edges, objects, arrows))
+        else:
+            out.append(co.Diagram(nodes, edges, objects, arrows))
     return out
 
 
 def run_connected_colimits(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    apexes = posets_upto(b.apex)
-    for i, d in enumerate(_generated_diagrams()):
-        ok, w = co.creation_check(CL, d, apexes)
-        shape = f"{len(d.nodes)} nodes/{len(d.edges)} edges"
-        out.append(_ok(f"diagram#{i} ({shape})") if ok else _bad(f"diagram#{i}", fmt(w)))
-    return out
+    if "classical" in backends:
+        apexes = posets_upto(b.apex)
+        for i, d in enumerate(_generated_diagrams()):
+            name = f"diagram#{i} ({len(d.nodes)} nodes/{len(d.edges)} edges)"
+            yield _verdict(name, _witness(co.creation_check(CL, d, apexes)))
 
 
 def neg_connected_colimits(b: Bounds):
@@ -669,31 +528,23 @@ def neg_connected_colimits(b: Bounds):
         ("a", "b"), (), {"a": FinPoset.chain(1), "b": FinPoset.chain(1)}, {}
     )
     ok, why = co.creation_check(CL, d, posets_upto(2))
-    return [InstanceReport("disconnected diagram", FAIL if not ok else PASS, str(why))]
+    return _control("disconnected diagram", not ok, str(why))
 
 
 def run_algebras_cocomplete(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
+    if "classical" not in backends:
+        return
     apexes = posets_upto(b.apex)
     S = FinPoset.chain(2)
     C3 = FinPoset.chain(3)
-    pairs = [(S, S), (S, C3), (C3, C3), (S, FinPoset.chain(1))]
-    for X, Y in pairs:
-        try:
-            ok, w = co.coproduct_algebras_universal_check(CL, X, Y, apexes)
-        except (StructureError, UnavailableError) as e:
-            out.append(_unavailable(f"{X.n}+{Y.n}", str(e)))
-            continue
-        out.append(
-            _ok(f"coproduct {X.n}⊕{Y.n}") if ok else _bad(f"coproduct {X.n}⊕{Y.n}", fmt(w))
+    for X, Y in [(S, S), (S, C3), (C3, C3), (S, FinPoset.chain(1))]:
+        yield _attempt(
+            f"coproduct {X.n}⊕{Y.n}",
+            lambda: _witness(co.coproduct_algebras_universal_check(CL, X, Y, apexes)),
+            (StructureError, UnavailableError),
         )
     # a connected piece, for the general-colimit claim
-    d = _generated_diagrams(count=4)[2]
-    ok, w = co.creation_check(CL, d, apexes)
-    out.append(_ok("connected piece") if ok else _bad("connected piece", fmt(w)))
-    return out
+    yield _verdict("connected piece", _witness(co.creation_check(CL, _generated_diagrams(count=4)[2], apexes)))
 
 
 def neg_algebras_cocomplete(b: Bounds):
@@ -701,37 +552,27 @@ def neg_algebras_cocomplete(b: Bounds):
     # cannot be the coproduct in algebras
     S = FinPoset.chain(2)
     cd = CL.coproduct(S, S)
-    pointed = CL.is_pointed(cd.obj)
-    return [
-        InstanceReport(
-            "plain coproduct posing as algebra coproduct",
-            FAIL if not pointed else PASS,
-            "the apex has two minimal elements and no bottom",
-        )
-    ]
+    return _control(
+        "plain coproduct posing as algebra coproduct",
+        not CL.is_pointed(cd.obj),
+        "the apex has two minimal elements and no bottom",
+    )
 
 
 def run_colimits_enriched(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
+    if "classical" not in backends:
+        return
     apexes = posets_upto(b.apex)
     S = FinPoset.chain(2)
     pt = FinPoset.chain(1)
-    d = co.Diagram(
+    pushout = co.Diagram(
         ("a", "b"),
         (("e", "a", "b"),),
         {"a": pt, "b": S},
         {"e": MonotoneMap.make(pt, S, lambda _: "c0")},
     )
-    res = co.colimit(CL, d)
-    ok, w = co.colimits_enriched_check(CL, d, res, apexes)
-    out.append(_ok("pushout instance") if ok else _bad("pushout instance", fmt(w)))
-    d2 = co.Diagram(("a",), (), {"a": S}, {})
-    res2 = co.colimit(CL, d2)
-    ok, w = co.colimits_enriched_check(CL, d2, res2, apexes)
-    out.append(_ok("single node") if ok else _bad("single node", fmt(w)))
-    return out
+    for name, d in [("pushout instance", pushout), ("single node", co.Diagram(("a",), (), {"a": S}, {}))]:
+        yield _verdict(name, _witness(co.colimits_enriched_check(CL, d, co.colimit(CL, d), apexes)))
 
 
 def neg_colimits_enriched(b: Bounds):
@@ -742,83 +583,78 @@ def neg_colimits_enriched(b: Bounds):
         S, {"a": MonotoneMap.make(FinPoset.chain(1), S, lambda _: "c0")}, None
     )
     ok, w = co.colimits_enriched_check(CL, d, fake, [S])
-    return [InstanceReport("proper subobject posing as apex", FAIL if not ok else PASS, fmt(w))]
+    return _control("proper subobject posing as apex", not ok, fmt(w))
 
 
 # ---------------------------------------------------------------------------
 # tensor laws
 
-def run_smash_presentations(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    pointed = _gen_posets(min(b.max_size, 5), pointed=True)
-    bad = []
-    for na, A in pointed:
-        for nb, B in pointed:
-            tensors = [te.smash(CL, A, B, k) for k in (1, 2, 3, 4)]
-            try:
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        te.smash_comparison(CL, tensors[i], tensors[j])
-            except StructureError as e:
-                bad.append(_bad(f"{na}⊗{nb}", str(e)))
-                continue
-            oracle = te.direct_smash_classical(CL, A, B)
-            from .order import poset_iso
+def _presentations_witness(A, B):
+    tensors = [te.smash(CL, A, B, k) for k in (1, 2, 3, 4)]
+    try:
+        for T1, T2 in combinations(tensors, 2):
+            te.smash_comparison(CL, T1, T2)
+    except StructureError as e:
+        return str(e)
+    T = tensors[0].obj
+    if poset_iso(T, te.direct_smash_classical(CL, A, B)) is None:
+        return "disagrees with the direct quotient"
+    return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
 
-            if poset_iso(tensors[0].obj, oracle) is None:
-                bad.append(_bad(f"{na}⊗{nb}", "disagrees with the direct quotient"))
-                continue
-            if tensors[0].obj.n != (A.n - 1) * (B.n - 1) + 1:
-                bad.append(_bad(f"{na}⊗{nb}", f"cardinality {tensors[0].obj.n}"))
-    out.extend(bad)
-    out.append(_ok(f"four presentations agree for pointed pairs ≤ {min(b.max_size, 5)}"))
+
+def run_smash_presentations(spec, b: Bounds, backends):
+    if "classical" not in backends:
+        return
+    n = min(b.max_size, 5)
+    yield from _exhaust(
+        (
+            (name, _presentations_witness(A, B))
+            for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊗{}")
+        ),
+        f"four presentations agree for pointed pairs ≤ {n}",
+    )
     codomains = posets_upto(min(b.competing, 4), pointed=True)
     small = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
-    for na, A in small:
-        for nb, B in small:
-            T = te.smash(CL, A, B)
-            ok, w = te.universal_bistrict_check(CL, T, codomains)
-            if not ok:
-                out.append(_bad(f"universal {na}⊗{nb}", fmt(w)))
-    out.append(_ok("unique bistrict factorisation on the bounded range"))
-    return out
+    yield from _exhaust(
+        (
+            (name, _witness(te.universal_bistrict_check(CL, te.smash(CL, A, B), codomains)))
+            for name, A, B in _pairs(small, "universal {}⊗{}")
+        ),
+        "unique bistrict factorisation on the bounded range",
+    )
+
+
+def _half_smash(A):
+    """A x A with only the pairs whose left factor is bottom collapsed: a
+    one-sided quotient, one element larger than the smash for the 2-chain."""
+    seeds = [(("pr", "c0", x), ("pr", "c0", "c0")) for x in A.elements]
+    return quotient_poset(CL.product(A, A).obj, seeds)[0]
 
 
 def neg_smash_presentations(b: Bounds):
     # an unbalanced quotient (only left bottoms collapsed) is not the smash
     A = FinPoset.chain(2)
-    from .order import poset_iso, quotient_poset
-
-    pd = CL.product(A, A)
-    seeds = [(("pr", "c0", x), ("pr", "c0", "c0")) for x in A.elements]
-    Q, _ = quotient_poset(pd.obj, seeds)
+    Q = _half_smash(A)
     T = te.smash(CL, A, A)
-    ok = poset_iso(Q, T.obj) is not None
-    return [
-        InstanceReport(
-            "one-sided quotient posing as the smash",
-            FAIL if not ok else PASS,
-            f"{Q.n} elements vs {T.obj.n}",
-        )
-    ]
+    return _control(
+        "one-sided quotient posing as the smash", poset_iso(Q, T.obj) is None, f"{Q.n} elements vs {T.obj.n}"
+    )
 
 
 def run_bistrict_iff_bilinear(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    pointed = _gen_posets(min(b.max_size, 3), pointed=True)
-    for na, A in pointed:
-        for nb, B in pointed:
+    if "classical" not in backends:
+        return
+    n = min(b.max_size, 3)
+    pointed = _gen_posets(n, pointed=True)
+
+    def cases():
+        for name, A, B in _pairs(pointed, "{},{}"):
             pd = CL.product(A, B)
             for nc, C in pointed:
                 for f in CL.hom(pd.obj, C):
-                    if not te.bistrict_iff_bilinear_check(CL, f, A, B):
-                        out.append(_bad(f"{na},{nb}->{nc}", fmt(f)))
-    out.append(_ok(f"exhaustive over pointed triples ≤ {min(b.max_size, 3)}"))
-    return out
+                    yield f"{name}->{nc}", None if te.bistrict_iff_bilinear_check(CL, f, A, B) else fmt(f)
+
+    yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
 
 
 def neg_bistrict_iff_bilinear(b: Bounds):
@@ -845,85 +681,64 @@ def neg_bistrict_iff_bilinear(b: Bounds):
         ),
     )
     rhs = CL.compose(meet, wrong_folds)
-    mismatch = te.is_bistrict(CL, meet, S, S2) and lhs != rhs
-    return [
-        InstanceReport(
-            "corrupted fold in the bilinearity square",
-            FAIL if mismatch else PASS,
-            "bistrict map fails the square with a constant-top fold",
-        )
-    ]
+    return _control(
+        "corrupted fold in the bilinearity square",
+        te.is_bistrict(CL, meet, S, S2) and lhs != rhs,
+        "bistrict map fails the square with a constant-top fold",
+    )
 
 
 def run_seal_iso(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    pointed = _gen_posets(min(b.max_size, 3), pointed=True)
-    for na, A in pointed:
-        for nb, B in pointed:
-            ok, w = te.seal_iso_check(CL, A, B)
-            if not ok:
-                out.append(_bad(f"{na}⊠{nb}", fmt(w)))
-    ok, w = te.seal_represents_bilinear_check(
-        CL, FinPoset.chain(2), FinPoset.chain(2), posets_upto(3)
+    if "classical" not in backends:
+        return
+    n = min(b.max_size, 3)
+    iso = _exhaust(
+        (
+            (name, _witness(te.seal_iso_check(CL, A, B)))
+            for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊠{}")
+        ),
+        f"tensor ≅ smash for pointed pairs ≤ {n}",
     )
-    out.append(
-        _ok("tensor represents bilinear maps") if ok else _bad("representability", fmt(w))
-    )
-    out.append(_ok(f"tensor ≅ smash for pointed pairs ≤ {min(b.max_size, 3)}"))
-    return out
+    represents = te.seal_represents_bilinear_check(CL, FinPoset.chain(2), FinPoset.chain(2), posets_upto(3))
+    yield _verdict("tensor represents bilinear maps", _witness(represents))
+    yield from iso
 
 
 def neg_seal_iso(b: Bounds):
-    from .order import poset_iso, quotient_poset
-
     A = FinPoset.chain(2)
-    Q, _, box = te.seal_tensor(CL, A, A)
-    pd = CL.product(A, A)
-    seeds = [(("pr", "c0", x), ("pr", "c0", "c0")) for x in A.elements]
-    halfsmash, _ = quotient_poset(pd.obj, seeds)
-    ok = poset_iso(Q, halfsmash) is not None
-    return [
-        InstanceReport(
-            "one-sided quotient posing as the tensor",
-            FAIL if not ok else PASS,
-            f"{Q.n} vs {halfsmash.n} elements",
-        )
-    ]
+    Q = te.seal_tensor(CL, A, A)[0]
+    halfsmash = _half_smash(A)
+    return _control(
+        "one-sided quotient posing as the tensor", poset_iso(Q, halfsmash) is None, f"{Q.n} vs {halfsmash.n} elements"
+    )
 
 
 def run_monoidal_adjunction(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3))
-        for na, A in gens:
-            for nb, B in gens:
-                ok, w = te.monoidal_adjunction_check(CL, A, B)
-                if not ok:
-                    out.append(_bad(f"L{na}⊗L{nb}", fmt(w)))
-        out.append(_ok(f"strong/lax symmetry for pairs ≤ {min(b.max_size, 3)}"))
-        for na, A in _gen_posets(2, pointed=True):
-            for nb, B in _gen_posets(2, pointed=True):
-                if not te.triangle_check(CL, A, B):
-                    out.append(_bad(f"triangle {na},{nb}", "unitor triangle fails"))
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        yield from _exhaust(
+            (
+                (name, _witness(te.monoidal_adjunction_check(CL, A, B)))
+                for name, A, B in _pairs(_gen_posets(n), "L{}⊗L{}")
+            ),
+            f"strong/lax symmetry for pairs ≤ {n}",
+        )
         S = FinPoset.chain(2)
-        if not te.hexagon_check(CL, S, S, S):
-            out.append(_bad("hexagon chain2", "hexagon fails"))
-        if not te.pentagon_check(CL, S, S, S, S):
-            out.append(_bad("pentagon chain2", "pentagon fails"))
-        out.append(_ok("coherence on 2-chains"))
-    if backends == ("presheaf",):
-        # only on explicit request: the smash of two lifted objects needs a
-        # coequaliser the stagewise quotient cannot deliver, so this
-        # instance reports unavailable rather than an approximation
+        coherence = [
+            (name, None if te.triangle_check(CL, A, B) else "unitor triangle fails")
+            for name, A, B in _pairs(_gen_posets(2, pointed=True), "triangle {},{}")
+        ]
+        coherence.append(("hexagon chain2", None if te.hexagon_check(CL, S, S, S) else "hexagon fails"))
+        coherence.append(("pentagon chain2", None if te.pentagon_check(CL, S, S, S, S) else "pentagon fails"))
+        yield from _exhaust(coherence, "coherence on 2-chains")
+    if "presheaf" in backends and "classical" not in backends:
+        # only when the presheaf backend alone is selected: the smash of two
+        # lifted objects needs a coequaliser the stagewise quotient cannot
+        # deliver, so this instance reports unavailable rather than an
+        # approximation, which would turn the default run unavailable
         bk = sierpinski_backend()
-        try:
-            ok, w = te.monoidal_adjunction_check(bk, bk.terminal(), bk.terminal())
-            out.append(_ok("1,1/2-chain-base") if ok else _bad("1,1/2-chain-base", fmt(w)))
-        except UnavailableError as e:
-            out.append(_unavailable("1,1/2-chain-base", e.reason))
-    return out
+        one = bk.terminal()
+        yield _attempt("1,1/2-chain-base", lambda: _witness(te.monoidal_adjunction_check(bk, one, one)))
 
 
 def neg_monoidal_adjunction(b: Bounds):
@@ -936,32 +751,27 @@ def neg_monoidal_adjunction(b: Bounds):
     beta_t = te.braiding(CL, la.obj, la.obj)
     wrong = CL.identity(CL.lift(CL.product(S, S).obj).obj)
     square = CL.compose(kbar, beta_t) == CL.compose(wrong, kbar)
-    return [
-        InstanceReport(
-            "identity posing as the lifted swap",
-            FAIL if not square else PASS,
-            "symmetry square fails when the swap is dropped",
-        )
-    ]
+    return _control(
+        "identity posing as the lifted swap", not square, "symmetry square fails when the swap is dropped"
+    )
 
 
 def run_tensor_hom(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
+    if "classical" not in backends:
+        return
     pointed = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
-    for nc, C in pointed:
-        for na, A in pointed:
-            for nb, B in pointed:
-                ok, w = te.tensor_hom_adjunction_check(CL, C, A, B)
-                if not ok:
-                    out.append(_bad(f"{nc}⊗{na}⊸{nb}", fmt(w)))
-    ok, w = te.tensor_hom_naturality_check(
-        CL, FinPoset.chain(2), FinPoset.chain(2), FinPoset.chain(2), FinPoset.chain(2)
+    currying = _exhaust(
+        (
+            (f"{nc}⊗{na}⊸{nb}", _witness(te.tensor_hom_adjunction_check(CL, C, A, B)))
+            for nc, C in pointed
+            for na, A in pointed
+            for nb, B in pointed
+        ),
+        "currying bijections verified",
     )
-    out.append(_ok("naturality on 2-chains") if ok else _bad("naturality", fmt(w)))
-    out.append(_ok("currying bijections verified"))
-    return out
+    S = FinPoset.chain(2)
+    yield _verdict("naturality on 2-chains", _witness(te.tensor_hom_naturality_check(CL, S, S, S, S)))
+    yield from currying
 
 
 def neg_tensor_hom(b: Bounds):
@@ -982,40 +792,27 @@ def neg_tensor_hom(b: Bounds):
     back = CL.mor_from_fn(
         pd.obj, T.obj, lambda st, x: E.apply_elem(st, CL.app(g_bad, st, x[1]), st, x[2])
     )
-    mism = back != f
-    return [
-        InstanceReport(
-            "currying with a pinned argument",
-            FAIL if mism else PASS,
-            "roundtrip collapses the first factor to its bottom",
-        )
-    ]
+    return _control(
+        "currying with a pinned argument", back != f, "roundtrip collapses the first factor to its bottom"
+    )
 
 
 def run_homs_coincide(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        pointed = _gen_posets(min(b.max_size, 3), pointed=True)
-        for na, A in pointed:
-            for nb, B in pointed:
-                if not te.homs_coincide_check(CL, A, B):
-                    out.append(_bad(f"{na}⊸{nb}", "linear and strict members differ"))
-        out.append(_ok(f"pointed pairs ≤ {min(b.max_size, 3)}"))
-        if not te.kock_criterion_check(CL, FinPoset.chain(2), FinPoset.chain(2)):
-            out.append(_bad("kock-criterion", "extension map is not strict"))
-    if _wants(backends, "presheaf"):
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        cases = [
+            (name, None if te.homs_coincide_check(CL, A, B) else "linear and strict members differ")
+            for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊸{}")
+        ]
+        S = FinPoset.chain(2)
+        cases.append(("kock-criterion", None if te.kock_criterion_check(CL, S, S) else "extension map is not strict"))
+        yield from _exhaust(cases, f"pointed pairs ≤ {n}")
+    if "presheaf" in backends:
         bk = sierpinski_backend()
         S = InternalPoset.constant(bk.base, FinPoset.chain(2))
-        try:
-            ok = te.homs_coincide_check(bk, S, S)
-            out.append(
-                _ok("const-chain2/2-chain-base")
-                if ok
-                else _bad("const-chain2/2-chain-base", "members differ")
-            )
-        except UnavailableError as e:
-            out.append(_unavailable("const-chain2/2-chain-base", e.reason))
-    return out
+        yield _attempt(
+            "const-chain2/2-chain-base", lambda: None if te.homs_coincide_check(bk, S, S) else "members differ"
+        )
 
 
 def neg_homs_coincide(b: Bounds):
@@ -1025,96 +822,68 @@ def neg_homs_coincide(b: Bounds):
     E = CL.exponential(A, B)
     la = CL.lift(A)
     alpha_a = CL.algebra_structure(A)
-    strict_members = set()
-    corrupt_members = set()
-    for fe in E.obj.elements:
-        comp = {a: E.apply_elem(None, fe, None, a) for a in A.elements}
-        if comp[A.bottom()] == B.bottom():
-            strict_members.add(fe)
-        ok = True
-        for u in la.obj.elements:
-            lhs = comp[CL.app(alpha_a, None, u)]
-            rhs = "c1" if la.is_bot(None, u) else comp[u]
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            corrupt_members.add(fe)
-    mismatch = strict_members != corrupt_members
-    return [
-        InstanceReport(
-            "extension sending bottom to top",
-            FAIL if mismatch else PASS,
-            f"{len(strict_members)} strict vs {len(corrupt_members)} corrupted-linear",
+    comps = {fe: {a: E.apply_elem(None, fe, None, a) for a in A.elements} for fe in E.obj.elements}
+    strict_members = {fe for fe, comp in comps.items() if comp[A.bottom()] == B.bottom()}
+    corrupt_members = {
+        fe
+        for fe, comp in comps.items()
+        if all(
+            comp[CL.app(alpha_a, None, u)] == ("c1" if la.is_bot(None, u) else comp[u]) for u in la.obj.elements
         )
-    ]
+    }
+    return _control(
+        "extension sending bottom to top",
+        strict_members != corrupt_members,
+        f"{len(strict_members)} strict vs {len(corrupt_members)} corrupted-linear",
+    )
 
 
 def run_phoa(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
+    if "classical" in backends:
         for name, Y in _classical_instances(spec, min(b.max_size, 4)):
-            if not li.phoa_check(CL, Y):
-                out.append(_bad(name, "power by the walking arrow differs"))
-            else:
-                out.append(_ok(name))
-    if _wants(backends, "presheaf"):
+            yield _verdict(name, None if li.phoa_check(CL, Y) else "power by the walking arrow differs")
+    if "presheaf" in backends:
         bk = sierpinski_backend()
-        ok = li.phoa_check(bk, bk.terminal())
-        out.append(_ok("terminal/2-chain-base") if ok else _bad("terminal/2-chain-base", "power differs"))
-    return out
+        yield _verdict("terminal/2-chain-base", None if li.phoa_check(bk, bk.terminal()) else "power differs")
 
 
 def neg_phoa(b: Bounds):
-    from .order import poset_iso
-
     Y = FinPoset.chain(2)
     sigma = CL.lift(CL.terminal())
     E = CL.exponential(sigma.obj, Y)
     full = CL.product(Y, Y)
-    ok = poset_iso(E.obj, full.obj) is not None
-    return [
-        InstanceReport(
-            "full square posing as the arrow object",
-            FAIL if not ok else PASS,
-            f"{E.obj.n} function elements vs {full.obj.n} pairs",
-        )
-    ]
+    return _control(
+        "full square posing as the arrow object",
+        poset_iso(E.obj, full.obj) is None,
+        f"{E.obj.n} function elements vs {full.obj.n} pairs",
+    )
 
 
 def run_paths(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "classical"):
-        return out
-    for na, A in _gen_posets(2):
-        for nb, B in _gen_posets(min(b.max_size, 3)):
-            ok, w = li.paths_check(CL, A, B)
-            if not ok:
-                out.append(_bad(f"{na}~>{nb}", fmt(w)))
-    out.append(_ok(f"paths = pointwise order, A ≤ 2, B ≤ {min(b.max_size, 3)}"))
-    return out
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        yield from _exhaust(
+            (
+                (f"{na}~>{nb}", _witness(li.paths_check(CL, A, B))) for na, A in _gen_posets(2)
+                for nb, B in _gen_posets(n)
+            ),
+            f"paths = pointwise order, A ≤ 2, B ≤ {n}",
+        )
 
 
 def neg_paths(b: Bounds):
-    fake = _fake_scone_backend(junk=True)
-    ok, w = li.paths_check(fake, FinPoset.chain(1), FinPoset.chain(2))
-    return [InstanceReport("interval with a stray point", FAIL if not ok else PASS, fmt(w))]
+    ok, w = li.paths_check(_fake_scone_backend(junk=True), FinPoset.chain(1), FinPoset.chain(2))
+    return _control("interval with a stray point", not ok, fmt(w))
 
 
 def run_top_opfibration(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        ok = li.top_opfibration_check(CL)
-        out.append(_ok("classical") if ok else _bad("classical", "comma is not a point"))
-    if _wants(backends, "presheaf"):
-        for name, base in list(spec.bases.items()):
+    if "classical" in backends:
+        yield _verdict("classical", None if li.top_opfibration_check(CL) else "comma is not a point")
+    if "presheaf" in backends:
+        for name, base in spec.bases.items():
             if base.poset.n <= b.base_stages:
-                bk = presheaf_for(base)
-                ok = li.top_opfibration_check(bk)
-                out.append(
-                    _ok(f"base:{name}") if ok else _bad(f"base:{name}", "comma is not a point")
-                )
-    return out
+                ok = li.top_opfibration_check(presheaf_for(base))
+                yield _verdict(f"base:{name}", None if ok else "comma is not a point")
 
 
 def neg_top_opfibration(b: Bounds):
@@ -1129,339 +898,288 @@ def neg_top_opfibration(b: Bounds):
         )
     }
     comma, _ = CL.subobject(sigma.obj, members)
-    from .order import poset_iso
+    return _control(
+        "bottom posing as the universal point",
+        poset_iso(comma, CL.terminal()) is None,
+        f"comma object has {comma.n} elements",
+    )
 
-    ok = poset_iso(comma, CL.terminal()) is not None
-    return [
-        InstanceReport(
-            "bottom posing as the universal point",
-            FAIL if not ok else PASS,
-            f"comma object has {comma.n} elements",
-        )
-    ]
+
+def _positive_part_comparison_is_iso(bk, O) -> bool:
+    """Whether lifting the map from the nonbottom part of the classifier
+    O to the point gives an isomorphism."""
+    P, _ = bk.subobject(O, {p: frozenset(s for s in O.at(p) if s.members) for p in bk.base.stages})
+    return bk.is_iso(bk.lift_map(bk.bang(P)))
 
 
 def run_nonboolean_lift(spec, b: Bounds, backends):
-    out = []
-    if not _wants(backends, "presheaf"):
-        return out
+    if "presheaf" not in backends:
+        return
     bk = sierpinski_backend()
     O = omega(bk.base)
     lone = bk.lift(bk.terminal())
-    from .presheaf import global_elements_raw
-
-    sizes_ok = (
-        len(O.at("s1")) == 3 and len(O.at("s0")) == 2 and len(global_elements_raw(O)) == 3
-    )
-    out.append(
-        _ok("omega sizes 3/2, 3 points")
-        if sizes_ok
-        else _bad("omega sizes", f"{len(O.at('s1'))}/{len(O.at('s0'))}")
-    )
-    out.append(
-        _ok("lift(1) ≅ omega")
-        if bk.iso(lone.obj, O) is not None
-        else _bad("lift(1) ≅ omega", "no natural iso found")
-    )
+    sizes_ok = len(O.at("s1")) == 3 and len(O.at("s0")) == 2 and len(global_elements_raw(O)) == 3
+    yield _verdict("omega sizes 3/2, 3 points", None if sizes_ok else f"{len(O.at('s1'))}/{len(O.at('s0'))}")
+    yield _verdict("lift(1) ≅ omega", None if bk.iso(lone.obj, O) is not None else "no natural iso found")
     two = bk.coproduct(bk.terminal(), bk.terminal())
-    out.append(
-        _ok("lift(1) ≇ 1+1")
-        if bk.iso(lone.obj, two.obj) is None
-        else _bad("lift(1) ≇ 1+1", "iso found; lifting collapsed to a coproduct")
-    )
-    members = {p: frozenset(s for s in O.at(p) if s.members) for p in bk.base.stages}
-    P, incl = bk.subobject(O, members)
-    lp = bk.lift(P)
-    lbang = bk.lift_map(bk.bang(P))
-    noniso = not bk.is_iso(lbang)
-    out.append(
-        _ok("lift(nonbottom part) ↛ lift(1) is not iso")
-        if noniso
-        else _bad("brouwerian instance", "the comparison is an iso")
-    )
-    ok, _h = li.free_on_positives_check(bk, O)
-    out.append(
-        _ok("omega is free on its positive part")
-        if ok
-        else _bad("free-on-positives", "canonical extension is not iso")
-    )
-    return out
+    collapsed = bk.iso(lone.obj, two.obj) is not None
+    yield _verdict("lift(1) ≇ 1+1", "iso found; lifting collapsed to a coproduct" if collapsed else None)
+    iso = _positive_part_comparison_is_iso(bk, O)
+    yield _verdict("lift(nonbottom part) ↛ lift(1) is not iso", "the comparison is an iso" if iso else None)
+    ok, _ = li.free_on_positives_check(bk, O)
+    yield _verdict("omega is free on its positive part", None if ok else "canonical extension is not iso")
 
 
 def neg_nonboolean_lift(b: Bounds):
     # over the degenerate one-stage base the topos is boolean and the same
     # comparison IS an isomorphism: the phenomenon disappears
     bk = presheaf_for(BasePoset(FinPoset(("s",), frozenset([("s", "s")]))))
-    O = omega(bk.base)
-    members = {"s": frozenset(s for s in O.at("s") if s.members)}
-    P, _ = bk.subobject(O, members)
-    lbang = bk.lift_map(bk.bang(P))
-    is_iso = bk.is_iso(lbang)
-    return [
-        InstanceReport(
-            "degenerate one-stage base",
-            FAIL if is_iso else PASS,
-            "comparison became invertible: booleanness kills the counterexample",
-        )
-    ]
+    return _control(
+        "degenerate one-stage base",
+        _positive_part_comparison_is_iso(bk, omega(bk.base)),
+        "comparison became invertible: booleanness kills the counterexample",
+    )
+
+
+def _misses_unit_pair(k, la, lb) -> bool:
+    """Whether k : LA x LB -> L(A x B) fails to send a pair of units to the unit."""
+    pab = CL.product(la.unit.dom, lb.unit.dom)
+    eta_pair = CL.pair(CL.product(la.obj, lb.obj), CL.compose(la.unit, pab.fst), CL.compose(lb.unit, pab.snd))
+    return CL.compose(k, eta_pair) != CL.lift(pab.obj).unit
+
+
+def _commutator_witness(A, B):
+    k1, k2 = li.commutator_both(CL, A, B)
+    if k1 != k2:
+        return "extension orders disagree"
+    la, lb = CL.lift(A), CL.lift(B)
+    if _misses_unit_pair(k1, la, lb):
+        return "commutator misses the unit pair"
+    return None if te.is_bistrict(CL, k1, la.obj, lb.obj) else "commutator is not bistrict"
 
 
 def run_commutative_monad(spec, b: Bounds, backends):
-    out = []
-    if _wants(backends, "classical"):
-        gens = _gen_posets(min(b.max_size, 3))
-        for na, A in gens:
-            for nb, B in gens:
-                k1, k2 = li.commutator_both(CL, A, B)
-                if k1 != k2:
-                    out.append(_bad(f"{na}×{nb}", "extension orders disagree"))
-                    continue
-                la, lb = CL.lift(A), CL.lift(B)
-                pd_l = CL.product(la.obj, lb.obj)
-                pab = CL.product(A, B)
-                lab = CL.lift(pab.obj)
-                eta_pair = CL.pair(
-                    pd_l,
-                    CL.compose(la.unit, pab.fst),
-                    CL.compose(lb.unit, pab.snd),
-                )
-                if CL.compose(k1, eta_pair) != lab.unit:
-                    out.append(_bad(f"{na}×{nb}", "commutator misses the unit pair"))
-                    continue
-                if not te.is_bistrict(CL, k1, la.obj, lb.obj):
-                    out.append(_bad(f"{na}×{nb}", "commutator is not bistrict"))
-        out.append(_ok(f"extension orders agree for pairs ≤ {min(b.max_size, 3)}"))
-        for na, A in _gen_posets(2, pointed=True):
-            for nb, B in _gen_posets(2, pointed=True):
-                if not te.kock_criterion_check(CL, A, B):
-                    out.append(_bad(f"kock {na},{nb}", "extension map not strict"))
-        out.append(_ok("strict extension criterion on pointed pairs ≤ 2"))
-    if _wants(backends, "presheaf"):
+    if "classical" in backends:
+        n = min(b.max_size, 3)
+        yield from _exhaust(
+            ((name, _commutator_witness(A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
+            f"extension orders agree for pairs ≤ {n}",
+        )
+        yield from _exhaust(
+            (
+                (name, None if te.kock_criterion_check(CL, A, B) else "extension map not strict")
+                for name, A, B in _pairs(_gen_posets(2, pointed=True), "kock {},{}")
+            ),
+            "strict extension criterion on pointed pairs ≤ 2",
+        )
+    if "presheaf" in backends:
         bk = sierpinski_backend()
         k1, k2 = li.commutator_both(bk, bk.terminal(), bk.terminal())
-        out.append(
-            _ok("1,1/2-chain-base") if k1 == k2 else _bad("1,1/2-chain-base", "orders disagree")
-        )
-    return out
+        yield _verdict("1,1/2-chain-base", None if k1 == k2 else "orders disagree")
 
 
 def neg_commutative_monad(b: Bounds):
     # twist the output of the commutator on one side only: the twisted map
     # no longer restricts to the unit pairing
     A = FinPoset.chain(2)
-    k = li.commutator(CL, A, A)
-    lswap = CL.lift_map(te.swap_product(CL, A, A))
-    twisted = CL.compose(lswap, k)
+    twisted = CL.compose(CL.lift_map(li.swap_map(CL, A, A)), li.commutator(CL, A, A))
     la = CL.lift(A)
-    pab = CL.product(A, A)
-    pd_l = CL.product(la.obj, la.obj)
-    eta_pair = CL.pair(
-        pd_l, CL.compose(la.unit, pab.fst), CL.compose(la.unit, pab.snd)
+    return _control(
+        "commutator twisted by a one-sided swap",
+        _misses_unit_pair(twisted, la, la),
+        "twisted composite sends a unit pair to the swapped unit",
     )
-    lab = CL.lift(pab.obj)
-    mismatch = CL.compose(twisted, eta_pair) != lab.unit
-    return [
-        InstanceReport(
-            "commutator twisted by a one-sided swap",
-            FAIL if mismatch else PASS,
-            "twisted composite sends a unit pair to the swapped unit",
-        )
-    ]
 
 
 # ---------------------------------------------------------------------------
 # registry
 
-def _law(name, statement, bounds, runner, negative):
-    return Law(name, statement, bounds, runner, negative)
-
-
 REGISTRY: dict = {
     law.name: law
     for law in [
-        _law(
+        Law(
             "kz-adjunction",
             "the structure map of every algebra is left adjoint to the unit, and is the unique structure map",
             Bounds(max_size=4),
             run_kz,
             neg_kz,
         ),
-        _law(
+        Law(
             "scone-universal",
             "the lift of A is the universal lax cone over A: each lax square datum factors uniquely",
             Bounds(max_size=3, competing=4),
             run_scone,
             neg_scone,
         ),
-        _law(
+        Law(
             "sierpinski-cocomma",
             "sigma is the cocomma object of the two points: global lax pairs classify maps out of it",
             Bounds(competing=4),
             run_cocomma,
             neg_cocomma,
         ),
-        _law(
+        Law(
             "open-classifier",
             "Scott-open subobjects correspond to characteristic maps into the classifier, with the pullback property",
             Bounds(max_size=4),
             run_open_classifier,
             neg_open_classifier,
         ),
-        _law(
+        Law(
             "partial-product",
             "spans with Scott-open domain correspond order-isomorphically to maps into the lift",
             Bounds(max_size=3),
             run_partial_product,
             neg_partial_product,
         ),
-        _law(
+        Law(
             "joint-epi",
             "bottom and unit are jointly epimorphic out of every lift",
             Bounds(max_size=3, competing=4),
             run_joint_epi,
             neg_joint_epi,
         ),
-        _law(
+        Law(
             "lax-epi",
             "restriction along bottom and unit is an order-embedding on hom posets",
             Bounds(max_size=3, competing=4),
             run_lax_epi,
             neg_lax_epi,
         ),
-        _law(
+        Law(
             "conservative-L",
             "the unit naturality square is a pullback, so the lifting functor reflects isomorphisms",
             Bounds(max_size=3),
             run_conservative,
             neg_conservative,
         ),
-        _law(
+        Law(
             "pointed-iff-algebra",
             "a dcpo carries an algebra structure exactly when it is pointed, and then a unique one",
             Bounds(max_size=4),
             run_pointed_iff_algebra,
             neg_pointed_iff_algebra,
         ),
-        _law(
+        Law(
             "pointed-iff-inductive",
             "pointed = every semidirected subset has a supremum",
             Bounds(max_size=4),
             run_pointed_iff_inductive,
             neg_pointed_iff_inductive,
         ),
-        _law(
+        Law(
             "strict-iff-inductive",
             "a map between pointed objects is strict exactly when it preserves semidirected suprema",
             Bounds(max_size=3),
             run_strict_iff_inductive,
             neg_strict_iff_inductive,
         ),
-        _law(
+        Law(
             "strict-iff-hom",
             "a map between pointed objects is strict exactly when it is an algebra homomorphism",
             Bounds(max_size=4),
             run_strict_iff_hom,
             neg_strict_iff_hom,
         ),
-        _law(
+        Law(
             "monadicity-triple",
             "algebras, pointed objects and inductive partial orders are the same subcategory",
             Bounds(max_size=4),
             run_monadicity,
-            neg_monadicity,
+            neg_strict_iff_hom,
         ),
-        _law(
+        Law(
             "connected-colimits",
             "connected colimits of algebras are created by the forgetful functor",
             Bounds(max_size=3, apex=6),
             run_connected_colimits,
             neg_connected_colimits,
         ),
-        _law(
+        Law(
             "algebras-cocomplete",
             "algebras have coproducts by a reflexive coequaliser, hence all finite colimits",
             Bounds(max_size=3, apex=6),
             run_algebras_cocomplete,
             neg_algebras_cocomplete,
         ),
-        _law(
+        Law(
             "colimits-enriched",
             "colimit comparisons reflect the pointwise order along the legs",
             Bounds(max_size=3, apex=6),
             run_colimits_enriched,
             neg_colimits_enriched,
         ),
-        _law(
+        Law(
             "smash-presentations",
             "the four coequaliser presentations of the smash product agree, match the direct quotient, and carry the universal bistrict map",
             Bounds(max_size=5, competing=4),
             run_smash_presentations,
             neg_smash_presentations,
         ),
-        _law(
+        Law(
             "bistrict-iff-bilinear",
             "a binary map is bistrict exactly when it satisfies the commutator-against-folds square",
             Bounds(max_size=3),
             run_bistrict_iff_bilinear,
             neg_bistrict_iff_bilinear,
         ),
-        _law(
+        Law(
             "seal-iso",
             "the algebra tensor and the smash product are isomorphic under the universal maps",
             Bounds(max_size=3),
             run_seal_iso,
             neg_seal_iso,
         ),
-        _law(
+        Law(
             "monoidal-adjunction",
             "lifting is strong symmetric monoidal: the commutator descends to an iso, and both symmetry squares commute",
             Bounds(max_size=3),
             run_monoidal_adjunction,
             neg_monoidal_adjunction,
         ),
-        _law(
+        Law(
             "tensor-hom",
             "smashing with A is left adjoint to the strict function space out of A",
             Bounds(max_size=3),
             run_tensor_hom,
             neg_tensor_hom,
         ),
-        _law(
+        Law(
             "homs-coincide",
             "the strict and linear function spaces are the same subobject of the exponential",
             Bounds(max_size=3),
             run_homs_coincide,
             neg_homs_coincide,
         ),
-        _law(
+        Law(
             "phoa",
             "maps out of sigma form the arrow object: the power by the walking arrow",
             Bounds(max_size=4),
             run_phoa,
             neg_phoa,
         ),
-        _law(
+        Law(
             "paths",
             "there is at most one path between parallel maps, and one exists exactly when they compare",
             Bounds(max_size=3),
             run_paths,
             neg_paths,
         ),
-        _law(
+        Law(
             "top-opfibration",
             "the top point into sigma is an opfibration: its walking-arrow power and comma are points",
             Bounds(),
             run_top_opfibration,
             neg_top_opfibration,
         ),
-        _law(
+        Law(
             "nonboolean-lift",
             "over the 2-chain base the classifier is not free on its nonbottom part: the comparison onto the lifted point is not invertible",
             Bounds(),
             run_nonboolean_lift,
             neg_nonboolean_lift,
         ),
-        _law(
+        Law(
             "commutative-monad",
             "both iterated extension orders give the same commutator, which is bistrict and restricts to the strength",
             Bounds(max_size=3),
@@ -1490,7 +1208,7 @@ def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = No
         )
     t0 = time.perf_counter()
     try:
-        instances = law.runner(spec, b, backends)
+        instances = list(law.runner(spec, b, backends))
     except UnavailableError as e:
         instances = [InstanceReport("construction", UNAVAILABLE, e.reason)]
     elapsed = int((time.perf_counter() - t0) * 1000)

@@ -101,16 +101,11 @@ def monad_laws_hold(bk, A) -> bool:
     la = bk.lift(A)
     mu = bk.mult(A)
     ident = bk.identity(la.obj)
-    if bk.compose(mu, la_unit_of(bk, la)) != ident:
+    if bk.compose(mu, bk.lift(la.obj).unit) != ident:
         return False
     if bk.compose(mu, bk.lift_map(la.unit)) != ident:
         return False
     return bk.compose(mu, bk.mult(la.obj)) == bk.compose(mu, bk.lift_map(mu))
-
-
-def la_unit_of(bk, la: LiftData):
-    """The unit at LA (eta indexed by the lifted object)."""
-    return bk.lift(la.obj).unit
 
 
 def unit_naturality_holds(bk, f) -> bool:

@@ -11,7 +11,7 @@ asserted: the report is data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as iproduct
 
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
@@ -33,11 +33,7 @@ class OQ1Bounds:
     max_carrier: int = 5  # total elements across stages
 
     def as_dict(self) -> dict:
-        return {
-            "max_base": self.max_base,
-            "max_stage": self.max_stage,
-            "max_carrier": self.max_carrier,
-        }
+        return asdict(self)
 
 
 def _labeled_posets_named(n: int, prefix: str) -> list[FinPoset]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set
+from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map
 from .order import FinPoset, StructureError
 
 
@@ -268,18 +268,12 @@ def seal_iso_check(bk, A, B) -> tuple:
 # ---------------------------------------------------------------------------
 # Symmetric monoidal structure through the universal property.
 
-def swap_product(bk, A, B):
-    pd_ab = bk.product(A, B)
-    pd_ba = bk.product(B, A)
-    return bk.pair(pd_ba, pd_ab.snd, pd_ab.fst)
-
-
 def braiding(bk, A, B):
     """A (x) B -> B (x) A induced by the cartesian swap."""
     T_ab = smash(bk, A, B)
     T_ba = smash(bk, B, A)
-    beta = factor_bistrict(bk, T_ab, bk.compose(T_ba.universal, swap_product(bk, A, B)))
-    back = factor_bistrict(bk, T_ba, bk.compose(T_ab.universal, swap_product(bk, B, A)))
+    beta = factor_bistrict(bk, T_ab, bk.compose(T_ba.universal, swap_map(bk, A, B)))
+    back = factor_bistrict(bk, T_ba, bk.compose(T_ab.universal, swap_map(bk, B, A)))
     if bk.compose(back, beta) != bk.identity(T_ab.obj):
         raise StructureError("isomorphism", "braiding does not square to the identity")
     return beta
@@ -489,7 +483,7 @@ def monoidal_adjunction_check(bk, A, B) -> tuple:
     kappa_ba = commutator(bk, B, A)
     kbar_ba = factor_bistrict(bk, T_ba, kappa_ba)
     beta_t = braiding(bk, la.obj, lb.obj)
-    swap_l = bk.lift_map(swap_product(bk, A, B))
+    swap_l = bk.lift_map(swap_map(bk, A, B))
     if bk.compose(kbar_ba, beta_t) != bk.compose(swap_l, kbar):
         return False, "strong-monoidal symmetry square fails"
     # lax symmetry square for pointed factors
@@ -498,7 +492,7 @@ def monoidal_adjunction_check(bk, A, B) -> tuple:
         T_ba0 = smash(bk, B, A)
         beta0 = braiding(bk, A, B)
         if bk.compose(beta0, T_ab.universal) != bk.compose(
-            T_ba0.universal, swap_product(bk, A, B)
+            T_ba0.universal, swap_map(bk, A, B)
         ):
             return False, "lax symmetry square fails"
     return True, kbar
@@ -612,6 +606,25 @@ def kock_criterion_check(bk, A, B) -> bool:
     return True
 
 
+def _curry(bk, E, H, T, pd, X, A, h):
+    """The strict map X -> H curried from the strict h : T -> B, where T is
+    the smash of X and A (with product pd), and H is the strict function
+    space of A and B inside the exponential E."""
+    f = bk.compose(h, T.universal)
+
+    def fn(p, c):
+        comps = {
+            q: {
+                a: bk.app(f, q, pd.pack(q, bk.res_el(X, p, q, c), a))
+                for a in bk.at(A, q)
+            }
+            for q in bk.base_down(p)
+        }
+        return E.encode(p, comps)
+
+    return bk.mor_from_fn(X, H, fn)
+
+
 def tensor_hom_adjunction_check(bk, C, A, B) -> tuple:
     """Currying: strict maps C (x) A -> B correspond to strict maps into the
     strict function space, bijectively and naturally in C."""
@@ -619,21 +632,6 @@ def tensor_hom_adjunction_check(bk, C, A, B) -> tuple:
     E, members = strict_hom_members(bk, A, B)
     H, incl = bk.subobject(E.obj, members)
     pd = bk.product(C, A)
-
-    def curry(h):
-        f = bk.compose(h, T.universal)
-
-        def fn(p, c):
-            comps = {
-                q: {
-                    a: bk.app(f, q, pd.pack(q, bk.res_el(C, p, q, c), a))
-                    for a in bk.at(A, q)
-                }
-                for q in bk.base_down(p)
-            }
-            return E.encode(p, comps)
-
-        return bk.mor_from_fn(C, H, fn)
 
     def uncurry(g):
         def fn(p, x):
@@ -648,7 +646,7 @@ def tensor_hom_adjunction_check(bk, C, A, B) -> tuple:
     if len(lhs) != len(rhs):
         return False, ("cardinality", len(lhs), len(rhs))
     for h in lhs:
-        g = curry(h)
+        g = _curry(bk, E, H, T, pd, C, A, h)
         if g not in rhs:
             return False, "curried map is not strict"
         if uncurry(g) != h:
@@ -657,7 +655,7 @@ def tensor_hom_adjunction_check(bk, C, A, B) -> tuple:
         h = uncurry(g)
         if h not in lhs:
             return False, "uncurried map is not strict"
-        if curry(h) != g:
+        if _curry(bk, E, H, T, pd, C, A, h) != g:
             return False, "currying does not invert uncurrying"
     return True, (len(lhs), len(rhs))
 
@@ -670,28 +668,12 @@ def tensor_hom_naturality_check(bk, C2, C, A, B) -> tuple:
     H, _ = bk.subobject(E.obj, members)
     pd_c = bk.product(C, A)
     pd_c2 = bk.product(C2, A)
-
-    def curry(T, pd, X, h):
-        f = bk.compose(h, T.universal)
-
-        def fn(p, c):
-            comps = {
-                q: {
-                    a: bk.app(f, q, pd.pack(q, bk.res_el(X, p, q, c), a))
-                    for a in bk.at(A, q)
-                }
-                for q in bk.base_down(p)
-            }
-            return E.encode(p, comps)
-
-        return bk.mor_from_fn(X, H, fn)
-
     for u in strict_hom_set(bk, C2, C):
         pd_map = bk.pair(pd_c, bk.compose(u, pd_c2.fst), pd_c2.snd)
         u_tensor_id = factor_bistrict(bk, T_c2, bk.compose(T_c.universal, pd_map))
         for h in strict_hom_set(bk, T_c.obj, B):
-            lhs = curry(T_c2, pd_c2, C2, bk.compose(h, u_tensor_id))
-            rhs = bk.compose(curry(T_c, pd_c, C, h), u)
+            lhs = _curry(bk, E, H, T_c2, pd_c2, C2, A, bk.compose(h, u_tensor_id))
+            rhs = bk.compose(_curry(bk, E, H, T_c, pd_c, C, A, h), u)
             if lhs != rhs:
                 return False, ("naturality", u, h)
     return True, None

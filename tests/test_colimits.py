@@ -3,7 +3,6 @@ import pytest
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
 from liftdom.colimits import (
     Diagram,
-    coequalizer_dcpo,
     colimit,
     colimit_universal_check,
     colimits_enriched_check,
@@ -34,7 +33,7 @@ def leg_map(src, tgt, assignment):
 def test_coequalizer_identity():
     B = FinPoset.chain(3)
     f = MonotoneMap.identity(B)
-    coeq = coequalizer_dcpo(CL, f, f)
+    coeq = CL.coequalizer(f, f)
     assert poset_iso(coeq.obj, B) is not None
 
 
@@ -42,7 +41,7 @@ def test_coequalizer_merges_antichain():
     B = FinPoset.antichain(2)
     f = leg_map(POINT, B, {"*": "a0"})
     g = leg_map(POINT, B, {"*": "a1"})
-    coeq = coequalizer_dcpo(CL, f, g)
+    coeq = CL.coequalizer(f, g)
     assert coeq.obj.n == 1
 
 
@@ -52,7 +51,7 @@ def test_coequalizer_collapses_chain():
     B = FinPoset.chain(2)
     f = leg_map(POINT, B, {"*": "c0"})
     g = leg_map(POINT, B, {"*": "c1"})
-    coeq = coequalizer_dcpo(CL, f, g)
+    coeq = CL.coequalizer(f, g)
     assert coeq.obj.n == 1
 
 
@@ -61,7 +60,7 @@ def test_coequalizer_universal_by_exhaustion():
     A = FinPoset.antichain(2)
     f = leg_map(A, B, {"a0": "c0", "a1": "c1"})
     g = leg_map(A, B, {"a0": "c1", "a1": "c1"})
-    coeq = coequalizer_dcpo(CL, f, g)
+    coeq = CL.coequalizer(f, g)
     q = coeq.proj
     assert q.is_surjective()
     for P in APEXES4:

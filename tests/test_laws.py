@@ -1,11 +1,14 @@
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import liftdom
+from liftdom import lifting, tensor
 from liftdom.laws import REGISTRY, Bounds, run_all, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import StructureError
@@ -25,9 +28,18 @@ def test_unknown_law():
         run_law("no-such-law")
 
 
+# sha256 over every default report's zero-elapsed JSON, each followed by a
+# newline, in registry order; pinned before the runners were rebuilt on one
+# check-to-report combinator.  Passing reports must not change.
+SUITE_SHA256 = "df44ae061a7e36f9ecf3f19446e890b9d68e6c2d5e6a85387c1989e269e8d725"
+
+
 def test_default_suite_green():
+    h = hashlib.sha256()
     for rep in run_all():
         assert rep.status == PASS, (rep.law, [i for i in rep.instances if i.status != PASS])
+        h.update(rep.to_json(zero_elapsed=True).encode("utf-8") + b"\n")
+    assert h.hexdigest() == SUITE_SHA256
 
 
 def test_negative_controls_all_fail_with_witness():
@@ -57,9 +69,35 @@ def test_backend_filtering():
     assert rep.status == UNAVAILABLE  # the law is presheaf-only
     rep = run_law("joint-epi", backends=("presheaf",))
     assert rep.status == UNAVAILABLE
-    rep = run_law("monoidal-adjunction", backends=("presheaf",))
-    assert rep.status == UNAVAILABLE
-    assert "continuous" in rep.instances[0].witness
+    for backends in (("presheaf",), ["presheaf"]):
+        rep = run_law("monoidal-adjunction", backends=backends)
+        assert rep.status == UNAVAILABLE
+        assert rep.instances[0].objects == "1,1/2-chain-base"
+        assert "continuous" in rep.instances[0].witness
+
+
+# Runners whose bounded family collapses to one summary line when it passes:
+# the checker to stub, what the stub returns, and the lines of the report
+# that do not come from that family.
+STUBBED_FAMILIES = [
+    ("partial-product", lifting, "partial_product_check", (False, "stubbed"), []),
+    ("paths", lifting, "paths_check", (False, "stubbed"), []),
+    ("seal-iso", tensor, "seal_iso_check", (False, "stubbed"), ["tensor represents bilinear maps"]),
+    ("strict-iff-hom", lifting, "strict_iff_hom_check", False, []),
+]
+
+
+@pytest.mark.parametrize(
+    "law,module,checker,result,others", STUBBED_FAMILIES, ids=[row[0] for row in STUBBED_FAMILIES]
+)
+def test_failing_family_lists_cases_without_summary(monkeypatch, law, module, checker, result, others):
+    monkeypatch.setattr(module, checker, lambda *args: result)
+    rep = run_law(law, bounds=replace(REGISTRY[law].bounds, max_size=2), backends=("classical",))
+    assert rep.status == FAIL
+    failing = [i for i in rep.instances if i.objects not in others]
+    assert len(failing) > 1
+    assert all(i.status == FAIL and i.witness for i in failing)
+    assert [i.objects for i in rep.instances if i.status == PASS] == others
 
 
 def test_model_objects_are_used():

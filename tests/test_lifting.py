@@ -25,6 +25,7 @@ from liftdom.lifting import (
     kz_check,
     lax_epi_check,
     monad_laws_hold,
+    mult_naturality_holds,
     partial_product_check,
     paths_check,
     phoa_check,
@@ -65,6 +66,9 @@ def test_monad_laws_classical():
     g = MonotoneMap.make(FinPoset.chain(3), FinPoset.chain(2), {"c0": "c0", "c1": "c0", "c2": "c1"})
     assert functor_laws_hold(CL, f.dom, f.cod, g.cod, f, g)
     assert unit_naturality_holds(CL, f)
+    maps = [h for A in posets_upto(3) for B in posets_upto(3) for h in CL.hom(A, B)]
+    assert len(maps) == 485
+    assert all(mult_naturality_holds(CL, h) for h in maps)
 
 
 def test_monad_laws_presheaf():
@@ -73,6 +77,9 @@ def test_monad_laws_presheaf():
     A = InternalPoset.constant(PS.base, FinPoset.chain(2))
     for X in (T, A, O):
         assert monad_laws_hold(PS, X)
+    endomaps = PS.hom(O, O)
+    assert endomaps
+    assert all(mult_naturality_holds(PS, h) for h in endomaps)
 
 
 def test_presheaf_lift_of_terminal_is_omega():
