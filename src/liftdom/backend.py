@@ -10,11 +10,36 @@ over a finite base poset, with internally Scott-continuous maps.
 
 Generic element-level code addresses both through the same stage API:
 the classical backend has the single stage ``None``.
+
+A backend supplies only what depends on how it stores objects and maps:
+
+* the stage API: ``stages``, ``base_down``, ``at``, ``stage_poset``,
+  ``leq_at``, ``res_el``, ``app`` and ``size``;
+* ``_build(elements, restrict, order)``, which turns stagewise data into
+  an object (``elements(p)`` lists the elements at stage p,
+  ``restrict(p, q, x)`` restricts x to a stage q < p, and
+  ``order(p, els)`` gives the order pairs on the elements ``els`` at p),
+  and ``mor_from_fn``, which turns a stagewise function into a validated
+  map; ``identity``, ``compose``, ``terminal`` and ``initial``;
+* hom enumeration (``hom``, ``hom_leq``), ``inverse`` and ``iso``;
+* the lift (``_lift``, ``lift_map``, ``_mult``, ``_strength``), the map
+  ``scone_induced`` that a cone datum induces out of a lift, and
+  ``_bottom_point`` with ``bottom_point`` (memoised only classically);
+* coequalisers, exponentials, subobjects, pointedness, directed
+  completeness and positivity.
+
+The shared base ``_ConstructionCache`` derives the rest, once for both
+backends: ``bang``, ``from_initial``, ``global_elements``, ``is_iso``,
+products with ``pair``, coproducts with ``cotuple``, and the fold of a
+pointed dcpo A, the map ``scone_induced(lift(A), bottom, identity(A))``.
+It also memoises the object constructions.  Outside this module only
+``report.fmt`` knows how a lift element is stored; other code reads an
+element's partial family with ``LiftData.family`` and builds one with
+``LiftData.from_family``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Any, Callable
 
 from . import presheaf as ps
@@ -73,6 +98,8 @@ class LiftData:
     as_eta: Callable  # (stage, u) -> a or None
     eta_elem: Callable  # (stage, a) -> u
     bot_elem: Callable  # (stage,) -> u
+    family: Callable  # (stage, u) -> ((stage' <= stage, a), ...), u's partial family
+    from_family: Callable  # (stage, ((stage', a), ...)) -> u
 
 
 @dataclass
@@ -88,9 +115,10 @@ class ExpData:
     encode: Callable  # (stage, {stage' -> {a -> b}}) -> fn-element
 
 
-
 class _ConstructionCache:
-    """Memoised object constructions; structural equality makes hits cheap."""
+    """The shared base: memoised object constructions (structural equality
+    makes hits cheap), and every construction that the stage API, ``_build``
+    and ``mor_from_fn`` determine, written once for both backends."""
 
     def memo(self, key, thunk):
         if key not in self._memo:
@@ -118,6 +146,84 @@ class _ConstructionCache:
     def exponential(self, A, B) -> ExpData:
         return self.memo(("exp", A, B), lambda: self._exponential(A, B))
 
+    # -- derived from the stage API ------------------------------------------
+    def bang(self, A):
+        return self.mor_from_fn(A, self.terminal(), lambda p, x: "*")
+
+    def from_initial(self, A):
+        return self.mor_from_fn(self.initial(), A, lambda p, x: x)
+
+    def global_elements(self, A) -> tuple:
+        return self.hom(self.terminal(), A)
+
+    def is_iso(self, f) -> bool:
+        return self.inverse(f) is not None
+
+    def _product(self, A, B) -> ProductData:
+        def order(p, els):
+            # the order pairs reuse the element tuples, and the stage
+            # posets are fetched once per stage, outside the pair loop
+            PA, PB = self.stage_poset(A, p), self.stage_poset(B, p)
+            return frozenset(
+                (x, y) for x in els for y in els if PA.leq(x[1], y[1]) and PB.leq(x[2], y[2])
+            )
+
+        P = self._build(
+            lambda p: tuple(("pr", a, b) for a in self.at(A, p) for b in self.at(B, p)),
+            lambda p, q, x: ("pr", self.res_el(A, p, q, x[1]), self.res_el(B, p, q, x[2])),
+            order,
+        )
+        return ProductData(
+            P,
+            self.mor_from_fn(P, A, lambda p, x: x[1]),
+            self.mor_from_fn(P, B, lambda p, x: x[2]),
+            lambda st, a, b: ("pr", a, b),
+            lambda st, x: (x[1], x[2]),
+        )
+
+    def pair(self, pd: ProductData, f, g):
+        app = self.app
+        return self.mor_from_fn(f.dom, pd.obj, lambda p, x: ("pr", app(f, p, x), app(g, p, x)))
+
+    def _coproduct(self, A, B) -> CoproductData:
+        def order(p, els):
+            PA, PB = self.stage_poset(A, p), self.stage_poset(B, p)
+            return frozenset(
+                (x, y)
+                for x in els
+                for y in els
+                if x[1] == y[1] and (PA if x[1] == 0 else PB).leq(x[2], y[2])
+            )
+
+        C = self._build(
+            lambda p: tuple(("in", 0, a) for a in self.at(A, p))
+            + tuple(("in", 1, b) for b in self.at(B, p)),
+            lambda p, q, x: ("in", x[1], self.res_el(A if x[1] == 0 else B, p, q, x[2])),
+            order,
+        )
+        return CoproductData(
+            C,
+            self.mor_from_fn(A, C, lambda p, a: ("in", 0, a)),
+            self.mor_from_fn(B, C, lambda p, b: ("in", 1, b)),
+            lambda st, a: ("in", 0, a),
+            lambda st, b: ("in", 1, b),
+            lambda st, x: ("l", x[2]) if x[1] == 0 else ("r", x[2]),
+        )
+
+    def cotuple(self, cd: CoproductData, f, g):
+        def fn(p, x):
+            side, v = cd.unpack(p, x)
+            return self.app(f if side == "l" else g, p, v)
+
+        return self.mor_from_fn(cd.obj, f.cod, fn)
+
+    def _algebra_structure(self, A):
+        """The fold LA -> A that the cone datum (bottom, identity) induces,
+        or None unless A is a pointed dcpo."""
+        if not self.is_pointed(A) or not self.is_dcpo(A)[0]:
+            return None
+        return self.scone_induced(self.lift(A), self._bottom_point(A), self.identity(A))
+
 
 class ClassicalBackend(_ConstructionCache):
     """Finite posets and monotone maps; every finite poset is a dcpo."""
@@ -127,6 +233,9 @@ class ClassicalBackend(_ConstructionCache):
     def __init__(self):
         self._hom_cache: dict = {}
         self._memo: dict = {}
+        # fresh bottom label -> the element-level callables of a lift with
+        # that bottom; the thousands of lifts of a run share a few labels
+        self._lift_fns: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, ClassicalBackend)
@@ -144,6 +253,9 @@ class ClassicalBackend(_ConstructionCache):
     def at(self, A, stage) -> tuple:
         return A.elements
 
+    def stage_poset(self, A, stage) -> FinPoset:
+        return A
+
     def leq_at(self, A, stage, x, y) -> bool:
         return A.leq(x, y)
 
@@ -151,7 +263,8 @@ class ClassicalBackend(_ConstructionCache):
         return x
 
     def app(self, f, stage, x):
-        return f(x)
+        # f(x) inlined: generic code applies maps once per element
+        return f.values[f.dom._index[x]]
 
     def size(self, A) -> int:
         return A.n
@@ -164,7 +277,7 @@ class ClassicalBackend(_ConstructionCache):
         return compose(g, f)
 
     def mor_from_fn(self, A, B, fn):
-        return MonotoneMap.make(A, B, lambda x: fn(None, x))
+        return MonotoneMap(A, B, tuple(fn(None, x) for x in A.elements))
 
     def terminal(self):
         return TERMINAL
@@ -172,60 +285,9 @@ class ClassicalBackend(_ConstructionCache):
     def initial(self):
         return INITIAL
 
-    def bang(self, A):
-        return MonotoneMap.make(A, self.terminal(), lambda _: "*")
-
-    def from_initial(self, A):
-        return MonotoneMap(self.initial(), A, ())
-
-    def _product(self, A, B) -> ProductData:
-        els = tuple(("pr", a, b) for a in A.elements for b in B.elements)
-        pairs = frozenset(
-            (x, y)
-            for x in els
-            for y in els
-            if A.leq(x[1], y[1]) and B.leq(x[2], y[2])
-        )
-        P = FinPoset(els, pairs)
-        fst = MonotoneMap.make(P, A, lambda x: x[1])
-        snd = MonotoneMap.make(P, B, lambda x: x[2])
-        return ProductData(
-            P,
-            fst,
-            snd,
-            lambda st, a, b: ("pr", a, b),
-            lambda st, x: (x[1], x[2]),
-        )
-
-    def pair(self, pd: ProductData, f, g):
-        return MonotoneMap.make(f.dom, pd.obj, lambda x: ("pr", f(x), g(x)))
-
-    def _coproduct(self, A, B) -> CoproductData:
-        els = tuple(("in", 0, a) for a in A.elements) + tuple(
-            ("in", 1, b) for b in B.elements
-        )
-        pairs = frozenset(
-            (x, y)
-            for x in els
-            for y in els
-            if x[1] == y[1] and (A if x[1] == 0 else B).leq(x[2], y[2])
-        )
-        C = FinPoset(els, pairs)
-        inl = MonotoneMap.make(A, C, lambda a: ("in", 0, a))
-        inr = MonotoneMap.make(B, C, lambda b: ("in", 1, b))
-        return CoproductData(
-            C,
-            inl,
-            inr,
-            lambda st, a: ("in", 0, a),
-            lambda st, b: ("in", 1, b),
-            lambda st, x: ("l", x[2]) if x[1] == 0 else ("r", x[2]),
-        )
-
-    def cotuple(self, cd: CoproductData, f, g):
-        return MonotoneMap.make(
-            cd.obj, f.cod, lambda x: f(x[2]) if x[1] == 0 else g(x[2])
-        )
+    def _build(self, elements, restrict, order):
+        els = elements(None)
+        return FinPoset(els, order(None, els))
 
     def hom(self, A, B) -> tuple:
         key = (A, B)
@@ -236,9 +298,6 @@ class ClassicalBackend(_ConstructionCache):
     def hom_leq(self, f, g) -> bool:
         return map_leq(f, g)
 
-    def global_elements(self, A) -> tuple:
-        return self.hom(self.terminal(), A)
-
     def inverse(self, f):
         if len(set(f.values)) != f.dom.n or f.dom.n != f.cod.n:
             return None
@@ -247,9 +306,6 @@ class ClassicalBackend(_ConstructionCache):
             return MonotoneMap.make(f.cod, f.dom, back)
         except StructureError:
             return None
-
-    def is_iso(self, f) -> bool:
-        return self.inverse(f) is not None
 
     def iso(self, A, B):
         return poset_iso(A, B)
@@ -301,15 +357,16 @@ class ClassicalBackend(_ConstructionCache):
         LA = FinPoset(els, pairs)
         unit = MonotoneMap.make(A, LA, lambda a: a)
         bottom = MonotoneMap.make(self.terminal(), LA, lambda _: bot)
-        return LiftData(
-            LA,
-            unit,
-            bottom,
-            lambda st, u: u == bot,
-            lambda st, u: None if u == bot else u,
-            lambda st, a: a,
-            lambda st: bot,
-        )
+        if bot not in self._lift_fns:
+            self._lift_fns[bot] = (
+                lambda st, u: u == bot,
+                lambda st, u: None if u == bot else u,
+                lambda st, a: a,
+                lambda st: bot,
+                lambda st, u: () if u == bot else ((st, u),),
+                lambda st, items: items[0][1] if items else bot,
+            )
+        return LiftData(LA, unit, bottom, *self._lift_fns[bot])
 
     def lift_map(self, f):
         la, lb = self.lift(f.dom), self.lift(f.cod)
@@ -339,15 +396,6 @@ class ClassicalBackend(_ConstructionCache):
             return pab.pack(stage, a, u)
 
         return self.mor_from_fn(pd.obj, lab.obj, st)
-
-    def _algebra_structure(self, A):
-        if not A.is_pointed():
-            return None
-        la = self.lift(A)
-        b = A.bottom()
-        return MonotoneMap.make(
-            la.obj, A, lambda u: b if la.is_bot(None, u) else u
-        )
 
     def scone_induced(self, ld: LiftData, c0, c1):
         """The unique map LA -> C with h(bot) = c0 and h(eta a) = c1 a."""
@@ -425,6 +473,9 @@ class PresheafBackend(_ConstructionCache):
     def at(self, A, stage) -> tuple:
         return A.at(stage)
 
+    def stage_poset(self, A, stage) -> FinPoset:
+        return A.stage_poset(stage)
+
     def leq_at(self, A, stage, x, y) -> bool:
         return A.leq_at(stage, x, y)
 
@@ -453,90 +504,11 @@ class PresheafBackend(_ConstructionCache):
     def initial(self):
         return ps.InternalPoset.constant(self.base, INITIAL)
 
-    def bang(self, A):
-        return ps.NatTrans.make(A, self.terminal(), lambda p, x: "*")
-
-    def from_initial(self, A):
-        return ps.NatTrans.make(self.initial(), A, lambda p, x: x)
-
-    def _product(self, A, B) -> ProductData:
+    def _build(self, elements, restrict, order):
         base = self.base
-        sets = {
-            p: tuple(("pr", a, b) for a in A.at(p) for b in B.at(p))
-            for p in base.stages
-        }
-        res = {
-            (p, q): {
-                x: ("pr", A.res_el(p, q, x[1]), B.res_el(p, q, x[2]))
-                for x in sets[p]
-            }
-            for p, q in base.strict_pairs()
-        }
-        orders = {
-            p: {
-                (x, y)
-                for x in sets[p]
-                for y in sets[p]
-                if A.leq_at(p, x[1], y[1]) and B.leq_at(p, x[2], y[2])
-            }
-            for p in base.stages
-        }
-        P = ps.InternalPoset.make(base, sets, res, orders)
-        fst = ps.NatTrans.make(P, A, lambda p, x: x[1])
-        snd = ps.NatTrans.make(P, B, lambda p, x: x[2])
-        return ProductData(
-            P,
-            fst,
-            snd,
-            lambda st, a, b: ("pr", a, b),
-            lambda st, x: (x[1], x[2]),
-        )
-
-    def pair(self, pd: ProductData, f, g):
-        return ps.NatTrans.make(
-            f.dom, pd.obj, lambda p, x: ("pr", f.apply(p, x), g.apply(p, x))
-        )
-
-    def _coproduct(self, A, B) -> CoproductData:
-        base = self.base
-        sets = {
-            p: tuple(("in", 0, a) for a in A.at(p)) + tuple(("in", 1, b) for b in B.at(p))
-            for p in base.stages
-        }
-        res = {
-            (p, q): {
-                x: ("in", x[1], (A if x[1] == 0 else B).res_el(p, q, x[2]))
-                for x in sets[p]
-            }
-            for p, q in base.strict_pairs()
-        }
-        orders = {
-            p: {
-                (x, y)
-                for x in sets[p]
-                for y in sets[p]
-                if x[1] == y[1] and (A if x[1] == 0 else B).leq_at(p, x[2], y[2])
-            }
-            for p in base.stages
-        }
-        C = ps.InternalPoset.make(base, sets, res, orders)
-        inl = ps.NatTrans.make(A, C, lambda p, a: ("in", 0, a))
-        inr = ps.NatTrans.make(B, C, lambda p, b: ("in", 1, b))
-        return CoproductData(
-            C,
-            inl,
-            inr,
-            lambda st, a: ("in", 0, a),
-            lambda st, b: ("in", 1, b),
-            lambda st, x: ("l", x[2]) if x[1] == 0 else ("r", x[2]),
-        )
-
-    def cotuple(self, cd: CoproductData, f, g):
-        return ps.NatTrans.make(
-            cd.obj,
-            f.cod,
-            lambda p, x: f.apply(p, x[2]) if x[1] == 0 else g.apply(p, x[2]),
-        )
+        sets = {p: elements(p) for p in base.stages}
+        res = {(p, q): {x: restrict(p, q, x) for x in sets[p]} for p, q in base.strict_pairs()}
+        return ps.InternalPoset.make(base, sets, res, {p: order(p, sets[p]) for p in base.stages})
 
     def hom(self, A, B) -> tuple:
         key = (A, B)
@@ -546,9 +518,6 @@ class PresheafBackend(_ConstructionCache):
 
     def hom_leq(self, f, g) -> bool:
         return ps.nt_leq(f, g)
-
-    def global_elements(self, A) -> tuple:
-        return self.hom(self.terminal(), A)
 
     def inverse(self, f):
         A, B = f.dom, f.cod
@@ -567,9 +536,6 @@ class PresheafBackend(_ConstructionCache):
             return None
         return g
 
-    def is_iso(self, f) -> bool:
-        return self.inverse(f) is not None
-
     def iso(self, A, B):
         """A natural stagewise order-iso pair, or None (first in search order)."""
         base = self.base
@@ -579,13 +545,8 @@ class PresheafBackend(_ConstructionCache):
                 return None
         assign: dict = {}
 
-        def stage_key(q, x):
-            P = A.stage_poset(q)
+        def stage_key(P, x):
             return (len(P.down_set(x)), len(P.up_set(x)))
-
-        def stage_key_b(q, y):
-            P = B.stage_poset(q)
-            return (len(P.down_set(y)), len(P.up_set(y)))
 
         def rec_stage(i):
             if i == len(stages):
@@ -609,7 +570,9 @@ class PresheafBackend(_ConstructionCache):
                     return rec_stage(i + 1)
                 x = src[j]
                 options = [pinned[x]] if x in pinned else [
-                    y for y in B.at(q) if stage_key(q, x) == stage_key_b(q, y)
+                    y
+                    for y in B.at(q)
+                    if stage_key(A.stage_poset(q), x) == stage_key(B.stage_poset(q), y)
                 ]
                 for y in options:
                     if y in used:
@@ -643,11 +606,14 @@ class PresheafBackend(_ConstructionCache):
     def is_pointed(self, A) -> bool:
         return ps.is_internal_pointed(A)
 
-    def bottom_point(self, A):
+    def _bottom_point(self, A):
         fam = ps.internal_bottom(A)
         if fam is None:
             return None
         return ps.NatTrans.make(self.terminal(), A, lambda p, _: fam[p])
+
+    # not memoised: only the classical backend meets it once per hom it filters
+    bottom_point = _bottom_point
 
     def subobject(self, A, members: dict):
         D = ps.Subpresheaf.make(A, members)
@@ -667,51 +633,22 @@ class PresheafBackend(_ConstructionCache):
         return ps.is_scott_open_subpresheaf(U)
 
     # -- lifting -------------------------------------------------------------
-    def _families(self, A, S: tuple):
-        if not S:
-            yield ()
-            return
-        for combo in iproduct(*(A.at(q) for q in S)):
-            ok = True
-            for i, q in enumerate(S):
-                for j, r in enumerate(S):
-                    if r != q and self.base.leq(r, q):
-                        if A.res_el(q, r, combo[i]) != combo[j]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                yield combo
-
     def _lift(self, A) -> LiftData:
         base = self.base
-        sets = {}
-        for p in base.stages:
-            down = base.down_list(p)
-            els = []
-            for mask in range(1 << len(down)):
-                S = tuple(down[i] for i in range(len(down)) if mask >> i & 1)
-                if not all(
-                    r in S for q in S for r in base.down_list(q)
-                ):
-                    continue
-                for fam in self._families(A, S):
-                    els.append(("lf", S, fam))
-            sets[p] = tuple(els)
 
-        def res_one(p, q, x):
+        def elements(p):
+            down, els = base.down_list(p), []
+            for sieve in ps.sieves_on(base, p):
+                S = tuple(q for q in down if q in sieve.members)
+                els.extend(("lf", S, fam) for fam in ps.compatible_families(A, S))
+            return tuple(els)
+
+        def restrict(p, q, x):
             _, S, fam = x
-            downq = set(base.down_list(q))
-            keep = [i for i, r in enumerate(S) if r in downq]
+            keep = [i for i, r in enumerate(S) if base.leq(r, q)]
             return ("lf", tuple(S[i] for i in keep), tuple(fam[i] for i in keep))
 
-        res = {
-            (p, q): {x: res_one(p, q, x) for x in sets[p]}
-            for p, q in base.strict_pairs()
-        }
-
-        def le(p, x, y):
+        def le(x, y):
             _, S, fam = x
             _, T, gam = y
             if not set(S) <= set(T):
@@ -719,11 +656,7 @@ class PresheafBackend(_ConstructionCache):
             pos = {r: i for i, r in enumerate(T)}
             return all(A.leq_at(r, fam[i], gam[pos[r]]) for i, r in enumerate(S))
 
-        orders = {
-            p: {(x, y) for x in sets[p] for y in sets[p] if le(p, x, y)}
-            for p in base.stages
-        }
-        LA = ps.InternalPoset.make(base, sets, res, orders)
+        LA = self._build(elements, restrict, lambda p, els: {(x, y) for x in els for y in els if le(x, y)})
 
         def eta_elem(p, a):
             down = base.down_list(p)
@@ -747,6 +680,8 @@ class PresheafBackend(_ConstructionCache):
             as_eta,
             eta_elem,
             lambda st: ("lf", (), ()),
+            lambda st, u: tuple(zip(u[1], u[2])),
+            lambda st, items: ("lf", tuple(q for q, _ in items), tuple(v for _, v in items)),
         )
 
     def lift_map(self, f):
@@ -791,28 +726,6 @@ class PresheafBackend(_ConstructionCache):
 
         return ps.NatTrans.make(pd.obj, lab.obj, st)
 
-    def _algebra_structure(self, A):
-        if not self.is_pointed(A):
-            return None
-        ok, _ = ps.is_internal_dcpo(A)
-        if not ok:
-            return None
-        la = self.lift(A)
-        bot = ps.internal_bottom(A)
-
-        def alpha(p, u):
-            _, S, fam = u
-            members = {q: {bot[q]} for q in self.base.stages if self.base.leq(q, p)}
-            for i, q in enumerate(S):
-                members[q] = members[q] | {fam[i]}
-            D = ps.Subpresheaf.make(A, members)
-            s = ps.internal_sup(A, D, p)
-            if s is None:
-                raise UnavailableError("no internal supremum for an algebra fold", (p, u))
-            return s
-
-        return ps.NatTrans.make(la.obj, A, alpha)
-
     def scone_induced(self, ld: LiftData, c0, c1):
         A = c1.dom
         C = c1.cod
@@ -850,27 +763,24 @@ class PresheafBackend(_ConstructionCache):
         for p in base.stages:
             seeds = [(f.apply(p, x), g.apply(p, x)) for x in f.dom.at(p)]
             stage_data[p] = quotient_poset(B.stage_poset(p), seeds)
-        sets = {p: stage_data[p][0].elements for p in base.stages}
-        res = {}
-        for p, q in base.strict_pairs():
-            assign_q = stage_data[q][1]
-            mapping = {}
-            for rep in sets[p]:
-                # every member of the class must restrict into one class
-                images = {
-                    assign_q[B.res_el(p, q, x)]
-                    for x in B.at(p)
-                    if stage_data[p][1][x] == rep
-                }
-                if len(images) != 1:
-                    raise UnavailableError(
-                        "stagewise quotient classes do not restrict coherently",
-                        (p, q, rep),
-                    )
-                mapping[rep] = next(iter(images))
-            res[(p, q)] = mapping
-        orders = {p: stage_data[p][0].pairs for p in base.stages}
-        Q = ps.InternalPoset.make(base, sets, res, orders)
+
+        def restrict(p, q, rep):
+            # every member of the class must restrict into one class
+            images = {
+                stage_data[q][1][B.res_el(p, q, x)]
+                for x in B.at(p)
+                if stage_data[p][1][x] == rep
+            }
+            if len(images) != 1:
+                raise UnavailableError(
+                    "stagewise quotient classes do not restrict coherently",
+                    (p, q, rep),
+                )
+            return next(iter(images))
+
+        Q = self._build(
+            lambda p: stage_data[p][0].elements, restrict, lambda p, els: stage_data[p][0].pairs
+        )
         ok, witness = ps.is_internal_dcpo(Q)
         if not ok:
             raise UnavailableError(
@@ -897,47 +807,34 @@ class PresheafBackend(_ConstructionCache):
                 for q in sub_base.stages
             )
 
-        sets = {
-            p: tuple(encode_nt(p, nt) for nt in restricted[p][3]) for p in base.stages
-        }
-
-        def decode(p, fe) -> dict:
+        def decode(fe) -> dict:
             comp = {}
             for entry in fe[1:]:
                 q, vals = entry[0], entry[1:]
                 comp[q] = dict(zip(A.at(q), vals))
             return comp
 
-        res = {}
-        for p, q in base.strict_pairs():
-            downq = set(base.down_list(q))
-            mapping = {}
-            for fe in sets[p]:
-                kept = ("fn",) + tuple(e for e in fe[1:] if e[0] in downq)
-                mapping[fe] = kept
-            res[(p, q)] = mapping
-
-        def le(p, x, y):
-            cx, cy = decode(p, x), decode(p, y)
+        def le(x, y):
+            cx, cy = decode(x), decode(y)
             return all(
                 B.leq_at(q, cx[q][a], cy[q][a]) for q in cx for a in cx[q]
             )
 
-        orders = {
-            p: {(x, y) for x in sets[p] for y in sets[p] if le(p, x, y)}
-            for p in base.stages
-        }
-        E = ps.InternalPoset.make(base, sets, res, orders)
+        E = self._build(
+            lambda p: tuple(encode_nt(p, nt) for nt in restricted[p][3]),
+            lambda p, q, fe: ("fn",) + tuple(e for e in fe[1:] if base.leq(e[0], q)),
+            lambda p, els: {(x, y) for x in els for y in els if le(x, y)},
+        )
 
         def apply_elem(stage, fe, stage2, a):
-            return decode(stage, fe)[stage2][a]
+            return decode(fe)[stage2][a]
 
         def encode(stage, comps: dict):
             sub_base = restricted[stage][0]
             fe = ("fn",) + tuple(
                 (q,) + tuple(comps[q][x] for x in A.at(q)) for q in sub_base.stages
             )
-            if fe not in set(sets[stage]):
+            if fe not in set(E.at(stage)):
                 raise UnavailableError(
                     "encoded function element is not continuous", (stage, fe)
                 )

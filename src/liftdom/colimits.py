@@ -59,19 +59,6 @@ class Diagram:
 
 
 @dataclass
-class Cocone:
-    diagram: Diagram
-    apex: Any
-    legs: Any  # node -> morphism
-
-    def commutes(self, bk) -> bool:
-        return all(
-            bk.compose(self.legs[t], self.diagram.arrows[name]) == self.legs[s]
-            for name, s, t in self.diagram.edges
-        )
-
-
-@dataclass
 class ColimitResult:
     apex: Any
     legs: Any  # node -> morphism

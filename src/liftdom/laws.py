@@ -192,6 +192,8 @@ def _fake_scone_backend(junk=False):
                 lambda st, u: None if junk or u[1] == 0 else u[2],
                 lambda st, a: eta(a),
                 lambda st: bot,
+                lambda st, u: () if u == bot else ((st, u),),
+                lambda st, items: items[0][1] if items else bot,
             )
 
     return Fake()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .backend import LiftData, UnavailableError
+from .backend import UnavailableError
 from .order import StructureError
 
 
@@ -373,17 +373,9 @@ def partial_to_total(bk, pm: PartialMap):
             aq = bk.res_el(pm.src, p, q, a)
             if aq in mem[q]:
                 items.append((q, bk.app(pm.value, q, aq)))
-        return mk_lift_elem(bk, ld, p, items)
+        return ld.from_family(p, items)
 
     return bk.mor_from_fn(pm.src, ld.obj, fn)
-
-
-def mk_lift_elem(bk, ld: LiftData, p, items):
-    if bk.name == "classical":
-        if not items:
-            return ld.bot_elem(p)
-        return ld.eta_elem(p, items[0][1])
-    return ("lf", tuple(q for q, _ in items), tuple(v for _, v in items))
 
 
 def total_to_partial(bk, f, A, B) -> PartialMap:

@@ -116,9 +116,6 @@ class Preorder:
     def leq(self, x, y) -> bool:
         return bool(self._rows[self._index[x]] >> self._index[y] & 1)
 
-    def up_mask(self, x) -> int:
-        return self._rows[self._index[x]]
-
     def __repr__(self):
         return f"{type(self).__name__}({list(self.elements)!r})"
 
@@ -277,9 +274,6 @@ class MonotoneMap:
 
     def as_dict(self) -> dict:
         return dict(zip(self.dom.elements, self.values))
-
-    def is_injective(self) -> bool:
-        return len(set(self.values)) == len(self.values)
 
     def is_surjective(self) -> bool:
         return set(self.values) == set(self.cod.elements)

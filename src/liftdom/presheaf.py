@@ -392,31 +392,48 @@ def omega(base: BasePoset) -> InternalPoset:
     return InternalPoset.make(base, sets, res, orders)
 
 
-def global_elements_raw(A: InternalPoset) -> list[dict]:
-    """Restriction-compatible families (one element per stage), canonical order."""
+def compatible_families(A: InternalPoset, stage_list):
+    """Every restriction-compatible family on ``stage_list`` (distinct stages
+    forming a down-closed set): a tuple aligned with the list, one element
+    of A per stage, such that each member restricts to the member at every
+    listed lower stage.
+
+    Backtracks along the list, checking each new stage against the stages
+    already chosen in both directions and trying the elements of ``A.at(q)``
+    in order, so families come out in lexicographic order."""
     base = A.base
-    stages = base.stages_desc()
-    out: list[dict] = []
-    fam: dict = {}
+    # per stage: (position, stage, whether the new stage lies below it)
+    earlier = [
+        [
+            (j, r, base.leq(q, r))
+            for j, r in enumerate(stage_list[:i])
+            if base.leq(q, r) or base.leq(r, q)
+        ]
+        for i, q in enumerate(stage_list)
+    ]
+    fam: list = []
 
     def rec(i: int):
-        if i == len(stages):
-            out.append(dict(fam))
+        if i == len(stage_list):
+            yield tuple(fam)
             return
-        q = stages[i]
-        forced = {
-            A.res_el(r, q, fam[r]) for r in fam if base.leq(q, r)
-        }
-        if len(forced) > 1:
-            return
-        options = list(forced) if forced else list(A.at(q))
-        for x in options:
-            fam[q] = x
-            rec(i + 1)
-            del fam[q]
+        q = stage_list[i]
+        for x in A.at(q):
+            if all(
+                A.res_el(r, q, fam[j]) == x if below else A.res_el(q, r, x) == fam[j]
+                for j, r, below in earlier[i]
+            ):
+                fam.append(x)
+                yield from rec(i + 1)
+                fam.pop()
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+def global_elements_raw(A: InternalPoset) -> list[dict]:
+    """Restriction-compatible families (one element per stage), canonical order."""
+    stages = A.base.stages_desc()
+    return [dict(zip(stages, fam)) for fam in compatible_families(A, stages)]
 
 
 def omega_top(O: InternalPoset, p) -> Sieve:

@@ -508,15 +508,6 @@ def _exp_components(bk, E, A, p, fe) -> dict:
     return comp
 
 
-def _lift_elem_image(bk, la, lb, comp, q, u):
-    if bk.name == "classical":
-        if la.is_bot(q, u):
-            return lb.bot_elem(q)
-        return lb.eta_elem(q, comp[q][u])
-    _, S, vals = u
-    return ("lf", S, tuple(comp[r][v] for r, v in zip(S, vals)))
-
-
 def linear_hom(bk, A, B):
     """The linear function space as a subobject of the exponential."""
     E, members = linear_hom_members(bk, A, B)
@@ -541,7 +532,8 @@ def linear_hom_members(bk, A, B):
             for q in bk.base_down(p):
                 for u in bk.at(la.obj, q):
                     lhs = comp[q][bk.app(alpha_a, q, u)]
-                    rhs = bk.app(alpha_b, q, _lift_elem_image(bk, la, lb, comp, q, u))
+                    image = lb.from_family(q, [(r, comp[r][v]) for r, v in la.family(q, u)])
+                    rhs = bk.app(alpha_b, q, image)
                     if lhs != rhs:
                         ok = False
                         break
@@ -600,7 +592,8 @@ def kock_criterion_check(bk, A, B) -> bool:
         }
         for q in bk.base_down(p):
             for u in bk.at(la.obj, q):
-                out = bk.app(alpha_b, q, _lift_elem_image(bk, la, lb, comps, q, u))
+                image = lb.from_family(q, [(r, comps[r][v]) for r, v in la.family(q, u)])
+                out = bk.app(alpha_b, q, image)
                 if out != bk.app(bb, q, "*"):
                     return False
     return True

@@ -2,13 +2,16 @@
 from itertools import product as iproduct
 
 from liftdom.backend import ClassicalBackend, PresheafBackend
-from liftdom.lifting import kleisli_extend, monad_laws_hold
+from liftdom.lifting import is_algebra, kleisli_extend, monad_laws_hold
+from liftdom.oq1 import OQ1Bounds, internal_posets
 from liftdom.order import FinPoset, enumerate_monotone_maps, posets_upto, scott_opens
 from liftdom.presheaf import (
     BasePoset,
     InternalPoset,
     Sieve,
     internal_sup,
+    is_internal_dcpo,
+    is_internal_pointed,
     omega,
     subpresheaves_below,
 )
@@ -94,6 +97,59 @@ def test_point_base_agrees_with_classical():
                 assert (lhs == rhs) or (
                     la_ps.is_bot("s", u_ps) and la_cl.is_bot(None, u_cl)
                 )
+        # the shared constructions agree: elements, order pairs, map values
+        assert bk.bang(A).components == (CL.bang(P).values,)
+        for Q in posets_upto(2):
+            B = InternalPoset.constant(base, Q)
+            pd_ps, pd_cl = bk.product(A, B), CL.product(P, Q)
+            cd_ps, cd_cl = bk.coproduct(A, B), CL.coproduct(P, Q)
+            for obj_ps, obj_cl in ((pd_ps.obj, pd_cl.obj), (cd_ps.obj, cd_cl.obj)):
+                assert obj_ps.at("s") == obj_cl.elements
+                assert obj_ps.stage_poset("s").pairs == obj_cl.pairs
+            maps = (
+                (pd_ps.fst, pd_cl.fst),
+                (pd_ps.snd, pd_cl.snd),
+                (cd_ps.inl, cd_cl.inl),
+                (cd_ps.inr, cd_cl.inr),
+            )
+            for f_ps, f_cl in maps:
+                assert f_ps.components == (f_cl.values,)
+            for f in CL.hom(P, P):
+                for g in CL.hom(P, Q):
+                    paired = bk.pair(pd_ps, _over_point(bk, f), _over_point(bk, g))
+                    assert paired.components == (CL.pair(pd_cl, f, g).values,)
+            for f in CL.hom(P, Q):
+                for g in CL.hom(Q, Q):
+                    cotupled = bk.cotuple(cd_ps, _over_point(bk, f), _over_point(bk, g))
+                    assert cotupled.components == (CL.cotuple(cd_cl, f, g).values,)
+
+
+def _over_point(bk, f):
+    """A classical map as a transformation between constant presheaves."""
+    dom, cod = (InternalPoset.constant(bk.base, P) for P in (f.dom, f.cod))
+    return bk.mor_from_fn(dom, cod, lambda p, x: f(x))
+
+
+def test_fold_exactly_on_pointed_dcpos():
+    # the fold derived from the cone datum (bottom, identity) exists on every
+    # pointed internal dcpo and is an algebra there; on a pointed internal
+    # poset that is not a dcpo the backend answers None
+    bounds = OQ1Bounds(max_base=2, max_carrier=4)
+    seen = {True: 0, False: 0}
+    for P in posets_upto(2):
+        if P.n == 0:
+            continue
+        bk = PresheafBackend(BasePoset(P))
+        for A in internal_posets(bk.base, bounds):
+            if not is_internal_pointed(A):
+                continue
+            dcpo = is_internal_dcpo(A)[0]
+            alpha = bk.algebra_structure(A)
+            assert (alpha is None) == (not dcpo)
+            if dcpo:
+                assert is_algebra(bk, A, alpha)
+            seen[dcpo] += 1
+    assert seen == {True: 55, False: 15}
 
 
 def test_kleisli_extension_against_direct_oracle():

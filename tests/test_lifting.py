@@ -243,6 +243,8 @@ def test_scone_negative_control():
                     lambda st, u: None if u[1] == 0 else u[2],
                     lambda st, a: ("in", 1, a),
                     lambda st: ("in", 0, "*"),
+                    lambda st, u: () if u == ("in", 0, "*") else ((st, u),),
+                    lambda st, items: items[0][1] if items else ("in", 0, "*"),
                 )
             return ld
 
