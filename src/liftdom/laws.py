@@ -59,7 +59,6 @@ class Bounds:
     competing: int = 4  # competing objects in universal-property exhaustion
     apex: int = 6  # competing apexes for colimit checks
     base_stages: int = 2  # presheaf base size for generated instances
-    per_stage: int = 3  # elements per stage for generated instances
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -39,7 +39,7 @@ def test_check_max_size(capsys):
 
 def test_check_max_size_keeps_other_bounds(capsys, monkeypatch):
     law = REGISTRY["kz-adjunction"]
-    custom = Bounds(max_size=4, competing=2, apex=3, base_stages=1, per_stage=2)
+    custom = Bounds(max_size=4, competing=2, apex=3, base_stages=1)
     monkeypatch.setattr(law, "bounds", custom)
     assert main(["check", "kz-adjunction", "--max-size", "2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
