@@ -21,7 +21,7 @@ A backend supplies only what depends on how it stores objects and maps:
   ``order(p, els)`` gives the order pairs on the elements ``els`` at p),
   and ``mor_from_fn``, which turns a stagewise function into a validated
   map; ``identity``, ``compose``, ``terminal`` and ``initial``;
-* hom enumeration (``hom``, ``hom_leq``), ``inverse`` and ``iso``;
+* the hom enumerator ``_hom``, ``hom_leq``, ``inverse`` and ``iso``;
 * the lift (``_lift``, ``lift_map``, ``_mult``, ``_strength``), the map
   ``scone_induced`` that a cone datum induces out of a lift, and
   ``_bottom_point`` with ``bottom_point`` (memoised only classically);
@@ -32,7 +32,9 @@ The shared base ``_ConstructionCache`` derives the rest, once for both
 backends: ``bang``, ``from_initial``, ``global_elements``, ``is_iso``,
 products with ``pair``, coproducts with ``cotuple``, and the fold of a
 pointed dcpo A, the map ``scone_induced(lift(A), bottom, identity(A))``.
-It also memoises the object constructions.  Outside this module only
+It also memoises the object constructions, and ``hom`` memoises each
+hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
+search run the one backtracking search ``order._order_search``.  Outside this module only
 ``report.fmt`` knows how a lift element is stored; other code reads an
 element's partial family with ``LiftData.family`` and builds one with
 ``LiftData.from_family``.
@@ -116,9 +118,15 @@ class ExpData:
 
 
 class _ConstructionCache:
-    """The shared base: memoised object constructions (structural equality
-    makes hits cheap), and every construction that the stage API, ``_build``
-    and ``mor_from_fn`` determine, written once for both backends."""
+    """The shared base: memoised object constructions and hom-sets
+    (structural equality makes hits cheap), and every construction that the
+    stage API, ``_build`` and ``mor_from_fn`` determine, written once for
+    both backends."""
+
+    def _init_caches(self):
+        # object.__setattr__, because the presheaf backend is frozen
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_hom_cache", {})
 
     def memo(self, key, thunk):
         if key not in self._memo:
@@ -145,6 +153,14 @@ class _ConstructionCache:
 
     def exponential(self, A, B) -> ExpData:
         return self.memo(("exp", A, B), lambda: self._exponential(A, B))
+
+    def hom(self, A, B) -> tuple:
+        """The maps A -> B in the backend's enumeration order, enumerated
+        once per pair by ``_hom``."""
+        key = (A, B)
+        if key not in self._hom_cache:
+            self._hom_cache[key] = tuple(self._hom(A, B))
+        return self._hom_cache[key]
 
     # -- derived from the stage API ------------------------------------------
     def bang(self, A):
@@ -231,8 +247,7 @@ class ClassicalBackend(_ConstructionCache):
     name = "classical"
 
     def __init__(self):
-        self._hom_cache: dict = {}
-        self._memo: dict = {}
+        self._init_caches()
         # fresh bottom label -> the element-level callables of a lift with
         # that bottom; the thousands of lifts of a run share a few labels
         self._lift_fns: dict = {}
@@ -289,11 +304,8 @@ class ClassicalBackend(_ConstructionCache):
         els = elements(None)
         return FinPoset(els, order(None, els))
 
-    def hom(self, A, B) -> tuple:
-        key = (A, B)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = tuple(enumerate_monotone_maps(A, B))
-        return self._hom_cache[key]
+    def _hom(self, A, B):
+        return enumerate_monotone_maps(A, B)
 
     def hom_leq(self, f, g) -> bool:
         return map_leq(f, g)
@@ -460,8 +472,7 @@ class PresheafBackend(_ConstructionCache):
     name = "presheaf"
 
     def __post_init__(self):
-        object.__setattr__(self, "_hom_cache", {})
-        object.__setattr__(self, "_memo", {})
+        self._init_caches()
 
     # -- stage API ----------------------------------------------------------
     def stages(self, A) -> tuple:
@@ -510,11 +521,8 @@ class PresheafBackend(_ConstructionCache):
         res = {(p, q): {x: restrict(p, q, x) for x in sets[p]} for p, q in base.strict_pairs()}
         return ps.InternalPoset.make(base, sets, res, {p: order(p, sets[p]) for p in base.stages})
 
-    def hom(self, A, B) -> tuple:
-        key = (A, B)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = tuple(ps.continuous_maps(A, B))
-        return self._hom_cache[key]
+    def _hom(self, A, B):
+        return ps.continuous_maps(A, B)
 
     def hom_leq(self, f, g) -> bool:
         return ps.nt_leq(f, g)
@@ -538,66 +546,8 @@ class PresheafBackend(_ConstructionCache):
 
     def iso(self, A, B):
         """A natural stagewise order-iso pair, or None (first in search order)."""
-        base = self.base
-        stages = base.stages_desc()
-        for p in base.stages:
-            if len(A.at(p)) != len(B.at(p)):
-                return None
-        assign: dict = {}
-
-        def stage_key(P, x):
-            return (len(P.down_set(x)), len(P.up_set(x)))
-
-        def rec_stage(i):
-            if i == len(stages):
-                return True
-            q = stages[i]
-            pinned = {}
-            for r in stages[:i]:
-                if not base.leq(q, r):
-                    continue
-                for x in A.at(r):
-                    key = A.res_el(r, q, x)
-                    val = B.res_el(r, q, assign[(r, x)])
-                    if pinned.get(key, val) != val:
-                        return False
-                    pinned[key] = val
-            src = A.at(q)
-            used: set = set()
-
-            def rec_el(j):
-                if j == len(src):
-                    return rec_stage(i + 1)
-                x = src[j]
-                options = [pinned[x]] if x in pinned else [
-                    y
-                    for y in B.at(q)
-                    if stage_key(A.stage_poset(q), x) == stage_key(B.stage_poset(q), y)
-                ]
-                for y in options:
-                    if y in used:
-                        continue
-                    if any(
-                        A.leq_at(q, x, z) != B.leq_at(q, y, assign[(q, z)])
-                        or A.leq_at(q, z, x) != B.leq_at(q, assign[(q, z)], y)
-                        for z in src[:j]
-                    ):
-                        continue
-                    assign[(q, x)] = y
-                    used.add(y)
-                    if rec_el(j + 1):
-                        return True
-                    del assign[(q, x)]
-                    used.remove(y)
-                return False
-
-            return rec_el(0)
-
-        if not rec_stage(0):
-            return None
-        fwd = ps.NatTrans.make(A, B, lambda p, x: assign[(p, x)])
-        back = self.inverse(fwd)
-        return fwd, back
+        fwd = ps.natural_iso(A, B)
+        return None if fwd is None else (fwd, self.inverse(fwd))
 
     def is_dcpo(self, A):
         return ps.is_internal_dcpo(A)

@@ -16,11 +16,17 @@ because each result is valid by construction:
 * ``compose`` of two valid maps is total, lands in ``g.cod`` and is
   monotone, since monotone maps compose; it still checks composability;
 * ``MonotoneMap.identity`` is the identity on a valid poset;
-* ``enumerate_monotone_maps`` draws values from the codomain and checks
-  every order pair in both directions as it backtracks.
+* ``enumerate_monotone_maps`` and ``poset_iso`` take their maps from
+  ``_order_search``, which draws values from the codomain and checks every
+  order pair in both directions as it backtracks; the inverse that
+  ``poset_iso`` returns is the inverse of an order-iso.
 
 Re-validating those results would repeat work in the inner loop of every
 universal-property check.
+
+Hom enumeration and iso search in both backends run ``_order_search``, the
+presheaf backend once per stage, so its candidate order fixes every "first
+found" witness and iso in the reports.
 """
 from __future__ import annotations
 
@@ -161,9 +167,6 @@ class FinPoset(Preorder):
     def antichain(cls, n: int, prefix: str = "a") -> "FinPoset":
         els = tuple(f"{prefix}{i}" for i in range(n))
         return cls(els, frozenset((e, e) for e in els))
-
-    def down_set(self, x) -> tuple:
-        return tuple(e for e in self.elements if self.leq(e, x))
 
     def up_set(self, x) -> tuple:
         return tuple(e for e in self.elements if self.leq(x, e))
@@ -355,32 +358,86 @@ def semidirected_subsets(P: FinPoset) -> list[Subset]:
     return [S for S in subsets(P) if is_semidirected(P, S)]
 
 
+def _down_rows(rows) -> list[int]:
+    # the transpose of up-mask rows: bitmask of j with e_j <= e_i
+    down = [0] * len(rows)
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return down
+
+
+def _degrees(rows, down) -> list[tuple[int, int]]:
+    # (number of elements below, number above) per element; isos preserve it
+    return [(d.bit_count(), u.bit_count()) for d, u in zip(down, rows)]
+
+
+def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
+    """The one backtracking search for maps between posets given by their
+    up-mask rows: every monotone map i -> v (element indices), or with
+    ``iso`` every order-iso, lexicographic in the values, which are tried in
+    codomain order.  ``pins`` maps some domain indices to their only value.
+
+    In iso mode candidates must have the same degrees, and the map must
+    reflect the order; an order-reflecting map is injective.  ``emit(vals)``
+    gets each map as a list that the search goes on to mutate; a true
+    return stops the search, which then returns True.  A callback, not a
+    generator, keeps ``yield from`` chains out of the recursion."""
+    n, m = len(dom_rows), len(cod_rows)
+    full = (1 << m) - 1
+    cod_down = _down_rows(cod_rows)
+    if iso:
+        dom_deg, cod_deg = _degrees(dom_rows, _down_rows(dom_rows)), _degrees(cod_rows, cod_down)
+        if sorted(dom_deg) != sorted(cod_deg):
+            return False
+        cand = [sum(1 << v for v, e in enumerate(cod_deg) if e == d) for d in dom_deg]
+        above = [up & ~(1 << v) for v, up in enumerate(cod_rows)]
+        below = [down & ~(1 << v) for v, down in enumerate(cod_down)]
+        apart = [full & ~(up | down) for up, down in zip(cod_rows, cod_down)]
+    else:
+        cand, above, below, apart = [full] * n, cod_rows, cod_down, None
+    for i, v in (pins or {}).items():
+        cand[i] &= 1 << v
+    # cons[i]: (j, table) for each earlier j that constrains i: the value at
+    # i must lie in table[vals[j]]
+    cons = [
+        [
+            (j, above if dom_rows[j] >> i & 1 else below if dom_rows[i] >> j & 1 else apart)
+            for j in range(i)
+            if iso or dom_rows[j] >> i & 1 or dom_rows[i] >> j & 1
+        ]
+        for i in range(n)
+    ]
+    vals = [0] * n
+
+    def rec(i: int) -> bool:
+        if i == n:
+            return emit(vals)
+        mask = cand[i]
+        for j, table in cons[i]:
+            mask &= table[vals[j]]
+        while mask:
+            low = mask & -mask
+            vals[i] = low.bit_length() - 1
+            if rec(i + 1):
+                return True
+            mask ^= low
+        return False
+
+    return rec(0)
+
+
 def enumerate_monotone_maps(A: FinPoset, B: FinPoset) -> list[MonotoneMap]:
     """Every monotone map A -> B exactly once, lexicographic in the assignment."""
     maps: list[MonotoneMap] = []
-    vals: list = []
+    els = B.elements
 
-    def ok(i: int, v) -> bool:
-        vi = B._index[v]
-        for j in range(i):
-            vj = B._index[vals[j]]
-            if A._rows[j] >> i & 1 and not B._rows[vj] >> vi & 1:
-                return False
-            if A._rows[i] >> j & 1 and not B._rows[vi] >> vj & 1:
-                return False
-        return True
+    def emit(vals):
+        maps.append(MonotoneMap._trusted(A, B, tuple([els[v] for v in vals])))
 
-    def rec(i: int):
-        if i == A.n:
-            maps.append(MonotoneMap._trusted(A, B, tuple(vals)))
-            return
-        for v in B.elements:
-            if ok(i, v):
-                vals.append(v)
-                rec(i + 1)
-                vals.pop()
-
-    rec(0)
+    _order_search(A._rows, B._rows, emit)
     return maps
 
 
@@ -426,52 +483,22 @@ def is_order_embedding(f: MonotoneMap) -> bool:
     return True
 
 
-def _invariants(P: FinPoset) -> dict:
-    inv = {}
-    for i, e in enumerate(P.elements):
-        down = sum(1 for j in range(P.n) if P._rows[j] >> i & 1)
-        up = bin(P._rows[i]).count("1")
-        inv[e] = (down, up)
-    return inv
-
-
 def poset_iso(A: FinPoset, B: FinPoset):
     """A pair of mutually inverse monotone maps, or None.
 
-    Deterministic: the first bijection found by backtracking over
-    degree-compatible candidates in canonical order.
-    """
-    if A.n != B.n:
-        return None
-    inv_a, inv_b = _invariants(A), _invariants(B)
-    if sorted(inv_a.values()) != sorted(inv_b.values()):
-        return None
-    assign: dict = {}
-    used: set = set()
+    Deterministic: the lexicographically first order-iso, found by the
+    order search in iso mode."""
+    found: list = []
 
-    def rec(i: int):
-        if i == A.n:
-            return True
-        x = A.elements[i]
-        for y in B.elements:
-            if y in used or inv_a[x] != inv_b[y]:
-                continue
-            if all(
-                A.leq(x, z) == B.leq(y, assign[z]) and A.leq(z, x) == B.leq(assign[z], y)
-                for z in assign
-            ):
-                assign[x] = y
-                used.add(y)
-                if rec(i + 1):
-                    return True
-                del assign[x]
-                used.remove(y)
-        return False
+    def emit(vals):
+        found.append(tuple(vals))
+        return True
 
-    if not rec(0):
+    if not _order_search(A._rows, B._rows, emit, iso=True):
         return None
-    fwd = MonotoneMap.make(A, B, assign)
-    back = MonotoneMap.make(B, A, {v: k for k, v in assign.items()})
+    vals = found[0]
+    fwd = MonotoneMap._trusted(A, B, tuple([B.elements[v] for v in vals]))
+    back = MonotoneMap._trusted(B, A, tuple([A.elements[vals.index(v)] for v in range(B.n)]))
     return fwd, back
 
 
@@ -594,7 +621,7 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
     out: list[FinPoset] = []
     for rows in _labeled_rows(n):
         P = _rows_to_poset(rows)
-        key = (tuple(sorted(_invariants(P).values())), len(P.pairs))
+        key = (tuple(sorted(_degrees(rows, _down_rows(rows)))), len(P.pairs))
         found = False
         for Q in buckets.get(key, ()):
             if poset_iso(P, Q) is not None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .order import FinPoset, StructureError
+from .order import FinPoset, StructureError, _order_search
 
 
 class SortError(TypeError):
@@ -335,7 +335,8 @@ class NatTrans:
     def _trusted(cls, dom: InternalPoset, cod: InternalPoset, components: tuple) -> "NatTrans":
         """Build without validation; ``components`` must already be a tuple of
         tuples that is total, stagewise monotone and natural (composites and
-        identities of validated transformations are)."""
+        identities of validated transformations are, and so is every map
+        the stagewise search emits)."""
         f = object.__new__(cls)
         object.__setattr__(f, "dom", dom)
         object.__setattr__(f, "cod", cod)
@@ -835,62 +836,77 @@ def restrict_to(A: InternalPoset, p) -> tuple[BasePoset, InternalPoset]:
 # ---------------------------------------------------------------------------
 # Enumeration of natural transformations, with and without continuity.
 
-def enumerate_nat_trans(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
-    """All order-preserving natural transformations A -> B, in canonical order."""
+def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False) -> bool:
+    """Every natural stagewise map A -> B that is monotone (with ``iso``, an
+    order-iso) at each stage, lexicographic over stages in ``stages_desc()``
+    order, elements in stage order and values in codomain order.
+
+    Each stage above q comes before q, so naturality at q pins
+    f_q(res(x)) = res(f_r(x)) for every chosen r above q (conflicting pins
+    leave no component), and the order search lists the components at q
+    that agree with the pins.  ``emit(components)`` gets each map aligned
+    with ``base.stages``; a true return stops the search."""
     base = A.base
     stages = base.stages_desc()
-    comps: dict = {}
-    out: list[NatTrans] = []
+    pos = [stages.index(p) for p in base.stages]
+    PA = [A.stage_poset(q) for q in stages]
+    PB = [B.stage_poset(q) for q in stages]
+    # per stage position i, each earlier position k above it with both
+    # restrictions as index maps into the stage at i
+    above = [
+        [
+            (
+                k,
+                tuple(PA[i]._index[y] for y in A.carrier._res[(r, q)]),
+                tuple(PB[i]._index[y] for y in B.carrier._res[(r, q)]),
+            )
+            for k, r in enumerate(stages[:i])
+            if base.leq(q, r)
+        ]
+        for i, q in enumerate(stages)
+    ]
+    chosen: list = [None] * len(stages)  # value indices per stage position
 
-    def component_choices(q):
-        src, tgt = A.at(q), B.at(q)
-        pinned: dict = {}
-        for r in stages:
-            if r == q or r not in comps or not base.leq(q, r):
-                continue
-            for x in A.at(r):
-                pinned_key = A.res_el(r, q, x)
-                val = B.res_el(r, q, comps[r][A.at(r).index(x)])
-                if pinned_key in pinned and pinned[pinned_key] != val:
-                    return
-                pinned[pinned_key] = val
-        vals: list = []
-
-        def ok(i, v):
-            for j in range(i):
-                if A.leq_at(q, src[j], src[i]) and not B.leq_at(q, vals[j], v):
-                    return False
-                if A.leq_at(q, src[i], src[j]) and not B.leq_at(q, v, vals[j]):
-                    return False
-            return True
-
-        def rec(i):
-            if i == len(src):
-                yield tuple(vals)
-                return
-            x = src[i]
-            options = [pinned[x]] if x in pinned else tgt
-            for v in options:
-                if ok(i, v):
-                    vals.append(v)
-                    yield from rec(i + 1)
-                    vals.pop()
-
-        yield from rec(0)
-
-    def rec_stage(i):
+    def rec(i: int) -> bool:
         if i == len(stages):
-            by_stage = tuple(comps[p] for p in base.stages)
-            out.append(NatTrans(A, B, by_stage))
-            return
-        q = stages[i]
-        for comp in component_choices(q):
-            comps[q] = comp
-            rec_stage(i + 1)
-            del comps[q]
+            return emit(tuple(tuple(map(PB[k].elements.__getitem__, chosen[k])) for k in pos))
+        pins: dict = {}
+        for k, res_a, res_b in above[i]:
+            for x, v in zip(res_a, chosen[k]):
+                w = res_b[v]
+                if pins.setdefault(x, w) != w:
+                    return False
 
-    rec_stage(0)
+        def stage_emit(vals):
+            chosen[i] = tuple(vals)
+            return rec(i + 1)
+
+        return _order_search(PA[i]._rows, PB[i]._rows, stage_emit, pins, iso)
+
+    return rec(0)
+
+
+def enumerate_nat_trans(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
+    """All order-preserving natural transformations A -> B, in canonical order.
+
+    A trusted producer: the stagewise search checks monotonicity at every
+    stage and every naturality square as it goes."""
+    out: list[NatTrans] = []
+    _stagewise_search(A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)))
     return out
+
+
+def natural_iso(A: InternalPoset, B: InternalPoset):
+    """The first natural stagewise order-iso A -> B in the search order, or None."""
+    found: list = []
+
+    def emit(comps):
+        found.append(comps)
+        return True
+
+    if not _stagewise_search(A, B, emit, iso=True):
+        return None
+    return NatTrans._trusted(A, B, found[0])
 
 
 def is_continuous(f: NatTrans) -> bool:

@@ -1,3 +1,4 @@
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -159,6 +160,30 @@ def test_poset_iso():
     f, g = pair
     assert compose(g, f) == MonotoneMap.identity(DIAMOND)
     assert compose(f, g) == MonotoneMap.identity(relabeled)
+
+
+def test_poset_iso_is_the_first_iso_of_every_relabelling():
+    # oracle: the bijections onto the relabelled copy in lexicographic order
+    # of codomain positions; poset_iso must return the first order-iso, and
+    # its inverse, as the validating constructor would build them
+    checked = 0
+    for P in posets_upto(4):
+        for perm in permutations(P.elements):
+            Q = FinPoset(perm, P.pairs)
+            first = next(
+                vals
+                for vals in permutations(Q.elements)
+                if all(
+                    P.leq(x, y) == Q.leq(vals[i], vals[j])
+                    for i, x in enumerate(P.elements)
+                    for j, y in enumerate(P.elements)
+                )
+            )
+            f, g = poset_iso(P, Q)
+            assert f == MonotoneMap(P, Q, first)
+            assert g == MonotoneMap(Q, P, tuple(P.elements[first.index(y)] for y in Q.elements))
+            checked += 1
+    assert checked == 1 + 1 + 2 * 2 + 5 * 6 + 16 * 24
 
 
 def test_arrow_poset():

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from liftdom.backend import PresheafBackend
+from liftdom.oq1 import OQ1Bounds, _small_bases, internal_posets
 from liftdom.order import FinPoset, StructureError
 from liftdom.presheaf import (
     BasePoset,
@@ -212,39 +213,65 @@ def test_naturality_validation():
     assert e.value.law == "naturality"
 
 
-def brute_nat_trans(A, B):
-    # oracle: all component tuples filtered by monotonicity + naturality
+
+
+def brute_stagewise_maps(A, B):
+    # oracle, in the search order the reports depend on: every stagewise
+    # function, stages in stages_desc() order, then elements in stage
+    # order, values in codomain order; kept when monotone at each stage and
+    # natural.  Yields (components aligned with base.stages, is an iso).
     base = A.base
-    per_stage = []
-    for p in base.stages:
-        src, tgt = A.at(p), B.at(p)
-        stage_fns = []
-        for vals in iproduct(tgt, repeat=len(src)):
-            if all(
-                B.leq_at(p, vals[i], vals[j])
-                for i in range(len(src))
-                for j in range(len(src))
-                if A.leq_at(p, src[i], src[j])
-            ):
-                stage_fns.append(vals)
-        per_stage.append(stage_fns)
-    out = []
-    for combo in iproduct(*per_stage):
-        try:
-            out.append(NatTrans(A, B, combo))
-        except StructureError:
-            continue
-    return out
+    slots = [(q, x) for q in base.stages_desc() for x in A.at(q)]
+    for vals in iproduct(*(B.at(q) for q, _ in slots)):
+        f = dict(zip(slots, vals))
+        orders = [
+            (A.leq_at(p, x, y), B.leq_at(p, f[p, x], f[p, y]))
+            for p in base.stages
+            for x in A.at(p)
+            for y in A.at(p)
+        ]
+        natural = all(
+            B.res_el(p, q, f[p, x]) == f[q, A.res_el(p, q, x)]
+            for p, q in base.strict_pairs()
+            for x in A.at(p)
+        )
+        if natural and all(image for below, image in orders if below):
+            # order-reflecting maps are injective: equal sizes make a bijection
+            iso = all(below == image for below, image in orders) and all(
+                len(A.at(p)) == len(B.at(p)) for p in base.stages
+            )
+            yield tuple(tuple(f[p, x] for x in A.at(p)) for p in base.stages), iso
 
 
 def test_enumerate_nat_trans_matches_bruteforce():
+    # every same-base pair of internal posets with at most 2 elements per
+    # stage and 4 in all, over every base of at most 3 stages, then Omega
+    # over the 2-chain: the hom list and the iso found are fixed by the
+    # search order, so compare them in order, not as sets
+    bounds = OQ1Bounds(3, 2, 4)
+    objects = pairs = maps = isos = 0
+    for _, base in _small_bases(bounds):
+        objs = list(internal_posets(base, bounds))
+        objects += len(objs)
+        bk = PresheafBackend(base)
+        for X in objs:
+            for Y in objs:
+                expect = list(brute_stagewise_maps(X, Y))
+                assert [f.components for f in enumerate_nat_trans(X, Y)] == [c for c, _ in expect]
+                maps += len(expect)
+                first_iso = next((c for c, iso in expect if iso), None)
+                found = bk.iso(X, Y)
+                assert (found and found[0].components) == first_iso
+                pairs += 1
+                isos += first_iso is not None
+    assert (objects, pairs, maps, isos) == (132, 2858, 7674, 290)
     O = omega(SIERP)
     A = antichain_over_point()
     T = InternalPoset.constant(SIERP, FinPoset.chain(1, prefix="t"))
     for X, Y in [(O, O), (A, O), (T, O), (O, T), (A, A)]:
-        got = enumerate_nat_trans(X, Y)
-        assert len(set(got)) == len(got)
-        assert set(got) == set(brute_nat_trans(X, Y))
+        assert [f.components for f in enumerate_nat_trans(X, Y)] == [
+            c for c, _ in brute_stagewise_maps(X, Y)
+        ]
     assert len(enumerate_nat_trans(O, T)) == 1
 
 
@@ -332,9 +359,9 @@ def test_directed_subpresheaves_and_sups_of_omega():
 
 
 def test_trusted_nat_trans_match_validating_constructor():
-    # nt_compose and NatTrans.identity skip validation; over the 2-chain base
-    # their results must be what the validating constructor builds (and
-    # accepts) from the same components
+    # nt_compose, NatTrans.identity and enumerate_nat_trans skip validation;
+    # over the 2-chain base their results must be what the validating
+    # constructor builds (and accepts) from the same components
     chain_up = InternalPoset.make(
         SIERP,
         {"s1": ("a", "b"), "s0": ("u",)},
@@ -349,6 +376,9 @@ def test_trusted_nat_trans_match_validating_constructor():
         InternalPoset.constant(SIERP, FinPoset.chain(2)),
     ]
     homs = {(X, Y): enumerate_nat_trans(X, Y) for X in objs for Y in objs}
+    for (X, Y), maps in homs.items():
+        for f in maps:
+            assert f == NatTrans(X, Y, f.components)
     for X in objs:
         ident = NatTrans.identity(X)
         assert ident == NatTrans(X, X, ident.components)
