@@ -106,8 +106,14 @@ def _verdict(name, witness):
 
 
 def _exhaust(results, summary):
-    """The failing ``(name, witness)`` cases, or one PASS line named ``summary``."""
-    bad = [InstanceReport(name, FAIL, w) for name, w in results if w is not None]
+    """The failing ``(name, witness)`` cases, or one PASS line named ``summary``;
+    UNAVAILABLE when the bounds leave no case, since checking nothing proves nothing."""
+    bad, checked = [], 0
+    for checked, (name, w) in enumerate(results, 1):
+        if w is not None:
+            bad.append(InstanceReport(name, FAIL, w))
+    if not checked:
+        return [InstanceReport(summary, UNAVAILABLE, "no cases within the bounds")]
     return bad or [InstanceReport(summary, PASS)]
 
 

@@ -37,6 +37,15 @@ def test_check_max_size(capsys):
     assert "genP3" not in out
 
 
+def test_empty_family_is_unavailable(capsys):
+    # no pointed poset has at most 0 elements: a family that checked no case
+    # must not read as a pass
+    assert main(["check", "strict-iff-hom", "--max-size", "0"]) == 2
+    out = capsys.readouterr().out
+    assert "[UNAVAILABLE] strict-iff-hom" in out
+    assert "n/a  all maps between pointed posets ≤ 0  -- no cases within the bounds" in out
+
+
 def test_check_max_size_keeps_other_bounds(capsys, monkeypatch):
     law = REGISTRY["kz-adjunction"]
     custom = Bounds(max_size=4, competing=2, apex=3, base_stages=1)
