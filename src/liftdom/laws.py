@@ -657,9 +657,10 @@ def run_bistrict_iff_bilinear(spec, b: Bounds, backends):
     def cases():
         for name, A, B in _pairs(pointed, "{},{}"):
             pd = CL.product(A, B)
+            bilinear = te.bilinearity(CL, A, B)
             for nc, C in pointed:
                 for f in CL.hom(pd.obj, C):
-                    yield f"{name}->{nc}", None if te.bistrict_iff_bilinear_check(CL, f, A, B) else fmt(f)
+                    yield f"{name}->{nc}", None if te.is_bistrict(CL, f, A, B) == bilinear(f) else fmt(f)
 
     yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
 

@@ -109,23 +109,34 @@ def is_bistrict(bk, f, A, B) -> bool:
     return True
 
 
+def _bilinear_legs(bk, A, B):
+    """The commutator LA x LB -> L(A x B) and the pairing of the folds
+    LA x LB -> A x B: the legs of the bilinearity square that no map changes."""
+    alpha_a, alpha_b = bk.algebra_structure(A), bk.algebra_structure(B)
+    if alpha_a is None or alpha_b is None:
+        raise StructureError("pointedness", "bilinearity and the tensor need pointed factors")
+    pd_l = bk.product(bk.lift(A).obj, bk.lift(B).obj)
+    folds = bk.pair(bk.product(A, B), bk.compose(alpha_a, pd_l.fst), bk.compose(alpha_b, pd_l.snd))
+    return commutator(bk, A, B), folds
+
+
+def bilinearity(bk, A, B):
+    """The test of maps f : A x B -> C for bilinearity, with the commutator
+    and the folds computed once for every f it is given."""
+    kappa, folds = _bilinear_legs(bk, A, B)
+
+    def bilinear(f) -> bool:
+        alpha_c = bk.algebra_structure(f.cod)
+        if alpha_c is None:
+            raise StructureError("pointedness", "bilinearity needs algebra structure")
+        return bk.compose(bk.compose(alpha_c, bk.lift_map(f)), kappa) == bk.compose(f, folds)
+
+    return bilinear
+
+
 def is_bilinear(bk, f, A, B) -> bool:
     """The fold of f after the commutator equals f after the folds."""
-    C = f.cod
-    alpha_c = bk.algebra_structure(C)
-    alpha_a, alpha_b = bk.algebra_structure(A), bk.algebra_structure(B)
-    if alpha_c is None or alpha_a is None or alpha_b is None:
-        raise StructureError("pointedness", "bilinearity needs algebra structure")
-    la, lb = bk.lift(A), bk.lift(B)
-    pd = bk.product(A, B)
-    pd_l = bk.product(la.obj, lb.obj)
-    kappa = commutator(bk, A, B)
-    lhs = bk.compose(bk.compose(alpha_c, bk.lift_map(f)), kappa)
-    folds = bk.pair(
-        pd, bk.compose(alpha_a, pd_l.fst), bk.compose(alpha_b, pd_l.snd)
-    )
-    rhs = bk.compose(f, folds)
-    return lhs == rhs
+    return bilinearity(bk, A, B)(f)
 
 
 def bistrict_iff_bilinear_check(bk, f, A, B) -> bool:
@@ -211,17 +222,9 @@ def seal_tensor(bk, A, B):
     Returns (Q, q, boxtimes): the object, the quotient map out of the lifted
     product, and the universal bilinear map.
     """
-    la, lb = bk.lift(A), bk.lift(B)
-    alpha_a, alpha_b = bk.algebra_structure(A), bk.algebra_structure(B)
-    if alpha_a is None or alpha_b is None:
-        raise StructureError("pointedness", "the tensor needs pointed factors")
+    kappa, folds = _bilinear_legs(bk, A, B)
     pd = bk.product(A, B)
-    pd_l = bk.product(la.obj, lb.obj)
-    kappa = commutator(bk, A, B)
-    leg1 = kleisli_extend(bk, kappa, pd.obj)
-    folds = bk.pair(pd, bk.compose(alpha_a, pd_l.fst), bk.compose(alpha_b, pd_l.snd))
-    leg2 = bk.lift_map(folds)
-    coeq = bk.coequalizer(leg1, leg2)
+    coeq = bk.coequalizer(kleisli_extend(bk, kappa, pd.obj), bk.lift_map(folds))
     ld = bk.lift(pd.obj)
     boxtimes = bk.compose(coeq.proj, ld.unit)
     return coeq.obj, coeq.proj, boxtimes
@@ -231,13 +234,14 @@ def seal_represents_bilinear_check(bk, A, B, codomains) -> tuple:
     """Bilinear maps correspond uniquely to strict maps out of the tensor."""
     Q, q, boxtimes = seal_tensor(bk, A, B)
     pd = bk.product(A, B)
+    bilinear = bilinearity(bk, A, B)
     for C in codomains:
         if not bk.is_pointed(C):
             continue
         alpha_c = bk.algebra_structure(C)
         groups = restriction_groups(bk, strict_hom_set(bk, Q, C), (q,))
         for f in bk.hom(pd.obj, C):
-            if not is_bilinear(bk, f, A, B):
+            if not bilinear(f):
                 continue
             dagger = bk.compose(alpha_c, bk.lift_map(f))
             hs = groups.get((dagger,), ())
