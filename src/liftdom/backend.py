@@ -473,6 +473,9 @@ class PresheafBackend(_ConstructionCache):
 
     def __post_init__(self):
         self._init_caches()
+        # built once, as the classical constants are: the base never changes
+        object.__setattr__(self, "_terminal", ps.InternalPoset.constant(self.base, TERMINAL))
+        object.__setattr__(self, "_initial", ps.InternalPoset.constant(self.base, INITIAL))
 
     # -- stage API ----------------------------------------------------------
     def stages(self, A) -> tuple:
@@ -510,10 +513,10 @@ class PresheafBackend(_ConstructionCache):
         return ps.NatTrans.make(A, B, fn)
 
     def terminal(self):
-        return ps.InternalPoset.constant(self.base, TERMINAL)
+        return self._terminal
 
     def initial(self):
-        return ps.InternalPoset.constant(self.base, INITIAL)
+        return self._initial
 
     def _build(self, elements, restrict, order):
         base = self.base
