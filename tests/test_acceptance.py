@@ -9,7 +9,6 @@ import time
 import pytest
 
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
-from liftdom.cli import main
 from liftdom.laws import REGISTRY, run_all, run_law, run_negative
 from liftdom.lifting import (
     all_algebra_structures,
@@ -183,6 +182,10 @@ def test_criterion_open_question_search():
         assert clean.status == "pass"
 
 
-def test_criterion_full_default_suite():
-    with _budget("full-default-suite", 900):
-        assert main(["check", "all"]) == 0
+def test_criterion_full_default_suite(default_suite_run):
+    # the one `check all` run of the session (conftest.py), through the CLI
+    run = default_suite_run
+    verdict = "PASS" if run.exit_code == 0 and run.elapsed <= 900 else "FAIL"
+    print(f"ACCEPTANCE full-default-suite: {verdict} ({run.elapsed:.1f}s / budget 900s)")
+    assert run.exit_code == 0
+    assert run.elapsed <= 900, "full-default-suite exceeded its 900s budget"

@@ -9,7 +9,7 @@ import pytest
 
 import liftdom
 from liftdom import lifting, tensor
-from liftdom.laws import REGISTRY, Bounds, run_all, run_law, run_negative
+from liftdom.laws import REGISTRY, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import StructureError
 from liftdom.report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport
@@ -35,9 +35,11 @@ def test_unknown_law():
 SUITE_SHA256 = "d44d4ead3ac455fb23f68e8546af8afeb2ed242ea2940bd8aa5ca680b632f31a"
 
 
-def test_default_suite_green():
+def test_default_suite_green(default_suite_run):
+    # the reports of the one `check all` run of the session (conftest.py)
     h = hashlib.sha256()
-    for rep in run_all():
+    assert [rep.law for rep in default_suite_run.reports] == list(REGISTRY)
+    for rep in default_suite_run.reports:
         assert rep.status == PASS, (rep.law, [i for i in rep.instances if i.status != PASS])
         h.update(rep.to_json(zero_elapsed=True).encode("utf-8") + b"\n")
     assert h.hexdigest() == SUITE_SHA256
