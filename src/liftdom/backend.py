@@ -34,10 +34,10 @@ products with ``pair``, coproducts with ``cotuple``, and the fold of a
 pointed dcpo A, the map ``scone_induced(lift(A), bottom, identity(A))``.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
-search run the one backtracking search ``order._order_search``.  Outside this module only
-``report.fmt`` knows how a lift element is stored; other code reads an
-element's partial family with ``LiftData.family`` and builds one with
-``LiftData.from_family``.
+search run the one backtracking search ``order._order_search``.  Outside
+this module only ``report.fmt`` knows how a lift element is stored; other
+code reads an element's partial family with ``LiftData.family`` and builds
+one with ``LiftData.from_family``.
 """
 from __future__ import annotations
 

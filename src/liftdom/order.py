@@ -484,10 +484,7 @@ def is_order_embedding(f: MonotoneMap) -> bool:
 
 
 def poset_iso(A: FinPoset, B: FinPoset):
-    """A pair of mutually inverse monotone maps, or None.
-
-    Deterministic: the lexicographically first order-iso, found by the
-    order search in iso mode."""
+    """The lexicographically first order-iso A -> B and its inverse, or None."""
     found: list = []
 
     def emit(vals):

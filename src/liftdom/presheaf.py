@@ -851,18 +851,15 @@ def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False) -> bo
     pos = [stages.index(p) for p in base.stages]
     PA = [A.stage_poset(q) for q in stages]
     PB = [B.stage_poset(q) for q in stages]
-    # per stage position i, each earlier position k above it with both
-    # restrictions as index maps into the stage at i
+
+    def res_index(X, P, r, q):
+        # X's restriction from r to q, as indices into P = X's stage poset at q
+        return tuple(P._index[y] for y in X.carrier._res[r, q])
+
+    # per stage position i: each earlier position k above it, with both restrictions
     above = [
-        [
-            (
-                k,
-                tuple(PA[i]._index[y] for y in A.carrier._res[(r, q)]),
-                tuple(PB[i]._index[y] for y in B.carrier._res[(r, q)]),
-            )
-            for k, r in enumerate(stages[:i])
-            if base.leq(q, r)
-        ]
+        [(k, res_index(A, PA[i], r, q), res_index(B, PB[i], r, q))
+         for k, r in enumerate(stages[:i]) if base.leq(q, r)]
         for i, q in enumerate(stages)
     ]
     chosen: list = [None] * len(stages)  # value indices per stage position

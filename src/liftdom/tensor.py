@@ -139,10 +139,6 @@ def is_bilinear(bk, f, A, B) -> bool:
     return bilinearity(bk, A, B)(f)
 
 
-def bistrict_iff_bilinear_check(bk, f, A, B) -> bool:
-    return is_bistrict(bk, f, A, B) == is_bilinear(bk, f, A, B)
-
-
 def bistrict_maps(bk, A, B, C) -> list:
     pd = bk.product(A, B)
     return [f for f in bk.hom(pd.obj, C) if is_bistrict(bk, f, A, B)]

@@ -22,9 +22,10 @@ from liftdom.order import FinPoset, is_order_embedding, poset_iso, posets_upto
 from liftdom.presheaf import global_elements_raw, omega
 from liftdom.report import PASS
 from liftdom.tensor import (
-    bistrict_iff_bilinear_check,
+    bilinearity,
     direct_smash_classical,
     homs_coincide_check,
+    is_bistrict,
     seal_iso_check,
     smash,
     smash_comparison,
@@ -119,9 +120,10 @@ def test_criterion_smash_products():
         for A in pointed3:
             for B in pointed3:
                 pd = CL.product(A, B)
+                bilinear = bilinearity(CL, A, B)
                 for C in pointed3:
                     for f in CL.hom(pd.obj, C):
-                        assert bistrict_iff_bilinear_check(CL, f, A, B)
+                        assert is_bistrict(CL, f, A, B) == bilinear(f)
                 ok, w = seal_iso_check(CL, A, B)
                 assert ok, w
 

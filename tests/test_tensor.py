@@ -5,7 +5,7 @@ from liftdom.lifting import strict_hom_set
 from liftdom.order import FinPoset, MonotoneMap, StructureError, poset_iso, posets_upto
 from liftdom.tensor import (
     associator_iso_check,
-    bistrict_iff_bilinear_check,
+    bilinearity,
     bistrict_maps,
     braiding,
     direct_smash_classical,
@@ -55,10 +55,11 @@ def test_projection_is_not_bistrict():
 def test_bistrict_iff_bilinear_exhaustive():
     for A in POINTED3:
         for B in POINTED3:
+            bilinear = bilinearity(CL, A, B)
             for C in POINTED3:
                 pd = CL.product(A, B)
                 for f in CL.hom(pd.obj, C):
-                    assert bistrict_iff_bilinear_check(CL, f, A, B)
+                    assert is_bistrict(CL, f, A, B) == bilinear(f)
 
 
 def test_smash_of_sigmas_is_sigma():
