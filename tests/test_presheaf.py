@@ -262,6 +262,8 @@ def test_enumerate_nat_trans_matches_bruteforce():
                 first_iso = next((c for c, iso in expect if iso), None)
                 found = bk.iso(X, Y)
                 assert (found and found[0].components) == first_iso
+                if found:
+                    assert nt_compose(found[1], found[0]) == NatTrans.identity(X)
                 pairs += 1
                 isos += first_iso is not None
     assert (objects, pairs, maps, isos) == (132, 2858, 7674, 290)
