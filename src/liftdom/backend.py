@@ -22,16 +22,19 @@ A backend supplies only what depends on how it stores objects and maps:
   and ``mor_from_fn``, which turns a stagewise function into a validated
   map; ``identity``, ``compose``, ``terminal`` and ``initial``;
 * the hom enumerator ``_hom``, ``hom_leq``, ``inverse`` and ``iso``;
-* the lift (``_lift``, ``lift_map``, ``_mult``, ``_strength``), the map
-  ``scone_induced`` that a cone datum induces out of a lift, and
+* the lift ``_lift``: only the object LA, its unit, its bottom and the
+  codec of its elements (``LiftData.family`` and ``from_family``);
+* the map ``scone_induced`` that a cone datum induces out of a lift, and
   ``_bottom_point`` with ``bottom_point`` (memoised only classically);
 * coequalisers, exponentials, subobjects, pointedness, directed
   completeness and positivity.
 
 The shared base ``_ConstructionCache`` derives the rest, once for both
 backends: ``bang``, ``from_initial``, ``global_elements``, ``is_iso``,
-products with ``pair``, coproducts with ``cotuple``, and the fold of a
-pointed dcpo A, the map ``scone_induced(lift(A), bottom, identity(A))``.
+products with ``pair``, coproducts with ``cotuple``, the lifting monad's
+``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
+and the fold of a pointed dcpo A, the map
+``scone_induced(lift(A), bottom, identity(A))``.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
 search run the one backtracking search ``order._order_search``.  Outside
@@ -93,15 +96,31 @@ class CoproductData:
 
 @dataclass
 class LiftData:
+    """The lift LA with its unit and bottom, and the codec of its elements.
+
+    An element u of LA at stage p is a partial family of A-elements on a
+    sieve below p.  ``family(p, u)`` lists its (stage, element) pairs in
+    stage order, and ``from_family(p, items)`` builds the element from such
+    a list, so the two invert each other.  The unit sends a to the total
+    family of a's restrictions, and the bottom is the empty family.
+    """
+
     obj: Any
     unit: Any  # A -> LA
     bottom: Any  # 1 -> LA
-    is_bot: Callable  # (stage, u) -> bool
-    as_eta: Callable  # (stage, u) -> a or None
-    eta_elem: Callable  # (stage, a) -> u
-    bot_elem: Callable  # (stage,) -> u
     family: Callable  # (stage, u) -> ((stage' <= stage, a), ...), u's partial family
     from_family: Callable  # (stage, ((stage', a), ...)) -> u
+
+    def is_bot(self, st, u) -> bool:
+        return not self.family(st, u)
+
+    def bot_elem(self, st):
+        return self.from_family(st, ())
+
+    def as_eta(self, st, u):
+        """The a with u = unit(a), or None: a sieve below st holds st itself
+        exactly when it is all of st's down-set."""
+        return dict(self.family(st, u)).get(st)
 
 
 @dataclass
@@ -233,6 +252,41 @@ class _ConstructionCache:
 
         return self.mor_from_fn(cd.obj, f.cod, fn)
 
+    # -- the lifting monad, over the lift's element codec ---------------------
+    def lift_map(self, f):
+        la, lb = self.lift(f.dom), self.lift(f.cod)
+        app, family, from_family = self.app, la.family, lb.from_family
+        return self.mor_from_fn(
+            la.obj, lb.obj, lambda p, u: from_family(p, [(q, app(f, q, v)) for q, v in family(p, u)])
+        )
+
+    def _mult(self, A):
+        """At each stage r of the outer family, keep the value that the inner
+        family, an element of LA at r, holds at r itself."""
+        la = self.lift(A)
+        lla = self.lift(la.obj)
+        family = la.family
+        return self.mor_from_fn(
+            lla.obj,
+            la.obj,
+            lambda p, w: la.from_family(
+                p, [(r, v) for r, inner in lla.family(p, w) for s, v in family(r, inner) if s == r]
+            ),
+        )
+
+    def _strength(self, A, B):
+        lb = self.lift(B)
+        pd = self.product(A, lb.obj)
+        pab = self.product(A, B)
+        lab = self.lift(pab.obj)
+        res_el = self.res_el
+
+        def st(p, x):
+            a, u = pd.unpack(p, x)
+            return lab.from_family(p, [(q, pab.pack(q, res_el(A, p, q, a), v)) for q, v in lb.family(p, u)])
+
+        return self.mor_from_fn(pd.obj, lab.obj, st)
+
     def _algebra_structure(self, A):
         """The fold LA -> A that the cone datum (bottom, identity) induces,
         or None unless A is a pointed dcpo."""
@@ -248,8 +302,8 @@ class ClassicalBackend(_ConstructionCache):
 
     def __init__(self):
         self._init_caches()
-        # fresh bottom label -> the element-level callables of a lift with
-        # that bottom; the thousands of lifts of a run share a few labels
+        # fresh bottom label -> the element codec of a lift with that
+        # bottom; the thousands of lifts of a run share a few labels
         self._lift_fns: dict = {}
 
     def __eq__(self, other):
@@ -371,43 +425,10 @@ class ClassicalBackend(_ConstructionCache):
         bottom = MonotoneMap.make(self.terminal(), LA, lambda _: bot)
         if bot not in self._lift_fns:
             self._lift_fns[bot] = (
-                lambda st, u: u == bot,
-                lambda st, u: None if u == bot else u,
-                lambda st, a: a,
-                lambda st: bot,
                 lambda st, u: () if u == bot else ((st, u),),
                 lambda st, items: items[0][1] if items else bot,
             )
         return LiftData(LA, unit, bottom, *self._lift_fns[bot])
-
-    def lift_map(self, f):
-        la, lb = self.lift(f.dom), self.lift(f.cod)
-        return MonotoneMap.make(
-            la.obj, lb.obj, lambda u: lb.bot_elem(None) if la.is_bot(None, u) else f(u)
-        )
-
-    def _mult(self, A):
-        la = self.lift(A)
-        lla = self.lift(la.obj)
-        return MonotoneMap.make(
-            lla.obj,
-            la.obj,
-            lambda u: la.bot_elem(None) if lla.is_bot(None, u) else u,
-        )
-
-    def _strength(self, A, B):
-        lb = self.lift(B)
-        pd = self.product(A, lb.obj)
-        pab = self.product(A, B)
-        lab = self.lift(pab.obj)
-
-        def st(stage, x):
-            a, u = pd.unpack(stage, x)
-            if lb.is_bot(stage, u):
-                return lab.bot_elem(stage)
-            return pab.pack(stage, a, u)
-
-        return self.mor_from_fn(pd.obj, lab.obj, st)
 
     def scone_induced(self, ld: LiftData, c0, c1):
         """The unique map LA -> C with h(bot) = c0 and h(eta a) = c1 a."""
@@ -611,73 +632,17 @@ class PresheafBackend(_ConstructionCache):
 
         LA = self._build(elements, restrict, lambda p, els: {(x, y) for x in els for y in els if le(x, y)})
 
-        def eta_elem(p, a):
+        def eta(p, a):
             down = base.down_list(p)
             return ("lf", down, tuple(A.res_el(p, q, a) for q in down))
 
-        unit = ps.NatTrans.make(A, LA, eta_elem)
-        bottom = ps.NatTrans.make(self.terminal(), LA, lambda p, _: ("lf", (), ()))
-
-        def as_eta(p, u):
-            _, S, fam = u
-            down = base.down_list(p)
-            if S != down:
-                return None
-            return fam[S.index(p)]
-
         return LiftData(
             LA,
-            unit,
-            bottom,
-            lambda st, u: u[1] == (),
-            as_eta,
-            eta_elem,
-            lambda st: ("lf", (), ()),
+            ps.NatTrans.make(A, LA, eta),
+            ps.NatTrans.make(self.terminal(), LA, lambda p, _: ("lf", (), ())),
             lambda st, u: tuple(zip(u[1], u[2])),
             lambda st, items: ("lf", tuple(q for q, _ in items), tuple(v for _, v in items)),
         )
-
-    def lift_map(self, f):
-        la, lb = self.lift(f.dom), self.lift(f.cod)
-        return ps.NatTrans.make(
-            la.obj,
-            lb.obj,
-            lambda p, u: ("lf", u[1], tuple(f.apply(q, v) for q, v in zip(u[1], u[2]))),
-        )
-
-    def _mult(self, A):
-        la = self.lift(A)
-        lla = self.lift(la.obj)
-
-        def mu(p, w):
-            _, S, fams = w
-            T, vals = [], []
-            for i, r in enumerate(S):
-                inner = fams[i]  # an element of LA at stage r
-                _, Sr, famr = inner
-                if r in Sr:
-                    T.append(r)
-                    vals.append(famr[Sr.index(r)])
-            return ("lf", tuple(T), tuple(vals))
-
-        return ps.NatTrans.make(lla.obj, la.obj, mu)
-
-    def _strength(self, A, B):
-        lb = self.lift(B)
-        pd = self.product(A, lb.obj)
-        pab = self.product(A, B)
-        lab = self.lift(pab.obj)
-
-        def st(p, x):
-            a, u = pd.unpack(p, x)
-            _, T, fam = u
-            return (
-                "lf",
-                T,
-                tuple(("pr", A.res_el(p, q, a), fam[i]) for i, q in enumerate(T)),
-            )
-
-        return ps.NatTrans.make(pd.obj, lab.obj, st)
 
     def scone_induced(self, ld: LiftData, c0, c1):
         A = c1.dom
@@ -689,12 +654,11 @@ class PresheafBackend(_ConstructionCache):
             raise UnavailableError("cone codomain is not an internal dcpo", w)
 
         def h(p, u):
-            _, S, fam = u
             members = {
                 q: {c0.apply(q, "*")} for q in self.base.stages if self.base.leq(q, p)
             }
-            for i, q in enumerate(S):
-                members[q] = members[q] | {c1.apply(q, fam[i])}
+            for q, v in ld.family(p, u):
+                members[q] = members[q] | {c1.apply(q, v)}
             D = ps.Subpresheaf.make(C, members)
             s = ps.internal_sup(C, D, p)
             if s is None:

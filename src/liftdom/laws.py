@@ -193,10 +193,6 @@ def _fake_scone_backend(junk=False):
                 obj,
                 MonotoneMap.make(X, obj, eta),
                 MonotoneMap.make(base.terminal(), obj, lambda _: bot),
-                lambda st, u: u == bot,
-                lambda st, u: None if junk or u[1] == 0 else u[2],
-                lambda st, a: eta(a),
-                lambda st: bot,
                 lambda st, u: () if u == bot else ((st, u),),
                 lambda st, items: items[0][1] if items else bot,
             )
@@ -253,15 +249,12 @@ def neg_cocomma(b: Bounds):
 
 def _classification_witness(A):
     sig = CL.lift(CL.terminal())
+    top = CL.app(sig.unit, None, "*")
     opens = CL.scott_open_subobjects(A)
     chis = {}
     for members in opens:
         chi = CL.mor_from_fn(
-            A,
-            sig.obj,
-            lambda st, a, m=members: sig.eta_elem(st, "*")
-            if a in m[None]
-            else sig.bot_elem(st),
+            A, sig.obj, lambda st, a, m=members: top if a in m[None] else sig.bot_elem(st)
         )
         chis[frozenset(members[None])] = chi
     homs = set(CL.hom(A, sig.obj))
@@ -269,7 +262,7 @@ def _classification_witness(A):
         return f"{len(chis)} characteristic maps vs {len(homs)} maps into sigma"
     for members, chi in chis.items():
         recovered = frozenset(
-            a for a in A.elements if chi(a) == sig.eta_elem(None, "*")
+            a for a in A.elements if chi(a) == top
         )
         if recovered != members:
             return f"pullback of top recovers {fmt(recovered)} not {fmt(members)}"
@@ -297,7 +290,7 @@ def neg_open_classifier(b: Bounds):
         CL.mor_from_fn(
             A,
             sig.obj,
-            lambda st, a: sig.eta_elem(st, "*") if a in members else sig.bot_elem(st),
+            lambda st, a: CL.app(sig.unit, st, "*") if a in members else sig.bot_elem(st),
         )
     except StructureError as e:
         return _control("down-set posing as an open", True, str(e))

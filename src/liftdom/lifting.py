@@ -1,8 +1,9 @@
 """The lifting monad, its algebras, and partial-map classification.
 
 Everything here is generic over a backend: monad data (unit, bottom,
-multiplication, strength) comes from the backend's concrete lifting
-construction, while Kleisli extension, the commutator, cone-induced maps,
+multiplication, strength) comes from the backend, whose lift supplies the
+unit and bottom and whose shared base derives the rest from the lift's
+element codec, while Kleisli extension, the commutator, cone-induced maps,
 algebra laws, positivity and the partial-map bijection are assembled and
 checked here.  Universal properties are verified by exhaustion, never
 assumed.
@@ -449,12 +450,12 @@ def conservativity_check(bk, f):
     for p in bk.stages(A):
         for u in bk.at(la.obj, p):
             for b in bk.at(B, p):
-                if bk.app(lf, p, u) != lb.eta_elem(p, b):
+                if bk.app(lf, p, u) != bk.app(lb.unit, p, b):
                     continue
                 cands = [
                     a
                     for a in bk.at(A, p)
-                    if la.eta_elem(p, a) == u and bk.app(f, p, a) == b
+                    if bk.app(la.unit, p, a) == u and bk.app(f, p, a) == b
                 ]
                 if len(cands) != 1:
                     return False, ("fiber", p, u, b, len(cands))
