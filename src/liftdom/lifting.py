@@ -80,11 +80,16 @@ def commutator_both(bk, A, B):
 
 
 def commutator(bk, A, B):
-    """The commutator kappa; both extension orders must agree."""
-    k1, k2 = commutator_both(bk, A, B)
-    if k1 != k2:
-        raise StructureError("commutativity", "the two extension orders disagree")
-    return k1
+    """The commutator kappa, built once per (A, B) on each backend; both
+    extension orders must agree."""
+
+    def build():
+        k1, k2 = commutator_both(bk, A, B)
+        if k1 != k2:
+            raise StructureError("commutativity", "the two extension orders disagree")
+        return k1
+
+    return bk.memo(("commutator", A, B), build)
 
 
 # ---------------------------------------------------------------------------
