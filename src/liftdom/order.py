@@ -455,25 +455,6 @@ def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     return FinPoset(els, pairs), by_el
 
 
-def poset_reflect(Q: Preorder) -> tuple[FinPoset, dict]:
-    """Collapse x<=y<=x cycles; representative = least member in canonical order.
-
-    Returns (poset of representatives, assignment element -> representative).
-    """
-    reps: dict = {}
-    for i, x in enumerate(Q.elements):
-        if x in reps:
-            continue
-        for y in Q.elements[i:]:
-            if Q.leq(x, y) and Q.leq(y, x):
-                reps[y] = x
-    rep_els = tuple(x for x in Q.elements if reps[x] == x)
-    pairs = frozenset(
-        (a, b) for a in rep_els for b in rep_els if Q.leq(a, b)
-    )
-    return FinPoset(rep_els, pairs), reps
-
-
 def is_order_embedding(f: MonotoneMap) -> bool:
     """f(x) <= f(y) iff x <= y, for all x, y."""
     for x in f.dom.elements:
@@ -497,20 +478,6 @@ def poset_iso(A: FinPoset, B: FinPoset):
     fwd = MonotoneMap._trusted(A, B, tuple([B.elements[v] for v in vals]))
     back = MonotoneMap._trusted(B, A, tuple([A.elements[vals.index(v)] for v in range(B.n)]))
     return fwd, back
-
-
-def arrow_poset(Y: FinPoset) -> FinPoset:
-    """Pairs (y, y') with y <= y', ordered componentwise."""
-    els = tuple(
-        ("pr", y, z) for y in Y.elements for z in Y.elements if Y.leq(y, z)
-    )
-    pairs = frozenset(
-        (a, b)
-        for a in els
-        for b in els
-        if Y.leq(a[1], b[1]) and Y.leq(a[2], b[2])
-    )
-    return FinPoset(els, pairs)
 
 
 def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:

@@ -134,11 +134,6 @@ def bilinearity(bk, A, B):
     return bilinear
 
 
-def is_bilinear(bk, f, A, B) -> bool:
-    """The fold of f after the commutator equals f after the folds."""
-    return bilinearity(bk, A, B)(f)
-
-
 def bistrict_maps(bk, A, B, C) -> list:
     pd = bk.product(A, B)
     return [f for f in bk.hom(pd.obj, C) if is_bistrict(bk, f, A, B)]

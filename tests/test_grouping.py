@@ -22,8 +22,8 @@ from liftdom.colimits import (
 from liftdom.lifting import all_algebra_structures, restriction_groups, strict_hom_set
 from liftdom.order import FinPoset, MonotoneMap, StructureError, posets_upto
 from liftdom.tensor import (
+    bilinearity,
     bistrict_maps,
-    is_bilinear,
     is_bistrict,
     seal_represents_bilinear_check,
     seal_tensor,
@@ -125,7 +125,7 @@ def scan_seal_represents_bilinear_check(bk, A, B, codomains):
         alpha_c = bk.algebra_structure(C)
         shoms = strict_hom_set(bk, Q, C)
         for f in bk.hom(pd.obj, C):
-            if not is_bilinear(bk, f, A, B):
+            if not bilinearity(bk, A, B)(f):
                 continue
             dagger = bk.compose(alpha_c, bk.lift_map(f))
             matching = [h for h in shoms if bk.compose(h, q) == dagger]

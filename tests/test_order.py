@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftdom.backend import ClassicalBackend
+from liftdom.lifting import arrow_object
 from liftdom.order import (
     FinPoset,
     MonotoneMap,
-    Preorder,
     StructureError,
     Subset,
     all_posets,
-    arrow_poset,
     compose,
     directed_subsets,
     enumerate_monotone_maps,
@@ -23,7 +23,6 @@ from liftdom.order import (
     lub,
     map_leq,
     poset_iso,
-    poset_reflect,
     posets_upto,
     scott_opens,
     subsets,
@@ -36,6 +35,7 @@ DIAMOND = FinPoset.from_generators(
     "wxyz", [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")]
 )
 EMPTY = FinPoset((), frozenset())
+CL = ClassicalBackend()
 
 
 def brute_monotone_maps(A, B):
@@ -117,31 +117,6 @@ def test_enumerate_monotone_maps_against_bruteforce():
             assert set(got) == set(brute_monotone_maps(A, B))
 
 
-def test_poset_reflect():
-    P = Preorder(
-        ("a", "b"),
-        frozenset([("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")]),
-    )
-    Q, reps = poset_reflect(P)
-    assert Q.n == 1 and reps == {"a": "a", "b": "a"}
-    # 4-cycle: everything related
-    els = ("p", "q", "r", "s")
-    cyc = Preorder(els, frozenset((x, y) for x in els for y in els))
-    Q, reps = poset_reflect(cyc)
-    assert Q.n == 1 and set(reps.values()) == {"p"}
-    # antisymmetric input: identity quotient
-    pre = Preorder(CHAIN3.elements, CHAIN3.pairs)
-    Q, reps = poset_reflect(pre)
-    assert Q == CHAIN3 and all(reps[x] == x for x in CHAIN3.elements)
-
-
-def test_poset_reflect_idempotent():
-    for P in posets_upto(4):
-        pre = Preorder(P.elements, P.pairs)
-        Q, _ = poset_reflect(pre)
-        assert Q == P
-
-
 def test_is_order_embedding():
     assert is_order_embedding(MonotoneMap.identity(DIAMOND))
     const = MonotoneMap.make(ANTI2, CHAIN2, lambda _: "c0")
@@ -187,17 +162,18 @@ def test_poset_iso_is_the_first_iso_of_every_relabelling():
 
 
 def test_arrow_poset():
+    # the arrow object that the phoa and top-opfibration laws build
     pt = FinPoset(("p",), frozenset([("p", "p")]))
-    assert arrow_poset(pt).n == 1
-    assert arrow_poset(CHAIN2).n == 3
-    assert arrow_poset(ANTI2).n == 2
+    assert arrow_object(CL, pt)[0].n == 1
+    assert arrow_object(CL, CHAIN2)[0].n == 3
+    assert arrow_object(CL, ANTI2)[0].n == 2
 
 
 def test_arrow_poset_is_hom_from_chain2():
     # comma-square instance: monotone maps 2-chain -> Y, ordered pointwise
     for Y in posets_upto(4):
         H, _ = hom_poset(CHAIN2, Y)
-        assert poset_iso(H, arrow_poset(Y)) is not None
+        assert poset_iso(H, arrow_object(CL, Y)[0]) is not None
 
 
 def test_poset_counts():

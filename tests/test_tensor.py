@@ -11,7 +11,6 @@ from liftdom.tensor import (
     direct_smash_classical,
     hexagon_check,
     homs_coincide_check,
-    is_bilinear,
     is_bistrict,
     kock_criterion_check,
     linear_hom,
@@ -42,14 +41,14 @@ def test_meet_map_is_bistrict():
         pd.obj, SIGMA, lambda x: "c1" if x[1] == "c1" and x[2] == "c1" else "c0"
     )
     assert is_bistrict(CL, meet, SIGMA, SIGMA)
-    assert is_bilinear(CL, meet, SIGMA, SIGMA)
+    assert bilinearity(CL, SIGMA, SIGMA)(meet)
 
 
 def test_projection_is_not_bistrict():
     pd = CL.product(SIGMA, SIGMA)
     proj = MonotoneMap.make(pd.obj, SIGMA, lambda x: x[1])
     assert not is_bistrict(CL, proj, SIGMA, SIGMA)
-    assert not is_bilinear(CL, proj, SIGMA, SIGMA)
+    assert not bilinearity(CL, SIGMA, SIGMA)(proj)
 
 
 def test_bistrict_iff_bilinear_exhaustive():
