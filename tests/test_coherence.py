@@ -74,6 +74,7 @@ def test_point_base_agrees_with_classical():
     # one through the evident dictionary stage-element <-> element
     base = BasePoset(FinPoset(("s",), frozenset([("s", "s")])))
     bk = PresheafBackend(base)
+    lifted_maps = 0
     for P in posets_upto(3):
         A = InternalPoset.constant(base, P)
         # hom sets agree in size (continuity is vacuous over a point)
@@ -82,6 +83,7 @@ def test_point_base_agrees_with_classical():
             assert len(bk.hom(A, B)) == len(CL.hom(P, Q))
         # lifting agrees: one fresh element below everything
         assert len(bk.lift(A).obj.at("s")) == CL.lift(P).obj.n
+        lifted_maps += _lifting_monad_agrees(bk, P, A)
         # Scott-opens agree with up-sets
         assert len(bk.scott_open_subobjects(A)) == len(scott_opens(P))
         # pointedness and folds agree
@@ -122,6 +124,66 @@ def test_point_base_agrees_with_classical():
                 for g in CL.hom(Q, Q):
                     cotupled = bk.cotuple(cd_ps, _over_point(bk, f), _over_point(bk, g))
                     assert cotupled.components == (CL.cotuple(cd_cl, f, g).values,)
+    # every map between posets with at most 3 elements was lifted
+    assert lifted_maps == 485
+
+
+def _families(bk, p, ld, key=lambda v: v):
+    """LA's carrier at p in order, each element read as the values of its
+    partial family: () for the bottom, (key(a),) for the unit image of a."""
+    return [tuple(key(v) for _, v in ld.family(p, u)) for u in bk.at(ld.obj, p)]
+
+
+def _positions(bk, p, f):
+    """The map f at stage p as positions in its codomain's carrier."""
+    cod = bk.at(f.cod, p)
+    return tuple(cod.index(bk.app(f, p, x)) for x in bk.at(f.dom, p))
+
+
+def _lifting_monad_agrees(bk, P, A):
+    """The lift of P and of the constant presheaf A over the one-stage base
+    agree through ``family``: carriers bottom first, unit, bottom and mult,
+    and, against every poset Q with at most 3 elements, the strength and
+    ``lift_map`` on every map P -> Q.  Returns how many maps it lifted."""
+    sides = ((CL, None, P), (bk, "s", A))
+    got = []
+    for b, p, X in sides:
+        la = b.lift(X)
+        lla = b.lift(la.obj)
+        index = b.at(la.obj, p).index
+        got.append(
+            (
+                _families(b, p, la),
+                _positions(b, p, la.unit),
+                _positions(b, p, la.bottom),
+                _families(b, p, lla, index),
+                _positions(b, p, b.mult(X)),
+            )
+        )
+    assert got[0] == got[1]
+    assert got[0][0][0] == ()
+    lifted = 0
+    for Q in posets_upto(3):
+        B = InternalPoset.constant(bk.base, Q)
+        got = []
+        for b, p, X, Y in ((CL, None, P, Q), (bk, "s", A, B)):
+            lb = b.lift(Y)
+            index = b.at(lb.obj, p).index
+            pd = b.product(X, lb.obj)
+            lab = b.lift(b.product(X, Y).obj)
+            st = b.strength(X, Y)
+            got.append(
+                (
+                    [(x, index(u)) for x, u in (pd.unpack(p, y) for y in b.at(pd.obj, p))],
+                    _families(b, p, lab),
+                    _positions(b, p, st),
+                )
+            )
+        assert got[0] == got[1]
+        for f in CL.hom(P, Q):
+            assert _positions(bk, "s", bk.lift_map(_over_point(bk, f))) == _positions(CL, None, CL.lift_map(f))
+            lifted += 1
+    return lifted
 
 
 def _over_point(bk, f):

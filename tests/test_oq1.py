@@ -1,3 +1,5 @@
+import hashlib
+
 from liftdom.backend import PresheafBackend
 from liftdom.oq1 import (
     OQ1Bounds,
@@ -26,10 +28,18 @@ def test_classical_lane_clean():
     assert lane and lane[0].witness == "0 failures"
 
 
+# sha256 of the default search's zero-elapsed JSON and a newline; it runs
+# the presheaf lift, fold and cone-induced map over three bases.  A change
+# that moves it must say what changed in the report on purpose.
+DEFAULT_SEARCH_SHA256 = "6ed874f88dbf32efcea662f1ab016a4283b786378aff77ca54cbfdea5535f331"
+
+
 def test_default_search_deterministic_and_reverified():
     rep1 = search_open_question_1()
     rep2 = search_open_question_1()
     assert rep1.to_json(zero_elapsed=True) == rep2.to_json(zero_elapsed=True)
+    digest = hashlib.sha256((rep1.to_json(zero_elapsed=True) + "\n").encode("utf-8")).hexdigest()
+    assert digest == DEFAULT_SEARCH_SHA256
     fails = [i for i in rep1.instances if i.status == "fail" and "carrier" in i.objects]
     # every reported candidate must carry the independent confirmation
     assert all("confirmed candidate" in i.witness for i in fails)
