@@ -265,12 +265,11 @@ class _ConstructionCache:
         family, an element of LA at r, holds at r itself."""
         la = self.lift(A)
         lla = self.lift(la.obj)
-        family = la.family
         return self.mor_from_fn(
             lla.obj,
             la.obj,
             lambda p, w: la.from_family(
-                p, [(r, v) for r, inner in lla.family(p, w) for s, v in family(r, inner) if s == r]
+                p, [(r, v) for r, inner in lla.family(p, w) for s, v in la.family(r, inner) if s == r]
             ),
         )
 
