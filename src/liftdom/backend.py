@@ -21,17 +21,18 @@ A backend supplies only what depends on how it stores objects and maps:
   ``order(p, els)`` gives the order pairs on the elements ``els`` at p),
   and ``mor_from_fn``, which turns a stagewise function into a validated
   map; ``identity``, ``compose``, ``terminal`` and ``initial``;
-* the hom enumerator ``_hom``, ``hom_leq``, ``inverse`` and ``iso``;
+* the hom enumerator ``_hom``, ``hom_leq`` and ``iso``;
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
 * the map ``scone_induced`` that a cone datum induces out of a lift, and
   ``_bottom_point`` with ``bottom_point`` (memoised only classically);
-* coequalisers, exponentials, subobjects, pointedness, directed
-  completeness and positivity.
+* coequalisers, exponentials, Scott-open subobjects, pointedness,
+  directed completeness and positivity.
 
 The shared base ``_ConstructionCache`` derives the rest, once for both
-backends: ``bang``, ``from_initial``, ``global_elements``, ``is_iso``,
-products with ``pair``, coproducts with ``cotuple``, the lifting monad's
+backends: ``bang``, ``from_initial``, ``global_elements``, ``inverse``
+with ``is_iso``, ``subobject`` with its inclusion, products with
+``pair``, coproducts with ``cotuple``, the lifting monad's
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
 and the fold of a pointed dcpo A, the map
 ``scone_induced(lift(A), bottom, identity(A))``.
@@ -191,8 +192,39 @@ class _ConstructionCache:
     def global_elements(self, A) -> tuple:
         return self.hom(self.terminal(), A)
 
+    def inverse(self, f):
+        """The inverse of f, or None.  f must be a bijection at every stage,
+        and the stagewise inverse a map: natural and monotone, so that f is
+        a natural stagewise order-iso.  Such an iso carries every internal
+        supremum to a supremum, so the inverse needs no continuity check."""
+        back = {}
+        for p in self.stages(f.dom):
+            xs = self.at(f.dom, p)
+            back[p] = {self.app(f, p, x): x for x in xs}
+            if len(back[p]) != len(xs) or len(xs) != len(self.at(f.cod, p)):
+                return None
+        try:
+            return self.mor_from_fn(f.cod, f.dom, lambda p, y: back[p][y])
+        except StructureError:
+            return None
+
     def is_iso(self, f) -> bool:
         return self.inverse(f) is not None
+
+    def subobject(self, A, members: dict):
+        """The subobject of A on ``members`` (stage -> elements) with the
+        induced order, and its inclusion; elements keep A's order."""
+
+        def order(p, els):
+            keep = set(els)
+            return frozenset((x, y) for x, y in self.stage_poset(A, p).pairs if x in keep and y in keep)
+
+        def elements(p):
+            keep = members.get(p, ())
+            return tuple(x for x in self.at(A, p) if x in keep)
+
+        sub = self._build(elements, lambda p, q, x: self.res_el(A, p, q, x), order)
+        return sub, self.mor_from_fn(sub, A, lambda p, x: x)
 
     def _product(self, A, B) -> ProductData:
         def order(p, els):
@@ -363,15 +395,6 @@ class ClassicalBackend(_ConstructionCache):
     def hom_leq(self, f, g) -> bool:
         return map_leq(f, g)
 
-    def inverse(self, f):
-        if len(set(f.values)) != f.dom.n or f.dom.n != f.cod.n:
-            return None
-        back = {v: x for x, v in zip(f.dom.elements, f.values)}
-        try:
-            return MonotoneMap.make(f.cod, f.dom, back)
-        except StructureError:
-            return None
-
     def iso(self, A, B):
         return poset_iso(A, B)
 
@@ -392,11 +415,6 @@ class ClassicalBackend(_ConstructionCache):
         if b is None:
             return None
         return MonotoneMap.make(self.terminal(), A, lambda _: b)
-
-    def subobject(self, A, members: dict):
-        sub = A.restrict(members[None])
-        incl = MonotoneMap.make(sub, A, lambda x: x)
-        return sub, incl
 
     def scott_open_subobjects(self, A) -> list[dict]:
         from .order import scott_opens
@@ -550,23 +568,6 @@ class PresheafBackend(_ConstructionCache):
     def hom_leq(self, f, g) -> bool:
         return ps.nt_leq(f, g)
 
-    def inverse(self, f):
-        A, B = f.dom, f.cod
-        comps = {}
-        for p in self.base.stages:
-            if len(set(f.components[self.base.poset.index(p)])) != len(A.at(p)) or len(
-                A.at(p)
-            ) != len(B.at(p)):
-                return None
-            comps[p] = {f.apply(p, x): x for x in A.at(p)}
-        try:
-            g = ps.NatTrans.make(B, A, lambda p, y: comps[p][y])
-        except StructureError:
-            return None
-        if not ps.is_continuous(g):
-            return None
-        return g
-
     def iso(self, A, B):
         """A natural stagewise order-iso pair, or None (first in search order)."""
         fwd = ps.natural_iso(A, B)
@@ -587,10 +588,6 @@ class PresheafBackend(_ConstructionCache):
 
     # not memoised: only the classical backend meets it once per hom it filters
     bottom_point = _bottom_point
-
-    def subobject(self, A, members: dict):
-        D = ps.Subpresheaf.make(A, members)
-        return ps.sub_internal_poset(D)
 
     def scott_open_subobjects(self, A) -> list[dict]:
         return [

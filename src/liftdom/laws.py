@@ -36,7 +36,7 @@ from .order import (
     quotient_poset,
     semidirected_subsets,
 )
-from .presheaf import BasePoset, InternalPoset, global_elements_raw, omega, subobject_classification_check
+from .presheaf import BasePoset, InternalPoset, global_elements_raw, omega
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
 CL = ClassicalBackend()
@@ -247,54 +247,26 @@ def neg_cocomma(b: Bounds):
 # ---------------------------------------------------------------------------
 # open-classifier
 
-def _classification_witness(A):
-    sig = CL.lift(CL.terminal())
-    top = CL.app(sig.unit, None, "*")
-    opens = CL.scott_open_subobjects(A)
-    chis = {}
-    for members in opens:
-        chi = CL.mor_from_fn(
-            A, sig.obj, lambda st, a, m=members: top if a in m[None] else sig.bot_elem(st)
-        )
-        chis[frozenset(members[None])] = chi
-    homs = set(CL.hom(A, sig.obj))
-    if set(chis.values()) != homs or len(chis) != len(opens):
-        return f"{len(chis)} characteristic maps vs {len(homs)} maps into sigma"
-    for members, chi in chis.items():
-        recovered = frozenset(
-            a for a in A.elements if chi(a) == top
-        )
-        if recovered != members:
-            return f"pullback of top recovers {fmt(recovered)} not {fmt(members)}"
-    return None
-
-
 def run_open_classifier(spec, b: Bounds, backends):
     if "classical" in backends:
         for name, A in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _classification_witness(A))
+            yield _verdict(name, _witness(li.open_classifier_check(CL, A)))
     if "presheaf" in backends:
         bk = sierpinski_backend()
         targets = [("terminal", bk.terminal()), ("omega", omega(bk.base))]
         targets += [(f"model:{name}", ip) for name, ip in spec.iposets.items() if ip.size() <= 4]
         for name, A in targets:
-            yield _verdict(name, None if subobject_classification_check(A) else "classification bijection fails")
+            yield _verdict(name, _witness(li.open_classifier_check(bk, A)))
 
 
 def neg_open_classifier(b: Bounds):
-    # present a non-open (not up-closed) subset as an open of the 2-chain
-    A = FinPoset.chain(2)
-    sig = CL.lift(CL.terminal())
-    members = frozenset({"c0"})
+    # present a non-open (not up-closed) subset as an open of the 2-chain:
+    # its characteristic map is not monotone
     try:
-        CL.mor_from_fn(
-            A,
-            sig.obj,
-            lambda st, a: CL.app(sig.unit, st, "*") if a in members else sig.bot_elem(st),
-        )
+        ok, w = li.open_classifier_check(CL, FinPoset.chain(2), opens=[{None: frozenset({"c0"})}])
     except StructureError as e:
         return _control("down-set posing as an open", True, str(e))
-    return _control("down-set posing as an open", False, None)
+    return _control("down-set posing as an open", not ok, w)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +334,23 @@ def neg_conservative(b: Bounds):
 # pointed-iff-algebra / pointed-iff-inductive / strict-iff-inductive /
 # strict-iff-hom / monadicity-triple
 
-def _pointed_algebra_witness(X):
-    if (li.algebra_structure(CL, X) is not None) != X.is_pointed():
+def _pointed_algebra_witness(bk, X):
+    """A structure map exists iff X is pointed, and it is then the only one."""
+    pointed = bk.is_pointed(X)
+    if (li.algebra_structure(bk, X) is not None) != pointed:
         return "structure map existence disagrees with pointedness"
-    structures = li.all_algebra_structures(CL, X)
-    return None if len(structures) == int(X.is_pointed()) else f"{len(structures)} structure maps"
+    structures = li.all_algebra_structures(bk, X)
+    return None if len(structures) == int(pointed) else f"{len(structures)} structure maps"
 
 
 def run_pointed_iff_algebra(spec, b: Bounds, backends):
     if "classical" in backends:
         for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _pointed_algebra_witness(X))
+            yield _verdict(name, _pointed_algebra_witness(CL, X))
     if "presheaf" in backends:
         bk = sierpinski_backend()
         for name, A in [("omega", omega(bk.base)), ("terminal", bk.terminal())]:
-            agree = (li.algebra_structure(bk, A) is not None) == bk.is_pointed(A)
-            yield _verdict(name, None if agree else "existence disagrees with pointedness")
+            yield _verdict(name, _pointed_algebra_witness(bk, A))
 
 
 def neg_pointed_iff_algebra(b: Bounds):
@@ -942,28 +915,28 @@ def neg_nonboolean_lift(b: Bounds):
     )
 
 
-def _misses_unit_pair(k, la, lb) -> bool:
+def _misses_unit_pair(bk, k, la, lb) -> bool:
     """Whether k : LA x LB -> L(A x B) fails to send a pair of units to the unit."""
-    pab = CL.product(la.unit.dom, lb.unit.dom)
-    eta_pair = CL.pair(CL.product(la.obj, lb.obj), CL.compose(la.unit, pab.fst), CL.compose(lb.unit, pab.snd))
-    return CL.compose(k, eta_pair) != CL.lift(pab.obj).unit
+    pab = bk.product(la.unit.dom, lb.unit.dom)
+    eta_pair = bk.pair(bk.product(la.obj, lb.obj), bk.compose(la.unit, pab.fst), bk.compose(lb.unit, pab.snd))
+    return bk.compose(k, eta_pair) != bk.lift(pab.obj).unit
 
 
-def _commutator_witness(A, B):
-    k1, k2 = li.commutator_both(CL, A, B)
+def _commutator_witness(bk, A, B):
+    k1, k2 = li.commutator_both(bk, A, B)
     if k1 != k2:
         return "extension orders disagree"
-    la, lb = CL.lift(A), CL.lift(B)
-    if _misses_unit_pair(k1, la, lb):
+    la, lb = bk.lift(A), bk.lift(B)
+    if _misses_unit_pair(bk, k1, la, lb):
         return "commutator misses the unit pair"
-    return None if te.is_bistrict(CL, k1, la.obj, lb.obj) else "commutator is not bistrict"
+    return None if te.is_bistrict(bk, k1, la.obj, lb.obj) else "commutator is not bistrict"
 
 
 def run_commutative_monad(spec, b: Bounds, backends):
     if "classical" in backends:
         n = min(b.max_size, 3)
         yield from _exhaust(
-            ((name, _commutator_witness(A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
+            ((name, _commutator_witness(CL, A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
             f"extension orders agree for pairs ≤ {n}",
         )
         yield from _exhaust(
@@ -975,8 +948,7 @@ def run_commutative_monad(spec, b: Bounds, backends):
         )
     if "presheaf" in backends:
         bk = sierpinski_backend()
-        k1, k2 = li.commutator_both(bk, bk.terminal(), bk.terminal())
-        yield _verdict("1,1/2-chain-base", None if k1 == k2 else "orders disagree")
+        yield _verdict("1,1/2-chain-base", _commutator_witness(bk, bk.terminal(), bk.terminal()))
 
 
 def neg_commutative_monad(b: Bounds):
@@ -987,7 +959,7 @@ def neg_commutative_monad(b: Bounds):
     la = CL.lift(A)
     return _control(
         "commutator twisted by a one-sided swap",
-        _misses_unit_pair(twisted, la, la),
+        _misses_unit_pair(CL, twisted, la, la),
         "twisted composite sends a unit pair to the swapped unit",
     )
 

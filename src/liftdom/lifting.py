@@ -333,6 +333,40 @@ def top_opfibration_check(bk):
 
 
 # ---------------------------------------------------------------------------
+# The open classifier.
+
+def open_classifier_check(bk, A, opens=None):
+    """Sigma = L1 classifies the Scott-open subobjects of A: their
+    characteristic maps are exactly the maps A -> Sigma, one per open, and
+    each open is the preimage of the top.  ``opens`` (stage -> members
+    dicts) defaults to A's Scott-open subobjects."""
+    sig = bk.lift(bk.terminal())
+    if opens is None:
+        opens = bk.scott_open_subobjects(A)
+
+    def chi(U):
+        return bk.mor_from_fn(
+            A,
+            sig.obj,
+            lambda p, a: sig.from_family(
+                p, [(q, "*") for q in bk.base_down(p) if bk.res_el(A, p, q, a) in U[q]]
+            ),
+        )
+
+    chis = [chi(U) for U in opens]
+    found, homs = set(chis), set(bk.hom(A, sig.obj))
+    if found != homs or len(found) != len(opens):
+        return False, f"{len(found)} characteristic maps vs {len(homs)} maps into sigma"
+    for U, f in zip(opens, chis):
+        for p in bk.stages(A):
+            top = bk.app(sig.unit, p, "*")
+            recovered = frozenset(a for a in bk.at(A, p) if bk.app(f, p, a) == top)
+            if recovered != frozenset(U[p]):
+                return False, f"pullback of top recovers {recovered} not {frozenset(U[p])}"
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # Partial maps and the partial product.
 
 def make_partial_map(bk, A, B, members: dict, value_fn) -> PartialMap:

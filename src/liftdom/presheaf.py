@@ -804,23 +804,6 @@ def positive_members(A: InternalPoset) -> Subpresheaf:
     return Subpresheaf.make(A, members)
 
 
-def sub_internal_poset(D: Subpresheaf) -> tuple[InternalPoset, NatTrans]:
-    """The internal poset spanned by a subpresheaf, with its inclusion."""
-    A = D.parent
-    base = A.base
-    sets = {p: tuple(x for x in A.at(p) if x in D.at(p)) for p in base.stages}
-    res = {
-        (p, q): {x: A.res_el(p, q, x) for x in sets[p]} for p, q in base.strict_pairs()
-    }
-    orders = {
-        p: {(x, y) for x in sets[p] for y in sets[p] if A.leq_at(p, x, y)}
-        for p in base.stages
-    }
-    sub = InternalPoset.make(base, sets, res, orders)
-    incl = NatTrans.make(sub, A, lambda p, x: x)
-    return sub, incl
-
-
 def restrict_to(A: InternalPoset, p) -> tuple[BasePoset, InternalPoset]:
     """A truncated to the base ``down-set of p``."""
     base = A.base
@@ -928,7 +911,7 @@ def continuous_maps(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
 
 
 # ---------------------------------------------------------------------------
-# Scott-open subobjects and their classification by Omega.
+# Scott-open subobjects (``lifting.open_classifier_check`` classifies them).
 
 def is_scott_open_subpresheaf(U: Subpresheaf) -> bool:
     """Stagewise up-closed, restriction-closed (by construction), and
@@ -958,38 +941,3 @@ def scott_open_subpresheaves(A: InternalPoset) -> list[Subpresheaf]:
 def subpresheaves_below_all(A: InternalPoset) -> list[Subpresheaf]:
     """All subpresheaves of A, with support anywhere."""
     return _subpresheaves_on(A, list(A.base.stages_desc()))
-
-
-def characteristic_map(U: Subpresheaf, O: InternalPoset) -> NatTrans:
-    """chi_U : A -> Omega, sending a to the sieve of stages where a lands in U."""
-    A = U.parent
-
-    def chi(p, a):
-        members = frozenset(
-            q for q in A.base.down_list(p) if A.res_el(p, q, a) in U.at(q)
-        )
-        return Sieve(A.base, p, members)
-
-    return NatTrans.make(A, O, chi)
-
-
-def subobject_classification_check(A: InternalPoset) -> bool:
-    """Scott-open subpresheaves of A correspond exactly to the continuous
-    maps A -> Omega via characteristic maps, with U recovered as the
-    preimage of the top sieve."""
-    O = omega(A.base)
-    opens = scott_open_subpresheaves(A)
-    chis = {characteristic_map(U, O) for U in opens}
-    conts = set(continuous_maps(A, O))
-    if chis != conts:
-        return False
-    if len(chis) != len(opens):
-        return False
-    for U in opens:
-        chi = characteristic_map(U, O)
-        for p in A.base.stages:
-            top = omega_top(O, p)
-            recovered = {a for a in A.at(p) if chi.apply(p, a) == top}
-            if recovered != set(U.at(p)):
-                return False
-    return True

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 import pytest
 
 from liftdom.backend import PresheafBackend
+from liftdom.lifting import open_classifier_check
 from liftdom.oq1 import OQ1Bounds, _small_bases, internal_posets
 from liftdom.order import FinPoset, StructureError
 from liftdom.presheaf import (
@@ -20,7 +21,6 @@ from liftdom.presheaf import (
     Subpresheaf,
     TrueF,
     Var,
-    characteristic_map,
     continuous_maps,
     directed_subpresheaves_below,
     enumerate_nat_trans,
@@ -39,8 +39,6 @@ from liftdom.presheaf import (
     positive_members,
     scott_open_subpresheaves,
     sieves_on,
-    sub_internal_poset,
-    subobject_classification_check,
     subpresheaves_below,
 )
 
@@ -316,13 +314,13 @@ def test_scott_open_subpresheaves_of_omega():
 
 
 def test_subobject_classification():
+    bk = PresheafBackend(SIERP)
     T = InternalPoset.constant(SIERP, FinPoset.chain(1, prefix="t"))
-    assert subobject_classification_check(T)
-    O = omega(SIERP)
-    assert subobject_classification_check(O)
+    assert open_classifier_check(bk, T) == (True, None)
+    assert open_classifier_check(bk, omega(SIERP)) == (True, None)
     # classical degenerate base: boolean case, opens of a chain
     C2 = InternalPoset.constant(POINT, FinPoset.chain(2))
-    assert subobject_classification_check(C2)
+    assert open_classifier_check(PresheafBackend(POINT), C2) == (True, None)
 
 
 def test_internal_bottom_and_positives():
@@ -333,7 +331,7 @@ def test_internal_bottom_and_positives():
     # exactly the top sieve at each stage: the positive core of Omega is a point
     assert pos.at("s1") == frozenset({omega_top(O, "s1")})
     assert pos.at("s0") == frozenset({omega_top(O, "s0")})
-    sub, incl = sub_internal_poset(pos)
+    sub, incl = PresheafBackend(SIERP).subobject(O, {p: pos.at(p) for p in SIERP.stages})
     assert sub.size() == 2
     assert len(global_elements_raw(sub)) == 1
 
