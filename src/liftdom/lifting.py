@@ -5,8 +5,10 @@ multiplication, strength) comes from the backend, whose lift supplies the
 unit and bottom and whose shared base derives the rest from the lift's
 element codec, while Kleisli extension, the commutator, cone-induced maps,
 algebra laws, positivity and the partial-map bijection are assembled and
-checked here.  Universal properties are verified by exhaustion, never
-assumed.
+checked here.  ``open_classifier_check`` checks that Sigma = L1 classifies
+the Scott-open subobjects, with the backend as an argument, so both
+backends run the one check.  Universal properties are verified by
+exhaustion, never assumed.
 """
 from __future__ import annotations
 
@@ -65,31 +67,31 @@ def costrength(bk, A, B):
 
 
 def commutator_both(bk, A, B):
-    """Both iterated-extension composites LA x LB -> L(A x B)."""
-    la, lb = bk.lift(A), bk.lift(B)
-    pab = bk.product(A, B)
-    # extend the right argument first
-    st1 = costrength(bk, A, lb.obj)  # LA x LB -> L(A x LB)
-    inner1 = bk.strength(A, B)  # A x LB -> L(A x B)
-    k1 = bk.compose(bk.mult(pab.obj), bk.compose(bk.lift_map(inner1), st1))
-    # extend the left argument first
-    st2 = bk.strength(la.obj, B)  # LA x LB -> L(LA x B)
-    inner2 = costrength(bk, A, B)  # LA x B -> L(A x B)
-    k2 = bk.compose(bk.mult(pab.obj), bk.compose(bk.lift_map(inner2), st2))
-    return k1, k2
+    """Both iterated-extension composites LA x LB -> L(A x B), built once
+    per (A, B) on each backend."""
+
+    def build():
+        la, lb = bk.lift(A), bk.lift(B)
+        pab = bk.product(A, B)
+        # extend the right argument first
+        st1 = costrength(bk, A, lb.obj)  # LA x LB -> L(A x LB)
+        inner1 = bk.strength(A, B)  # A x LB -> L(A x B)
+        k1 = bk.compose(bk.mult(pab.obj), bk.compose(bk.lift_map(inner1), st1))
+        # extend the left argument first
+        st2 = bk.strength(la.obj, B)  # LA x LB -> L(LA x B)
+        inner2 = costrength(bk, A, B)  # LA x B -> L(A x B)
+        k2 = bk.compose(bk.mult(pab.obj), bk.compose(bk.lift_map(inner2), st2))
+        return k1, k2
+
+    return bk.memo(("commutator", A, B), build)
 
 
 def commutator(bk, A, B):
-    """The commutator kappa, built once per (A, B) on each backend; both
-    extension orders must agree."""
-
-    def build():
-        k1, k2 = commutator_both(bk, A, B)
-        if k1 != k2:
-            raise StructureError("commutativity", "the two extension orders disagree")
-        return k1
-
-    return bk.memo(("commutator", A, B), build)
+    """The commutator kappa; both extension orders must agree."""
+    k1, k2 = commutator_both(bk, A, B)
+    if k1 != k2:
+        raise StructureError("commutativity", "the two extension orders disagree")
+    return k1
 
 
 # ---------------------------------------------------------------------------
