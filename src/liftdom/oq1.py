@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
 from .lifting import free_on_positives_check
-from .order import FinPoset, StructureError, posets_upto, _labeled_rows, _rows_to_poset
+from .order import FinPoset, posets_upto, _labeled_rows, _order_search, _rows_to_poset
 from .presheaf import (
     BasePoset,
     InternalPoset,
@@ -42,10 +42,34 @@ def _labeled_posets_named(n: int, prefix: str) -> list[FinPoset]:
     ]
 
 
+def _monotone_values(P: FinPoset, Q: FinPoset) -> list[tuple]:
+    """The value tuples of the monotone maps P -> Q, in the order of
+    ``iproduct(Q.elements, repeat=P.n)``."""
+    out: list = []
+    _order_search(P._rows, Q._rows, lambda vals: out.append(tuple([Q.elements[v] for v in vals])))
+    return out
+
+
+def _composes(base: BasePoset, res: dict) -> bool:
+    """res(q, r) . res(p, q) = res(p, r) for every r < q < p."""
+    return all(
+        res[q, r][res[p, q][x]] == res[p, r][x]
+        for p, q in base.strict_pairs()
+        for r in base.down_list(q)
+        if r != q
+        for x in res[p, q]
+    )
+
+
 def internal_posets(base: BasePoset, bounds: OQ1Bounds):
     """Every internal poset over the base within the size bounds, as labelled
-    stage posets and restrictions (so one object may appear several times)."""
+    stage posets and restrictions (so one object may appear several times).
+
+    Only monotone restrictions are enumerated, and combinations that do not
+    compose are skipped before ``InternalPoset.make``, which still validates;
+    the order is that of building and validating every combination."""
     stages = base.stages
+    pairs = base.strict_pairs()
     size_ranges = [range(1, bounds.max_stage + 1) for _ in stages]
     for sizes in iproduct(*size_ranges):
         if sum(sizes) > bounds.max_carrier:
@@ -54,24 +78,17 @@ def internal_posets(base: BasePoset, bounds: OQ1Bounds):
             _labeled_posets_named(k, prefix=f"{p}_") for k, p in zip(sizes, stages)
         ]
         for stage_posets in iproduct(*per_stage):
-            sets = {p: P.elements for p, P in zip(stages, stage_posets)}
-            orders = {p: P.pairs for p, P in zip(stages, stage_posets)}
-            res_choices = []
-            pairs = base.strict_pairs()
-            for p, q in pairs:
-                src = sets[p]
-                tgt = sets[q]
-                res_choices.append(list(iproduct(tgt, repeat=len(src))))
+            posets = dict(zip(stages, stage_posets))
+            sets = {p: P.elements for p, P in posets.items()}
+            orders = {p: P.pairs for p, P in posets.items()}
+            res_choices = [_monotone_values(posets[p], posets[q]) for p, q in pairs]
             for combo in iproduct(*res_choices):
                 restrictions = {
                     pair: dict(zip(sets[pair[0]], values))
                     for pair, values in zip(pairs, combo)
                 }
-                try:
-                    A = InternalPoset.make(base, sets, restrictions, orders)
-                except StructureError:
-                    continue
-                yield A
+                if _composes(base, restrictions):
+                    yield InternalPoset.make(base, sets, restrictions, orders)
 
 
 def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):

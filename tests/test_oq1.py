@@ -1,13 +1,17 @@
 import hashlib
+from itertools import product as iproduct
 
 from liftdom.backend import PresheafBackend
 from liftdom.oq1 import (
     OQ1Bounds,
+    _labeled_posets_named,
+    _small_bases,
     candidate_algebras,
+    internal_posets,
     positivity_by_forcing,
     search_open_question_1,
 )
-from liftdom.order import FinPoset
+from liftdom.order import FinPoset, StructureError
 from liftdom.presheaf import (
     BasePoset,
     InternalPoset,
@@ -87,3 +91,34 @@ def test_candidate_enumeration_filters():
         assert bk.is_pointed(A)
         ok, _ = bk.is_dcpo(A)
         assert ok
+
+
+def _internal_posets_by_validation(base, bounds):
+    """The reference enumeration: every combination of labelled stage posets
+    and restriction functions, built and validated, failures skipped."""
+    stages, pairs = base.stages, base.strict_pairs()
+    for sizes in iproduct(*[range(1, bounds.max_stage + 1) for _ in stages]):
+        if sum(sizes) > bounds.max_carrier:
+            continue
+        per_stage = [_labeled_posets_named(k, prefix=f"{p}_") for k, p in zip(sizes, stages)]
+        for stage_posets in iproduct(*per_stage):
+            sets = {p: P.elements for p, P in zip(stages, stage_posets)}
+            orders = {p: P.pairs for p, P in zip(stages, stage_posets)}
+            choices = [iproduct(sets[q], repeat=len(sets[p])) for p, q in pairs]
+            for combo in iproduct(*choices):
+                res = {pair: dict(zip(sets[pair[0]], values)) for pair, values in zip(pairs, combo)}
+                try:
+                    yield InternalPoset.make(base, sets, res, orders)
+                except StructureError:
+                    continue
+
+
+def test_internal_posets_match_validating_enumeration():
+    # the prefiltered enumeration yields the same objects in the same order
+    bounds = OQ1Bounds(3, 3, 5)
+    objects = 0
+    for _, base in _small_bases(bounds):
+        got = list(internal_posets(base, bounds))
+        assert got == list(_internal_posets_by_validation(base, bounds))
+        objects += len(got)
+    assert objects == 2012
