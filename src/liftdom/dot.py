@@ -10,11 +10,11 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _poset_body(P: FinPoset, prefix: str, lines: list):
+def _poset_body(P: FinPoset, prefix: str, lines: list, indent: str = "  "):
     for i, e in enumerate(P.elements):
-        lines.append(f"  {prefix}{i} [label={_quote(fmt(e))}];")
+        lines.append(f"{indent}{prefix}{i} [label={_quote(fmt(e))}];")
     for x, y in P.covers():
-        lines.append(f"  {prefix}{P.index(x)} -> {prefix}{P.index(y)};")
+        lines.append(f"{indent}{prefix}{P.index(x)} -> {prefix}{P.index(y)};")
 
 
 def export_dot(obj) -> str:
@@ -26,27 +26,14 @@ def export_dot(obj) -> str:
         for k, p in enumerate(obj.base.stages):
             lines.append(f"  subgraph cluster_{k} {{")
             lines.append(f"    label={_quote(str(p))};")
-            P = obj.stage_poset(p)
-            for i, e in enumerate(P.elements):
-                lines.append(f"    s{k}_{i} [label={_quote(fmt(e))}];")
-            for x, y in P.covers():
-                lines.append(f"    s{k}_{P.index(x)} -> s{k}_{P.index(y)};")
+            _poset_body(obj.stage_poset(p), f"s{k}_", lines, "    ")
             lines.append("  }")
     elif isinstance(obj, MonotoneMap):
-        lines.append("  subgraph cluster_dom {")
-        lines.append('    label="dom";')
-        for i, e in enumerate(obj.dom.elements):
-            lines.append(f"    d{i} [label={_quote(fmt(e))}];")
-        for x, y in obj.dom.covers():
-            lines.append(f"    d{obj.dom.index(x)} -> d{obj.dom.index(y)};")
-        lines.append("  }")
-        lines.append("  subgraph cluster_cod {")
-        lines.append('    label="cod";')
-        for i, e in enumerate(obj.cod.elements):
-            lines.append(f"    c{i} [label={_quote(fmt(e))}];")
-        for x, y in obj.cod.covers():
-            lines.append(f"    c{obj.cod.index(x)} -> c{obj.cod.index(y)};")
-        lines.append("  }")
+        for side, P in (("dom", obj.dom), ("cod", obj.cod)):
+            lines.append(f"  subgraph cluster_{side} {{")
+            lines.append(f'    label="{side}";')
+            _poset_body(P, side[0], lines, "    ")
+            lines.append("  }")
         for i, e in enumerate(obj.dom.elements):
             lines.append(f"  d{i} -> c{obj.cod.index(obj(e))} [style=dashed];")
     elif isinstance(obj, NatTrans):
@@ -55,14 +42,8 @@ def export_dot(obj) -> str:
             lines.append(f"    label={_quote(str(p))};")
             D = obj.dom.stage_poset(p)
             C = obj.cod.stage_poset(p)
-            for i, e in enumerate(D.elements):
-                lines.append(f"    s{k}d{i} [label={_quote(fmt(e))}];")
-            for x, y in D.covers():
-                lines.append(f"    s{k}d{D.index(x)} -> s{k}d{D.index(y)};")
-            for i, e in enumerate(C.elements):
-                lines.append(f"    s{k}c{i} [label={_quote(fmt(e))}];")
-            for x, y in C.covers():
-                lines.append(f"    s{k}c{C.index(x)} -> s{k}c{C.index(y)};")
+            _poset_body(D, f"s{k}d", lines, "    ")
+            _poset_body(C, f"s{k}c", lines, "    ")
             for i, e in enumerate(D.elements):
                 lines.append(
                     f"    s{k}d{i} -> s{k}c{C.index(obj.apply(p, e))} [style=dashed];"
