@@ -217,7 +217,7 @@ class _ConstructionCache:
 
         def order(p, els):
             keep = set(els)
-            return frozenset((x, y) for x, y in self.stage_poset(A, p).pairs if x in keep and y in keep)
+            return frozenset(xy for xy in self.stage_poset(A, p).pairs if xy[0] in keep and xy[1] in keep)
 
         def elements(p):
             keep = members.get(p, ())

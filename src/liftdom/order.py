@@ -83,7 +83,11 @@ class Preorder:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "pairs", frozenset((x, y) for x, y in self.pairs))
+        # a frozenset is kept as given, sharing its pair tuples with the poset
+        # it came from (a lift, restriction or subobject reuses its parent's
+        # pairs); other iterables are normalised to a frozenset of tuples
+        if not isinstance(self.pairs, frozenset):
+            object.__setattr__(self, "pairs", frozenset((x, y) for x, y in self.pairs))
         if len(set(self.elements)) != len(self.elements):
             raise StructureError("distinctness", "duplicate element identifiers")
         idx = {e: i for i, e in enumerate(self.elements)}
@@ -201,7 +205,7 @@ class FinPoset(Preorder):
         """Induced sub-poset on ``members``, keeping the ambient element order."""
         members = set(members)
         els = tuple(e for e in self.elements if e in members)
-        pairs = frozenset((x, y) for (x, y) in self.pairs if x in members and y in members)
+        pairs = frozenset(xy for xy in self.pairs if xy[0] in members and xy[1] in members)
         return FinPoset(els, pairs)
 
 

@@ -72,6 +72,21 @@ def test_constructor_rejects_bad_relations():
         FinPoset(("a", "a"), frozenset([("a", "a")]))
 
 
+def test_pairs_shared_or_normalised():
+    # a frozenset of pairs is kept as given, so derived posets share their
+    # parent's pair tuples; any other iterable becomes a frozenset of tuples
+    pairs = frozenset([("a", "a"), ("b", "b"), ("a", "b")])
+    P = FinPoset(("a", "b"), pairs)
+    assert P.pairs is pairs
+    Q = FinPoset(("a", "b"), [["a", "a"], ["b", "b"], ["a", "b"]])
+    assert Q.pairs == pairs and Q == P
+    C = FinPoset.chain(3)
+    sub = C.restrict(["c0", "c2"])
+    assert sub.pairs == {("c0", "c0"), ("c2", "c2"), ("c0", "c2")}
+    own = {xy: xy for xy in C.pairs}
+    assert all(own[xy] is xy for xy in sub.pairs)
+
+
 def test_semidirected_and_directed():
     assert is_semidirected(ANTI2, Subset(ANTI2, {"a0", "a1"})) is False
     assert is_semidirected(ANTI2, Subset(ANTI2, set())) is True
