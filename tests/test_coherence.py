@@ -4,7 +4,7 @@ from itertools import product as iproduct
 from liftdom.backend import ClassicalBackend, PresheafBackend
 from liftdom.lifting import is_algebra, kleisli_extend, monad_laws_hold
 from liftdom.oq1 import OQ1Bounds, internal_posets
-from liftdom.order import FinPoset, enumerate_monotone_maps, posets_upto, scott_opens
+from liftdom.order import FinPoset, enumerate_monotone_maps, posets_upto, scott_opens, subsets
 from liftdom.presheaf import (
     BasePoset,
     InternalPoset,
@@ -74,13 +74,27 @@ def test_point_base_agrees_with_classical():
     # one through the evident dictionary stage-element <-> element
     base = BasePoset(FinPoset(("s",), frozenset([("s", "s")])))
     bk = PresheafBackend(base)
-    lifted_maps = 0
+    lifted_maps = inverted = 0
     for P in posets_upto(3):
         A = InternalPoset.constant(base, P)
         # hom sets agree in size (continuity is vacuous over a point)
         for Q in posets_upto(3):
             B = InternalPoset.constant(base, Q)
             assert len(bk.hom(A, B)) == len(CL.hom(P, Q))
+            # inverses agree: both None, or the same map
+            for f in CL.hom(P, Q):
+                inv_cl, inv_ps = CL.inverse(f), bk.inverse(_over_point(bk, f))
+                assert (inv_cl is None) == (inv_ps is None)
+                if inv_cl is not None:
+                    assert inv_ps.components == (inv_cl.values,)
+                    inverted += 1
+        # subobjects agree on every subset: elements, order and inclusion
+        for S in subsets(P):
+            sub_ps, incl_ps = bk.subobject(A, {"s": S.members})
+            sub_cl, incl_cl = CL.subobject(P, {None: S.members})
+            assert sub_ps.at("s") == sub_cl.elements
+            assert sub_ps.stage_poset("s").pairs == sub_cl.pairs
+            assert incl_ps.components == (incl_cl.values,)
         # lifting agrees: one fresh element below everything
         assert len(bk.lift(A).obj.at("s")) == CL.lift(P).obj.n
         lifted_maps += _lifting_monad_agrees(bk, P, A)
@@ -124,8 +138,10 @@ def test_point_base_agrees_with_classical():
                 for g in CL.hom(Q, Q):
                     cotupled = bk.cotuple(cd_ps, _over_point(bk, f), _over_point(bk, g))
                     assert cotupled.components == (CL.cotuple(cd_cl, f, g).values,)
-    # every map between posets with at most 3 elements was lifted
+    # every map between posets with at most 3 elements was lifted, and the
+    # invertible ones are the automorphisms: 1 + 1 + (1 + 2) + (1 + 6 + 2 + 2 + 1)
     assert lifted_maps == 485
+    assert inverted == 17
 
 
 def _families(bk, p, ld, key=lambda v: v):

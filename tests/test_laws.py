@@ -52,6 +52,14 @@ def test_negative_controls_all_fail_with_witness():
         assert any(i.status == FAIL and i.witness for i in rep.instances), name
 
 
+def test_open_classifier_control_reaches_the_checker(monkeypatch):
+    # with the checker stubbed to pass, the control has nothing left to catch
+    monkeypatch.setattr(lifting, "open_classifier_check", lambda *args, **kwargs: (True, None))
+    rep = run_negative("open-classifier")
+    assert rep.status == PASS
+    assert [i.status for i in rep.instances] == [PASS]
+
+
 def test_reports_deterministic():
     for name in ("kz-adjunction", "nonboolean-lift", "phoa"):
         a = run_law(name).to_json(zero_elapsed=True)

@@ -262,6 +262,8 @@ def test_enumerate_nat_trans_matches_bruteforce():
                 assert (found and found[0].components) == first_iso
                 if found:
                     assert nt_compose(found[1], found[0]) == NatTrans.identity(X)
+                    # the inverse of a natural order-iso is continuous unchecked
+                    assert is_continuous(found[1])
                 pairs += 1
                 isos += first_iso is not None
     assert (objects, pairs, maps, isos) == (132, 2858, 7674, 290)
