@@ -26,6 +26,7 @@ from liftdom.lifting import (
     lax_epi_check,
     monad_laws_hold,
     mult_naturality_holds,
+    open_classifier_check,
     partial_product_check,
     paths_check,
     phoa_check,
@@ -328,6 +329,22 @@ def test_strict_hom_set():
     S = FinPoset.chain(2)
     fs = strict_hom_set(CL, S, S)
     assert len(fs) == 2
+
+
+def test_open_classifier_check_needs_every_open_once():
+    # a list of opens that misses one, or repeats one, fails on the count
+    for bk, A in ((CL, FinPoset.chain(2)), (PS, omega(PS.base))):
+        opens = bk.scott_open_subobjects(A)
+        n = len(opens)
+        assert open_classifier_check(bk, A) == (True, None)
+        assert open_classifier_check(bk, A, opens=opens[1:]) == (
+            False,
+            f"{n - 1} characteristic maps vs {n} maps into sigma",
+        )
+        assert open_classifier_check(bk, A, opens=opens + opens[:1]) == (
+            False,
+            f"{n} characteristic maps vs {n} maps into sigma",
+        )
 
 
 def test_classifier_map():
