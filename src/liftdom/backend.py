@@ -31,7 +31,8 @@ A backend supplies only what depends on how it stores objects and maps:
 
 The shared base ``_ConstructionCache`` derives the rest, once for both
 backends: ``bang``, ``from_initial``, ``global_elements``, ``inverse``
-with ``is_iso``, ``subobject`` with its inclusion, products with
+with ``is_iso``, ``subobject`` with its inclusion, ``descend`` (the map
+out of a quotient that a coequalising map induces), products with
 ``pair``, coproducts with ``cotuple``, the lifting monad's
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
 and the fold of a pointed dcpo A, the map
@@ -225,6 +226,16 @@ class _ConstructionCache:
 
         sub = self._build(elements, lambda p, q, x: self.res_el(A, p, q, x), order)
         return sub, self.mor_from_fn(sub, A, lambda p, x: x)
+
+    def descend(self, q, f):
+        """The h with h ∘ q == f, for a quotient map q out of f's domain.
+        q's codomain holds representatives of the elements of q's domain
+        (as ``CoeqData`` states), so h is f evaluated at each of them.
+        Raises StructureError when f does not descend."""
+        h = self.mor_from_fn(q.cod, f.cod, lambda p, x: self.app(f, p, x))
+        if self.compose(h, q) != f:
+            raise StructureError("factorisation", "map does not descend to the quotient")
+        return h
 
     def _product(self, A, B) -> ProductData:
         def order(p, els):

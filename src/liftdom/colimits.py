@@ -62,7 +62,7 @@ class Diagram:
 class ColimitResult:
     apex: Any
     legs: Any  # node -> morphism
-    factor: Callable  # {node -> morphism to C} -> apex -> C
+    factor: Callable  # {node -> morphism to C} -> apex -> C, for a nonempty diagram
 
 
 def nary_coproduct(bk, objs: list):
@@ -91,20 +91,14 @@ def nary_coproduct(bk, objs: list):
 
 
 def colimit(bk, d: Diagram) -> ColimitResult:
-    """Colimit from coproducts plus one coequaliser, with a factorisation."""
+    """Colimit from coproducts plus one coequaliser, with a factorisation.
+
+    The coequaliser identifies inj_s(x) with inj_t(e x) for every edge
+    e : s -> t; without edges it coequalises the two maps out of the initial
+    object, which identifies nothing."""
     objs = [d.objects[n] for n in d.nodes]
     T, injs, cot = nary_coproduct(bk, objs)
     node_inj = dict(zip(d.nodes, injs))
-    if not d.edges:
-        legs = dict(node_inj)
-
-        def factor0(cocone_legs, cod=None):
-            fs = [cocone_legs[n] for n in d.nodes]
-            if not fs:
-                return bk.from_initial(cod)
-            return cot(fs, fs[0].cod)
-
-        return ColimitResult(T, legs, factor0)
     srcs = [d.objects[s] for _, s, _ in d.edges]
     _, _, ecot = nary_coproduct(bk, srcs)
     f = ecot(
@@ -114,20 +108,17 @@ def colimit(bk, d: Diagram) -> ColimitResult:
     coeq = bk.coequalizer(f, g)
     legs = {n: bk.compose(coeq.proj, node_inj[n]) for n in d.nodes}
 
-    def factor(cocone_legs, cod=None):
+    def factor(cocone_legs):
         fs = [cocone_legs[n] for n in d.nodes]
-        u = cot(fs, fs[0].cod)
-        return bk.mor_from_fn(coeq.obj, fs[0].cod, lambda p, c: bk.app(u, p, c))
+        return bk.descend(coeq.proj, cot(fs, fs[0].cod))
 
     return ColimitResult(coeq.obj, legs, factor)
 
 
-def enumerate_cocones(bk, d: Diagram, P, leg_pool=None) -> list[dict]:
-    """All commuting cocones under d with apex P, by pruned search."""
-    pools = {
-        n: list(leg_pool(d.objects[n], P) if leg_pool else bk.hom(d.objects[n], P))
-        for n in d.nodes
-    }
+def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list[dict]:
+    """All commuting cocones under d with apex P whose legs X -> P come from
+    ``leg_pool(X, P)``, by pruned search."""
+    pools = {n: list(leg_pool(d.objects[n], P)) for n in d.nodes}
     out: list[dict] = []
     legs: dict = {}
 
@@ -152,6 +143,21 @@ def enumerate_cocones(bk, d: Diagram, P, leg_pool=None) -> list[dict]:
     return out
 
 
+def _unique_mediators(bk, d: Diagram, res: ColimitResult, apexes, homs, label) -> tuple:
+    """Exactly one mediator in ``homs(res.apex, P)`` to every cocone under d
+    with apex P in ``apexes`` and legs in ``homs``: the mediators are grouped
+    by their composites with the legs once per apex, then each cocone is
+    looked up."""
+    res_legs = [res.legs[n] for n in d.nodes]
+    for P in apexes:
+        groups = restriction_groups(bk, homs(res.apex, P), res_legs)
+        for legs in enumerate_cocones(bk, d, P, homs):
+            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
+            if count != 1:
+                return False, (label, P, count)
+    return True, None
+
+
 def colimit_universal_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple:
     """Exactly one mediating map to every competing cocone in the catalog."""
     if not all(
@@ -159,14 +165,7 @@ def colimit_universal_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple
         for name, s, t in d.edges
     ):
         return False, "colimit legs do not commute"
-    res_legs = [res.legs[n] for n in d.nodes]
-    for P in apexes:
-        groups = restriction_groups(bk, bk.hom(res.apex, P), res_legs)
-        for legs in enumerate_cocones(bk, d, P):
-            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
-            if count != 1:
-                return False, ("cocone", P, count)
-    return True, None
+    return _unique_mediators(bk, d, res, apexes, bk.hom, "cocone")
 
 
 def colimits_enriched_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple:
@@ -240,17 +239,8 @@ def creation_check(bk, d: Diagram, apexes) -> tuple:
     structures = all_algebra_structures(bk, res.apex)
     if structures != [beta]:
         return False, ("structure not unique", len(structures))
-    pointed_apexes = [P for P in apexes if bk.is_pointed(P)]
-    res_legs = [res.legs[n] for n in d.nodes]
-    for P in pointed_apexes:
-        groups = restriction_groups(bk, strict_hom_set(bk, res.apex, P), res_legs)
-        for legs in enumerate_cocones(
-            bk, d, P, leg_pool=lambda X, C: strict_hom_set(bk, X, C)
-        ):
-            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
-            if count != 1:
-                return False, ("algebra cocone", P, count)
-    return True, None
+    pointed = [P for P in apexes if bk.is_pointed(P)]
+    return _unique_mediators(bk, d, res, pointed, lambda X, C: strict_hom_set(bk, X, C), "algebra cocone")
 
 
 def coproduct_algebras(bk, X, Y):

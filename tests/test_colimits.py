@@ -19,6 +19,7 @@ from liftdom.order import (
     poset_iso,
     posets_upto,
 )
+from liftdom.presheaf import InternalPoset
 
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
@@ -174,11 +175,39 @@ def test_coproduct_two_chains_universal():
 
 
 def test_presheaf_coequalizer_stagewise():
-    from liftdom.presheaf import InternalPoset
-
     A = InternalPoset.constant(PS.base, FinPoset.antichain(2))
     one = PS.terminal()
     f = PS.mor_from_fn(one, A, lambda p, _: "a0")
     g = PS.mor_from_fn(one, A, lambda p, _: "a1")
     coeq = PS.coequalizer(f, g)
     assert all(len(coeq.obj.at(p)) == 1 for p in PS.base.stages)
+
+
+def test_colimit_without_edges_is_the_coproduct():
+    # without edges the coequaliser of the two maps out of the initial
+    # object identifies nothing: the apex and legs are the coproduct's, and
+    # the mediator of a cocone is its cotuple
+    A, C = FinPoset.chain(2), FinPoset.chain(3)
+    d = Diagram(("a", "b"), (), {"a": A, "b": POINT}, {})
+    res = colimit(CL, d)
+    cd = CL.coproduct(A, POINT)
+    assert res.apex == cd.obj
+    assert res.legs == {"a": cd.inl, "b": cd.inr}
+    f = leg_map(A, C, {"c0": "c0", "c1": "c2"})
+    g = leg_map(POINT, C, {"*": "c1"})
+    assert res.factor({"a": f, "b": g}) == CL.cotuple(cd, f, g)
+
+
+@pytest.mark.parametrize("bk", [CL, PS], ids=["classical", "2-chain-base"])
+def test_descend_refuses_a_map_that_does_not_coequalise(bk):
+    # collapse the 2-chain to a point: the map to the terminal object
+    # descends, the identity does not
+    B = FinPoset.chain(2) if bk is CL else InternalPoset.constant(PS.base, FinPoset.chain(2))
+    one = bk.terminal()
+    bottom = bk.mor_from_fn(one, B, lambda p, _: "c0")
+    top = bk.mor_from_fn(one, B, lambda p, _: "c1")
+    q = bk.coequalizer(bottom, top).proj
+    assert bk.compose(bk.descend(q, bk.bang(B)), q) == bk.bang(B)
+    with pytest.raises(StructureError) as e:
+        bk.descend(q, bk.identity(B))
+    assert e.value.law == "factorisation"

@@ -47,7 +47,7 @@ def scan_colimit_universal_check(bk, d, res, apexes):
         return False, "colimit legs do not commute"
     for P in apexes:
         homs = bk.hom(res.apex, P)
-        for legs in enumerate_cocones(bk, d, P):
+        for legs in enumerate_cocones(bk, d, P, bk.hom):
             matching = [
                 h
                 for h in homs
