@@ -470,24 +470,13 @@ class ClassicalBackend(_ConstructionCache):
         )
 
     def positive_elements(self, A) -> dict:
-        """Elements whose domination forces inhabitation of semidirected sets."""
-        from .order import Subset, is_semidirected, lub, subsets
-
-        out = set()
-        for x in A.elements:
-            ok = True
-            for S in subsets(A):
-                if not is_semidirected(A, S):
-                    continue
-                v = lub(A, S)
-                if v is None or not A.leq(x, v):
-                    continue
-                if not S.members:
-                    ok = False
-                    break
-            if ok:
-                out.add(x)
-        return {None: frozenset(out)}
+        """Elements x such that every semidirected set whose supremum lies
+        above x is inhabited: every element but the bottom, or every element
+        if A has none.  The empty family is the only semidirected set that
+        is not inhabited, and its supremum is the bottom, so it lies above x
+        only when x is the bottom."""
+        b = A.bottom()
+        return {None: frozenset(x for x in A.elements if b is None or x != b)}
 
     def coequalizer(self, f, g) -> CoeqData:
         if f.dom != g.dom or f.cod != g.cod:

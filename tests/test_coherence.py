@@ -98,8 +98,9 @@ def test_point_base_agrees_with_classical():
         # lifting agrees: one fresh element below everything
         assert len(bk.lift(A).obj.at("s")) == CL.lift(P).obj.n
         lifted_maps += _lifting_monad_agrees(bk, P, A)
-        # Scott-opens agree with up-sets
+        # Scott-opens agree with up-sets, and positive elements agree
         assert len(bk.scott_open_subobjects(A)) == len(scott_opens(P))
+        assert bk.positive_elements(A) == {"s": CL.positive_elements(P)[None]}
         # pointedness and folds agree
         assert bk.is_pointed(A) == P.is_pointed()
         if P.is_pointed():

@@ -37,7 +37,16 @@ from liftdom.lifting import (
     top_opfibration_check,
     unit_naturality_holds,
 )
-from liftdom.order import FinPoset, MonotoneMap, is_order_embedding, poset_iso, posets_upto
+from liftdom.order import (
+    FinPoset,
+    MonotoneMap,
+    is_order_embedding,
+    is_semidirected,
+    lub,
+    poset_iso,
+    posets_upto,
+    subsets,
+)
 from liftdom.presheaf import InternalPoset, global_elements_raw, omega
 
 CL = ClassicalBackend()
@@ -278,12 +287,26 @@ def test_partial_product_presheaf_terminal():
     assert ok, w
 
 
+def _positive_elements_by_scan(X):
+    # the definition: x is positive when every semidirected subset whose
+    # supremum lies above x is inhabited, over all 2^n subsets
+    out = set()
+    for x in X.elements:
+        if all(
+            S.members
+            for S in subsets(X)
+            if is_semidirected(X, S) and lub(X, S) is not None and X.leq(x, lub(X, S))
+        ):
+            out.add(x)
+    return frozenset(out)
+
+
 def test_positive_elements_classical():
     X = FinPoset.chain(3)
     assert positive_elements(CL, X)[None] == frozenset({"c1", "c2"})
-    for X in posets_upto(4, pointed=True):
-        pos = positive_elements(CL, X)[None]
-        assert pos == frozenset(X.elements) - {X.bottom()}
+    # the backend's closed form against the scan, pointed or not
+    for X in posets_upto(5):
+        assert CL.positive_elements(X)[None] == _positive_elements_by_scan(X), X
 
 
 def test_free_on_positives_classical():
