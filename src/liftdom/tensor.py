@@ -447,13 +447,6 @@ def _exp_components(bk, E, A, p, fe) -> dict:
     return comp
 
 
-def linear_hom(bk, A, B):
-    """The linear function space as a subobject of the exponential."""
-    E, members = linear_hom_members(bk, A, B)
-    sub, incl = bk.subobject(E.obj, members)
-    return sub, incl
-
-
 def linear_hom_members(bk, A, B):
     """Function elements whose fold-precomposite equals their extension."""
     E = bk.exponential(A, B)
@@ -505,8 +498,7 @@ def strict_hom_members(bk, A, B):
 
 def strict_hom(bk, A, B):
     E, members = strict_hom_members(bk, A, B)
-    sub, incl = bk.subobject(E.obj, members)
-    return sub, incl
+    return bk.subobject(E.obj, members)
 
 
 def homs_coincide_check(bk, A, B) -> bool:

@@ -13,7 +13,6 @@ from liftdom.tensor import (
     homs_coincide_check,
     is_bistrict,
     kock_criterion_check,
-    linear_hom,
     monoidal_adjunction_check,
     pentagon_check,
     seal_iso_check,
