@@ -17,9 +17,11 @@ from .model import ModelError, ModelSpec, default_model, parse_model
 from .oq1 import OQ1Bounds, search_open_question_1
 from .order import FinPoset
 from .presheaf import InternalPoset
-from .report import FAIL, PASS, UNAVAILABLE, CheckReport, fmt
+from .report import FAIL, PASS, UNAVAILABLE, CheckReport, aggregate_status, fmt
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNAVAILABLE = 0, 1, 2
+# a run's exit code is that of its reports' aggregate status
+EXIT_CODES = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNAVAILABLE: EXIT_UNAVAILABLE}
 
 
 def _load_model(path: str | None) -> ModelSpec:
@@ -42,15 +44,6 @@ def _print_report(rep: CheckReport, as_json: bool):
         print(line)
     if rep.reason:
         print(f"    reason: {rep.reason}")
-
-
-def _exit_code(reports) -> int:
-    statuses = {r.status for r in reports}
-    if FAIL in statuses:
-        return EXIT_FAIL
-    if UNAVAILABLE in statuses:
-        return EXIT_UNAVAILABLE
-    return EXIT_PASS
 
 
 def _describe_poset(P: FinPoset) -> str:
@@ -150,7 +143,7 @@ def main(argv=None) -> int:
             else:
                 for r in reports:
                     _print_report(r, as_json=False)
-            return _exit_code(reports)
+            return EXIT_CODES[aggregate_status(reports)]
 
         if args.cmd in ("lift", "smash", "tensor", "hom"):
             spec = _load_model(args.model)
@@ -195,7 +188,7 @@ def main(argv=None) -> int:
                 OQ1Bounds(args.max_base, args.max_stage, args.max_carrier)
             )
             _print_report(rep, as_json=args.json)
-            return _exit_code([rep])
+            return EXIT_CODES[rep.status]
 
         if args.cmd == "export-dot":
             spec = _load_model(args.model)
