@@ -141,14 +141,14 @@ def bistrict_maps(bk, A, B, C) -> list:
 
 def factor_bistrict(bk, T: TensorObject, f):
     """The strict map out of the smash induced by a bistrict f, verified."""
-    g = f
-    if T.source_kind == "lift":
-        # a lifted source: descend f's extension, the fold after L f
-        alpha = bk.algebra_structure(f.cod)
-        if alpha is None:
-            raise StructureError("pointedness", "bistrict maps need pointed codomain")
-        g = bk.compose(alpha, bk.lift_map(f))
-    h = bk.descend(T.proj, g)
+    if T.source_kind == "prod":
+        # the universal map is the quotient itself
+        return bk.descend(T.proj, f)
+    # a lifted source: descend f's extension, the fold after L f
+    alpha = bk.algebra_structure(f.cod)
+    if alpha is None:
+        raise StructureError("pointedness", "bistrict maps need pointed codomain")
+    h = bk.descend(T.proj, bk.compose(alpha, bk.lift_map(f)))
     if bk.compose(h, T.universal) != f:
         raise StructureError("factorisation", "factorisation misses the universal map")
     return h
