@@ -18,7 +18,6 @@ from .lifting import (
     all_algebra_structures,
     is_algebra,
     is_homomorphism,
-    is_strict,
     restriction_groups,
     strict_hom_set,
 )
