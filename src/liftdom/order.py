@@ -27,6 +27,13 @@ universal-property check.
 Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
 found" witness and iso in the reports.
+
+Row kernels.  ``FinPoset.covers``, the order of ``hom_poset`` and the
+monotonicity check of ``MonotoneMap`` walk the up-mask rows ``_rows`` (row
+i: the indices above element i), not pairwise ``leq`` calls, and give the
+pairwise loops' results and messages in the same order.  The hom poset is
+still built through the validating ``FinPoset``, and ``MonotoneMap`` still
+checks every value from outside.
 """
 from __future__ import annotations
 
@@ -188,17 +195,21 @@ class FinPoset(Preorder):
 
     def covers(self) -> list[tuple]:
         """Hasse edges (x, y): x < y with nothing strictly between."""
+        rows, els = self._rows, self.elements
         out = []
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                if i == j or not self._rows[i] >> j & 1:
-                    continue
-                between = self._rows[i] & ~(1 << i) & ~(1 << j)
-                if not any(
-                    between >> k & 1 and self._rows[k] >> j & 1 and k != j
-                    for k in range(self.n)
-                ):
-                    out.append((x, y))
+        for i, row in enumerate(rows):
+            strict = row & ~(1 << i)
+            # the y reached through some z with x < z < y
+            beyond, m = 0, strict
+            while m:
+                low = m & -m
+                beyond |= rows[low.bit_length() - 1] & ~low
+                m ^= low
+            m = strict & ~beyond
+            while m:
+                low = m & -m
+                out.append((els[i], els[low.bit_length() - 1]))
+                m ^= low
         return out
 
     def restrict(self, members) -> "FinPoset":
@@ -241,16 +252,24 @@ class MonotoneMap:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.dom.n:
             raise StructureError("totality", "assignment must cover every element")
+        index = self.cod._index
         for v in self.values:
-            if v not in self.cod._index:
+            if v not in index:
                 raise StructureError("membership", f"value {v!r} not in the codomain")
-        for i, x in enumerate(self.dom.elements):
-            for j, y in enumerate(self.dom.elements):
-                if self.dom._rows[i] >> j & 1 and not self.cod.leq(self.values[i], self.values[j]):
+        vi = [index[v] for v in self.values]
+        cod_rows = self.cod._rows
+        for i, row in enumerate(self.dom._rows):
+            up = cod_rows[vi[i]]
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not up >> vi[j] & 1:
                     raise StructureError(
                         "monotonicity",
-                        f"{x!r} <= {y!r} but {self.values[i]!r} <= {self.values[j]!r} fails",
+                        f"{self.dom.elements[i]!r} <= {self.dom.elements[j]!r}"
+                        f" but {self.values[i]!r} <= {self.values[j]!r} fails",
                     )
+                row ^= low
 
     @classmethod
     def _trusted(cls, dom: FinPoset, cod: FinPoset, values: tuple) -> "MonotoneMap":
@@ -453,10 +472,29 @@ def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     maps = enumerate_monotone_maps(A, B)
     els = tuple(("fn",) + f.values for f in maps)
     by_el = dict(zip(els, maps))
-    pairs = frozenset(
-        (e1, e2) for e1, f1 in by_el.items() for e2, f2 in by_el.items() if map_leq(f1, f2)
-    )
-    return FinPoset(els, pairs), by_el
+    index, rows = B._index, B._rows
+    # up[k]: the maps g >= maps[k], the AND over i of the maps whose value
+    # at i lies above maps[k]'s
+    up = [(1 << len(maps)) - 1] * len(maps)
+    for i in range(A.n):
+        col = [index[f.values[i]] for f in maps]
+        at = [0] * B.n
+        for k, v in enumerate(col):
+            at[v] |= 1 << k
+        above = [0] * B.n
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                above[v] |= at[low.bit_length() - 1]
+                row ^= low
+        up = [u & above[v] for u, v in zip(up, col)]
+    pairs = []
+    for e, u in zip(els, up):
+        while u:
+            low = u & -u
+            pairs.append((e, els[low.bit_length() - 1]))
+            u ^= low
+    return FinPoset(els, frozenset(pairs)), by_el
 
 
 def is_order_embedding(f: MonotoneMap) -> bool:

@@ -310,3 +310,96 @@ def test_compose_still_checks_composability():
     with pytest.raises(StructureError) as e:
         compose(g, f)
     assert e.value.law == "composability"
+
+
+# References for the row kernels of order.py: the loops they replaced.
+
+
+def reference_covers(P):
+    out = []
+    for i, x in enumerate(P.elements):
+        for j, y in enumerate(P.elements):
+            if i == j or not P._rows[i] >> j & 1:
+                continue
+            between = P._rows[i] & ~(1 << i) & ~(1 << j)
+            if not any(
+                between >> k & 1 and P._rows[k] >> j & 1 and k != j
+                for k in range(P.n)
+            ):
+                out.append((x, y))
+    return out
+
+
+def reference_hom_poset(A, B):
+    maps = enumerate_monotone_maps(A, B)
+    els = tuple(("fn",) + f.values for f in maps)
+    by_el = dict(zip(els, maps))
+    pairs = frozenset(
+        (e1, e2) for e1, f1 in by_el.items() for e2, f2 in by_el.items() if map_leq(f1, f2)
+    )
+    return FinPoset(els, pairs), by_el
+
+
+def reference_violation(dom, cod, values):
+    # the message MonotoneMap(dom, cod, values) raised, or None
+    if len(values) != dom.n:
+        return "totality: assignment must cover every element"
+    for v in values:
+        if v not in cod._index:
+            return f"membership: value {v!r} not in the codomain"
+    for i, x in enumerate(dom.elements):
+        for j, y in enumerate(dom.elements):
+            if dom._rows[i] >> j & 1 and not cod.leq(values[i], values[j]):
+                return f"monotonicity: {x!r} <= {y!r} but {values[i]!r} <= {values[j]!r} fails"
+    return None
+
+
+def relabellings(n):
+    # every poset with at most n elements in every listing of its elements,
+    # most of which are not linear extensions
+    return [FinPoset(perm, P.pairs) for P in posets_upto(n) for perm in permutations(P.elements)]
+
+
+def test_covers_match_reference():
+    posets = list(posets_upto(5)) + relabellings(4)
+    for P in posets:
+        assert P.covers() == reference_covers(P)
+    relabeled = FinPoset.from_generators("abcd", [("b", "a"), ("b", "d"), ("a", "c"), ("d", "c")])
+    assert relabeled.covers() == reference_covers(relabeled)
+    assert relabeled.covers() == [("a", "c"), ("b", "a"), ("b", "d"), ("d", "c")]
+
+
+def test_hom_poset_matches_pairwise_reference():
+    small = posets_upto(4)
+    assert len(small) ** 2 == 625
+    for A in small:
+        for B in small:
+            H, by_el = hom_poset(A, B)
+            R, ref_by_el = reference_hom_poset(A, B)
+            assert H.elements == R.elements
+            assert H.pairs == R.pairs
+            assert list(by_el.items()) == list(ref_by_el.items())
+
+
+def test_validator_matches_reference():
+    # every function, monotone or not, between posets with at most 3
+    # elements, also into a carrier with one stray value, and every wrong length
+    posets = relabellings(3)
+    checked = rejected = 0
+    for A in posets:
+        for B in posets:
+            for vals in iproduct(B.elements + ("stray",), repeat=A.n):
+                want = reference_violation(A, B, vals)
+                try:
+                    MonotoneMap(A, B, vals)
+                    got = None
+                except StructureError as e:
+                    got = str(e)
+                assert got == want, (A, B, vals)
+                checked += 1
+                rejected += got is not None
+            for k in {A.n - 1, A.n + 1} - {-1}:
+                with pytest.raises(StructureError) as e:
+                    MonotoneMap(A, B, ("stray",) * k)
+                assert str(e.value) == reference_violation(A, B, ("stray",) * k)
+    assert 0 < rejected < checked
