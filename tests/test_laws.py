@@ -52,6 +52,27 @@ def test_negative_controls_all_fail_with_witness():
         assert any(i.status == FAIL and i.witness for i in rep.instances), name
 
 
+def test_presentations_witness_reaches_every_presentation(monkeypatch):
+    # the comparisons run along a spanning tree from presentation 1, so a
+    # wrong universal map on presentation 4 must still give a failure
+    from liftdom import laws
+    from liftdom.order import FinPoset
+
+    real = tensor.smash
+
+    def smash(bk, A, B, presentation=3):
+        T = real(bk, A, B, presentation)
+        if presentation != 4:
+            return T
+        const = bk.compose(bk.bottom_point(T.obj), bk.bang(T.universal.dom))
+        return replace(T, universal=const)
+
+    A = FinPoset.chain(3)
+    assert laws._presentations_witness(A, A) is None
+    monkeypatch.setattr(tensor, "smash", smash)
+    assert isinstance(laws._presentations_witness(A, A), str)
+
+
 def test_open_classifier_control_reaches_the_checker(monkeypatch):
     # with the checker stubbed to pass, the control has nothing left to catch
     monkeypatch.setattr(lifting, "open_classifier_check", lambda *args, **kwargs: (True, None))
