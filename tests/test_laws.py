@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 import liftdom
-from liftdom import lifting, tensor
+from liftdom import laws, lifting, tensor
 from liftdom.laws import REGISTRY, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
-from liftdom.order import StructureError
+from liftdom.order import FinPoset, StructureError
 from liftdom.report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport
 
 
@@ -55,9 +55,6 @@ def test_negative_controls_all_fail_with_witness():
 def test_presentations_witness_reaches_every_presentation(monkeypatch):
     # the comparisons run along a spanning tree from presentation 1, so a
     # wrong universal map on presentation 4 must still give a failure
-    from liftdom import laws
-    from liftdom.order import FinPoset
-
     real = tensor.smash
 
     def smash(bk, A, B, presentation=3):
