@@ -17,12 +17,7 @@ from itertools import product as iproduct
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
 from .lifting import free_on_positives_check
 from .order import FinPoset, posets_upto, _labeled_rows, _order_search, _rows_to_poset
-from .presheaf import (
-    BasePoset,
-    InternalPoset,
-    is_internal_dcpo,
-    is_internal_pointed,
-)
+from .presheaf import BasePoset, InternalPoset, is_internal_dcpo
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
 
@@ -61,40 +56,52 @@ def _composes(base: BasePoset, res: dict) -> bool:
     )
 
 
-def internal_posets(base: BasePoset, bounds: OQ1Bounds):
+def internal_posets(base: BasePoset, bounds: OQ1Bounds, pointed: bool = False):
     """Every internal poset over the base within the size bounds, as labelled
-    stage posets and restrictions (so one object may appear several times).
+    stage posets and restrictions (so one object may appear several times);
+    with ``pointed``, only those ``is_internal_pointed`` accepts: each stage
+    has a bottom and each restriction preserves it.
 
-    Only monotone restrictions are enumerated, and combinations that do not
-    compose are skipped before ``InternalPoset.make``, which still validates;
-    the order is that of building and validating every combination."""
+    A trusted producer: the stage posets are the validated labelled ones,
+    the restrictions are monotone because ``_order_search`` produced them and
+    compose because ``_composes`` checked them, so ``InternalPoset._trusted``
+    builds the objects.  The order is that of building every combination
+    through ``InternalPoset.make`` and keeping the valid (and pointed) ones."""
     stages = base.stages
     pairs = base.strict_pairs()
-    size_ranges = [range(1, bounds.max_stage + 1) for _ in stages]
-    for sizes in iproduct(*size_ranges):
+    labelled: dict = {}
+    for sizes in iproduct(*[range(1, bounds.max_stage + 1) for _ in stages]):
         if sum(sizes) > bounds.max_carrier:
             continue
-        per_stage = [
-            _labeled_posets_named(k, prefix=f"{p}_") for k, p in zip(sizes, stages)
-        ]
-        for stage_posets in iproduct(*per_stage):
+        for k, p in zip(sizes, stages):
+            if (k, p) not in labelled:
+                Ps = _labeled_posets_named(k, prefix=f"{p}_")
+                labelled[k, p] = [P for P in Ps if P.is_pointed()] if pointed else Ps
+        for stage_posets in iproduct(*[labelled[k, p] for k, p in zip(sizes, stages)]):
             posets = dict(zip(stages, stage_posets))
-            sets = {p: P.elements for p, P in posets.items()}
-            orders = {p: P.pairs for p, P in posets.items()}
-            res_choices = [_monotone_values(posets[p], posets[q]) for p, q in pairs]
+            res_choices = []
+            for p, q in pairs:
+                P, Q = posets[p], posets[q]
+                values = _monotone_values(P, Q)
+                if pointed:
+                    b, c = P.index(P.bottom()), Q.bottom()
+                    values = [v for v in values if v[b] == c]
+                res_choices.append(values)
             for combo in iproduct(*res_choices):
                 restrictions = {
-                    pair: dict(zip(sets[pair[0]], values))
+                    pair: dict(zip(posets[pair[0]].elements, values))
                     for pair, values in zip(pairs, combo)
                 }
                 if _composes(base, restrictions):
-                    yield InternalPoset.make(base, sets, restrictions, orders)
+                    yield InternalPoset._trusted(base, stage_posets, combo)
 
 
 def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):
-    """All pointed internal dcpos over the base within the size bounds."""
-    for A in internal_posets(base, bounds):
-        if is_internal_pointed(A) and is_internal_dcpo(A)[0]:
+    """All pointed internal dcpos over the base within the size bounds: the
+    pointed objects of ``internal_posets``, in its order, that pass
+    ``is_internal_dcpo``."""
+    for A in internal_posets(base, bounds, pointed=True):
+        if is_internal_dcpo(A)[0]:
             yield A
 
 

@@ -240,6 +240,26 @@ class InternalPoset:
         return cls(carrier, ords)
 
     @classmethod
+    def _trusted(cls, base: BasePoset, stage_posets: tuple, restrictions: tuple) -> "InternalPoset":
+        """Build without validation, with the fields and the hidden ``_res``
+        and ``_stage_posets`` that ``make`` would give.  ``stage_posets`` are
+        validated posets aligned with ``base.stages``; ``restrictions`` are
+        value tuples aligned with ``base.strict_pairs()`` that are total, land
+        in the lower stage, are monotone and compose (``oq1.internal_posets``
+        takes them from ``_order_search`` and checks them with ``_composes``)."""
+        carrier = object.__new__(Presheaf)
+        res = tuple((p, q, v) for (p, q), v in zip(base.strict_pairs(), restrictions))
+        object.__setattr__(carrier, "base", base)
+        object.__setattr__(carrier, "stage_sets", tuple(P.elements for P in stage_posets))
+        object.__setattr__(carrier, "restrictions", res)
+        object.__setattr__(carrier, "_res", dict(zip(base.strict_pairs(), restrictions)))
+        A = object.__new__(cls)
+        object.__setattr__(A, "carrier", carrier)
+        object.__setattr__(A, "orders", tuple(P.pairs for P in stage_posets))
+        object.__setattr__(A, "_stage_posets", tuple(stage_posets))
+        return A
+
+    @classmethod
     def constant(cls, base: BasePoset, P: FinPoset) -> "InternalPoset":
         """The constant internal poset: P at every stage, identity restrictions."""
         sets = {p: P.elements for p in base.stages}

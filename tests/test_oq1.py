@@ -15,6 +15,8 @@ from liftdom.order import FinPoset, StructureError
 from liftdom.presheaf import (
     BasePoset,
     InternalPoset,
+    is_internal_dcpo,
+    is_internal_pointed,
     positive_members,
 )
 
@@ -113,12 +115,38 @@ def _internal_posets_by_validation(base, bounds):
                     continue
 
 
+def _hidden_state(A):
+    # dataclass equality sees only carrier and orders; the kernels read these
+    return A.carrier._res, [(P.elements, P.pairs, P._rows) for P in A._stage_posets]
+
+
 def test_internal_posets_match_validating_enumeration():
-    # the prefiltered enumeration yields the same objects in the same order
+    # the trusted enumeration yields the same objects in the same order, with
+    # the hidden attributes that validation would have computed
     bounds = OQ1Bounds(3, 3, 5)
     objects = 0
     for _, base in _small_bases(bounds):
         got = list(internal_posets(base, bounds))
-        assert got == list(_internal_posets_by_validation(base, bounds))
+        want = list(_internal_posets_by_validation(base, bounds))
+        assert got == want
+        assert [_hidden_state(A) for A in got] == [_hidden_state(A) for A in want]
         objects += len(got)
     assert objects == 2012
+
+
+def test_candidate_algebras_match_filtered_validating_enumeration():
+    # pointed first: the stagewise bottom filter keeps exactly the
+    # is_internal_pointed objects, in order
+    bounds = OQ1Bounds(3, 3, 5)
+    total = 0
+    for _, base in _small_bases(bounds):
+        got = list(candidate_algebras(base, bounds))
+        want = [
+            A
+            for A in _internal_posets_by_validation(base, bounds)
+            if is_internal_pointed(A) and is_internal_dcpo(A)[0]
+        ]
+        assert got == want
+        assert [_hidden_state(A) for A in got] == [_hidden_state(A) for A in want]
+        total += len(got)
+    assert total == 255
