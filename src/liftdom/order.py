@@ -142,13 +142,18 @@ class FinPoset(Preorder):
     """Finite partial order: a Preorder that is also antisymmetric."""
 
     def _validate(self):
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self._rows[i] >> j & 1 and self._rows[j] >> i & 1:
+        rows = self._rows
+        for i, row in enumerate(rows):
+            m = row >> i + 1 << i + 1  # the j > i above element i
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if rows[j] >> i & 1:
                     raise StructureError(
                         "antisymmetry",
                         f"{self.elements[i]!r} and {self.elements[j]!r} are mutually related",
                     )
+                m ^= low
 
     @classmethod
     def from_generators(cls, elements, gens) -> "FinPoset":

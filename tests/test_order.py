@@ -354,6 +354,15 @@ def reference_violation(dom, cod, values):
     return None
 
 
+def reference_antisymmetry(elements, rows):
+    # the message FinPoset raised for a reflexive, transitive relation, or None
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if rows[i] >> j & 1 and rows[j] >> i & 1:
+                return f"antisymmetry: {elements[i]!r} and {elements[j]!r} are mutually related"
+    return None
+
+
 def relabellings(n):
     # every poset with at most n elements in every listing of its elements,
     # most of which are not linear extensions
@@ -403,3 +412,31 @@ def test_validator_matches_reference():
                     MonotoneMap(A, B, ("stray",) * k)
                 assert str(e.value) == reference_violation(A, B, ("stray",) * k)
     assert 0 < rejected < checked
+
+
+def test_antisymmetry_matches_reference():
+    # every reflexive, transitive relation on at most 4 elements
+    checked = rejected = 0
+    for n in range(5):
+        els = tuple("abcd"[:n])
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for mask in range(1 << len(off)):
+            rows = [1 << i for i in range(n)]
+            for k, (i, j) in enumerate(off):
+                if mask >> k & 1:
+                    rows[i] |= 1 << j
+            if any(rows[j] & ~rows[i] for i in range(n) for j in range(n) if rows[i] >> j & 1):
+                continue  # not transitive
+            pairs = frozenset((els[i], els[j]) for i in range(n) for j in range(n) if rows[i] >> j & 1)
+            want = reference_antisymmetry(els, rows)
+            try:
+                FinPoset(els, pairs)
+                got = None
+            except StructureError as e:
+                got = str(e)
+            assert got == want, (els, rows)
+            checked += 1
+            rejected += got is not None
+    # the labelled preorders (OEIS A000798) and among them the posets (A001035)
+    assert checked == 1 + 1 + 4 + 29 + 355
+    assert checked - rejected == 1 + 1 + 3 + 19 + 219
