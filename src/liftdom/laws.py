@@ -10,12 +10,18 @@ Runners yield their instance reports.  A check contributes a witness: None
 when it holds, otherwise a short text.  ``_verdict`` turns one witness into
 a report line, and ``_exhaust`` turns a bounded family of them into either
 its failing cases or a single PASS line for the whole family.
+
+Runners and controls build through the ``Backends`` record they are given:
+``bk.classical`` is the classical backend, and ``bk.presheaf(base)`` the
+presheaf backend over a base.  A lane that the run leaves out is None, and
+runners skip it; controls always get both.
 """
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from typing import Callable
 
 from . import colimits as co
@@ -38,18 +44,19 @@ from .order import (
 from .presheaf import BasePoset, InternalPoset, global_elements_raw, omega
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
-CL = ClassicalBackend()
-_PS_CACHE: dict = {}
+
+@dataclass(frozen=True)
+class Backends:
+    """The backends a law is checked in; a lane left out of the run is None."""
+
+    classical: ClassicalBackend | None
+    presheaf: Callable[[BasePoset], PresheafBackend] | None  # base -> its backend, made once per base
 
 
-def presheaf_for(base: BasePoset) -> PresheafBackend:
-    if base not in _PS_CACHE:
-        _PS_CACHE[base] = PresheafBackend(base)
-    return _PS_CACHE[base]
-
-
-def sierpinski_backend() -> PresheafBackend:
-    return presheaf_for(sierpinski_base())
+# One record for the process, so that each law reuses the hom-sets and
+# constructions of the laws before it; a fresh record per law saves memory
+# but loses those hits, and ``check all`` takes longer.
+_BACKENDS = Backends(ClassicalBackend(), cache(PresheafBackend))
 
 
 @dataclass(frozen=True)
@@ -68,8 +75,8 @@ class Law:
     name: str
     statement: str
     bounds: Bounds
-    runner: Callable  # (spec, bounds, backends) -> iterable of InstanceReport
-    negative: Callable  # (bounds) -> list[InstanceReport], at least one FAIL
+    runner: Callable  # (spec, bounds, Backends) -> iterable of InstanceReport
+    negative: Callable  # (bounds, Backends) -> list[InstanceReport], at least one FAIL
 
 
 def _gen_posets(n, pointed=False):
@@ -88,9 +95,9 @@ def _pairs(gens, label):
     return ((label.format(na, nb), A, B) for na, A in gens for nb, B in gens)
 
 
-def _maps(n, pointed=False):
+def _maps(cl, n, pointed=False):
     """Every map between generated posets of at most n elements, named by its ends."""
-    return ((name, f) for name, A, B in _pairs(_gen_posets(n, pointed), "{}->{}") for f in CL.hom(A, B))
+    return ((name, f) for name, A, B in _pairs(_gen_posets(n, pointed), "{}->{}") for f in cl.hom(A, B))
 
 
 def _witness(result):
@@ -152,24 +159,24 @@ def _kz_witness(bk, X):
     return None if structures == [alg.structure] else f"{len(structures)} structure maps found"
 
 
-def run_kz(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_kz(spec, b: Bounds, bk):
+    if cl := bk.classical:
         for name, X in _classical_instances(spec, b.max_size, pointed=True):
-            yield _verdict(name, _kz_witness(CL, X))
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        yield _verdict("omega/2-chain-base", _kz_witness(bk, omega(bk.base)))
+            yield _verdict(name, _kz_witness(cl, X))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        yield _verdict("omega/2-chain-base", _kz_witness(ps, omega(ps.base)))
 
 
-def _corrupted_fold():
+def _corrupted_fold(cl):
     """The 3-chain with a fold that sends its middle element to the top."""
     X = FinPoset.chain(3)
-    ld = CL.lift(X)
+    ld = cl.lift(X)
     return X, MonotoneMap.make(ld.obj, X, lambda u: "c0" if ld.is_bot(None, u) else ("c2" if u == "c1" else u))
 
 
-def neg_kz(b: Bounds):
-    ok, failures = li.kz_check(CL, li.Algebra(*_corrupted_fold()))
+def neg_kz(b: Bounds, bk):
+    ok, failures = li.kz_check(bk.classical, li.Algebra(*_corrupted_fold(bk.classical)))
     return _control("corrupted fold on the 3-chain", not ok, fmt(failures[0]) if failures else None)
 
 
@@ -179,10 +186,10 @@ def neg_kz(b: Bounds):
 def _fake_scone_backend(junk=False):
     """A backend whose "lift" is coproduct-with-a-point (plus optional junk):
     the cone exists but is not universal."""
-    base = ClassicalBackend()
 
     class Fake(ClassicalBackend):
         def lift(self, X):
+            base = super()
             obj = base.coproduct(base.terminal(), X).obj
             bot, eta = ("in", 0, "*"), (lambda a: ("in", 1, a))
             if junk:
@@ -205,13 +212,13 @@ def _cone_law(check, control, junk):
 
     The checker is looked up when it runs, so a stubbed one is seen."""
 
-    def run(spec, b: Bounds, backends):
-        if "classical" in backends:
+    def run(spec, b: Bounds, bk):
+        if cl := bk.classical:
             competitors = posets_upto(b.competing)
             for name, A in _classical_instances(spec, min(b.max_size, 3)):
-                yield _verdict(name, _against(competitors, lambda C: getattr(li, check)(CL, A, C)))
+                yield _verdict(name, _against(competitors, lambda C: getattr(li, check)(cl, A, C)))
 
-    def negative(b: Bounds):
+    def negative(b: Bounds, bk):
         ok, w = getattr(li, check)(_fake_scone_backend(junk), FinPoset.chain(2), FinPoset.chain(2))
         return _control(control, not ok, fmt(w))
 
@@ -225,19 +232,19 @@ run_joint_epi, neg_joint_epi = _cone_law("joint_epi_check", "cone with a stray p
 run_lax_epi, neg_lax_epi = _cone_law("lax_epi_check", "cone with a stray point", junk=True)
 
 
-def run_cocomma(spec, b: Bounds, backends):
-    if "classical" in backends:
-        witness = _against(posets_upto(b.competing), lambda C: li.scone_universal_check(CL, CL.terminal(), C))
+def run_cocomma(spec, b: Bounds, bk):
+    if cl := bk.classical:
+        witness = _against(posets_upto(b.competing), lambda C: li.scone_universal_check(cl, cl.terminal(), C))
         yield _verdict("sigma=lift(1)", witness)
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        one = bk.terminal()
-        competing = [one, omega(bk.base), InternalPoset.constant(bk.base, FinPoset.chain(2))]
-        witness = _against(competing, lambda C: li.scone_universal_check(bk, one, C))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        one = ps.terminal()
+        competing = [one, omega(ps.base), InternalPoset.constant(ps.base, FinPoset.chain(2))]
+        witness = _against(competing, lambda C: li.scone_universal_check(ps, one, C))
         yield _verdict("omega-cocomma/2-chain-base", witness)
 
 
-def neg_cocomma(b: Bounds):
+def neg_cocomma(b: Bounds, bk):
     fake = _fake_scone_backend()
     ok, w = li.scone_universal_check(fake, fake.terminal(), FinPoset.chain(2))
     return _control("two-antichain posing as sigma", not ok, fmt(w))
@@ -246,23 +253,23 @@ def neg_cocomma(b: Bounds):
 # ---------------------------------------------------------------------------
 # open-classifier
 
-def run_open_classifier(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_open_classifier(spec, b: Bounds, bk):
+    if cl := bk.classical:
         for name, A in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _witness(li.open_classifier_check(CL, A)))
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        targets = [("terminal", bk.terminal()), ("omega", omega(bk.base))]
+            yield _verdict(name, _witness(li.open_classifier_check(cl, A)))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        targets = [("terminal", ps.terminal()), ("omega", omega(ps.base))]
         targets += [(f"model:{name}", ip) for name, ip in spec.iposets.items() if ip.size() <= 4]
         for name, A in targets:
-            yield _verdict(name, _witness(li.open_classifier_check(bk, A)))
+            yield _verdict(name, _witness(li.open_classifier_check(ps, A)))
 
 
-def neg_open_classifier(b: Bounds):
+def neg_open_classifier(b: Bounds, bk):
     # present a non-open (not up-closed) subset as an open of the 2-chain:
     # its characteristic map is not monotone
     try:
-        ok, w = li.open_classifier_check(CL, FinPoset.chain(2), opens=[{None: frozenset({"c0"})}])
+        ok, w = li.open_classifier_check(bk.classical, FinPoset.chain(2), opens=[{None: frozenset({"c0"})}])
     except StructureError as e:
         return _control("down-set posing as an open", True, str(e))
     return _control("down-set posing as an open", not ok, w)
@@ -271,27 +278,28 @@ def neg_open_classifier(b: Bounds):
 # ---------------------------------------------------------------------------
 # partial-product
 
-def run_partial_product(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_partial_product(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
             (
-                (name, _witness(li.partial_product_check(CL, A, B)))
+                (name, _witness(li.partial_product_check(cl, A, B)))
                 for name, A, B in _pairs(_gen_posets(n), "{}⇀{}")
             ),
             f"all pairs ≤ {n} classical",
         )
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        yield _verdict("1⇀1/2-chain-base", _witness(li.partial_product_check(bk, bk.terminal(), bk.terminal())))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        yield _verdict("1⇀1/2-chain-base", _witness(li.partial_product_check(ps, ps.terminal(), ps.terminal())))
 
 
-def neg_partial_product(b: Bounds):
+def neg_partial_product(b: Bounds, bk):
     # drop one partial map from the enumeration: the count no longer matches
+    cl = bk.classical
     A = FinPoset.chain(2)
-    pms = li.enumerate_partial_maps(CL, A, A)[1:]
-    totals = [li.partial_to_total(CL, pm) for pm in pms]
-    homs = CL.hom(A, CL.lift(A).obj)
+    pms = li.enumerate_partial_maps(cl, A, A)[1:]
+    totals = [li.partial_to_total(cl, pm) for pm in pms]
+    homs = cl.hom(A, cl.lift(A).obj)
     return _control(
         "enumeration missing one span",
         set(totals) != set(homs),
@@ -302,30 +310,31 @@ def neg_partial_product(b: Bounds):
 # ---------------------------------------------------------------------------
 # conservative-L
 
-def run_conservative(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_conservative(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
 
     def witness(f):
-        ok, w = li.conservativity_check(CL, f)
+        ok, w = li.conservativity_check(cl, f)
         return None if ok else f"{fmt(f)}: {fmt(w)}"
 
     n = min(b.max_size, 3)
-    generated = _exhaust(((name, witness(f)) for name, f in _maps(n)), f"all maps between posets ≤ {n}")
+    generated = _exhaust(((name, witness(f)) for name, f in _maps(cl, n)), f"all maps between posets ≤ {n}")
     for name, f in spec.maps.items():
-        yield _verdict(f"model:{name}", _witness(li.conservativity_check(CL, f)))
+        yield _verdict(f"model:{name}", _witness(li.conservativity_check(cl, f)))
     yield from generated
 
 
-def neg_conservative(b: Bounds):
+def neg_conservative(b: Bounds, bk):
     # pair a map with the functorial image of a different map: the unit
     # square no longer commutes
+    cl = bk.classical
     A = FinPoset.chain(2)
     f = MonotoneMap.make(A, A, lambda x: "c1")
-    g = CL.identity(A)
-    la = CL.lift(A)
-    lg = CL.lift_map(g)
-    square = CL.compose(lg, la.unit) == CL.compose(la.unit, f)
+    g = cl.identity(A)
+    la = cl.lift(A)
+    lg = cl.lift_map(g)
+    square = cl.compose(lg, la.unit) == cl.compose(la.unit, f)
     return _control("mismatched square", not square, "unit square does not commute for the swapped pair")
 
 
@@ -342,22 +351,22 @@ def _pointed_algebra_witness(bk, X):
     return None if len(structures) == int(pointed) else f"{len(structures)} structure maps"
 
 
-def run_pointed_iff_algebra(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_pointed_iff_algebra(spec, b: Bounds, bk):
+    if cl := bk.classical:
         for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _pointed_algebra_witness(CL, X))
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        for name, A in [("omega", omega(bk.base)), ("terminal", bk.terminal())]:
-            yield _verdict(name, _pointed_algebra_witness(bk, A))
+            yield _verdict(name, _pointed_algebra_witness(cl, X))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        for name, A in [("omega", omega(ps.base)), ("terminal", ps.terminal())]:
+            yield _verdict(name, _pointed_algebra_witness(ps, A))
 
 
-def neg_pointed_iff_algebra(b: Bounds):
+def neg_pointed_iff_algebra(b: Bounds, bk):
     # a non-pointed object with a claimed fold: the laws must reject it
     X = FinPoset.antichain(2)
-    ld = CL.lift(X)
+    ld = bk.classical.lift(X)
     candidate = MonotoneMap.make(ld.obj, X, lambda u: "a0")
-    ok = li.is_algebra(CL, X, candidate)
+    ok = li.is_algebra(bk.classical, X, candidate)
     return _control("constant fold on the 2-antichain", not ok, "unit law fails: fold(eta(a1)) = a0")
 
 
@@ -365,14 +374,14 @@ def _inductive_object(X, subsets=semidirected_subsets) -> bool:
     return all(lub(X, S) is not None for S in subsets(X))
 
 
-def run_pointed_iff_inductive(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_pointed_iff_inductive(spec, b: Bounds, bk):
+    if bk.classical:
         for name, X in _classical_instances(spec, min(b.max_size, 4)):
             agree = X.is_pointed() == _inductive_object(X)
             yield _verdict(name, None if agree else "pointedness disagrees with semidirected completeness")
 
 
-def neg_pointed_iff_inductive(b: Bounds):
+def neg_pointed_iff_inductive(b: Bounds, bk):
     # corrupt the inductive side to quantify over directed subsets only:
     # the empty family is lost and the 2-antichain slips through
     X = FinPoset.antichain(2)
@@ -394,62 +403,63 @@ def _preserves_sups(f, subsets=semidirected_subsets) -> bool:
     return True
 
 
-def run_strict_iff_inductive(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_strict_iff_inductive(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
             (
-                (name, None if li.is_strict(CL, f) == _preserves_sups(f) else fmt(f))
-                for name, f in _maps(n, pointed=True)
+                (name, None if li.is_strict(cl, f) == _preserves_sups(f) else fmt(f))
+                for name, f in _maps(cl, n, pointed=True)
             ),
             f"all maps between pointed posets ≤ {n}",
         )
 
 
-def neg_strict_iff_inductive(b: Bounds):
+def neg_strict_iff_inductive(b: Bounds, bk):
     # against directed sups only, the constant-top endomap of the 2-chain
     # wrongly qualifies as inductive despite not being strict
     S = FinPoset.chain(2)
     f = MonotoneMap.make(S, S, lambda _: "c1")
     return _control(
         "empty family dropped from the comparison",
-        li.is_strict(CL, f) != _preserves_sups(f, directed_subsets),
+        li.is_strict(bk.classical, f) != _preserves_sups(f, directed_subsets),
         "const-top preserves all inhabited directed sups but moves bottom",
     )
 
 
-def run_strict_iff_hom(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_strict_iff_hom(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 4)
         yield from _exhaust(
             (
-                (name, None if li.strict_iff_hom_check(CL, f) else fmt(f))
-                for name, f in _maps(n, pointed=True)
+                (name, None if li.strict_iff_hom_check(cl, f) else fmt(f))
+                for name, f in _maps(cl, n, pointed=True)
             ),
             f"all maps between pointed posets ≤ {n}",
         )
 
 
-def neg_strict_iff_hom(b: Bounds):
+def neg_strict_iff_hom(b: Bounds, bk):
     # against a corrupted fold the equivalence breaks for the identity map
-    X, bad = _corrupted_fold()
-    f = CL.identity(X)
+    cl = bk.classical
+    X, bad = _corrupted_fold(cl)
+    f = cl.identity(X)
     return _control(
         "corrupted fold on the codomain",
-        li.is_strict(CL, f) != li.is_homomorphism(CL, f, CL.algebra_structure(X), bad),
+        li.is_strict(cl, f) != li.is_homomorphism(cl, f, cl.algebra_structure(X), bad),
         "identity is strict but fails the square against the corrupted fold",
     )
 
 
-def run_monadicity(spec, b: Bounds, backends):
-    yield from run_pointed_iff_algebra(spec, replace(b, max_size=min(b.max_size, 4)), backends)
-    yield from run_pointed_iff_inductive(spec, b, backends)
-    if "classical" in backends:
+def run_monadicity(spec, b: Bounds, bk):
+    yield from run_pointed_iff_algebra(spec, replace(b, max_size=min(b.max_size, 4)), bk)
+    yield from run_pointed_iff_inductive(spec, b, bk)
+    if cl := bk.classical:
         yield from _exhaust(
             (
-                (name, None if li.strict_iff_hom_check(CL, f) and li.is_strict(CL, f) == _preserves_sups(f)
+                (name, None if li.strict_iff_hom_check(cl, f) and li.is_strict(cl, f) == _preserves_sups(f)
                  else fmt(f))
-                for name, f in _maps(min(b.max_size, 3), pointed=True)
+                for name, f in _maps(cl, min(b.max_size, 3), pointed=True)
             ),
             "map-level equivalences",
         )
@@ -458,7 +468,7 @@ def run_monadicity(spec, b: Bounds, backends):
 # ---------------------------------------------------------------------------
 # colimits
 
-def _generated_diagrams(max_nodes=3, max_carrier=3, count=24):
+def _generated_diagrams(cl, max_carrier=3, count=24):
     """Deterministic connected algebra diagrams over pointed carriers."""
     rng = random.Random(20240811)
     carriers = posets_upto(max_carrier, pointed=True)
@@ -478,7 +488,7 @@ def _generated_diagrams(max_nodes=3, max_carrier=3, count=24):
         objects = {n: carriers[rng.randrange(len(carriers))] for n in nodes}
         arrows = {}
         for name, s, t in edges:
-            pool = li.strict_hom_set(CL, objects[s], objects[t])
+            pool = li.strict_hom_set(cl, objects[s], objects[t])
             if not pool:
                 break
             arrows[name] = pool[rng.randrange(len(pool))]
@@ -487,24 +497,22 @@ def _generated_diagrams(max_nodes=3, max_carrier=3, count=24):
     return out
 
 
-def run_connected_colimits(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_connected_colimits(spec, b: Bounds, bk):
+    if cl := bk.classical:
         apexes = posets_upto(b.apex)
-        for i, d in enumerate(_generated_diagrams()):
+        for i, d in enumerate(_generated_diagrams(cl)):
             name = f"diagram#{i} ({len(d.nodes)} nodes/{len(d.edges)} edges)"
-            yield _verdict(name, _witness(co.creation_check(CL, d, apexes)))
+            yield _verdict(name, _witness(co.creation_check(cl, d, apexes)))
 
 
-def neg_connected_colimits(b: Bounds):
-    d = co.Diagram(
-        ("a", "b"), (), {"a": FinPoset.chain(1), "b": FinPoset.chain(1)}, {}
-    )
-    ok, why = co.creation_check(CL, d, posets_upto(2))
+def neg_connected_colimits(b: Bounds, bk):
+    d = co.Diagram(("a", "b"), (), {"a": FinPoset.chain(1), "b": FinPoset.chain(1)}, {})
+    ok, why = co.creation_check(bk.classical, d, posets_upto(2))
     return _control("disconnected diagram", not ok, str(why))
 
 
-def run_algebras_cocomplete(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_algebras_cocomplete(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     apexes = posets_upto(b.apex)
     S = FinPoset.chain(2)
@@ -512,27 +520,27 @@ def run_algebras_cocomplete(spec, b: Bounds, backends):
     for X, Y in [(S, S), (S, C3), (C3, C3), (S, FinPoset.chain(1))]:
         yield _attempt(
             f"coproduct {X.n}⊕{Y.n}",
-            lambda: _witness(co.coproduct_algebras_universal_check(CL, X, Y, apexes)),
+            lambda: _witness(co.coproduct_algebras_universal_check(cl, X, Y, apexes)),
             (StructureError, UnavailableError),
         )
     # a connected piece, for the general-colimit claim
-    yield _verdict("connected piece", _witness(co.creation_check(CL, _generated_diagrams(count=4)[2], apexes)))
+    yield _verdict("connected piece", _witness(co.creation_check(cl, _generated_diagrams(cl, count=4)[2], apexes)))
 
 
-def neg_algebras_cocomplete(b: Bounds):
+def neg_algebras_cocomplete(b: Bounds, bk):
     # the plain coproduct (bottoms not glued) is not even pointed, so it
     # cannot be the coproduct in algebras
     S = FinPoset.chain(2)
-    cd = CL.coproduct(S, S)
+    cd = bk.classical.coproduct(S, S)
     return _control(
         "plain coproduct posing as algebra coproduct",
-        not CL.is_pointed(cd.obj),
+        not bk.classical.is_pointed(cd.obj),
         "the apex has two minimal elements and no bottom",
     )
 
 
-def run_colimits_enriched(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_colimits_enriched(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     apexes = posets_upto(b.apex)
     S = FinPoset.chain(2)
@@ -544,46 +552,44 @@ def run_colimits_enriched(spec, b: Bounds, backends):
         {"e": MonotoneMap.make(pt, S, lambda _: "c0")},
     )
     for name, d in [("pushout instance", pushout), ("single node", co.Diagram(("a",), (), {"a": S}, {}))]:
-        yield _verdict(name, _witness(co.colimits_enriched_check(CL, d, co.colimit(CL, d), apexes)))
+        yield _verdict(name, _witness(co.colimits_enriched_check(cl, d, co.colimit(cl, d), apexes)))
 
 
-def neg_colimits_enriched(b: Bounds):
+def neg_colimits_enriched(b: Bounds, bk):
     # a non-surjective cone: comparisons can disagree outside the legs' image
     S = FinPoset.chain(2)
     d = co.Diagram(("a",), (), {"a": FinPoset.chain(1)}, {})
-    fake = co.ColimitResult(
-        S, {"a": MonotoneMap.make(FinPoset.chain(1), S, lambda _: "c0")}, None
-    )
-    ok, w = co.colimits_enriched_check(CL, d, fake, [S])
+    fake = co.ColimitResult(S, {"a": MonotoneMap.make(FinPoset.chain(1), S, lambda _: "c0")}, None)
+    ok, w = co.colimits_enriched_check(bk.classical, d, fake, [S])
     return _control("proper subobject posing as apex", not ok, fmt(w))
 
 
 # ---------------------------------------------------------------------------
 # tensor laws
 
-def _presentations_witness(A, B):
-    tensors = [te.smash(CL, A, B, k) for k in (1, 2, 3, 4)]
+def _presentations_witness(cl, A, B):
+    tensors = [te.smash(cl, A, B, k) for k in (1, 2, 3, 4)]
     # a spanning tree of comparisons suffices: the comparisons commute with
     # the universal maps, so by uniqueness of the factorisation a composite
     # of two of them is the third
     try:
         for T in tensors[1:]:
-            te.smash_comparison(CL, tensors[0], T)
+            te.smash_comparison(cl, tensors[0], T)
     except StructureError as e:
         return str(e)
     T = tensors[0].obj
-    if poset_iso(T, te.direct_smash_classical(CL, A, B)) is None:
+    if poset_iso(T, te.direct_smash_classical(cl, A, B)) is None:
         return "disagrees with the direct quotient"
     return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
 
 
-def run_smash_presentations(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_smash_presentations(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     n = min(b.max_size, 5)
     yield from _exhaust(
         (
-            (name, _presentations_witness(A, B))
+            (name, _presentations_witness(cl, A, B))
             for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊗{}")
         ),
         f"four presentations agree for pointed pairs ≤ {n}",
@@ -592,153 +598,149 @@ def run_smash_presentations(spec, b: Bounds, backends):
     small = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
     yield from _exhaust(
         (
-            (name, _witness(te.universal_bistrict_check(CL, te.smash(CL, A, B), codomains)))
+            (name, _witness(te.universal_bistrict_check(cl, te.smash(cl, A, B), codomains)))
             for name, A, B in _pairs(small, "universal {}⊗{}")
         ),
         "unique bistrict factorisation on the bounded range",
     )
 
 
-def _half_smash(A):
+def _half_smash(cl, A):
     """A x A with only the pairs whose left factor is bottom collapsed: a
     one-sided quotient, one element larger than the smash for the 2-chain."""
     seeds = [(("pr", "c0", x), ("pr", "c0", "c0")) for x in A.elements]
-    return quotient_poset(CL.product(A, A).obj, seeds)[0]
+    return quotient_poset(cl.product(A, A).obj, seeds)[0]
 
 
-def neg_smash_presentations(b: Bounds):
+def neg_smash_presentations(b: Bounds, bk):
     # an unbalanced quotient (only left bottoms collapsed) is not the smash
     A = FinPoset.chain(2)
-    Q = _half_smash(A)
-    T = te.smash(CL, A, A)
+    Q = _half_smash(bk.classical, A)
+    T = te.smash(bk.classical, A, A)
     return _control(
         "one-sided quotient posing as the smash", poset_iso(Q, T.obj) is None, f"{Q.n} elements vs {T.obj.n}"
     )
 
 
-def run_bistrict_iff_bilinear(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_bistrict_iff_bilinear(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     n = min(b.max_size, 3)
     pointed = _gen_posets(n, pointed=True)
 
     def cases():
         for name, A, B in _pairs(pointed, "{},{}"):
-            pd = CL.product(A, B)
-            bilinear = te.bilinearity(CL, A, B)
+            pd = cl.product(A, B)
+            bilinear = te.bilinearity(cl, A, B)
             for nc, C in pointed:
-                for f in CL.hom(pd.obj, C):
-                    yield f"{name}->{nc}", None if te.is_bistrict(CL, f, A, B) == bilinear(f) else fmt(f)
+                for f in cl.hom(pd.obj, C):
+                    yield f"{name}->{nc}", None if te.is_bistrict(cl, f, A, B) == bilinear(f) else fmt(f)
 
     yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
 
 
-def neg_bistrict_iff_bilinear(b: Bounds):
+def neg_bistrict_iff_bilinear(b: Bounds, bk):
     # fold the arguments against swapped structure maps: the meet map
     # stays bistrict but the corrupted square fails
+    cl = bk.classical
     S = FinPoset.chain(3)
     S2 = FinPoset.chain(2)
-    pd = CL.product(S, S2)
-    meet = CL.mor_from_fn(
-        pd.obj,
-        S2,
-        lambda st, x: "c1" if x[1] == "c2" and x[2] == "c1" else "c0",
-    )
-    la, lb = CL.lift(S), CL.lift(S2)
-    pd_l = CL.product(la.obj, lb.obj)
-    kappa = li.commutator(CL, S, S2)
-    alpha_c = CL.algebra_structure(S2)
-    lhs = CL.compose(CL.compose(alpha_c, CL.lift_map(meet)), kappa)
-    wrong_folds = CL.pair(
+    pd = cl.product(S, S2)
+    meet = cl.mor_from_fn(pd.obj, S2, lambda st, x: "c1" if x[1] == "c2" and x[2] == "c1" else "c0")
+    la, lb = cl.lift(S), cl.lift(S2)
+    pd_l = cl.product(la.obj, lb.obj)
+    kappa = li.commutator(cl, S, S2)
+    alpha_c = cl.algebra_structure(S2)
+    lhs = cl.compose(cl.compose(alpha_c, cl.lift_map(meet)), kappa)
+    wrong_folds = cl.pair(
         pd,
-        CL.compose(CL.algebra_structure(S), CL.compose(CL.lift_map(CL.identity(S)), pd_l.fst)),
-        CL.compose(
-            MonotoneMap.make(lb.obj, S2, lambda u: "c1"), pd_l.snd
-        ),
+        cl.compose(cl.algebra_structure(S), cl.compose(cl.lift_map(cl.identity(S)), pd_l.fst)),
+        cl.compose(MonotoneMap.make(lb.obj, S2, lambda u: "c1"), pd_l.snd),
     )
-    rhs = CL.compose(meet, wrong_folds)
+    rhs = cl.compose(meet, wrong_folds)
     return _control(
         "corrupted fold in the bilinearity square",
-        te.is_bistrict(CL, meet, S, S2) and lhs != rhs,
+        te.is_bistrict(cl, meet, S, S2) and lhs != rhs,
         "bistrict map fails the square with a constant-top fold",
     )
 
 
-def run_seal_iso(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_seal_iso(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     n = min(b.max_size, 3)
     iso = _exhaust(
         (
-            (name, _witness(te.seal_iso_check(CL, A, B)))
+            (name, _witness(te.seal_iso_check(cl, A, B)))
             for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊠{}")
         ),
         f"tensor ≅ smash for pointed pairs ≤ {n}",
     )
-    represents = te.seal_represents_bilinear_check(CL, FinPoset.chain(2), FinPoset.chain(2), posets_upto(3))
+    represents = te.seal_represents_bilinear_check(cl, FinPoset.chain(2), FinPoset.chain(2), posets_upto(3))
     yield _verdict("tensor represents bilinear maps", _witness(represents))
     yield from iso
 
 
-def neg_seal_iso(b: Bounds):
+def neg_seal_iso(b: Bounds, bk):
     A = FinPoset.chain(2)
-    Q = te.seal_tensor(CL, A, A)[0]
-    halfsmash = _half_smash(A)
+    Q = te.seal_tensor(bk.classical, A, A)[0]
+    halfsmash = _half_smash(bk.classical, A)
     return _control(
         "one-sided quotient posing as the tensor", poset_iso(Q, halfsmash) is None, f"{Q.n} vs {halfsmash.n} elements"
     )
 
 
-def run_monoidal_adjunction(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_monoidal_adjunction(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
             (
-                (name, _witness(te.monoidal_adjunction_check(CL, A, B)))
+                (name, _witness(te.monoidal_adjunction_check(cl, A, B)))
                 for name, A, B in _pairs(_gen_posets(n), "L{}⊗L{}")
             ),
             f"strong/lax symmetry for pairs ≤ {n}",
         )
         S = FinPoset.chain(2)
         coherence = [
-            (name, None if te.triangle_check(CL, A, B) else "unitor triangle fails")
+            (name, None if te.triangle_check(cl, A, B) else "unitor triangle fails")
             for name, A, B in _pairs(_gen_posets(2, pointed=True), "triangle {},{}")
         ]
-        coherence.append(("hexagon chain2", None if te.hexagon_check(CL, S, S, S) else "hexagon fails"))
-        coherence.append(("pentagon chain2", None if te.pentagon_check(CL, S, S, S, S) else "pentagon fails"))
+        coherence.append(("hexagon chain2", None if te.hexagon_check(cl, S, S, S) else "hexagon fails"))
+        coherence.append(("pentagon chain2", None if te.pentagon_check(cl, S, S, S, S) else "pentagon fails"))
         yield from _exhaust(coherence, "coherence on 2-chains")
-    if "presheaf" in backends and "classical" not in backends:
+    if bk.presheaf and not bk.classical:
         # only when the presheaf backend alone is selected: the smash of two
         # lifted objects needs a coequaliser the stagewise quotient cannot
         # deliver, so this instance reports unavailable rather than an
         # approximation, which would turn the default run unavailable
-        bk = sierpinski_backend()
-        one = bk.terminal()
-        yield _attempt("1,1/2-chain-base", lambda: _witness(te.monoidal_adjunction_check(bk, one, one)))
+        ps = bk.presheaf(sierpinski_base())
+        one = ps.terminal()
+        yield _attempt("1,1/2-chain-base", lambda: _witness(te.monoidal_adjunction_check(ps, one, one)))
 
 
-def neg_monoidal_adjunction(b: Bounds):
+def neg_monoidal_adjunction(b: Bounds, bk):
     # replace the lifted swap with the identity: the symmetry square fails
+    cl = bk.classical
     S = FinPoset.chain(2)
-    la = CL.lift(S)
-    T = te.smash(CL, la.obj, la.obj)
-    kappa = li.commutator(CL, S, S)
-    kbar = te.factor_bistrict(CL, T, kappa)
-    beta_t = te.braiding(CL, la.obj, la.obj)
-    wrong = CL.identity(CL.lift(CL.product(S, S).obj).obj)
-    square = CL.compose(kbar, beta_t) == CL.compose(wrong, kbar)
+    la = cl.lift(S)
+    T = te.smash(cl, la.obj, la.obj)
+    kappa = li.commutator(cl, S, S)
+    kbar = te.factor_bistrict(cl, T, kappa)
+    beta_t = te.braiding(cl, la.obj, la.obj)
+    wrong = cl.identity(cl.lift(cl.product(S, S).obj).obj)
+    square = cl.compose(kbar, beta_t) == cl.compose(wrong, kbar)
     return _control(
         "identity posing as the lifted swap", not square, "symmetry square fails when the swap is dropped"
     )
 
 
-def run_tensor_hom(spec, b: Bounds, backends):
-    if "classical" not in backends:
+def run_tensor_hom(spec, b: Bounds, bk):
+    if not (cl := bk.classical):
         return
     pointed = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
     currying = _exhaust(
         (
-            (f"{nc}⊗{na}⊸{nb}", _witness(te.tensor_hom_adjunction_check(CL, C, A, B)))
+            (f"{nc}⊗{na}⊸{nb}", _witness(te.tensor_hom_adjunction_check(cl, C, A, B)))
             for nc, C in pointed
             for na, A in pointed
             for nb, B in pointed
@@ -746,65 +748,61 @@ def run_tensor_hom(spec, b: Bounds, backends):
         "currying bijections verified",
     )
     S = FinPoset.chain(2)
-    yield _verdict("naturality on 2-chains", _witness(te.tensor_hom_naturality_check(CL, S, S, S, S)))
+    yield _verdict("naturality on 2-chains", _witness(te.tensor_hom_naturality_check(cl, S, S, S, S)))
     yield from currying
 
 
-def neg_tensor_hom(b: Bounds):
+def neg_tensor_hom(b: Bounds, bk):
     # currying with the first argument pinned to bottom loses information:
     # the roundtrip misses the universal map itself
+    cl = bk.classical
     C, A = FinPoset.chain(2), FinPoset.chain(2)
-    T = te.smash(CL, C, A)
-    E = CL.exponential(A, T.obj)
-    pd = CL.product(C, A)
+    T = te.smash(cl, C, A)
+    E = cl.exponential(A, T.obj)
+    pd = cl.product(C, A)
     f = T.universal
-    g_bad = CL.mor_from_fn(
-        C,
-        E.obj,
-        lambda st, c: E.encode(
-            st, {None: {a: CL.app(f, st, pd.pack(st, "c0", a)) for a in A.elements}}
-        ),
+    g_bad = cl.mor_from_fn(
+        C, E.obj, lambda st, c: E.encode(st, {None: {a: cl.app(f, st, pd.pack(st, "c0", a)) for a in A.elements}})
     )
-    back = CL.mor_from_fn(
-        pd.obj, T.obj, lambda st, x: E.apply_elem(st, CL.app(g_bad, st, x[1]), st, x[2])
-    )
+    back = cl.mor_from_fn(pd.obj, T.obj, lambda st, x: E.apply_elem(st, cl.app(g_bad, st, x[1]), st, x[2]))
     return _control(
         "currying with a pinned argument", back != f, "roundtrip collapses the first factor to its bottom"
     )
 
 
-def run_homs_coincide(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_homs_coincide(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         cases = [
-            (name, None if te.homs_coincide_check(CL, A, B) else "linear and strict members differ")
+            (name, None if te.homs_coincide_check(cl, A, B) else "linear and strict members differ")
             for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊸{}")
         ]
         S = FinPoset.chain(2)
-        cases.append(("kock-criterion", None if te.kock_criterion_check(CL, S, S) else "extension map is not strict"))
+        cases.append(("kock-criterion", None if te.kock_criterion_check(cl, S, S) else "extension map is not strict"))
         yield from _exhaust(cases, f"pointed pairs ≤ {n}")
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        S = InternalPoset.constant(bk.base, FinPoset.chain(2))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        S = InternalPoset.constant(ps.base, FinPoset.chain(2))
         yield _attempt(
-            "const-chain2/2-chain-base", lambda: None if te.homs_coincide_check(bk, S, S) else "members differ"
+            "const-chain2/2-chain-base", lambda: None if te.homs_coincide_check(ps, S, S) else "members differ"
         )
 
 
-def neg_homs_coincide(b: Bounds):
+def neg_homs_coincide(b: Bounds, bk):
     # corrupt the extension: treating the fresh bottom as the top makes the
     # linear side differ from the strict one
+    cl = bk.classical
     A = B = FinPoset.chain(2)
-    E = CL.exponential(A, B)
-    la = CL.lift(A)
-    alpha_a = CL.algebra_structure(A)
+    E = cl.exponential(A, B)
+    la = cl.lift(A)
+    alpha_a = cl.algebra_structure(A)
     comps = {fe: {a: E.apply_elem(None, fe, None, a) for a in A.elements} for fe in E.obj.elements}
     strict_members = {fe for fe, comp in comps.items() if comp[A.bottom()] == B.bottom()}
     corrupt_members = {
         fe
         for fe, comp in comps.items()
         if all(
-            comp[CL.app(alpha_a, None, u)] == ("c1" if la.is_bot(None, u) else comp[u]) for u in la.obj.elements
+            comp[cl.app(alpha_a, None, u)] == ("c1" if la.is_bot(None, u) else comp[u]) for u in la.obj.elements
         )
     }
     return _control(
@@ -814,20 +812,21 @@ def neg_homs_coincide(b: Bounds):
     )
 
 
-def run_phoa(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_phoa(spec, b: Bounds, bk):
+    if cl := bk.classical:
         for name, Y in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, None if li.phoa_check(CL, Y) else "power by the walking arrow differs")
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        yield _verdict("terminal/2-chain-base", None if li.phoa_check(bk, bk.terminal()) else "power differs")
+            yield _verdict(name, None if li.phoa_check(cl, Y) else "power by the walking arrow differs")
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        yield _verdict("terminal/2-chain-base", None if li.phoa_check(ps, ps.terminal()) else "power differs")
 
 
-def neg_phoa(b: Bounds):
+def neg_phoa(b: Bounds, bk):
+    cl = bk.classical
     Y = FinPoset.chain(2)
-    sigma = CL.lift(CL.terminal())
-    E = CL.exponential(sigma.obj, Y)
-    full = CL.product(Y, Y)
+    sigma = cl.lift(cl.terminal())
+    E = cl.exponential(sigma.obj, Y)
+    full = cl.product(Y, Y)
     return _control(
         "full square posing as the arrow object",
         poset_iso(E.obj, full.obj) is None,
@@ -835,48 +834,43 @@ def neg_phoa(b: Bounds):
     )
 
 
-def run_paths(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_paths(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
             (
-                (f"{na}~>{nb}", _witness(li.paths_check(CL, A, B))) for na, A in _gen_posets(2)
+                (f"{na}~>{nb}", _witness(li.paths_check(cl, A, B))) for na, A in _gen_posets(2)
                 for nb, B in _gen_posets(n)
             ),
             f"paths = pointwise order, A ≤ 2, B ≤ {n}",
         )
 
 
-def neg_paths(b: Bounds):
+def neg_paths(b: Bounds, bk):
     ok, w = li.paths_check(_fake_scone_backend(junk=True), FinPoset.chain(1), FinPoset.chain(2))
     return _control("interval with a stray point", not ok, fmt(w))
 
 
-def run_top_opfibration(spec, b: Bounds, backends):
-    if "classical" in backends:
-        yield _verdict("classical", None if li.top_opfibration_check(CL) else "comma is not a point")
-    if "presheaf" in backends:
+def run_top_opfibration(spec, b: Bounds, bk):
+    if cl := bk.classical:
+        yield _verdict("classical", None if li.top_opfibration_check(cl) else "comma is not a point")
+    if bk.presheaf:
         for name, base in spec.bases.items():
             if base.poset.n <= b.base_stages:
-                ok = li.top_opfibration_check(presheaf_for(base))
+                ok = li.top_opfibration_check(bk.presheaf(base))
                 yield _verdict(f"base:{name}", None if ok else "comma is not a point")
 
 
-def neg_top_opfibration(b: Bounds):
+def neg_top_opfibration(b: Bounds, bk):
     # take the bottom truth value as the claimed top: its upper set is all
     # of sigma, not a point
-    sigma = CL.lift(CL.terminal())
-    members = {
-        None: frozenset(
-            s
-            for s in sigma.obj.elements
-            if sigma.obj.leq(sigma.bot_elem(None), s)
-        )
-    }
-    comma, _ = CL.subobject(sigma.obj, members)
+    cl = bk.classical
+    sigma = cl.lift(cl.terminal())
+    members = {None: frozenset(s for s in sigma.obj.elements if sigma.obj.leq(sigma.bot_elem(None), s))}
+    comma, _ = cl.subobject(sigma.obj, members)
     return _control(
         "bottom posing as the universal point",
-        poset_iso(comma, CL.terminal()) is None,
+        poset_iso(comma, cl.terminal()) is None,
         f"comma object has {comma.n} elements",
     )
 
@@ -888,31 +882,31 @@ def _positive_part_comparison_is_iso(bk, O) -> bool:
     return bk.is_iso(bk.lift_map(bk.bang(P)))
 
 
-def run_nonboolean_lift(spec, b: Bounds, backends):
-    if "presheaf" not in backends:
+def run_nonboolean_lift(spec, b: Bounds, bk):
+    if not bk.presheaf:
         return
-    bk = sierpinski_backend()
-    O = omega(bk.base)
-    lone = bk.lift(bk.terminal())
+    ps = bk.presheaf(sierpinski_base())
+    O = omega(ps.base)
+    lone = ps.lift(ps.terminal())
     sizes_ok = len(O.at("s1")) == 3 and len(O.at("s0")) == 2 and len(global_elements_raw(O)) == 3
     yield _verdict("omega sizes 3/2, 3 points", None if sizes_ok else f"{len(O.at('s1'))}/{len(O.at('s0'))}")
-    yield _verdict("lift(1) ≅ omega", None if bk.iso(lone.obj, O) is not None else "no natural iso found")
-    two = bk.coproduct(bk.terminal(), bk.terminal())
-    collapsed = bk.iso(lone.obj, two.obj) is not None
+    yield _verdict("lift(1) ≅ omega", None if ps.iso(lone.obj, O) is not None else "no natural iso found")
+    two = ps.coproduct(ps.terminal(), ps.terminal())
+    collapsed = ps.iso(lone.obj, two.obj) is not None
     yield _verdict("lift(1) ≇ 1+1", "iso found; lifting collapsed to a coproduct" if collapsed else None)
-    iso = _positive_part_comparison_is_iso(bk, O)
+    iso = _positive_part_comparison_is_iso(ps, O)
     yield _verdict("lift(nonbottom part) ↛ lift(1) is not iso", "the comparison is an iso" if iso else None)
-    ok, _ = li.free_on_positives_check(bk, O)
+    ok, _ = li.free_on_positives_check(ps, O)
     yield _verdict("omega is free on its positive part", None if ok else "canonical extension is not iso")
 
 
-def neg_nonboolean_lift(b: Bounds):
+def neg_nonboolean_lift(b: Bounds, bk):
     # over the degenerate one-stage base the topos is boolean and the same
     # comparison IS an isomorphism: the phenomenon disappears
-    bk = presheaf_for(BasePoset(FinPoset(("s",), frozenset([("s", "s")]))))
+    ps = bk.presheaf(BasePoset(FinPoset(("s",), frozenset([("s", "s")]))))
     return _control(
         "degenerate one-stage base",
-        _positive_part_comparison_is_iso(bk, omega(bk.base)),
+        _positive_part_comparison_is_iso(ps, omega(ps.base)),
         "comparison became invertible: booleanness kills the counterexample",
     )
 
@@ -934,34 +928,35 @@ def _commutator_witness(bk, A, B):
     return None if te.is_bistrict(bk, k1, la.obj, lb.obj) else "commutator is not bistrict"
 
 
-def run_commutative_monad(spec, b: Bounds, backends):
-    if "classical" in backends:
+def run_commutative_monad(spec, b: Bounds, bk):
+    if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
-            ((name, _commutator_witness(CL, A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
+            ((name, _commutator_witness(cl, A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
             f"extension orders agree for pairs ≤ {n}",
         )
         yield from _exhaust(
             (
-                (name, None if te.kock_criterion_check(CL, A, B) else "extension map not strict")
+                (name, None if te.kock_criterion_check(cl, A, B) else "extension map not strict")
                 for name, A, B in _pairs(_gen_posets(2, pointed=True), "kock {},{}")
             ),
             "strict extension criterion on pointed pairs ≤ 2",
         )
-    if "presheaf" in backends:
-        bk = sierpinski_backend()
-        yield _verdict("1,1/2-chain-base", _commutator_witness(bk, bk.terminal(), bk.terminal()))
+    if bk.presheaf:
+        ps = bk.presheaf(sierpinski_base())
+        yield _verdict("1,1/2-chain-base", _commutator_witness(ps, ps.terminal(), ps.terminal()))
 
 
-def neg_commutative_monad(b: Bounds):
+def neg_commutative_monad(b: Bounds, bk):
     # twist the output of the commutator on one side only: the twisted map
     # no longer restricts to the unit pairing
+    cl = bk.classical
     A = FinPoset.chain(2)
-    twisted = CL.compose(CL.lift_map(li.swap_map(CL, A, A)), li.commutator(CL, A, A))
-    la = CL.lift(A)
+    twisted = cl.compose(cl.lift_map(li.swap_map(cl, A, A)), li.commutator(cl, A, A))
+    la = cl.lift(A)
     return _control(
         "commutator twisted by a one-sided swap",
-        _misses_unit_pair(CL, twisted, la, la),
+        _misses_unit_pair(cl, twisted, la, la),
         "twisted composite sends a unit pair to the swapped unit",
     )
 
@@ -1182,10 +1177,13 @@ def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = No
             reason="requested bounds exceed the supported exhaustion range (6)",
         )
     t0 = time.perf_counter()
+    bk = replace(_BACKENDS, **{lane: None for lane in ("classical", "presheaf") if lane not in backends})
     try:
-        instances = list(law.runner(spec, b, backends))
+        instances = list(law.runner(spec, b, bk))
     except UnavailableError as e:
         instances = [InstanceReport("construction", UNAVAILABLE, e.reason)]
+    except StructureError as e:  # a construction rejected what the law built
+        instances = [InstanceReport("construction", FAIL, str(e))]
     elapsed = int((time.perf_counter() - t0) * 1000)
     reason = None
     if not instances:
@@ -1199,7 +1197,7 @@ def run_negative(name: str, bounds: Bounds | None = None) -> CheckReport:
     law = REGISTRY[name]
     b = bounds if bounds is not None else law.bounds
     t0 = time.perf_counter()
-    instances = law.negative(b)
+    instances = law.negative(b, _BACKENDS)
     elapsed = int((time.perf_counter() - t0) * 1000)
     return make_report(f"{name}:negative-control", instances, b.as_dict(), elapsed)
 

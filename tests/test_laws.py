@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 import liftdom
 from liftdom import laws, lifting, tensor
-from liftdom.laws import REGISTRY, Bounds, run_law, run_negative
+from liftdom.backend import ClassicalBackend
+from liftdom.laws import REGISTRY, Backends, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import FinPoset, StructureError
 from liftdom.report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport
@@ -64,10 +66,10 @@ def test_presentations_witness_reaches_every_presentation(monkeypatch):
         const = bk.compose(bk.bottom_point(T.obj), bk.bang(T.universal.dom))
         return replace(T, universal=const)
 
-    A = FinPoset.chain(3)
-    assert laws._presentations_witness(A, A) is None
+    cl, A = ClassicalBackend(), FinPoset.chain(3)
+    assert laws._presentations_witness(cl, A, A) is None
     monkeypatch.setattr(tensor, "smash", smash)
-    assert isinstance(laws._presentations_witness(A, A), str)
+    assert isinstance(laws._presentations_witness(cl, A, A), str)
 
 
 def test_open_classifier_control_reaches_the_checker(monkeypatch):
@@ -103,6 +105,49 @@ def test_backend_filtering():
         assert rep.status == UNAVAILABLE
         assert rep.instances[0].objects == "1,1/2-chain-base"
         assert "continuous" in rep.instances[0].witness
+
+
+def test_both_lanes_report_what_each_lane_reports_alone():
+    # run_law narrows the shared record to the selected lanes, so running
+    # both lanes must give, as a multiset, the instances of each lane run
+    # alone; monoidal-adjunction's presheaf instance is the one exception,
+    # as it runs only when the presheaf lane runs alone
+    def instances(law, backends):
+        b = REGISTRY[law].bounds
+        b = replace(b, max_size=min(b.max_size, 2), apex=min(b.apex, 3), competing=min(b.competing, 2))
+        rep = run_law(law, bounds=b, backends=backends)
+        return Counter((i.objects, i.status, i.witness) for i in rep.instances if i.objects != "no instances in scope")
+
+    for law in REGISTRY:
+        classical, presheaf = instances(law, ("classical",)), instances(law, ("presheaf",))
+        if law == "monoidal-adjunction":
+            assert [objects for objects, _, _ in presheaf] == ["1,1/2-chain-base"]
+            presheaf = Counter()
+        assert instances(law, ("classical", "presheaf")) == classical + presheaf, law
+
+
+def test_structure_error_in_a_runner_is_a_failure(monkeypatch):
+    def refuse(*args):
+        raise StructureError("kz", "stubbed refusal")
+
+    monkeypatch.setattr(lifting, "kz_check", refuse)
+    rep = run_law("kz-adjunction")
+    assert rep.status == FAIL
+    assert [(i.status, i.witness) for i in rep.instances] == [(FAIL, "kz: stubbed refusal")]
+
+
+class DropLastMap(ClassicalBackend):
+    """A fault in one construction: every non-empty hom-set loses its last map."""
+
+    def hom(self, A, B):
+        return super().hom(A, B)[:-1]
+
+
+def test_fault_injected_through_the_record_fails_the_law():
+    run, b = REGISTRY["kz-adjunction"].runner, Bounds(max_size=3)
+    faulty = list(run(default_model(), b, Backends(DropLastMap(), None)))
+    assert any(i.status == FAIL and i.witness for i in faulty)
+    assert [i.status for i in run(default_model(), b, Backends(ClassicalBackend(), None))] == [PASS] * len(faulty)
 
 
 # Runners whose bounded family collapses to one summary line when it passes:
