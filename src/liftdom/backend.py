@@ -35,8 +35,9 @@ with ``is_iso``, ``subobject`` with its inclusion, ``descend`` (the map
 out of a quotient that a coequalising map induces), products with
 ``pair``, coproducts with ``cotuple``, the lifting monad's
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
-and the fold of a pointed dcpo A, the map
-``scone_induced(lift(A), bottom, identity(A))``.
+the fold of a pointed dcpo A, the map
+``scone_induced(lift(A), bottom, identity(A))``, and ``hom_up_masks``,
+the pointwise order of a list of parallel maps as up-mask rows.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
 search run the one backtracking search ``order._order_search``.  Outside
@@ -54,6 +55,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     StructureError,
+    _up_masks,
     compose,
     enumerate_monotone_maps,
     map_leq,
@@ -184,6 +186,15 @@ class _ConstructionCache:
         return self._hom_cache[key]
 
     # -- derived from the stage API ------------------------------------------
+    def hom_up_masks(self, A, B, maps) -> list[int]:
+        """Bit j of up[k] is ``hom_leq(maps[k], maps[j])``, by ``_up_masks``
+        on one column per element of A at each stage."""
+        columns = []
+        for p in self.stages(A):
+            P = self.stage_poset(B, p)
+            columns += [([P._index[self.app(f, p, x)] for f in maps], P._rows) for x in self.at(A, p)]
+        return _up_masks(len(maps), columns)
+
     def bang(self, A):
         return self.mor_from_fn(A, self.terminal(), lambda p, x: "*")
 
@@ -465,9 +476,7 @@ class ClassicalBackend(_ConstructionCache):
         if not map_leq(compose(c0, self.bang(A)), c1):
             raise StructureError("laxness", "bottom leg must sit below the top leg")
         base = c0("*")
-        return MonotoneMap.make(
-            ld.obj, C, lambda u: base if ld.is_bot(None, u) else c1(u)
-        )
+        return MonotoneMap.make(ld.obj, C, lambda u: base if ld.is_bot(None, u) else c1(u))
 
     def positive_elements(self, A) -> dict:
         """Elements x such that every semidirected set whose supremum lies
@@ -489,8 +498,7 @@ class ClassicalBackend(_ConstructionCache):
     def _exponential(self, A, B) -> ExpData:
         from .order import hom_poset
 
-        E, by_el = hom_poset(A, B)
-        mors = {el: m for el, m in by_el.items()}
+        E, mors = hom_poset(A, B)
 
         def apply_elem(stage, fe, stage2, a):
             return mors[fe](a)
@@ -729,9 +737,7 @@ class PresheafBackend(_ConstructionCache):
 
         def le(x, y):
             cx, cy = decode(x), decode(y)
-            return all(
-                B.leq_at(q, cx[q][a], cy[q][a]) for q in cx for a in cx[q]
-            )
+            return all(B.leq_at(q, cx[q][a], cy[q][a]) for q in cx for a in cx[q])
 
         E = self._build(
             lambda p: tuple(encode_nt(p, nt) for nt in restricted[p][3]),

@@ -159,10 +159,7 @@ def _unique_mediators(bk, d: Diagram, res: ColimitResult, apexes, homs, label) -
 
 def colimit_universal_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple:
     """Exactly one mediating map to every competing cocone in the catalog."""
-    if not all(
-        bk.compose(res.legs[t], d.arrows[name]) == res.legs[s]
-        for name, s, t in d.edges
-    ):
+    if not all(bk.compose(res.legs[t], d.arrows[name]) == res.legs[s] for name, s, t in d.edges):
         return False, "colimit legs do not commute"
     return _unique_mediators(bk, d, res, apexes, bk.hom, "cocone")
 
@@ -171,16 +168,13 @@ def colimits_enriched_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple
     """If two mediating comparisons agree laxly after the legs, they agree laxly."""
     for P in apexes:
         homs = bk.hom(res.apex, P)
-        for u in homs:
-            for v in homs:
-                after = all(
-                    bk.hom_leq(
-                        bk.compose(u, res.legs[n]), bk.compose(v, res.legs[n])
-                    )
-                    for n in d.nodes
-                )
-                if after != bk.hom_leq(u, v):
-                    return False, ("pair", P, u, v)
+        after = [(1 << len(homs)) - 1] * len(homs)
+        for n in d.nodes:
+            legged = bk.hom_up_masks(d.objects[n], P, [bk.compose(u, res.legs[n]) for u in homs])
+            after = [a & m for a, m in zip(after, legged)]
+        for k, (a, full) in enumerate(zip(after, bk.hom_up_masks(res.apex, P, homs))):
+            if diff := a ^ full:
+                return False, ("pair", P, homs[k], homs[(diff & -diff).bit_length() - 1])
     return True, None
 
 

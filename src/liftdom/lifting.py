@@ -262,16 +262,12 @@ def lax_epi_check(bk, A, C):
     """Restriction along [bottom | unit] is an order-embedding on homs."""
     ld = bk.lift(A)
     homs = bk.hom(ld.obj, C)
-    rests = {
-        h: (bk.compose(h, ld.bottom), bk.compose(h, ld.unit)) for h in homs
-    }
-    for f in homs:
-        for g in homs:
-            restricted = bk.hom_leq(rests[f][0], rests[g][0]) and bk.hom_leq(
-                rests[f][1], rests[g][1]
-            )
-            if restricted != bk.hom_leq(f, g):
-                return False, ("pair", f, g)
+    bots = bk.hom_up_masks(bk.terminal(), C, [bk.compose(h, ld.bottom) for h in homs])
+    units = bk.hom_up_masks(A, C, [bk.compose(h, ld.unit) for h in homs])
+    # the first pair (f, g), f then g in hom order, where the two orders differ
+    for k, (b, u, full) in enumerate(zip(bots, units, bk.hom_up_masks(ld.obj, C, homs))):
+        if diff := (b & u) ^ full:
+            return False, ("pair", homs[k], homs[(diff & -diff).bit_length() - 1])
     return True, None
 
 
@@ -282,10 +278,12 @@ def paths_check(bk, A, B):
     bot_leg = bk.pair(pd, bk.compose(sigma.bottom, bk.bang(A)), bk.identity(A))
     top_leg = bk.pair(pd, bk.compose(sigma.unit, bk.bang(A)), bk.identity(A))
     groups = restriction_groups(bk, bk.hom(pd.obj, B), (bot_leg, top_leg))
-    for f in bk.hom(A, B):
-        for g in bk.hom(A, B):
+    homs = bk.hom(A, B)
+    up = bk.hom_up_masks(A, B, homs)
+    for i, f in enumerate(homs):
+        for j, g in enumerate(homs):
             n = len(groups.get((f, g), []))
-            want = 1 if bk.hom_leq(f, g) else 0
+            want = up[i] >> j & 1
             if n != want:
                 return False, ("pair", f, g, n, want)
     return True, None
@@ -396,9 +394,7 @@ def partial_map_leq(bk, pm1: PartialMap, pm2: PartialMap) -> bool:
         if not m1[p] <= m2[p]:
             return False
     return all(
-        bk.leq_at(
-            pm1.tgt, p, bk.app(pm1.value, p, x), bk.app(pm2.value, p, x)
-        )
+        bk.leq_at(pm1.tgt, p, bk.app(pm1.value, p, x), bk.app(pm2.value, p, x))
         for p in bk.stages(pm1.src)
         for x in m1[p]
     )
@@ -424,14 +420,10 @@ def total_to_partial(bk, f, A, B) -> PartialMap:
     """Recover the span from a map A -> LB: the domain is where f is a unit image."""
     ld = bk.lift(B)
     members = {
-        p: frozenset(
-            a for a in bk.at(A, p) if ld.as_eta(p, bk.app(f, p, a)) is not None
-        )
+        p: frozenset(a for a in bk.at(A, p) if ld.as_eta(p, bk.app(f, p, a)) is not None)
         for p in bk.stages(A)
     }
-    return make_partial_map(
-        bk, A, B, members, lambda p, a: ld.as_eta(p, bk.app(f, p, a))
-    )
+    return make_partial_map(bk, A, B, members, lambda p, a: ld.as_eta(p, bk.app(f, p, a)))
 
 
 def partial_product_check(bk, A, B):
@@ -447,9 +439,10 @@ def partial_product_check(bk, A, B):
         back = total_to_partial(bk, tot, A, B)
         if (back.members, back.value) != (pm.members, pm.value):
             return False, ("roundtrip", pm.members)
+    up = bk.hom_up_masks(A, ld.obj, totals)
     for i, pm1 in enumerate(pms):
         for j, pm2 in enumerate(pms):
-            if partial_map_leq(bk, pm1, pm2) != bk.hom_leq(totals[i], totals[j]):
+            if partial_map_leq(bk, pm1, pm2) != up[i] >> j & 1:
                 return False, ("order", pm1.members, pm2.members)
     return True, None
 

@@ -28,11 +28,14 @@ Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
 found" witness and iso in the reports.
 
-Row kernels.  ``FinPoset.covers``, the order of ``hom_poset`` and the
-monotonicity check of ``MonotoneMap`` walk the up-mask rows ``_rows`` (row
-i: the indices above element i), not pairwise ``leq`` calls, and give the
-pairwise loops' results and messages in the same order.  The hom poset is
-still built through the validating ``FinPoset``, and ``MonotoneMap`` still
+Row kernels.  ``FinPoset.covers``, the pointwise order of parallel maps and
+the monotonicity check of ``MonotoneMap`` walk the up-mask rows ``_rows``
+(row i: the indices above element i), not pairwise ``leq`` calls, and give
+the pairwise loops' results and messages in the same order.  The one
+pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
+backends' ``hom_up_masks``, ``lax_epi_check``, ``colimits_enriched_check``,
+``paths_check`` and ``partial_product_check``.  The hom poset is still
+built through the validating ``FinPoset``, and ``MonotoneMap`` still
 checks every value from outside.
 """
 from __future__ import annotations
@@ -469,6 +472,25 @@ def enumerate_monotone_maps(A: FinPoset, B: FinPoset) -> list[MonotoneMap]:
     return maps
 
 
+def _up_masks(n: int, columns) -> list[int]:
+    """up[k]: the bitmask of the g with maps[k] <= g, for n parallel maps.
+    A column ``(col, rows)`` is one point of the domain: col[k] indexes
+    maps[k]'s value there in the codomain's up-mask rows ``rows``."""
+    up = [(1 << n) - 1] * n
+    for col, rows in columns:
+        at = [0] * len(rows)
+        for k, v in enumerate(col):
+            at[v] |= 1 << k
+        above = [0] * len(rows)  # above[v]: the maps whose value here is >= v
+        for v, row in enumerate(rows):
+            while row:
+                low = row & -row
+                above[v] |= at[low.bit_length() - 1]
+                row ^= low
+        up = [u & above[v] for u, v in zip(up, col)]
+    return up
+
+
 def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     """The pointwise-ordered poset of monotone maps A -> B.
 
@@ -476,30 +498,15 @@ def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     """
     maps = enumerate_monotone_maps(A, B)
     els = tuple(("fn",) + f.values for f in maps)
-    by_el = dict(zip(els, maps))
-    index, rows = B._index, B._rows
-    # up[k]: the maps g >= maps[k], the AND over i of the maps whose value
-    # at i lies above maps[k]'s
-    up = [(1 << len(maps)) - 1] * len(maps)
-    for i in range(A.n):
-        col = [index[f.values[i]] for f in maps]
-        at = [0] * B.n
-        for k, v in enumerate(col):
-            at[v] |= 1 << k
-        above = [0] * B.n
-        for v, row in enumerate(rows):
-            while row:
-                low = row & -row
-                above[v] |= at[low.bit_length() - 1]
-                row ^= low
-        up = [u & above[v] for u, v in zip(up, col)]
+    index = B._index
+    up = _up_masks(len(maps), (([index[f.values[i]] for f in maps], B._rows) for i in range(A.n)))
     pairs = []
     for e, u in zip(els, up):
         while u:
             low = u & -u
             pairs.append((e, els[low.bit_length() - 1]))
             u ^= low
-    return FinPoset(els, frozenset(pairs)), by_el
+    return FinPoset(els, frozenset(pairs)), dict(zip(els, maps))
 
 
 def is_order_embedding(f: MonotoneMap) -> bool:

@@ -1,0 +1,138 @@
+"""The up-mask rows of a list of parallel maps (``hom_up_masks``) against
+pairwise ``hom_leq``, and the checks that read them against the pairwise
+loops they replaced."""
+import random
+
+import pytest
+
+from liftdom import colimits as co
+from liftdom import laws
+from liftdom import lifting as li
+from liftdom.backend import ClassicalBackend, PresheafBackend
+from liftdom.oq1 import OQ1Bounds, _small_bases
+from liftdom.order import FinPoset, MonotoneMap, posets_upto
+from liftdom.presheaf import omega
+from liftdom.report import FAIL, PASS
+
+CL = ClassicalBackend()
+
+
+def reference_up_masks(bk, maps):
+    return [sum(1 << j for j, g in enumerate(maps) if bk.hom_leq(f, g)) for f in maps]
+
+
+# The pairwise checks that the masked ones replaced.
+
+
+def reference_lax_epi_check(bk, A, C):
+    ld = bk.lift(A)
+    homs = bk.hom(ld.obj, C)
+    rests = {h: (bk.compose(h, ld.bottom), bk.compose(h, ld.unit)) for h in homs}
+    for f in homs:
+        for g in homs:
+            restricted = bk.hom_leq(rests[f][0], rests[g][0]) and bk.hom_leq(rests[f][1], rests[g][1])
+            if restricted != bk.hom_leq(f, g):
+                return False, ("pair", f, g)
+    return True, None
+
+
+def reference_colimits_enriched_check(bk, d, res, apexes):
+    for P in apexes:
+        homs = bk.hom(res.apex, P)
+        for u in homs:
+            for v in homs:
+                after = all(
+                    bk.hom_leq(bk.compose(u, res.legs[n]), bk.compose(v, res.legs[n])) for n in d.nodes
+                )
+                if after != bk.hom_leq(u, v):
+                    return False, ("pair", P, u, v)
+    return True, None
+
+
+def test_hom_up_masks_classical():
+    rng = random.Random(0)
+    small = posets_upto(3)
+    for A in small:
+        for B in small:
+            homs = list(CL.hom(A, B))
+            assert CL.hom_up_masks(A, B, homs) == reference_up_masks(CL, homs)
+            part = rng.sample(homs, rng.randint(0, len(homs)))
+            assert CL.hom_up_masks(A, B, part) == reference_up_masks(CL, part)
+
+
+def test_hom_up_masks_presheaf():
+    bases = [base for _, base in _small_bases(OQ1Bounds(max_base=2))]
+    assert len(bases) == 3
+    nontrivial = 0
+    for base in bases:
+        bk = PresheafBackend(base)
+        objects = [omega(base), bk.terminal(), bk.lift(bk.terminal()).obj]
+        for A in objects:
+            for B in objects:
+                homs = bk.hom(A, B)
+                masks = bk.hom_up_masks(A, B, homs)
+                assert masks == reference_up_masks(bk, homs)
+                nontrivial += any(m != 1 << k for k, m in enumerate(masks))
+    assert nontrivial
+
+
+def _parity(monkeypatch, module, name, reference):
+    """Make ``module.name`` also run ``reference`` on the same arguments and
+    assert equal answers; returns the list of answers seen."""
+    seen = []
+    check = getattr(module, name)
+
+    def both(*args):
+        got = check(*args)
+        assert got == reference(*args), args
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(module, name, both)
+    return seen
+
+
+def test_lax_epi_witnesses_match_pairwise(monkeypatch):
+    seen = _parity(monkeypatch, li, "lax_epi_check", reference_lax_epi_check)
+    assert laws.run_law("lax-epi", backends=("classical",)).status == PASS
+    assert seen and all(ok for ok, _ in seen)
+    control = laws.run_negative("lax-epi")
+    assert control.status == FAIL
+    assert not seen[-1][0] and seen[-1][1] is not None
+
+
+def test_colimits_enriched_witnesses_match_pairwise(monkeypatch):
+    seen = _parity(monkeypatch, co, "colimits_enriched_check", reference_colimits_enriched_check)
+    assert laws.run_law("colimits-enriched", backends=("classical",)).status == PASS
+    assert len(seen) == 2 and all(ok for ok, _ in seen)
+    control = laws.run_negative("colimits-enriched")
+    assert control.status == FAIL
+    assert not seen[-1][0] and seen[-1][1] is not None
+
+
+def test_first_failing_pair_is_pinned():
+    # one point of the 3-chain posing as its colimit: the comparisons
+    # (c0, c0, c1) and (c0, c0, c0) into the 2-chain agree at c1, but the
+    # first is not below the second; the pair scan meets it first at k = 1, j = 0
+    S, P, pt = FinPoset.chain(3), FinPoset.chain(2), FinPoset.chain(1)
+    d = co.Diagram(("a",), (), {"a": pt}, {})
+    fake = co.ColimitResult(S, {"a": MonotoneMap.make(pt, S, lambda _: "c1")}, None)
+    homs = CL.hom(S, P)
+    want = (False, ("pair", P, homs[1], homs[0]))
+    assert reference_colimits_enriched_check(CL, d, fake, [P]) == want
+    assert co.colimits_enriched_check(CL, d, fake, [P]) == want
+    # the lax-epi control's cone with a stray point also first fails at k = 1, j = 0
+    bk, C = laws._fake_scone_backend(junk=True), FinPoset.chain(2)
+    homs = bk.hom(bk.lift(C).obj, C)
+    want = (False, ("pair", homs[1], homs[0]))
+    assert reference_lax_epi_check(bk, C, C) == want
+    assert li.lax_epi_check(bk, C, C) == want
+
+
+@pytest.mark.parametrize("base", [base for _, base in _small_bases(OQ1Bounds(max_base=2))])
+def test_lax_epi_presheaf_matches_pairwise(base):
+    bk = PresheafBackend(base)
+    objects = [omega(base), bk.terminal()]
+    for A in objects:
+        for C in objects:
+            assert li.lax_epi_check(bk, A, C) == reference_lax_epi_check(bk, A, C)
