@@ -19,8 +19,11 @@ A backend supplies only what depends on how it stores objects and maps:
   an object (``elements(p)`` lists the elements at stage p,
   ``restrict(p, q, x)`` restricts x to a stage q < p, and
   ``order(p, els)`` gives the order pairs on the elements ``els`` at p),
-  and ``mor_from_fn``, which turns a stagewise function into a validated
-  map; ``identity``, ``compose``, ``terminal`` and ``initial``;
+  ``mor_from_fn``, which turns a stagewise function into a validated map,
+  and ``_derived_mor``, the same for a map valid by construction from
+  valid inputs (unvalidated classically, see ``order.py``'s trust
+  boundary; validating in presheaves); ``identity``, ``compose``,
+  ``terminal`` and ``initial``;
 * the hom enumerator ``_hom``, ``hom_leq`` and ``iso``;
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
@@ -37,7 +40,9 @@ out of a quotient that a coequalising map induces), products with
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
 the fold of a pointed dcpo A, the map
 ``scone_induced(lift(A), bottom, identity(A))``, and ``hom_up_masks``,
-the pointwise order of a list of parallel maps as up-mask rows.
+the pointwise order of a list of parallel maps as up-mask rows.  Every
+map it derives from valid maps goes through ``_derived_mor`` (``inverse``
+and ``descend`` do not), behind the composability checks ``compose`` keeps.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
 search run the one backtracking search ``order._order_search``.  Outside
@@ -55,6 +60,7 @@ from .order import (
     FinPoset,
     MonotoneMap,
     StructureError,
+    _pair_rows,
     _up_masks,
     compose,
     enumerate_monotone_maps,
@@ -68,6 +74,13 @@ from .order import (
 # so one shared value serves every caller.
 TERMINAL = FinPoset(("*",), frozenset([("*", "*")]))
 INITIAL = FinPoset((), frozenset())
+
+
+def _composable(have: tuple, want: tuple):
+    """The cheap check a derived map keeps: its legs' ends are the objects
+    the construction expects."""
+    if have != want:
+        raise StructureError("composability", "codomain/domain mismatch")
 
 
 class UnavailableError(Exception):
@@ -196,7 +209,7 @@ class _ConstructionCache:
         return _up_masks(len(maps), columns)
 
     def bang(self, A):
-        return self.mor_from_fn(A, self.terminal(), lambda p, x: "*")
+        return self._derived_mor(A, self.terminal(), lambda p, x: "*")
 
     def from_initial(self, A):
         return self.mor_from_fn(self.initial(), A, lambda p, x: x)
@@ -236,7 +249,7 @@ class _ConstructionCache:
             return tuple(x for x in self.at(A, p) if x in keep)
 
         sub = self._build(elements, lambda p, q, x: self.res_el(A, p, q, x), order)
-        return sub, self.mor_from_fn(sub, A, lambda p, x: x)
+        return sub, self._derived_mor(sub, A, lambda p, x: x)
 
     def descend(self, q, f):
         """The h with h ∘ q == f, for a quotient map q out of f's domain.
@@ -264,15 +277,16 @@ class _ConstructionCache:
         )
         return ProductData(
             P,
-            self.mor_from_fn(P, A, lambda p, x: x[1]),
-            self.mor_from_fn(P, B, lambda p, x: x[2]),
+            self._derived_mor(P, A, lambda p, x: x[1]),
+            self._derived_mor(P, B, lambda p, x: x[2]),
             lambda st, a, b: ("pr", a, b),
             lambda st, x: (x[1], x[2]),
         )
 
     def pair(self, pd: ProductData, f, g):
+        _composable((f.dom, f.cod, g.cod), (g.dom, pd.fst.cod, pd.snd.cod))
         app = self.app
-        return self.mor_from_fn(f.dom, pd.obj, lambda p, x: ("pr", app(f, p, x), app(g, p, x)))
+        return self._derived_mor(f.dom, pd.obj, lambda p, x: ("pr", app(f, p, x), app(g, p, x)))
 
     def _coproduct(self, A, B) -> CoproductData:
         def order(p, els):
@@ -292,25 +306,27 @@ class _ConstructionCache:
         )
         return CoproductData(
             C,
-            self.mor_from_fn(A, C, lambda p, a: ("in", 0, a)),
-            self.mor_from_fn(B, C, lambda p, b: ("in", 1, b)),
+            self._derived_mor(A, C, lambda p, a: ("in", 0, a)),
+            self._derived_mor(B, C, lambda p, b: ("in", 1, b)),
             lambda st, a: ("in", 0, a),
             lambda st, b: ("in", 1, b),
             lambda st, x: ("l", x[2]) if x[1] == 0 else ("r", x[2]),
         )
 
     def cotuple(self, cd: CoproductData, f, g):
+        _composable((f.dom, g.dom, f.cod), (cd.inl.dom, cd.inr.dom, g.cod))
+
         def fn(p, x):
             side, v = cd.unpack(p, x)
             return self.app(f if side == "l" else g, p, v)
 
-        return self.mor_from_fn(cd.obj, f.cod, fn)
+        return self._derived_mor(cd.obj, f.cod, fn)
 
     # -- the lifting monad, over the lift's element codec ---------------------
     def lift_map(self, f):
         la, lb = self.lift(f.dom), self.lift(f.cod)
         app, family, from_family = self.app, la.family, lb.from_family
-        return self.mor_from_fn(
+        return self._derived_mor(
             la.obj, lb.obj, lambda p, u: from_family(p, [(q, app(f, q, v)) for q, v in family(p, u)])
         )
 
@@ -319,7 +335,7 @@ class _ConstructionCache:
         family, an element of LA at r, holds at r itself."""
         la = self.lift(A)
         lla = self.lift(la.obj)
-        return self.mor_from_fn(
+        return self._derived_mor(
             lla.obj,
             la.obj,
             lambda p, w: la.from_family(
@@ -338,7 +354,7 @@ class _ConstructionCache:
             a, u = pd.unpack(p, x)
             return lab.from_family(p, [(q, pab.pack(q, res_el(A, p, q, a), v)) for q, v in lb.family(p, u)])
 
-        return self.mor_from_fn(pd.obj, lab.obj, st)
+        return self._derived_mor(pd.obj, lab.obj, st)
 
     def _algebra_structure(self, A):
         """The fold LA -> A that the cone datum (bottom, identity) induces,
@@ -401,6 +417,9 @@ class ClassicalBackend(_ConstructionCache):
     def mor_from_fn(self, A, B, fn):
         return MonotoneMap(A, B, tuple(fn(None, x) for x in A.elements))
 
+    def _derived_mor(self, A, B, fn):
+        return MonotoneMap._trusted(A, B, tuple([fn(None, x) for x in A.elements]))
+
     def terminal(self):
         return TERMINAL
 
@@ -408,8 +427,11 @@ class ClassicalBackend(_ConstructionCache):
         return INITIAL
 
     def _build(self, elements, restrict, order):
+        # unvalidated: the shared base passes the product, coproduct or
+        # induced order of valid posets; the pairs are kept, tuples shared
         els = elements(None)
-        return FinPoset(els, order(None, els))
+        pairs = frozenset(order(None, els))
+        return FinPoset._trusted(els, tuple(_pair_rows({e: i for i, e in enumerate(els)}, pairs)), pairs)
 
     def _hom(self, A, B):
         return enumerate_monotone_maps(A, B)
@@ -434,9 +456,7 @@ class ClassicalBackend(_ConstructionCache):
 
     def _bottom_point(self, A):
         b = A.bottom()
-        if b is None:
-            return None
-        return MonotoneMap.make(self.terminal(), A, lambda _: b)
+        return None if b is None else MonotoneMap._trusted(TERMINAL, A, (b,))
 
     def scott_open_subobjects(self, A) -> list[dict]:
         from .order import scott_opens
@@ -458,10 +478,10 @@ class ClassicalBackend(_ConstructionCache):
     def _lift(self, A) -> LiftData:
         bot = self.fresh_bottom_label(A)
         els = (bot,) + A.elements
-        pairs = frozenset(A.pairs) | {(bot, e) for e in els}
-        LA = FinPoset(els, pairs)
-        unit = MonotoneMap.make(A, LA, lambda a: a)
-        bottom = MonotoneMap.make(self.terminal(), LA, lambda _: bot)
+        pairs = A.pairs | {(bot, e) for e in els}
+        LA = FinPoset._trusted(els, ((1 << len(els)) - 1,) + tuple(row << 1 for row in A._rows), pairs)
+        unit = MonotoneMap._trusted(A, LA, A.elements)
+        bottom = MonotoneMap._trusted(TERMINAL, LA, (bot,))
         if bot not in self._lift_fns:
             self._lift_fns[bot] = (
                 lambda st, u: () if u == bot else ((st, u),),
@@ -472,11 +492,12 @@ class ClassicalBackend(_ConstructionCache):
     def scone_induced(self, ld: LiftData, c0, c1):
         """The unique map LA -> C with h(bot) = c0 and h(eta a) = c1 a."""
         A = c1.dom
-        C = c1.cod
+        _composable((ld.unit.dom,), (A,))
         if not map_leq(compose(c0, self.bang(A)), c1):
             raise StructureError("laxness", "bottom leg must sit below the top leg")
-        base = c0("*")
-        return MonotoneMap.make(ld.obj, C, lambda u: base if ld.is_bot(None, u) else c1(u))
+        # monotone by laxness: c0 sits below every c1 a, as bottom below eta a
+        vals = tuple([c0.values[0] if ld.is_bot(None, u) else c1(u) for u in ld.obj.elements])
+        return MonotoneMap._trusted(ld.obj, c1.cod, vals)
 
     def positive_elements(self, A) -> dict:
         """Elements x such that every semidirected set whose supremum lies
@@ -492,8 +513,7 @@ class ClassicalBackend(_ConstructionCache):
             raise StructureError("composability", "maps are not parallel")
         B = f.cod
         Q, assign = quotient_poset(B, [(f(x), g(x)) for x in f.dom.elements])
-        proj = MonotoneMap.make(B, Q, lambda x: assign[x])
-        return CoeqData(Q, proj)
+        return CoeqData(Q, MonotoneMap._trusted(B, Q, tuple([assign[x] for x in B.elements])))
 
     def _exponential(self, A, B) -> ExpData:
         from .order import hom_poset
@@ -557,6 +577,9 @@ class PresheafBackend(_ConstructionCache):
 
     def mor_from_fn(self, A, B, fn):
         return ps.NatTrans.make(A, B, fn)
+
+    # validating: trusted natural transformations showed no gain here
+    _derived_mor = mor_from_fn
 
     def terminal(self):
         return self._terminal

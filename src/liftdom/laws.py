@@ -568,7 +568,7 @@ def neg_colimits_enriched(b: Bounds, bk):
 # tensor laws
 
 def _presentations_witness(cl, A, B):
-    tensors = [te.smash(cl, A, B, k) for k in (1, 2, 3, 4)]
+    tensors = te.smash_presentations(cl, A, B)
     # a spanning tree of comparisons suffices: the comparisons commute with
     # the universal maps, so by uniqueness of the factorisation a composite
     # of two of them is the third

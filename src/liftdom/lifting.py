@@ -208,14 +208,15 @@ def strict_hom_set(bk, A, B) -> tuple:
 # The Sierpinski-cone universal property and its consequences.
 
 def scone_data(bk, A, C) -> list:
-    """All lax squares (c0 : 1 -> C, c1 : A -> C with c0 . ! <= c1)."""
-    bang = bk.bang(A)
-    return [
-        (c0, c1)
-        for c0 in bk.global_elements(C)
-        for c1 in bk.hom(A, C)
-        if bk.hom_leq(bk.compose(c0, bang), c1)
-    ]
+    """All lax squares (c0 : 1 -> C, c1 : A -> C with c0 . ! <= c1), c0
+    outer and c1 inner, each in hom order: read off the up-mask rows of the
+    composites c0 . ! appended to the hom-set."""
+    bang, points = bk.bang(A), bk.global_elements(C)
+    if not points:
+        return []  # and A -> C goes unenumerated, as in the pairwise loop
+    homs = bk.hom(A, C)
+    up = bk.hom_up_masks(A, C, list(homs) + [bk.compose(c0, bang) for c0 in points])
+    return [(c0, c1) for c0, row in zip(points, up[len(homs):]) for j, c1 in enumerate(homs) if row >> j & 1]
 
 
 def restriction_groups(bk, homs, legs) -> dict:

@@ -5,13 +5,14 @@ fixes the canonical iteration order used by every enumeration,
 representative choice, and "first found" answer in the package.  All
 values are immutable after construction and all operations are pure.
 
-Trust boundary.  Maps are validated where their values come from outside
-this module: the public ``MonotoneMap(dom, cod, values)`` constructor and
-``MonotoneMap.make`` (and so the backends' ``mor_from_fn`` and the model
-parser) check totality, membership and monotonicity and raise
-``StructureError`` naming the violated law.  The producers below build
-their results through the unvalidated ``MonotoneMap._trusted`` instead,
-because each result is valid by construction:
+Trust boundary.  Objects and maps are validated where their data come
+from outside this module: the public ``FinPoset(elements, pairs)``,
+``MonotoneMap(dom, cod, values)`` and ``MonotoneMap.make`` constructors
+(and so the backends' ``mor_from_fn``, ``descend`` and the model parser)
+check the laws and raise ``StructureError`` naming the violated one.  The
+producers below build through the unvalidated ``FinPoset._trusted`` and
+``MonotoneMap._trusted`` instead, because each result is valid by
+construction:
 
 * ``compose`` of two valid maps is total, lands in ``g.cod`` and is
   monotone, since monotone maps compose; it still checks composability;
@@ -19,10 +20,20 @@ because each result is valid by construction:
 * ``enumerate_monotone_maps`` and ``poset_iso`` take their maps from
   ``_order_search``, which draws values from the codomain and checks every
   order pair in both directions as it backtracks; the inverse that
-  ``poset_iso`` returns is the inverse of an order-iso.
+  ``poset_iso`` returns is the inverse of an order-iso;
+* ``hom_poset``: the rows of ``_up_masks`` are the pointwise order of
+  distinct monotone maps, a partial order;
+* ``quotient_poset``: its class rows are closed, and it merges preorder
+  cycles until none is left;
+* ``_rows_to_poset``: ``_extensions`` adds one point to a poset at a time,
+  below an up-closed and above a down-closed set.
 
-Re-validating those results would repeat work in the inner loop of every
-universal-property check.
+The classical backend (``backend.py``) extends the boundary to the maps and
+objects it derives from valid ones: products, coproducts and subobjects,
+lifts with their unit and bottom, bottom points, coequaliser projections,
+the map ``scone_induced`` builds once the laxness check has passed, and the
+maps of the shared base's ``_derived_mor``.  Re-validating those results
+would repeat work in the inner loop of every universal-property check.
 
 Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
@@ -34,9 +45,7 @@ the monotonicity check of ``MonotoneMap`` walk the up-mask rows ``_rows``
 the pairwise loops' results and messages in the same order.  The one
 pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
 backends' ``hom_up_masks``, ``lax_epi_check``, ``colimits_enriched_check``,
-``paths_check`` and ``partial_product_check``.  The hom poset is still
-built through the validating ``FinPoset``, and ``MonotoneMap`` still
-checks every value from outside.
+``paths_check``, ``partial_product_check`` and ``scone_data``.
 """
 from __future__ import annotations
 
@@ -63,6 +72,23 @@ def _transitive_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
             if rows[j] & ~row:
                 return i, j
     return None
+
+
+def _pair_rows(idx: dict, pairs) -> list[int]:
+    # the up-mask rows of the relation ``pairs`` on the elements indexed by idx
+    rows = [0] * len(idx)
+    for x, y in pairs:
+        rows[idx[x]] |= 1 << idx[y]
+    return rows
+
+
+def _row_pairs(elements, rows):
+    # the order pairs that up-mask rows hold, row by row
+    for x, row in zip(elements, rows):
+        while row:
+            low = row & -row
+            yield x, elements[low.bit_length() - 1]
+            row ^= low
 
 
 def _close_rows(rows: list[int]) -> list[int]:
@@ -104,9 +130,7 @@ class Preorder:
         for x, y in self.pairs:
             if x not in idx or y not in idx:
                 raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
-        rows = [0] * len(self.elements)
-        for x, y in self.pairs:
-            rows[idx[x]] |= 1 << idx[y]
+        rows = _pair_rows(idx, self.pairs)
         for i, e in enumerate(self.elements):
             if not rows[i] >> i & 1:
                 raise StructureError("reflexivity", f"{e!r} <= {e!r} missing")
@@ -159,6 +183,23 @@ class FinPoset(Preorder):
                 m ^= low
 
     @classmethod
+    def _trusted(cls, elements: tuple, rows: tuple, pairs: frozenset | None = None) -> "FinPoset":
+        """Build without validation: ``rows`` must be the up-mask rows of a
+        partial order on ``elements`` and ``pairs``, when given, the same
+        order as a frozenset, whose tuples the poset then shares (see the
+        module docstring)."""
+        P = object.__new__(cls)
+        if pairs is None:
+            pairs = frozenset(_row_pairs(elements, rows))
+        # in the order the validating constructor sets them, so that every
+        # poset's attribute dict shares one key table
+        object.__setattr__(P, "elements", elements)
+        object.__setattr__(P, "pairs", pairs)
+        object.__setattr__(P, "_index", {e: i for i, e in enumerate(elements)})
+        object.__setattr__(P, "_rows", rows)
+        return P
+
+    @classmethod
     def from_generators(cls, elements, gens) -> "FinPoset":
         """Build from generating pairs: reflexive-transitive closure is taken."""
         elements = tuple(elements)
@@ -168,14 +209,7 @@ class FinPoset(Preorder):
             if x not in idx or y not in idx:
                 raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
             rows[idx[x]] |= 1 << idx[y]
-        rows = _close_rows(rows)
-        pairs = {
-            (elements[i], elements[j])
-            for i in range(len(elements))
-            for j in range(len(elements))
-            if rows[i] >> j & 1
-        }
-        return cls(elements, frozenset(pairs))
+        return cls(elements, frozenset(_row_pairs(elements, _close_rows(rows))))
 
     @classmethod
     def chain(cls, n: int, prefix: str = "c") -> "FinPoset":
@@ -500,13 +534,7 @@ def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     els = tuple(("fn",) + f.values for f in maps)
     index = B._index
     up = _up_masks(len(maps), (([index[f.values[i]] for f in maps], B._rows) for i in range(A.n)))
-    pairs = []
-    for e, u in zip(els, up):
-        while u:
-            low = u & -u
-            pairs.append((e, els[low.bit_length() - 1]))
-            u ^= low
-    return FinPoset(els, frozenset(pairs)), dict(zip(els, maps))
+    return FinPoset._trusted(els, tuple(up)), dict(zip(els, maps))
 
 
 def is_order_embedding(f: MonotoneMap) -> bool:
@@ -543,46 +571,42 @@ def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
     representatives (least member in canonical order), so the universal
     factorisation of any coequalising map is evaluation at representatives.
     """
-    parent = {x: x for x in B.elements}
+    parent = list(range(B.n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        if B.index(rx) > B.index(ry):
-            rx, ry = ry, rx
-        parent[ry] = rx
+    def union(i, j):
+        i, j = find(i), find(j)
+        parent[max(i, j)] = min(i, j)
 
     for x, y in seeds:
-        union(x, y)
-    while True:
-        reps = [x for x in B.elements if find(x) == x]
-        idx = {r: i for i, r in enumerate(reps)}
-        rows = [1 << i for i in range(len(reps))]
-        for x, y in B.pairs:
-            rows[idx[find(x)]] |= 1 << idx[find(y)]
-        rows = _close_rows(rows)
+        union(B._index[x], B._index[y])
+    merged = True
+    while merged:
+        roots = [i for i in range(B.n) if find(i) == i]
+        cls = {r: k for k, r in enumerate(roots)}
+        of = [cls[find(i)] for i in range(B.n)]
+        # a class's row: the classes that meet the up-set of one of its members
+        members, up = [0] * len(roots), [0] * len(roots)
+        for i, row in enumerate(B._rows):
+            members[of[i]] |= 1 << i
+            up[of[i]] |= row
+        rows = _close_rows([sum(1 << k for k, mask in enumerate(members) if u & mask) for u in up])
         merged = False
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if rows[i] >> j & 1 and rows[j] >> i & 1:
-                    union(reps[i], reps[j])
+        for k, row in enumerate(rows):
+            m = row >> k + 1 << k + 1  # the classes l > k above class k
+            while m:
+                low = m & -m
+                m ^= low
+                if rows[low.bit_length() - 1] >> k & 1:
+                    union(roots[k], roots[low.bit_length() - 1])
                     merged = True
-        if not merged:
-            pairs = frozenset(
-                (reps[i], reps[j])
-                for i in range(len(reps))
-                for j in range(len(reps))
-                if rows[i] >> j & 1
-            )
-            Q = FinPoset(tuple(reps), pairs)
-            return Q, {x: find(x) for x in B.elements}
+    reps = tuple(B.elements[r] for r in roots)
+    return FinPoset._trusted(reps, tuple(rows)), {x: reps[of[i]] for i, x in enumerate(B.elements)}
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +649,7 @@ def _labeled_rows(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _rows_to_poset(rows: tuple[int, ...], prefix: str = "x") -> FinPoset:
-    els = tuple(f"{prefix}{i}" for i in range(len(rows)))
-    pairs = frozenset(
-        (els[i], els[j]) for i in range(len(rows)) for j in range(len(rows)) if rows[i] >> j & 1
-    )
-    return FinPoset(els, pairs)
+    return FinPoset._trusted(tuple(f"{prefix}{i}" for i in range(len(rows))), rows)
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,8 @@ class TensorObject:
 
 
 def _mixed_cotuple(bk, A, B):
-    """[ (id, bot) | (bot, id) ] : A + B -> A x B."""
+    """A x B, A + B, the mixed cotuple [ (id, bot) | (bot, id) ] : A + B -> A x B
+    and the bottom pair 1 -> A x B: what the four presentations share."""
     pd = bk.product(A, B)
     cd = bk.coproduct(A, B)
     bot_a, bot_b = bk.bottom_point(A), bk.bottom_point(B)
@@ -38,47 +39,36 @@ def _mixed_cotuple(bk, A, B):
         raise StructureError("pointedness", "smash products need pointed factors")
     left = bk.pair(pd, bk.identity(A), bk.compose(bot_b, bk.bang(A)))
     right = bk.pair(pd, bk.compose(bot_a, bk.bang(B)), bk.identity(B))
-    return pd, cd, bk.cotuple(cd, left, right)
-
-
-def bottom_pair(bk, A, B):
-    pd = bk.product(A, B)
-    return bk.pair(pd, bk.bottom_point(A), bk.bottom_point(B))
+    return pd, cd, bk.cotuple(cd, left, right), bk.pair(pd, bot_a, bot_b)
 
 
 def smash(bk, A, B, presentation: int = 3) -> TensorObject:
     """The smash product by the chosen coequaliser presentation (1..4)."""
     if presentation not in (1, 2, 3, 4):
         raise StructureError("presentation", "presentations are numbered 1..4")
-    pd, cd, m = _mixed_cotuple(bk, A, B)
-    bot = bottom_pair(bk, A, B)
-    if presentation in (1, 2):
-        src_ld = bk.lift(cd.obj)
-        src = src_ld.obj
-    else:
-        src = cd.obj
+    return _smash_by(bk, A, B, presentation, _mixed_cotuple(bk, A, B))
+
+
+def smash_presentations(bk, A, B) -> list:
+    """The smash product by each presentation 1..4, over one mixed cotuple."""
+    mixed = _mixed_cotuple(bk, A, B)
+    return [_smash_by(bk, A, B, k, mixed) for k in (1, 2, 3, 4)]
+
+
+def _smash_by(bk, A, B, presentation: int, mixed) -> TensorObject:
+    pd, cd, m, bot = mixed
+    src = bk.lift(cd.obj).obj if presentation in (1, 2) else cd.obj
     if presentation in (1, 3):
-        tgt = pd.obj
         const_bot = bk.compose(bot, bk.bang(src))
-        if presentation == 1:
-            alpha = bk.algebra_structure(pd.obj)
-            other = bk.compose(alpha, bk.lift_map(m))
-        else:
-            other = m
+        other = bk.compose(bk.algebra_structure(pd.obj), bk.lift_map(m)) if presentation == 1 else m
         coeq = bk.coequalizer(const_bot, other)
-        universal = coeq.proj
-        kind = "prod"
+        universal, kind = coeq.proj, "prod"
     else:
         ld_pd = bk.lift(pd.obj)
-        tgt = ld_pd.obj
         const_bot = bk.compose(ld_pd.bottom, bk.bang(src))
-        if presentation == 2:
-            other = bk.lift_map(m)
-        else:
-            other = bk.compose(ld_pd.unit, m)
+        other = bk.lift_map(m) if presentation == 2 else bk.compose(ld_pd.unit, m)
         coeq = bk.coequalizer(const_bot, other)
-        universal = bk.compose(coeq.proj, ld_pd.unit)
-        kind = "lift"
+        universal, kind = bk.compose(coeq.proj, ld_pd.unit), "lift"
     T = TensorObject((A, B), coeq.obj, universal, coeq.proj, kind, presentation)
     if not bk.is_pointed(T.obj):
         raise StructureError("pointedness", "smash apex lost its bottom")

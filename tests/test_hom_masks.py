@@ -49,6 +49,34 @@ def reference_colimits_enriched_check(bk, d, res, apexes):
     return True, None
 
 
+def reference_scone_data(bk, A, C):
+    bang = bk.bang(A)
+    return [
+        (c0, c1)
+        for c0 in bk.global_elements(C)
+        for c1 in bk.hom(A, C)
+        if bk.hom_leq(bk.compose(c0, bang), c1)
+    ]
+
+
+def test_scone_data_matches_pairwise_reference():
+    # the same lax squares in the same order, on both backends
+    small = posets_upto(3)
+    squares = 0
+    for A in small:
+        for C in small:
+            data = li.scone_data(CL, A, C)
+            assert data == reference_scone_data(CL, A, C)
+            squares += len(data)
+    assert squares
+    for _, base in _small_bases(OQ1Bounds(max_base=2)):
+        bk = PresheafBackend(base)
+        objects = [omega(base), bk.terminal(), bk.lift(bk.terminal()).obj]
+        for A in objects:
+            for C in objects:
+                assert li.scone_data(bk, A, C) == reference_scone_data(bk, A, C)
+
+
 def test_hom_up_masks_classical():
     rng = random.Random(0)
     small = posets_upto(3)

@@ -57,10 +57,10 @@ def test_negative_controls_all_fail_with_witness():
 def test_presentations_witness_reaches_every_presentation(monkeypatch):
     # the comparisons run along a spanning tree from presentation 1, so a
     # wrong universal map on presentation 4 must still give a failure
-    real = tensor.smash
+    real = tensor._smash_by
 
-    def smash(bk, A, B, presentation=3):
-        T = real(bk, A, B, presentation)
+    def smash_by(bk, A, B, presentation, mixed):
+        T = real(bk, A, B, presentation, mixed)
         if presentation != 4:
             return T
         const = bk.compose(bk.bottom_point(T.obj), bk.bang(T.universal.dom))
@@ -68,7 +68,7 @@ def test_presentations_witness_reaches_every_presentation(monkeypatch):
 
     cl, A = ClassicalBackend(), FinPoset.chain(3)
     assert laws._presentations_witness(cl, A, A) is None
-    monkeypatch.setattr(tensor, "smash", smash)
+    monkeypatch.setattr(tensor, "_smash_by", smash_by)
     assert isinstance(laws._presentations_witness(cl, A, A), str)
 
 

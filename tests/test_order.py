@@ -1,17 +1,20 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftdom.backend import ClassicalBackend
-from liftdom.lifting import arrow_object
+from liftdom.backend import ClassicalBackend, CoeqData, LiftData
+from liftdom.lifting import arrow_object, scone_data
 from liftdom.order import (
     FinPoset,
     MonotoneMap,
     StructureError,
     Subset,
+    _close_rows,
+    _labeled_rows,
+    _rows_to_poset,
     all_posets,
     compose,
     directed_subsets,
@@ -24,6 +27,7 @@ from liftdom.order import (
     map_leq,
     poset_iso,
     posets_upto,
+    quotient_poset,
     scott_opens,
     subsets,
 )
@@ -304,6 +308,215 @@ def test_trusted_producers_match_validating_constructor():
                         assert gf.values == tuple(g(f(x)) for x in A.elements)
 
 
+# The slow references that the trusted producers replaced: the classical
+# backend with every object and map built through the validating
+# constructors, and the pairs-based loop of quotient_poset.
+
+
+def reference_quotient_poset(B, seeds):
+    parent = {x: x for x in B.elements}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return
+        if B.index(rx) > B.index(ry):
+            rx, ry = ry, rx
+        parent[ry] = rx
+
+    for x, y in seeds:
+        union(x, y)
+    while True:
+        reps = [x for x in B.elements if find(x) == x]
+        idx = {r: i for i, r in enumerate(reps)}
+        rows = [1 << i for i in range(len(reps))]
+        for x, y in B.pairs:
+            rows[idx[find(x)]] |= 1 << idx[find(y)]
+        rows = _close_rows(rows)
+        merged = False
+        for i in range(len(reps)):
+            for j in range(i + 1, len(reps)):
+                if rows[i] >> j & 1 and rows[j] >> i & 1:
+                    union(reps[i], reps[j])
+                    merged = True
+        if not merged:
+            pairs = frozenset(
+                (reps[i], reps[j]) for i in range(len(reps)) for j in range(len(reps)) if rows[i] >> j & 1
+            )
+            return FinPoset(tuple(reps), pairs), {x: find(x) for x in B.elements}
+
+
+class ValidatingBackend(ClassicalBackend):
+    """The classical backend with every producer that skips validation
+    replaced by the validating route it replaced."""
+
+    def _derived_mor(self, A, B, fn):
+        return self.mor_from_fn(A, B, fn)
+
+    def _build(self, elements, restrict, order):
+        els = elements(None)
+        return FinPoset(els, order(None, els))
+
+    def _lift(self, A):
+        bot = self.fresh_bottom_label(A)
+        els = (bot,) + A.elements
+        LA = FinPoset(els, frozenset(A.pairs) | {(bot, e) for e in els})
+        return LiftData(
+            LA,
+            MonotoneMap.make(A, LA, lambda a: a),
+            MonotoneMap.make(self.terminal(), LA, lambda _: bot),
+            lambda st, u: () if u == bot else ((st, u),),
+            lambda st, items: items[0][1] if items else bot,
+        )
+
+    def _bottom_point(self, A):
+        b = A.bottom()
+        return None if b is None else MonotoneMap.make(self.terminal(), A, lambda _: b)
+
+    def scone_induced(self, ld, c0, c1):
+        if not map_leq(compose(c0, self.bang(c1.dom)), c1):
+            raise StructureError("laxness", "bottom leg must sit below the top leg")
+        return MonotoneMap.make(ld.obj, c1.cod, lambda u: c0("*") if ld.is_bot(None, u) else c1(u))
+
+    def coequalizer(self, f, g):
+        Q, assign = reference_quotient_poset(f.cod, [(f(x), g(x)) for x in f.dom.elements])
+        return CoeqData(Q, MonotoneMap.make(f.cod, Q, lambda x: assign[x]))
+
+
+def same_poset(P, Q):
+    # equal, and with the same hidden index and rows
+    return (type(P), P.elements, P.pairs, P._index, P._rows) == (type(Q), Q.elements, Q.pairs, Q._index, Q._rows)
+
+
+def same_map(f, g):
+    return type(f) is type(g) and f.values == g.values and same_poset(f.dom, g.dom) and same_poset(f.cod, g.cod)
+
+
+def shares_pairs(P, parent):
+    # every order pair of parent is the very tuple the derived poset holds
+    own = {xy: xy for xy in P.pairs}
+    return all(own[xy] is xy for xy in parent.pairs)
+
+
+def test_trusted_objects_match_validating_backend():
+    # products, coproducts, lifts with unit and bottom, subobjects with their
+    # inclusions, bottoms, bangs, mult, strength and fold: every poset with
+    # at most 3 elements, every pointed poset with at most 4, and every pair
+    # of them with at most 7 elements between them
+    fast, slow = ClassicalBackend(), ValidatingBackend()
+    small = posets_upto(3)
+    objects = small + tuple(P for P in posets_upto(4, pointed=True) if P.n == 4)
+    assert len(objects) == 9 + 5
+    for A in objects:
+        la, ref = fast.lift(A), slow.lift(A)
+        assert same_poset(la.obj, ref.obj) and shares_pairs(la.obj, A)
+        assert same_map(la.unit, ref.unit) and same_map(la.bottom, ref.bottom)
+        assert same_map(fast.mult(A), slow.mult(A))
+        assert same_map(fast.bang(A), slow.bang(A))
+        point = fast.bottom_point(A)
+        assert point is None and slow.bottom_point(A) is None or same_map(point, slow.bottom_point(A))
+        fold = fast.algebra_structure(A)
+        assert fold is None and not A.is_pointed() or same_map(fold, slow.algebra_structure(A))
+        for S in subsets(A):
+            (sub, incl), (rsub, rincl) = fast.subobject(A, {None: S.members}), slow.subobject(A, {None: S.members})
+            assert same_poset(sub, rsub) and same_poset(sub, A.restrict(S.members)) and shares_pairs(sub, rsub)
+            assert same_map(incl, rincl)
+    for A in objects:
+        for B in objects:
+            if A.n + B.n > 7:
+                continue
+            pd, rpd = fast.product(A, B), slow.product(A, B)
+            assert same_poset(pd.obj, rpd.obj)
+            assert same_map(pd.fst, rpd.fst) and same_map(pd.snd, rpd.snd)
+            cd, rcd = fast.coproduct(A, B), slow.coproduct(A, B)
+            assert same_poset(cd.obj, rcd.obj)
+            assert same_map(cd.inl, rcd.inl) and same_map(cd.inr, rcd.inr)
+            assert same_map(fast.strength(A, B), slow.strength(A, B))
+
+
+def test_trusted_maps_match_validating_backend():
+    # pair and cotuple of every pair of maps out of (into) a poset with at
+    # most 2 elements, lift_map of every map, the map scone_induced builds
+    # from every lax square, and the projection of every coequaliser of
+    # parallel maps, between posets with at most 3 elements
+    fast, slow = ClassicalBackend(), ValidatingBackend()
+    small = posets_upto(3)
+    tiny = posets_upto(2)
+    coequalisers = 0
+    for A in small:
+        for B in small:
+            pd, rpd, cd, rcd = fast.product(A, B), slow.product(A, B), fast.coproduct(A, B), slow.coproduct(A, B)
+            for C in tiny:
+                for f in fast.hom(C, A):
+                    for g in fast.hom(C, B):
+                        assert same_map(fast.pair(pd, f, g), slow.pair(rpd, f, g))
+                for f in fast.hom(A, C):
+                    for g in fast.hom(B, C):
+                        assert same_map(fast.cotuple(cd, f, g), slow.cotuple(rcd, f, g))
+            homs = fast.hom(A, B)
+            for f in homs:
+                assert same_map(fast.lift_map(f), slow.lift_map(f))
+                for g in homs:
+                    q, rq = fast.coequalizer(f, g), slow.coequalizer(f, g)
+                    assert same_poset(q.obj, rq.obj) and same_map(q.proj, rq.proj)
+                    coequalisers += 1
+            ld, rld = fast.lift(A), slow.lift(A)
+            for c0, c1 in scone_data(fast, A, B):
+                assert same_map(fast.scone_induced(ld, c0, c1), slow.scone_induced(rld, c0, c1))
+    assert coequalisers == sum(len(fast.hom(A, B)) ** 2 for A in small for B in small)
+
+
+def test_quotient_poset_matches_pairs_reference():
+    # every set of at most two seeds on every listing of every poset with at
+    # most 4 elements: a class can link two chains only from 4 elements on
+    # (a < b ~ c < d), which no quotient of a smaller poset shows
+    for B in relabellings(4):
+        seeds = list(combinations(B.elements, 2))
+        for k in range(3):
+            for chosen in combinations(seeds, k):
+                Q, assign = quotient_poset(B, chosen)
+                R, ref_assign = reference_quotient_poset(B, chosen)
+                assert same_poset(Q, R) and assign == ref_assign
+
+
+def reference_row_pairs(els, rows):
+    return frozenset((els[i], els[j]) for i in range(len(rows)) for j in range(len(rows)) if rows[i] >> j & 1)
+
+
+def test_generated_posets_match_validating_constructor():
+    # every labelled poset with at most 4 elements as the generator builds
+    # it from its rows (hom posets: test_hom_poset_matches_pairwise_reference)
+    for n in range(5):
+        for rows in _labeled_rows(n):
+            P = _rows_to_poset(rows)
+            assert same_poset(P, FinPoset(P.elements, reference_row_pairs(P.elements, rows)))
+
+
+def test_validating_entry_points_still_validate():
+    # a non-monotone candidate: the identity on labels from the 2-chain to
+    # the 2-antichain on the same labels
+    chain, anti = FinPoset.chain(2), FinPoset.antichain(2, prefix="c")
+    with pytest.raises(StructureError) as e:
+        MonotoneMap(chain, anti, chain.elements)
+    assert e.value.law == "monotonicity"
+    with pytest.raises(StructureError) as e:
+        CL.mor_from_fn(chain, anti, lambda p, x: x)
+    assert e.value.law == "monotonicity"
+    # the inverse of the monotone bijection anti -> chain is that candidate
+    assert CL.inverse(MonotoneMap(anti, chain, anti.elements)) is None
+    # a map out of a quotient that would be the candidate
+    q = MonotoneMap(anti, chain, anti.elements)
+    with pytest.raises(StructureError) as e:
+        CL.descend(q, MonotoneMap.identity(anti))
+    assert e.value.law == "monotonicity"
+
+
 def test_compose_still_checks_composability():
     f = MonotoneMap.identity(CHAIN2)
     g = MonotoneMap.identity(ANTI2)
@@ -385,8 +598,7 @@ def test_hom_poset_matches_pairwise_reference():
         for B in small:
             H, by_el = hom_poset(A, B)
             R, ref_by_el = reference_hom_poset(A, B)
-            assert H.elements == R.elements
-            assert H.pairs == R.pairs
+            assert same_poset(H, R)
             assert list(by_el.items()) == list(ref_by_el.items())
 
 
