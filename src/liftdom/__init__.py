@@ -19,7 +19,6 @@ from .oq1 import OQ1Bounds, search_open_question_1  # noqa: F401
 from .order import (  # noqa: F401
     FinPoset,
     MonotoneMap,
-    Preorder,
     StructureError,
     Subset,
 )

@@ -18,7 +18,9 @@ A backend supplies only what depends on how it stores objects and maps:
 * ``_build(elements, restrict, order)``, which turns stagewise data into
   an object (``elements(p)`` lists the elements at stage p,
   ``restrict(p, q, x)`` restricts x to a stage q < p, and
-  ``order(p, els)`` gives the order pairs on the elements ``els`` at p),
+  ``order(p, els)`` gives the order on the elements ``els`` at p as
+  up-mask rows aligned with ``els``, see ``order.py``; unvalidated
+  classically, validated in presheaves),
   ``mor_from_fn``, which turns a stagewise function into a validated map,
   and ``_derived_mor``, the same for a map valid by construction from
   valid inputs (unvalidated classically, see ``order.py``'s trust
@@ -60,7 +62,8 @@ from .order import (
     FinPoset,
     MonotoneMap,
     StructureError,
-    _pair_rows,
+    _restrict_rows,
+    _row_pairs,
     _up_masks,
     compose,
     enumerate_monotone_maps,
@@ -74,6 +77,11 @@ from .order import (
 # so one shared value serves every caller.
 TERMINAL = FinPoset(("*",), frozenset([("*", "*")]))
 INITIAL = FinPoset((), frozenset())
+
+
+def _le_rows(els, le) -> tuple:
+    """The up-mask rows of the relation ``le`` on ``els``."""
+    return tuple(sum(1 << j for j, y in enumerate(els) if le(x, y)) for x in els)
 
 
 def _composable(have: tuple, want: tuple):
@@ -241,8 +249,8 @@ class _ConstructionCache:
         induced order, and its inclusion; elements keep A's order."""
 
         def order(p, els):
-            keep = set(els)
-            return frozenset(xy for xy in self.stage_poset(A, p).pairs if xy[0] in keep and xy[1] in keep)
+            P = self.stage_poset(A, p)
+            return _restrict_rows(P._rows, [P._index[x] for x in els])
 
         def elements(p):
             keep = members.get(p, ())
@@ -263,12 +271,14 @@ class _ConstructionCache:
 
     def _product(self, A, B) -> ProductData:
         def order(p, els):
-            # the order pairs reuse the element tuples, and the stage
-            # posets are fetched once per stage, outside the pair loop
-            PA, PB = self.stage_poset(A, p), self.stage_poset(B, p)
-            return frozenset(
-                (x, y) for x in els for y in els if PA.leq(x[1], y[1]) and PB.leq(x[2], y[2])
-            )
+            # (a, b) sits at index i * nb + j, and (a', b') lies above it
+            # when a' is in row i of A and b' in row j of B: spread row i
+            # of A to one bit per block of nb, then multiply by row j of B
+            rows_b = self.stage_poset(B, p)._rows
+            nb = len(rows_b)
+            spread = [sum(1 << k * nb for k in range(row.bit_length()) if row >> k & 1)
+                      for row in self.stage_poset(A, p)._rows]
+            return tuple(s * rb for s in spread for rb in rows_b)
 
         P = self._build(
             lambda p: tuple(("pr", a, b) for a in self.at(A, p) for b in self.at(B, p)),
@@ -290,13 +300,9 @@ class _ConstructionCache:
 
     def _coproduct(self, A, B) -> CoproductData:
         def order(p, els):
-            PA, PB = self.stage_poset(A, p), self.stage_poset(B, p)
-            return frozenset(
-                (x, y)
-                for x in els
-                for y in els
-                if x[1] == y[1] and (PA if x[1] == 0 else PB).leq(x[2], y[2])
-            )
+            # A's elements, then B's shifted past them
+            rows_a = self.stage_poset(A, p)._rows
+            return rows_a + tuple(row << len(rows_a) for row in self.stage_poset(B, p)._rows)
 
         C = self._build(
             lambda p: tuple(("in", 0, a) for a in self.at(A, p))
@@ -428,10 +434,9 @@ class ClassicalBackend(_ConstructionCache):
 
     def _build(self, elements, restrict, order):
         # unvalidated: the shared base passes the product, coproduct or
-        # induced order of valid posets; the pairs are kept, tuples shared
+        # induced order of valid posets
         els = elements(None)
-        pairs = frozenset(order(None, els))
-        return FinPoset._trusted(els, tuple(_pair_rows({e: i for i, e in enumerate(els)}, pairs)), pairs)
+        return FinPoset._trusted(els, order(None, els))
 
     def _hom(self, A, B):
         return enumerate_monotone_maps(A, B)
@@ -478,8 +483,7 @@ class ClassicalBackend(_ConstructionCache):
     def _lift(self, A) -> LiftData:
         bot = self.fresh_bottom_label(A)
         els = (bot,) + A.elements
-        pairs = A.pairs | {(bot, e) for e in els}
-        LA = FinPoset._trusted(els, ((1 << len(els)) - 1,) + tuple(row << 1 for row in A._rows), pairs)
+        LA = FinPoset._trusted(els, ((1 << len(els)) - 1,) + tuple(row << 1 for row in A._rows))
         unit = MonotoneMap._trusted(A, LA, A.elements)
         bottom = MonotoneMap._trusted(TERMINAL, LA, (bot,))
         if bot not in self._lift_fns:
@@ -591,7 +595,9 @@ class PresheafBackend(_ConstructionCache):
         base = self.base
         sets = {p: elements(p) for p in base.stages}
         res = {(p, q): {x: restrict(p, q, x) for x in sets[p]} for p, q in base.strict_pairs()}
-        return ps.InternalPoset.make(base, sets, res, {p: order(p, sets[p]) for p in base.stages})
+        return ps.InternalPoset.make(
+            base, sets, res, {p: _row_pairs(sets[p], order(p, sets[p])) for p in base.stages}
+        )
 
     def _hom(self, A, B):
         return ps.continuous_maps(A, B)
@@ -657,7 +663,7 @@ class PresheafBackend(_ConstructionCache):
             pos = {r: i for i, r in enumerate(T)}
             return all(A.leq_at(r, fam[i], gam[pos[r]]) for i, r in enumerate(S))
 
-        LA = self._build(elements, restrict, lambda p, els: {(x, y) for x in els for y in els if le(x, y)})
+        LA = self._build(elements, restrict, lambda p, els: _le_rows(els, le))
 
         def eta(p, a):
             down = base.down_list(p)
@@ -723,7 +729,7 @@ class PresheafBackend(_ConstructionCache):
             return next(iter(images))
 
         Q = self._build(
-            lambda p: stage_data[p][0].elements, restrict, lambda p, els: stage_data[p][0].pairs
+            lambda p: stage_data[p][0].elements, restrict, lambda p, els: stage_data[p][0]._rows
         )
         ok, witness = ps.is_internal_dcpo(Q)
         if not ok:
@@ -765,7 +771,7 @@ class PresheafBackend(_ConstructionCache):
         E = self._build(
             lambda p: tuple(encode_nt(p, nt) for nt in restricted[p][3]),
             lambda p, q, fe: ("fn",) + tuple(e for e in fe[1:] if base.leq(e[0], q)),
-            lambda p, els: {(x, y) for x in els for y in els if le(x, y)},
+            lambda p, els: _le_rows(els, le),
         )
 
         def apply_elem(stage, fe, stage2, a):

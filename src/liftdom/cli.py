@@ -15,7 +15,7 @@ from .dot import export_dot
 from .laws import REGISTRY, run_law
 from .model import ModelError, ModelSpec, default_model, parse_model
 from .oq1 import OQ1Bounds, search_open_question_1
-from .order import FinPoset
+from .order import FinPoset, StructureError
 from .presheaf import InternalPoset
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, aggregate_status, fmt
 
@@ -200,6 +200,9 @@ def main(argv=None) -> int:
         return EXIT_UNAVAILABLE
     except UnavailableError as e:
         print(f"unavailable: {e.reason}", file=sys.stderr)
+        return EXIT_UNAVAILABLE
+    except StructureError as e:  # a construction refused the model's objects
+        print(f"construction error: {e}", file=sys.stderr)
         return EXIT_UNAVAILABLE
     except BrokenPipeError:
         return EXIT_PASS

@@ -1168,22 +1168,22 @@ def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = No
     law = REGISTRY[name]
     spec = spec if spec is not None else default_model()
     b = bounds if bounds is not None else law.bounds
-    if b.max_size > 6 or b.apex > 6 or b.competing > 6:
-        return make_report(
-            name,
-            [InstanceReport("bounds", UNAVAILABLE, None)],
-            b.as_dict(),
-            0,
-            reason="requested bounds exceed the supported exhaustion range (6)",
-        )
+    negative = min(b.as_dict().values()) < 0
+    if negative or max(b.max_size, b.apex, b.competing) > 6:
+        reason = ("requested bounds are negative" if negative
+                  else "requested bounds exceed the supported exhaustion range (6)")
+        return make_report(name, [InstanceReport("bounds", UNAVAILABLE, None)], b.as_dict(), 0, reason)
     t0 = time.perf_counter()
     bk = replace(_BACKENDS, **{lane: None for lane in ("classical", "presheaf") if lane not in backends})
+    # the lines a runner yielded before it raised stay in the report
+    instances = []
     try:
-        instances = list(law.runner(spec, b, bk))
+        for inst in law.runner(spec, b, bk):
+            instances.append(inst)
     except UnavailableError as e:
-        instances = [InstanceReport("construction", UNAVAILABLE, e.reason)]
+        instances.append(InstanceReport("construction", UNAVAILABLE, e.reason))
     except StructureError as e:  # a construction rejected what the law built
-        instances = [InstanceReport("construction", FAIL, str(e))]
+        instances.append(InstanceReport("construction", FAIL, str(e)))
     elapsed = int((time.perf_counter() - t0) * 1000)
     reason = None
     if not instances:

@@ -230,14 +230,11 @@ def parse_model(text: str) -> ModelSpec:
                     raise ModelError(f"unknown stage {st.text!r}", st.line, st.col)
                 p.expect(":")
                 orders[st.text] = _rel_pairs(p.until_close_or_semi())
-            stage_orders = {}
-            for st in base.stages:
-                els = carrier.at(st)
-                stage_orders[st] = _reflexive(els, orders.get(st, []))
             try:
-                spec.iposets[name] = InternalPoset(
-                    carrier, tuple(stage_orders[st] for st in base.stages)
-                )
+                spec.iposets[name] = InternalPoset(carrier, tuple(
+                    FinPoset(carrier.at(st), _reflexive(carrier.at(st), orders.get(st, [])))
+                    for st in base.stages
+                ))
             except StructureError as e:
                 raise ModelError(f"invalid internal poset: {e}", head.line, head.col) from e
         else:  # map
@@ -295,16 +292,7 @@ def render_model(spec: ModelSpec) -> str:
     for name, A in spec.iposets.items():
         base_name = next(n for n, b in spec.bases.items() if b == A.base)
         psh_name = next(n for n, f in spec.presheaves.items() if f == A.carrier)
-        parts = []
-        for st in A.base.stages:
-            rel = " ".join(
-                f"{x}<={y}"
-                for x, y in sorted(
-                    ((x, y) for x, y in A.orders[A.base.poset.index(st)] if x != y),
-                    key=lambda xy: (A.at(st).index(xy[0]), A.at(st).index(xy[1])),
-                )
-            )
-            parts.append(f"order {st}: {rel}".rstrip())
+        parts = [f"order {st}: {_fmt_rel(A.stage_poset(st))}".rstrip() for st in A.base.stages]
         lines.append(f"iposet {name} over {base_name} from {psh_name} {{ {' ; '.join(parts)} }}")
     for name, f in spec.maps.items():
         src = next(n for n, P in spec.posets.items() if P == f.dom)

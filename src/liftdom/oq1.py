@@ -111,13 +111,7 @@ def _small_bases(bounds: OQ1Bounds) -> list[tuple]:
         for i, P in enumerate(posets_upto(n)):
             if P.n != n:
                 continue
-            renamed = FinPoset(
-                tuple(f"s{k}" for k in range(P.n)),
-                frozenset(
-                    (f"s{P.index(x)}", f"s{P.index(y)}") for x, y in P.pairs
-                ),
-            )
-            out.append((f"base{n}.{i}", BasePoset(renamed)))
+            out.append((f"base{n}.{i}", BasePoset(_rows_to_poset(P._rows, prefix="s"))))
     return out
 
 

@@ -1,9 +1,15 @@
-"""Finite posets, preorders, monotone maps, and their basic order theory.
+"""Finite posets, monotone maps, and their basic order theory.
 
 Elements are opaque hashable identifiers; the declared element sequence
 fixes the canonical iteration order used by every enumeration,
 representative choice, and "first found" answer in the package.  All
 values are immutable after construction and all operations are pure.
+
+One stored form.  A poset stores its order once, as the up-mask rows
+``_rows`` (row i: the bitmask of the indices above element i).  Equality
+and hash read ``(elements, _rows)``; ``FinPoset.pairs`` derives the pair
+set when a caller asks for it, which outside this module happens only
+where data enters (the validating constructors) or leaves (rendering).
 
 Trust boundary.  Objects and maps are validated where their data come
 from outside this module: the public ``FinPoset(elements, pairs)``,
@@ -21,6 +27,7 @@ construction:
   ``_order_search``, which draws values from the codomain and checks every
   order pair in both directions as it backtracks; the inverse that
   ``poset_iso`` returns is the inverse of an order-iso;
+* ``FinPoset.restrict``: the order a valid poset induces on a subset;
 * ``hom_poset``: the rows of ``_up_masks`` are the pointwise order of
   distinct monotone maps, a partial order;
 * ``quotient_poset``: its class rows are closed, and it merges preorder
@@ -29,11 +36,12 @@ construction:
   below an up-closed and above a down-closed set.
 
 The classical backend (``backend.py``) extends the boundary to the maps and
-objects it derives from valid ones: products, coproducts and subobjects,
-lifts with their unit and bottom, bottom points, coequaliser projections,
-the map ``scone_induced`` builds once the laxness check has passed, and the
-maps of the shared base's ``_derived_mor``.  Re-validating those results
-would repeat work in the inner loop of every universal-property check.
+objects it derives from valid ones: products, coproducts and subobjects
+(whose rows the shared base computes from the factors' rows), lifts with
+their unit and bottom, bottom points, coequaliser projections, the map
+``scone_induced`` builds once the laxness check has passed, and the maps
+of the shared base's ``_derived_mor``.  Re-validating those results would
+repeat work in the inner loop of every universal-property check.
 
 Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
@@ -74,14 +82,6 @@ def _transitive_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
-def _pair_rows(idx: dict, pairs) -> list[int]:
-    # the up-mask rows of the relation ``pairs`` on the elements indexed by idx
-    rows = [0] * len(idx)
-    for x, y in pairs:
-        rows[idx[x]] |= 1 << idx[y]
-    return rows
-
-
 def _row_pairs(elements, rows):
     # the order pairs that up-mask rows hold, row by row
     for x, row in zip(elements, rows):
@@ -110,45 +110,85 @@ def _close_rows(rows: list[int]) -> list[int]:
     return rows
 
 
-@dataclass(frozen=True)
-class Preorder:
-    """Finite reflexive transitive relation; antisymmetry not required."""
+def _restrict_rows(rows, keep) -> tuple:
+    # the up-mask rows of the order induced on the ascending indices ``keep``
+    return tuple(sum(1 << t for t, j in enumerate(keep) if rows[i] >> j & 1) for i in keep)
 
-    elements: tuple
-    pairs: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        # a frozenset is kept as given, sharing its pair tuples with the poset
-        # it came from (a lift, restriction or subobject reuses its parent's
-        # pairs); other iterables are normalised to a frozenset of tuples
-        if not isinstance(self.pairs, frozenset):
-            object.__setattr__(self, "pairs", frozenset((x, y) for x, y in self.pairs))
-        if len(set(self.elements)) != len(self.elements):
+class FinPoset:
+    """Finite partial order, stored as up-mask rows: bit j of ``_rows[i]``
+    says ``elements[i] <= elements[j]``.  The rows are the only stored form
+    of the order; ``pairs`` derives the order pairs from them.  Equality
+    and hash are those of ``(elements, _rows)``, which the element order
+    and the relation determine.  Immutable."""
+
+    def __init__(self, elements, pairs):
+        elements = tuple(elements)
+        if not isinstance(pairs, frozenset):
+            pairs = frozenset((x, y) for x, y in pairs)
+        if len(set(elements)) != len(elements):
             raise StructureError("distinctness", "duplicate element identifiers")
-        idx = {e: i for i, e in enumerate(self.elements)}
-        for x, y in self.pairs:
+        idx = {e: i for i, e in enumerate(elements)}
+        rows = [0] * len(elements)
+        for x, y in pairs:
             if x not in idx or y not in idx:
                 raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
-        rows = _pair_rows(idx, self.pairs)
-        for i, e in enumerate(self.elements):
+            rows[idx[x]] |= 1 << idx[y]
+        rows = tuple(rows)
+        for i, e in enumerate(elements):
             if not rows[i] >> i & 1:
                 raise StructureError("reflexivity", f"{e!r} <= {e!r} missing")
-        gap = _transitive_gap(tuple(rows))
+        gap = _transitive_gap(rows)
         if gap is not None:
             i, j = gap
             k = (rows[j] & ~rows[i]).bit_length() - 1
             raise StructureError(
                 "transitivity",
-                f"{self.elements[i]!r} <= {self.elements[j]!r} <= {self.elements[k]!r}"
-                f" but {self.elements[i]!r} <= {self.elements[k]!r} missing",
+                f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+                f" but {elements[i]!r} <= {elements[k]!r} missing",
             )
-        object.__setattr__(self, "_index", idx)
-        object.__setattr__(self, "_rows", tuple(rows))
-        self._validate()
+        for i, row in enumerate(rows):
+            m = row >> i + 1 << i + 1  # the j > i above element i
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                if rows[j] >> i & 1:
+                    raise StructureError(
+                        "antisymmetry", f"{elements[i]!r} and {elements[j]!r} are mutually related"
+                    )
+                m ^= low
+        self._set(elements, rows)
 
-    def _validate(self):
-        pass
+    def _set(self, elements: tuple, rows: tuple):
+        # in one order for every poset, so that their attribute dicts share
+        # one key table
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", {e: i for i, e in enumerate(elements)})
+        object.__setattr__(self, "_rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: FinPoset is immutable")
+
+    @classmethod
+    def _trusted(cls, elements: tuple, rows: tuple) -> "FinPoset":
+        """Build without validation: ``rows`` must be the up-mask rows of a
+        partial order on ``elements`` (see the module docstring)."""
+        P = object.__new__(cls)
+        P._set(elements, rows)
+        return P
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.elements == other.elements and self._rows == other._rows)
+
+    def __hash__(self):
+        return hash((self.elements, self._rows))
+
+    @property
+    def pairs(self) -> frozenset:
+        """The order pairs (x, y) with x <= y, derived from the rows."""
+        return frozenset(_row_pairs(self.elements, self._rows))
 
     @property
     def n(self) -> int:
@@ -162,42 +202,6 @@ class Preorder:
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.elements)!r})"
-
-
-@dataclass(frozen=True)
-class FinPoset(Preorder):
-    """Finite partial order: a Preorder that is also antisymmetric."""
-
-    def _validate(self):
-        rows = self._rows
-        for i, row in enumerate(rows):
-            m = row >> i + 1 << i + 1  # the j > i above element i
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if rows[j] >> i & 1:
-                    raise StructureError(
-                        "antisymmetry",
-                        f"{self.elements[i]!r} and {self.elements[j]!r} are mutually related",
-                    )
-                m ^= low
-
-    @classmethod
-    def _trusted(cls, elements: tuple, rows: tuple, pairs: frozenset | None = None) -> "FinPoset":
-        """Build without validation: ``rows`` must be the up-mask rows of a
-        partial order on ``elements`` and ``pairs``, when given, the same
-        order as a frozenset, whose tuples the poset then shares (see the
-        module docstring)."""
-        P = object.__new__(cls)
-        if pairs is None:
-            pairs = frozenset(_row_pairs(elements, rows))
-        # in the order the validating constructor sets them, so that every
-        # poset's attribute dict shares one key table
-        object.__setattr__(P, "elements", elements)
-        object.__setattr__(P, "pairs", pairs)
-        object.__setattr__(P, "_index", {e: i for i, e in enumerate(elements)})
-        object.__setattr__(P, "_rows", rows)
-        return P
 
     @classmethod
     def from_generators(cls, elements, gens) -> "FinPoset":
@@ -257,9 +261,8 @@ class FinPoset(Preorder):
     def restrict(self, members) -> "FinPoset":
         """Induced sub-poset on ``members``, keeping the ambient element order."""
         members = set(members)
-        els = tuple(e for e in self.elements if e in members)
-        pairs = frozenset(xy for xy in self.pairs if xy[0] in members and xy[1] in members)
-        return FinPoset(els, pairs)
+        keep = [i for i, e in enumerate(self.elements) if e in members]
+        return FinPoset._trusted(tuple(self.elements[i] for i in keep), _restrict_rows(self._rows, keep))
 
 
 @dataclass(frozen=True)
@@ -659,7 +662,7 @@ def all_posets(n: int) -> tuple[FinPoset, ...]:
     out: list[FinPoset] = []
     for rows in _labeled_rows(n):
         P = _rows_to_poset(rows)
-        key = (tuple(sorted(_degrees(rows, _down_rows(rows)))), len(P.pairs))
+        key = tuple(sorted(_degrees(rows, _down_rows(rows))))
         found = False
         for Q in buckets.get(key, ()):
             if poset_iso(P, Q) is not None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .order import FinPoset, StructureError, _order_search
+from .order import FinPoset, StructureError, _order_search, _row_pairs
 
 
 class SortError(TypeError):
@@ -189,30 +189,29 @@ class Presheaf:
 
 @dataclass(frozen=True)
 class InternalPoset:
-    """A presheaf with a stagewise partial order and monotone restrictions."""
+    """A presheaf with a stagewise partial order and monotone restrictions.
+
+    The order at each stage is stored once, as the stage poset on that
+    stage's elements."""
 
     carrier: Presheaf
-    orders: tuple  # aligned with base.stages; frozensets of (x, y) pairs
+    stage_posets: tuple  # aligned with base.stages; FinPoset on each stage set
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(frozenset(o) for o in self.orders))
-        if len(self.orders) != len(self.base.stages):
+        object.__setattr__(self, "stage_posets", tuple(self.stage_posets))
+        if len(self.stage_posets) != len(self.base.stages):
             raise StructureError("totality", "one order per stage is required")
-        posets = tuple(
-            FinPoset(self.carrier.stage_sets[i], self.orders[i])
-            for i in range(len(self.orders))
-        )
-        object.__setattr__(self, "_stage_posets", posets)
-        for p in self.base.stages:
-            for q in self.base.down_list(p):
-                if p == q:
-                    continue
-                for x, y in self.orders[self.base.poset.index(p)]:
-                    if not self.leq_at(q, self.res_el(p, q, x), self.res_el(p, q, y)):
-                        raise StructureError(
-                            "monotonicity",
-                            f"restriction {p!r}->{q!r} is not monotone on {x!r} <= {y!r}",
-                        )
+        for P, els in zip(self.stage_posets, self.carrier.stage_sets):
+            if P.elements != els:
+                raise StructureError("membership", "a stage poset is not on its stage's elements")
+        for p, q in self.base.strict_pairs():
+            P = self.stage_poset(p)
+            for x, y in _row_pairs(P.elements, P._rows):
+                if not self.leq_at(q, self.res_el(p, q, x), self.res_el(p, q, y)):
+                    raise StructureError(
+                        "monotonicity",
+                        f"restriction {p!r}->{q!r} is not monotone on {x!r} <= {y!r}",
+                    )
 
     @property
     def base(self) -> BasePoset:
@@ -225,7 +224,7 @@ class InternalPoset:
         return self.carrier.res_el(p, q, x)
 
     def stage_poset(self, p) -> FinPoset:
-        return self._stage_posets[self.base.poset.index(p)]
+        return self.stage_posets[self.base.poset.index(p)]
 
     def leq_at(self, p, x, y) -> bool:
         return self.stage_poset(p).leq(x, y)
@@ -236,13 +235,12 @@ class InternalPoset:
     @classmethod
     def make(cls, base: BasePoset, stage_sets: dict, restrictions: dict, orders: dict) -> "InternalPoset":
         carrier = Presheaf.make(base, stage_sets, restrictions)
-        ords = tuple(frozenset(orders[p]) for p in base.stages)
-        return cls(carrier, ords)
+        return cls(carrier, tuple(FinPoset(els, orders[p]) for p, els in zip(base.stages, carrier.stage_sets)))
 
     @classmethod
     def _trusted(cls, base: BasePoset, stage_posets: tuple, restrictions: tuple) -> "InternalPoset":
         """Build without validation, with the fields and the hidden ``_res``
-        and ``_stage_posets`` that ``make`` would give.  ``stage_posets`` are
+        that ``make`` would give.  ``stage_posets`` are
         validated posets aligned with ``base.stages``; ``restrictions`` are
         value tuples aligned with ``base.strict_pairs()`` that are total, land
         in the lower stage, are monotone and compose (``oq1.internal_posets``
@@ -255,8 +253,7 @@ class InternalPoset:
         object.__setattr__(carrier, "_res", dict(zip(base.strict_pairs(), restrictions)))
         A = object.__new__(cls)
         object.__setattr__(A, "carrier", carrier)
-        object.__setattr__(A, "orders", tuple(P.pairs for P in stage_posets))
-        object.__setattr__(A, "_stage_posets", tuple(stage_posets))
+        object.__setattr__(A, "stage_posets", tuple(stage_posets))
         return A
 
     @classmethod
@@ -264,8 +261,7 @@ class InternalPoset:
         """The constant internal poset: P at every stage, identity restrictions."""
         sets = {p: P.elements for p in base.stages}
         res = {(p, q): {x: x for x in P.elements} for p, q in base.strict_pairs()}
-        orders = {p: P.pairs for p in base.stages}
-        return cls.make(base, sets, res, orders)
+        return cls(Presheaf.make(base, sets, res), (P,) * len(base.stages))
 
 
 @dataclass(frozen=True)
@@ -832,8 +828,8 @@ def restrict_to(A: InternalPoset, p) -> tuple[BasePoset, InternalPoset]:
     res = {
         (q, r): {x: A.res_el(q, r, x) for x in A.at(q)} for q, r in sub_base.strict_pairs()
     }
-    orders = {q: A.orders[base.poset.index(q)] for q in sub_base.stages}
-    return sub_base, InternalPoset.make(sub_base, sets, res, orders)
+    carrier = Presheaf.make(sub_base, sets, res)
+    return sub_base, InternalPoset(carrier, tuple(A.stage_poset(q) for q in sub_base.stages))
 
 
 # ---------------------------------------------------------------------------

@@ -108,3 +108,19 @@ def test_search_oq1_bounded(capsys):
     assert main(["search-oq1", "--max-base", "0", "--max-carrier", "4"]) == 0
     out = capsys.readouterr().out
     assert "search-oq1" in out and "0 failures" in out
+
+
+def test_construction_error_exits_2(tmp_path, capsys):
+    # a model the constructions refuse is an error, not a found failure
+    f = tmp_path / "m.liftdom"
+    f.write_text("poset A2 { elems a b ; leq }\nposet C2 { elems c0 c1 ; leq c0<=c1 }\n")
+    for cmd in ("smash", "hom"):
+        assert main([cmd, "A2", "C2", "--model", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert "pointedness" in captured.err and "Traceback" not in captured.err
+
+
+def test_negative_bound_is_unavailable(capsys):
+    assert main(["check", "kz-adjunction", "--max-size", "-1"]) == 2
+    out = capsys.readouterr().out
+    assert "[UNAVAILABLE] kz-adjunction" in out and "requested bounds are negative" in out

@@ -136,6 +136,38 @@ def test_structure_error_in_a_runner_is_a_failure(monkeypatch):
     assert [(i.status, i.witness) for i in rep.instances] == [(FAIL, "kz: stubbed refusal")]
 
 
+def test_lines_yielded_before_a_runner_raised_are_kept(monkeypatch):
+    # the first instance is checked, the second raises: the report keeps the
+    # first line and adds the construction line after it
+    first = run_law("kz-adjunction").instances[0]
+    calls = []
+    real = lifting.kz_check
+
+    def refuse_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise StructureError("kz", "stubbed refusal")
+        return real(*args)
+
+    monkeypatch.setattr(lifting, "kz_check", refuse_second)
+    rep = run_law("kz-adjunction")
+    assert rep.status == FAIL
+    assert [(i.objects, i.status, i.witness) for i in rep.instances] == [
+        (first.objects, first.status, first.witness),
+        ("construction", FAIL, "kz: stubbed refusal"),
+    ]
+
+
+def test_negative_bounds_are_refused():
+    # a negative bound would make the classical lane check nothing and the
+    # colimit laws pass vacuously
+    for field in ("max_size", "competing", "apex", "base_stages"):
+        b = replace(REGISTRY["kz-adjunction"].bounds, **{field: -1})
+        rep = run_law("kz-adjunction", bounds=b)
+        assert rep.status == UNAVAILABLE and rep.reason == "requested bounds are negative"
+        assert [(i.objects, i.status) for i in rep.instances] == [("bounds", UNAVAILABLE)]
+
+
 class DropLastMap(ClassicalBackend):
     """A fault in one construction: every non-empty hom-set loses its last map."""
 

@@ -402,3 +402,35 @@ def test_trusted_nat_trans_match_validating_constructor():
     with pytest.raises(StructureError) as e:
         nt_compose(NatTrans.identity(objs[0]), NatTrans.identity(objs[1]))
     assert e.value.law == "composability"
+
+
+def test_internal_poset_identity_is_its_stage_posets():
+    # the validating make and the trusted constructor give equal objects
+    # with equal hashes; the order is stored once, in the stage posets
+    bounds = OQ1Bounds(2, 2, 4)
+    checked = 0
+    for _, base in _small_bases(bounds):
+        for A in internal_posets(base, bounds):
+            B = InternalPoset.make(
+                base,
+                {p: A.at(p) for p in base.stages},
+                {(p, q): dict(zip(A.at(p), A.carrier._res[p, q])) for p, q in base.strict_pairs()},
+                {p: A.stage_poset(p).pairs for p in base.stages},
+            )
+            assert A == B and hash(A) == hash(B)
+            assert set(vars(A)) == set(vars(B)) == {"carrier", "stage_posets"}
+            checked += 1
+    assert checked == 58
+    P = FinPoset.chain(2)
+    C = InternalPoset.constant(SIERP, P)
+    assert C.stage_posets == (P, P) and C == InternalPoset._trusted(SIERP, (P, P), (P.elements,))
+
+
+def test_stage_posets_must_sit_on_their_stages():
+    carrier = Presheaf.make(SIERP, {"s0": ("u",), "s1": ("a",)}, {("s1", "s0"): {"a": "u"}})
+    with pytest.raises(StructureError) as e:
+        InternalPoset(carrier, (FinPoset.chain(1, prefix="u"), FinPoset.chain(1, prefix="a")))
+    assert e.value.law == "membership"
+    with pytest.raises(StructureError) as e:
+        InternalPoset(carrier, (FinPoset.chain(1, prefix="u"),))
+    assert e.value.law == "totality"
