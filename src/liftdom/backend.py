@@ -30,7 +30,7 @@ A backend supplies only what depends on how it stores objects and maps:
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
 * the map ``scone_induced`` that a cone datum induces out of a lift, and
-  ``_bottom_point`` with ``bottom_point`` (memoised only classically);
+  ``_bottom_point`` with ``bottom_point`` (the same function, unmemoised);
 * coequalisers, exponentials, Scott-open subobjects, pointedness,
   directed completeness and positivity.
 
@@ -454,14 +454,12 @@ class ClassicalBackend(_ConstructionCache):
     def is_pointed(self, A) -> bool:
         return A.is_pointed()
 
-    def bottom_point(self, A):
-        """The global element picking A's least element, or None; memoised,
-        because ``is_strict`` asks for it for every hom it filters."""
-        return self.memo(("bottom", A), lambda: self._bottom_point(A))
-
     def _bottom_point(self, A):
+        """The global element picking A's least element, or None."""
         b = A.bottom()
         return None if b is None else MonotoneMap._trusted(TERMINAL, A, (b,))
+
+    bottom_point = _bottom_point
 
     def scott_open_subobjects(self, A) -> list[dict]:
         from .order import scott_opens
@@ -623,7 +621,6 @@ class PresheafBackend(_ConstructionCache):
             return None
         return ps.NatTrans.make(self.terminal(), A, lambda p, _: fam[p])
 
-    # not memoised: only the classical backend meets it once per hom it filters
     bottom_point = _bottom_point
 
     def scott_open_subobjects(self, A) -> list[dict]:

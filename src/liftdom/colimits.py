@@ -20,6 +20,7 @@ from .lifting import (
     is_homomorphism,
     restriction_groups,
     strict_hom_set,
+    value_tables,
 )
 from .order import StructureError
 
@@ -116,27 +117,25 @@ def colimit(bk, d: Diagram) -> ColimitResult:
 
 def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list[dict]:
     """All commuting cocones under d with apex P whose legs X -> P come from
-    ``leg_pool(X, P)``, by pruned search."""
+    ``leg_pool(X, P)``, by backtracking over the nodes in order.  The value
+    tables of each pool member and of its composite with each edge into its
+    node are read before the search, so an edge test compares two tables."""
     pools = {n: list(leg_pool(d.objects[n], P)) for n in d.nodes}
+    own = {n: value_tables(bk, pools[n]) for n in d.nodes}
+    along = [(value_tables(bk, pools[t], d.arrows[name]), s, t) for name, s, t in d.edges]
     out: list[dict] = []
-    legs: dict = {}
+    picked: dict = {}
 
     def rec(i):
         if i == len(d.nodes):
-            out.append(dict(legs))
+            out.append({n: pools[n][k] for n, k in picked.items()})
             return
         n = d.nodes[i]
-        for cand in pools[n]:
-            legs[n] = cand
-            ok = True
-            for name, s, t in d.edges:
-                if s in legs and t in legs:
-                    if bk.compose(legs[t], d.arrows[name]) != legs[s]:
-                        ok = False
-                        break
-            if ok:
+        for k in range(len(pools[n])):
+            picked[n] = k
+            if all(comp[picked[t]] == own[s][picked[s]] for comp, s, t in along if s in picked and t in picked):
                 rec(i + 1)
-        legs.pop(n, None)
+        picked.pop(n, None)
 
     rec(0)
     return out
@@ -145,13 +144,13 @@ def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list[dict]:
 def _unique_mediators(bk, d: Diagram, res: ColimitResult, apexes, homs, label) -> tuple:
     """Exactly one mediator in ``homs(res.apex, P)`` to every cocone under d
     with apex P in ``apexes`` and legs in ``homs``: the mediators are grouped
-    by their composites with the legs once per apex, then each cocone is
-    looked up."""
+    by the value tables of their composites with the legs once per apex,
+    then each cocone is looked up by the value tables of its legs."""
     res_legs = [res.legs[n] for n in d.nodes]
     for P in apexes:
         groups = restriction_groups(bk, homs(res.apex, P), res_legs)
         for legs in enumerate_cocones(bk, d, P, homs):
-            count = len(groups.get(tuple(legs[n] for n in d.nodes), ()))
+            count = len(groups.get(tuple(value_tables(bk, [legs[n]])[0] for n in d.nodes), ()))
             if count != 1:
                 return False, (label, P, count)
     return True, None
@@ -282,7 +281,7 @@ def coproduct_algebras_universal_check(bk, X, Y, apexes) -> tuple:
         if not bk.is_pointed(P):
             continue
         groups = restriction_groups(bk, strict_hom_set(bk, Q, P), (inj_x, inj_y))
-        fs, gs = strict_hom_set(bk, X, P), strict_hom_set(bk, Y, P)
+        fs, gs = value_tables(bk, strict_hom_set(bk, X, P)), value_tables(bk, strict_hom_set(bk, Y, P))
         for f in fs:
             for g in gs:
                 count = len(groups.get((f, g), ()))

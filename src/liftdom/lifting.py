@@ -201,7 +201,17 @@ def strict_iff_hom_check(bk, f) -> bool:
 
 
 def strict_hom_set(bk, A, B) -> tuple:
-    return tuple(f for f in bk.hom(A, B) if is_strict(bk, f))
+    """The maps of ``bk.hom(A, B)``, in hom order, that are strict: read at
+    the bottom, stage by stage, not composed with it.  ``is_strict`` stays
+    the test reference and the subject of the strict-iff laws."""
+    homs = bk.hom(A, B)
+    if not homs:
+        return homs
+    ba, bb = bk.bottom_point(A), bk.bottom_point(B)
+    if ba is None or bb is None:
+        raise StructureError("pointedness", "strictness needs pointed source and target")
+    bots = [(p, bk.app(ba, p, "*"), bk.app(bb, p, "*")) for p in bk.stages(A)]
+    return tuple(f for f in homs if all(bk.app(f, p, a) == b for p, a, b in bots))
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +229,29 @@ def scone_data(bk, A, C) -> list:
     return [(c0, c1) for c0, row in zip(points, up[len(homs):]) for j, c1 in enumerate(homs) if row >> j & 1]
 
 
+def value_tables(bk, maps, leg=None) -> list:
+    """The value table of each of the parallel ``maps`` (of each ``f . leg``,
+    given ``leg``, without building the composite): its values at the
+    elements of its domain, stage by stage in stage-API order.  Parallel
+    maps are equal exactly when their tables are."""
+    if not maps:
+        return []
+    app, X = bk.app, maps[0].dom if leg is None else leg.dom
+    points = [(p, x if leg is None else app(leg, p, x)) for p in bk.stages(X) for x in bk.at(X, p)]
+    return [tuple([app(f, p, y) for p, y in points]) for f in maps]
+
+
 def restriction_groups(bk, homs, legs) -> dict:
     """Group ``homs`` by their restriction along ``legs``.
 
-    Maps the tuple ``(h . leg for leg in legs)`` to the list of homs with
-    that restriction, in hom order.  A universal property then reads its
-    mediators for a competing datum off one lookup: the group size is the
-    number of mediators and its first member is the first one in order.
+    Maps the value tables of ``h . leg``, one per leg, to the list of homs
+    with that restriction, in hom order.  A universal property then reads
+    its mediators for a datum off one lookup of the datum's value tables:
+    the group size is the number of mediators, its first member the first.
     """
     groups: dict = {}
-    for h in homs:
-        groups.setdefault(tuple(bk.compose(h, leg) for leg in legs), []).append(h)
+    for h, *key in zip(homs, *(value_tables(bk, homs, leg) for leg in legs)):
+        groups.setdefault(tuple(key), []).append(h)
     return groups
 
 
@@ -238,8 +260,9 @@ def scone_universal_check(bk, A, C):
     ld = bk.lift(A)
     groups = restriction_groups(bk, bk.hom(ld.obj, C), (ld.bottom, ld.unit))
     data = scone_data(bk, A, C)
-    for c0, c1 in data:
-        hs = groups.get((c0, c1), [])
+    keys = zip(value_tables(bk, [c0 for c0, _ in data]), value_tables(bk, [c1 for _, c1 in data]))
+    for (c0, c1), key in zip(data, keys):
+        hs = groups.get(key, [])
         if len(hs) != 1:
             return False, ("datum", c0, c1, len(hs))
     if len(groups) != len(data):
@@ -281,9 +304,10 @@ def paths_check(bk, A, B):
     groups = restriction_groups(bk, bk.hom(pd.obj, B), (bot_leg, top_leg))
     homs = bk.hom(A, B)
     up = bk.hom_up_masks(A, B, homs)
+    tables = value_tables(bk, homs)
     for i, f in enumerate(homs):
         for j, g in enumerate(homs):
-            n = len(groups.get((f, g), []))
+            n = len(groups.get((tables[i], tables[j]), []))
             want = up[i] >> j & 1
             if n != want:
                 return False, ("pair", f, g, n, want)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map
+from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map, value_tables
 from .order import FinPoset, StructureError
 
 
@@ -153,8 +153,8 @@ def universal_bistrict_check(bk, T: TensorObject, codomains) -> tuple:
         if not bk.is_pointed(C):
             continue
         groups = restriction_groups(bk, strict_hom_set(bk, T.obj, C), (T.universal,))
-        for f in bistrict_maps(bk, A, B, C):
-            count = len(groups.get((f,), ()))
+        for table in value_tables(bk, bistrict_maps(bk, A, B, C)):
+            count = len(groups.get((table,), ()))
             if count != 1:
                 return False, ("bistrict map", C, count)
     return True, None
@@ -219,8 +219,7 @@ def seal_represents_bilinear_check(bk, A, B, codomains) -> tuple:
         for f in bk.hom(pd.obj, C):
             if not bilinear(f):
                 continue
-            dagger = bk.compose(alpha_c, bk.lift_map(f))
-            hs = groups.get((dagger,), ())
+            hs = groups.get((value_tables(bk, [alpha_c], bk.lift_map(f))[0],), ())
             if len(hs) != 1:
                 return False, ("bilinear map", C, len(hs))
             if bk.compose(hs[0], boxtimes) != f:
