@@ -30,7 +30,7 @@ A backend supplies only what depends on how it stores objects and maps:
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
 * the map ``scone_induced`` that a cone datum induces out of a lift, and
-  ``_bottom_point`` with ``bottom_point`` (the same function, unmemoised);
+  ``bottom_point``;
 * coequalisers, exponentials, Scott-open subobjects, pointedness,
   directed completeness and positivity.
 
@@ -367,7 +367,7 @@ class _ConstructionCache:
         or None unless A is a pointed dcpo."""
         if not self.is_pointed(A) or not self.is_dcpo(A)[0]:
             return None
-        return self.scone_induced(self.lift(A), self._bottom_point(A), self.identity(A))
+        return self.scone_induced(self.lift(A), self.bottom_point(A), self.identity(A))
 
 
 class ClassicalBackend(_ConstructionCache):
@@ -454,12 +454,10 @@ class ClassicalBackend(_ConstructionCache):
     def is_pointed(self, A) -> bool:
         return A.is_pointed()
 
-    def _bottom_point(self, A):
+    def bottom_point(self, A):
         """The global element picking A's least element, or None."""
         b = A.bottom()
         return None if b is None else MonotoneMap._trusted(TERMINAL, A, (b,))
-
-    bottom_point = _bottom_point
 
     def scott_open_subobjects(self, A) -> list[dict]:
         from .order import scott_opens
@@ -615,13 +613,11 @@ class PresheafBackend(_ConstructionCache):
     def is_pointed(self, A) -> bool:
         return ps.is_internal_pointed(A)
 
-    def _bottom_point(self, A):
+    def bottom_point(self, A):
         fam = ps.internal_bottom(A)
         if fam is None:
             return None
         return ps.NatTrans.make(self.terminal(), A, lambda p, _: fam[p])
-
-    bottom_point = _bottom_point
 
     def scott_open_subobjects(self, A) -> list[dict]:
         return [

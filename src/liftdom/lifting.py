@@ -210,8 +210,8 @@ def strict_hom_set(bk, A, B) -> tuple:
     ba, bb = bk.bottom_point(A), bk.bottom_point(B)
     if ba is None or bb is None:
         raise StructureError("pointedness", "strictness needs pointed source and target")
-    bots = [(p, bk.app(ba, p, "*"), bk.app(bb, p, "*")) for p in bk.stages(A)]
-    return tuple(f for f in homs if all(bk.app(f, p, a) == b for p, a, b in bots))
+    bot = value_tables(bk, [bb])[0]
+    return tuple(f for f, t in zip(homs, value_tables(bk, homs, ba)) if t == bot)
 
 
 # ---------------------------------------------------------------------------

@@ -415,7 +415,7 @@ class ValidatingBackend(ClassicalBackend):
             lambda st, items: items[0][1] if items else bot,
         )
 
-    def _bottom_point(self, A):
+    def bottom_point(self, A):
         b = A.bottom()
         return None if b is None else MonotoneMap.make(self.terminal(), A, lambda _: b)
 
