@@ -26,7 +26,6 @@ from .presheaf import (  # noqa: F401
     BasePoset,
     InternalPoset,
     NatTrans,
-    Presheaf,
     Sieve,
     Subpresheaf,
     kj_forces,

@@ -20,11 +20,13 @@ A backend supplies only what depends on how it stores objects and maps:
   ``restrict(p, q, x)`` restricts x to a stage q < p, and
   ``order(p, els)`` gives the order on the elements ``els`` at p as
   up-mask rows aligned with ``els``, see ``order.py``; unvalidated
-  classically, validated in presheaves),
+  classically; in presheaves the rows go to ``FinPoset.from_rows`` and
+  the restriction values to ``InternalPoset``, which both validate),
   ``mor_from_fn``, which turns a stagewise function into a validated map,
   and ``_derived_mor``, the same for a map valid by construction from
   valid inputs (unvalidated classically, see ``order.py``'s trust
-  boundary; validating in presheaves); ``identity``, ``compose``,
+  boundary; validating in presheaves, where ``NatTrans`` runs the one
+  map check ``order._check_map`` on each component); ``identity``, ``compose``,
   ``terminal`` and ``initial``;
 * the hom enumerator ``_hom``, ``hom_leq`` and ``iso``;
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
@@ -63,7 +65,6 @@ from .order import (
     MonotoneMap,
     StructureError,
     _restrict_rows,
-    _row_pairs,
     _up_masks,
     compose,
     enumerate_monotone_maps,
@@ -590,9 +591,9 @@ class PresheafBackend(_ConstructionCache):
     def _build(self, elements, restrict, order):
         base = self.base
         sets = {p: elements(p) for p in base.stages}
-        res = {(p, q): {x: restrict(p, q, x) for x in sets[p]} for p, q in base.strict_pairs()}
-        return ps.InternalPoset.make(
-            base, sets, res, {p: _row_pairs(sets[p], order(p, sets[p])) for p in base.stages}
+        res = tuple(tuple(restrict(p, q, x) for x in sets[p]) for p, q in base.strict_pairs())
+        return ps.InternalPoset(
+            base, tuple(FinPoset.from_rows(els, order(p, els)) for p, els in sets.items()), res
         )
 
     def _hom(self, A, B):

@@ -27,8 +27,12 @@ EXIT_CODES = {PASS: EXIT_PASS, FAIL: EXIT_FAIL, UNAVAILABLE: EXIT_UNAVAILABLE}
 def _load_model(path: str | None) -> ModelSpec:
     if path is None:
         return default_model()
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ModelError(f"cannot read the model file: {e}") from e
+    return parse_model(text)
 
 
 def _print_report(rep: CheckReport, as_json: bool):

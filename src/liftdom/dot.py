@@ -1,6 +1,7 @@
 """Deterministic DOT export: Hasse edges only, stages as clusters."""
 from __future__ import annotations
 
+from .backend import UnavailableError
 from .order import FinPoset, MonotoneMap
 from .presheaf import InternalPoset, NatTrans
 from .report import fmt
@@ -18,7 +19,8 @@ def _poset_body(P: FinPoset, prefix: str, lines: list, indent: str = "  "):
 
 
 def export_dot(obj) -> str:
-    """Render a poset, an internal poset (one cluster per stage), or a map."""
+    """Render a poset, an internal poset (one cluster per stage), or a map;
+    refuse anything else with ``UnavailableError``."""
     lines = ["digraph G {", "  rankdir=BT;"]
     if isinstance(obj, FinPoset):
         _poset_body(obj, "n", lines)
@@ -50,6 +52,6 @@ def export_dot(obj) -> str:
                 )
             lines.append("  }")
     else:
-        raise TypeError(f"cannot export {type(obj).__name__}")
+        raise UnavailableError(f"cannot export {type(obj).__name__}")
     lines.append("}")
     return "\n".join(lines) + "\n"

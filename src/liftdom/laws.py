@@ -631,10 +631,10 @@ def run_bistrict_iff_bilinear(spec, b: Bounds, bk):
     def cases():
         for name, A, B in _pairs(pointed, "{},{}"):
             pd = cl.product(A, B)
-            bilinear = te.bilinearity(cl, A, B)
+            bilinear, bistrict = te.bilinearity(cl, A, B), te.bistrictness(cl, A, B)
             for nc, C in pointed:
                 for f in cl.hom(pd.obj, C):
-                    yield f"{name}->{nc}", None if te.is_bistrict(cl, f, A, B) == bilinear(f) else fmt(f)
+                    yield f"{name}->{nc}", None if bistrict(f) == bilinear(f) else fmt(f)
 
     yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
 
@@ -660,7 +660,7 @@ def neg_bistrict_iff_bilinear(b: Bounds, bk):
     rhs = cl.compose(meet, wrong_folds)
     return _control(
         "corrupted fold in the bilinearity square",
-        te.is_bistrict(cl, meet, S, S2) and lhs != rhs,
+        te.bistrictness(cl, S, S2)(meet) and lhs != rhs,
         "bistrict map fails the square with a constant-top fold",
     )
 
@@ -925,7 +925,7 @@ def _commutator_witness(bk, A, B):
     la, lb = bk.lift(A), bk.lift(B)
     if _misses_unit_pair(bk, k1, la, lb):
         return "commutator misses the unit pair"
-    return None if te.is_bistrict(bk, k1, la.obj, lb.obj) else "commutator is not bistrict"
+    return None if te.bistrictness(bk, la.obj, lb.obj)(k1) else "commutator is not bistrict"
 
 
 def run_commutative_monad(spec, b: Bounds, bk):

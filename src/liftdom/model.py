@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .order import FinPoset, MonotoneMap, StructureError
-from .presheaf import BasePoset, InternalPoset, Presheaf
+from .presheaf import BasePoset, InternalPoset
 
 
 class ModelError(ValueError):
@@ -195,9 +195,12 @@ def parse_model(text: str) -> ModelSpec:
             for pair in base.strict_pairs():
                 restrictions.setdefault(pair, {})
             try:
-                spec.presheaves[name] = Presheaf.make(base, stage_sets, restrictions)
+                discrete = {st: _reflexive(els, ()) for st, els in stage_sets.items()}
+                spec.presheaves[name] = InternalPoset.make(base, stage_sets, restrictions, discrete)
             except StructureError as e:
                 raise ModelError(f"invalid presheaf: {e}", head.line, head.col) from e
+            except KeyError as e:
+                raise ModelError(f"restriction is not total: missing {e}", head.line, head.col)
         elif head.text == "iposet":
             p.expect("over")
             base_t = p.next("a base name")
@@ -212,8 +215,8 @@ def parse_model(text: str) -> ModelSpec:
                 raise ModelError(
                     f"unresolved reference {psh_t.text!r}", psh_t.line, psh_t.col
                 )
-            carrier = spec.presheaves[psh_t.text]
-            if carrier.base != base:
+            F = spec.presheaves[psh_t.text]
+            if F.base != base:
                 raise ModelError("presheaf lives over a different base", psh_t.line, psh_t.col)
             p.expect("{")
             orders: dict = {}
@@ -231,10 +234,9 @@ def parse_model(text: str) -> ModelSpec:
                 p.expect(":")
                 orders[st.text] = _rel_pairs(p.until_close_or_semi())
             try:
-                spec.iposets[name] = InternalPoset(carrier, tuple(
-                    FinPoset(carrier.at(st), _reflexive(carrier.at(st), orders.get(st, [])))
-                    for st in base.stages
-                ))
+                spec.iposets[name] = InternalPoset(base, tuple(
+                    FinPoset(F.at(st), _reflexive(F.at(st), orders.get(st, []))) for st in base.stages
+                ), F.restrictions)
             except StructureError as e:
                 raise ModelError(f"invalid internal poset: {e}", head.line, head.col) from e
         else:  # map
@@ -268,6 +270,11 @@ def _fmt_rel(P: FinPoset) -> str:
     )
 
 
+def _carrier(A: InternalPoset) -> tuple:
+    # what an iposet takes from its presheaf: the stage sets and restrictions
+    return A.base, [P.elements for P in A.stage_posets], A.restrictions
+
+
 def render_model(spec: ModelSpec) -> str:
     """Emit the canonical text form; parse_model inverts this exactly."""
     lines = []
@@ -291,7 +298,7 @@ def render_model(spec: ModelSpec) -> str:
         lines.append(f"presheaf {name} over {base_name} {{ {' ; '.join(parts)} }}")
     for name, A in spec.iposets.items():
         base_name = next(n for n, b in spec.bases.items() if b == A.base)
-        psh_name = next(n for n, f in spec.presheaves.items() if f == A.carrier)
+        psh_name = next(n for n, F in spec.presheaves.items() if _carrier(F) == _carrier(A))
         parts = [f"order {st}: {_fmt_rel(A.stage_poset(st))}".rstrip() for st in A.base.stages]
         lines.append(f"iposet {name} over {base_name} from {psh_name} {{ {' ; '.join(parts)} }}")
     for name, f in spec.maps.items():

@@ -191,6 +191,9 @@ def search_open_question_1(
     report carries a truncation marker instead of silently narrowing.
     """
     bounds = bounds or OQ1Bounds()
+    if min(bounds.as_dict().values()) < 0:
+        refused = [InstanceReport("bounds", UNAVAILABLE, None)]
+        return make_report("search-oq1", refused, bounds.as_dict(), 0, "requested bounds are negative")
     t0 = time.perf_counter()
 
     def out_of_time() -> bool:

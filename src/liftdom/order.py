@@ -13,9 +13,13 @@ where data enters (the validating constructors) or leaves (rendering).
 
 Trust boundary.  Objects and maps are validated where their data come
 from outside this module: the public ``FinPoset(elements, pairs)``,
-``MonotoneMap(dom, cod, values)`` and ``MonotoneMap.make`` constructors
-(and so the backends' ``mor_from_fn``, ``descend`` and the model parser)
-check the laws and raise ``StructureError`` naming the violated one.  The
+``FinPoset.from_rows``, ``MonotoneMap(dom, cod, values)`` and
+``MonotoneMap.make`` constructors (and so the backends' ``mor_from_fn``,
+``descend`` and the model parser) check the laws and raise
+``StructureError`` naming the violated one.  The two poset constructors
+share one check of the order laws, and ``_check_map`` is the one check of
+a map's totality, membership and monotonicity, which the presheaf layer
+runs on each restriction and component too.  The
 producers below build through the unvalidated ``FinPoset._trusted`` and
 ``MonotoneMap._trusted`` instead, because each result is valid by
 construction:
@@ -48,7 +52,7 @@ presheaf backend once per stage, so its candidate order fixes every "first
 found" witness and iso in the reports.
 
 Row kernels.  ``FinPoset.covers``, the pointwise order of parallel maps and
-the monotonicity check of ``MonotoneMap`` walk the up-mask rows ``_rows``
+the map check ``_check_map`` walk the up-mask rows ``_rows``
 (row i: the indices above element i), not pairwise ``leq`` calls, and give
 the pairwise loops' results and messages in the same order.  The one
 pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
@@ -115,6 +119,32 @@ def _restrict_rows(rows, keep) -> tuple:
     return tuple(sum(1 << t for t, j in enumerate(keep) if rows[i] >> j & 1) for i in keep)
 
 
+def _check_order(elements: tuple, rows: tuple):
+    # reflexivity, transitivity and antisymmetry of up-mask rows
+    for i, e in enumerate(elements):
+        if not rows[i] >> i & 1:
+            raise StructureError("reflexivity", f"{e!r} <= {e!r} missing")
+    gap = _transitive_gap(rows)
+    if gap is not None:
+        i, j = gap
+        k = (rows[j] & ~rows[i]).bit_length() - 1
+        raise StructureError(
+            "transitivity",
+            f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
+            f" but {elements[i]!r} <= {elements[k]!r} missing",
+        )
+    for i, row in enumerate(rows):
+        m = row >> i + 1 << i + 1  # the j > i above element i
+        while m:
+            low = m & -m
+            j = low.bit_length() - 1
+            if rows[j] >> i & 1:
+                raise StructureError(
+                    "antisymmetry", f"{elements[i]!r} and {elements[j]!r} are mutually related"
+                )
+            m ^= low
+
+
 class FinPoset:
     """Finite partial order, stored as up-mask rows: bit j of ``_rows[i]``
     says ``elements[i] <= elements[j]``.  The rows are the only stored form
@@ -135,29 +165,20 @@ class FinPoset:
                 raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
             rows[idx[x]] |= 1 << idx[y]
         rows = tuple(rows)
-        for i, e in enumerate(elements):
-            if not rows[i] >> i & 1:
-                raise StructureError("reflexivity", f"{e!r} <= {e!r} missing")
-        gap = _transitive_gap(rows)
-        if gap is not None:
-            i, j = gap
-            k = (rows[j] & ~rows[i]).bit_length() - 1
-            raise StructureError(
-                "transitivity",
-                f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
-                f" but {elements[i]!r} <= {elements[k]!r} missing",
-            )
-        for i, row in enumerate(rows):
-            m = row >> i + 1 << i + 1  # the j > i above element i
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
-                if rows[j] >> i & 1:
-                    raise StructureError(
-                        "antisymmetry", f"{elements[i]!r} and {elements[j]!r} are mutually related"
-                    )
-                m ^= low
+        _check_order(elements, rows)
         self._set(elements, rows)
+
+    @classmethod
+    def from_rows(cls, elements, rows) -> "FinPoset":
+        """Build from up-mask rows aligned with ``elements``, with the checks
+        of ``FinPoset(elements, pairs)``."""
+        elements, rows = tuple(elements), tuple(rows)
+        if len(set(elements)) != len(elements):
+            raise StructureError("distinctness", "duplicate element identifiers")
+        if len(rows) != len(elements) or any(row >> len(elements) for row in rows):
+            raise StructureError("membership", "the rows reach outside the carrier")
+        _check_order(elements, rows)
+        return cls._trusted(elements, rows)
 
     def _set(self, elements: tuple, rows: tuple):
         # in one order for every poset, so that their attribute dicts share
@@ -213,7 +234,7 @@ class FinPoset:
             if x not in idx or y not in idx:
                 raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
             rows[idx[x]] |= 1 << idx[y]
-        return cls(elements, frozenset(_row_pairs(elements, _close_rows(rows))))
+        return cls.from_rows(elements, _close_rows(rows))
 
     @classmethod
     def chain(cls, n: int, prefix: str = "c") -> "FinPoset":
@@ -285,6 +306,34 @@ class Subset:
         return len(self.members)
 
 
+def _check_map(dom: FinPoset, cod: FinPoset, values: tuple, where: str = ""):
+    """The one validation of a map between finite posets: ``values``, aligned
+    with ``dom.elements``, must be total, lie in ``cod`` and be monotone.
+    Raises ``StructureError`` naming the first violated law; ``where``
+    prefixes the message (``MonotoneMap`` passes none, an internal poset its
+    restriction, a natural transformation its stage)."""
+    if len(values) != dom.n:
+        raise StructureError("totality", f"{where}assignment must cover every element")
+    index = cod._index
+    for v in values:
+        if v not in index:
+            raise StructureError("membership", f"{where}value {v!r} not in the codomain")
+    vi = [index[v] for v in values]
+    cod_rows = cod._rows
+    for i, row in enumerate(dom._rows):
+        up = cod_rows[vi[i]]
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            if not up >> vi[j] & 1:
+                raise StructureError(
+                    "monotonicity",
+                    f"{where}{dom.elements[i]!r} <= {dom.elements[j]!r}"
+                    f" but {values[i]!r} <= {values[j]!r} fails",
+                )
+            row ^= low
+
+
 @dataclass(frozen=True)
 class MonotoneMap:
     """An order-preserving map; ``values`` is aligned with ``dom.elements``."""
@@ -295,26 +344,7 @@ class MonotoneMap:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.dom.n:
-            raise StructureError("totality", "assignment must cover every element")
-        index = self.cod._index
-        for v in self.values:
-            if v not in index:
-                raise StructureError("membership", f"value {v!r} not in the codomain")
-        vi = [index[v] for v in self.values]
-        cod_rows = self.cod._rows
-        for i, row in enumerate(self.dom._rows):
-            up = cod_rows[vi[i]]
-            while row:
-                low = row & -row
-                j = low.bit_length() - 1
-                if not up >> vi[j] & 1:
-                    raise StructureError(
-                        "monotonicity",
-                        f"{self.dom.elements[i]!r} <= {self.dom.elements[j]!r}"
-                        f" but {self.values[i]!r} <= {self.values[j]!r} fails",
-                    )
-                row ^= low
+        _check_map(self.dom, self.cod, self.values)
 
     @classmethod
     def _trusted(cls, dom: FinPoset, cod: FinPoset, values: tuple) -> "MonotoneMap":

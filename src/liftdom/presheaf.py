@@ -7,6 +7,22 @@ stagewise forcing clauses.  This is the constructive backend: the sieve
 lattice is genuinely non-boolean as soon as the base has a nontrivial
 order, which is all the constructive phenomena checked here need.
 
+One stored form.  An internal poset is a functor from the base to finite
+posets and stores only that: ``base``, ``stage_posets`` (one ``FinPoset``
+per stage, holding the stage's elements and its order as up-mask rows) and
+``restrictions`` (one value tuple per strict pair of stages, aligned with
+``base.strict_pairs()`` and with the upper stage's elements).  Accessors
+find an element's position through its stage poset's ``_index``.  A
+presheaf of sets is the internal poset with the discrete order at each
+stage.
+
+One map check.  ``order._check_map`` checks that a map between finite
+posets is total, lands in its codomain and is monotone.  A validating
+``InternalPoset`` runs it on each restriction and then checks
+functoriality; a validating ``NatTrans`` runs it on each component and
+then checks naturality.  ``_trusted`` builds skip both for results that
+are valid by construction.
+
 Unlike classical finite posets, a finite internal poset need not have
 suprema of its internally-directed subpresheaves, and a monotone natural
 map need not preserve them; directed-completeness and Scott continuity
@@ -35,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .order import FinPoset, StructureError, _order_search, _row_pairs
+from .order import FinPoset, StructureError, _check_map, _order_search
 
 
 class SortError(TypeError):
@@ -57,6 +73,7 @@ class BasePoset:
         object.__setattr__(
             self, "_strict_pairs", tuple((p, q) for p in stages for q in down[p] if q != p)
         )
+        object.__setattr__(self, "_pair_index", {pair: k for k, pair in enumerate(self._strict_pairs)})
         object.__setattr__(
             self,
             "_desc",
@@ -123,145 +140,82 @@ def sieves_on(base: BasePoset, p) -> tuple[Sieve, ...]:
 
 
 @dataclass(frozen=True)
-class Presheaf:
-    """Stage-indexed finite sets with functorial restriction maps."""
+class InternalPoset:
+    """A functor from the base to finite posets, stored as its stage posets
+    and restriction value tuples (see the module docstring)."""
 
     base: BasePoset
-    stage_sets: tuple  # aligned with base.stages; each a tuple of element ids
-    restrictions: tuple  # ((p, q, values) for each strict pair, values aligned with at(p))
+    stage_posets: tuple
+    restrictions: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_sets", tuple(tuple(s) for s in self.stage_sets))
-        if len(self.stage_sets) != len(self.base.stages):
-            raise StructureError("totality", "one element set per stage is required")
-        for s in self.stage_sets:
-            if len(set(s)) != len(s):
-                raise StructureError("distinctness", "duplicate identifiers at a stage")
-        res = {}
-        for p, q, values in self.restrictions:
-            res[(p, q)] = tuple(values)
-        for pair in self.base.strict_pairs():
-            if pair not in res:
-                raise StructureError("totality", f"restriction {pair[0]!r}->{pair[1]!r} missing")
-        object.__setattr__(
-            self,
-            "restrictions",
-            tuple((p, q, res[(p, q)]) for p, q in self.base.strict_pairs()),
-        )
-        object.__setattr__(self, "_res", {(p, q): v for p, q, v in self.restrictions})
-        for (p, q), values in self._res.items():
-            if len(values) != len(self.at(p)):
-                raise StructureError("totality", f"restriction {p!r}->{q!r} must be total")
-            tgt = set(self.at(q))
-            for v in values:
-                if v not in tgt:
-                    raise StructureError("membership", f"{v!r} not at stage {q!r}")
-        for p in self.base.stages:
-            for q in self.base.down_list(p):
-                for r in self.base.down_list(q):
-                    if p == q or q == r:
-                        continue
-                    for x in self.at(p):
-                        if self.res_el(q, r, self.res_el(p, q, x)) != self.res_el(p, r, x):
-                            raise StructureError(
-                                "functoriality",
-                                f"restrictions {p!r}->{q!r}->{r!r} disagree with {p!r}->{r!r} at {x!r}",
-                            )
+        object.__setattr__(self, "stage_posets", tuple(self.stage_posets))
+        object.__setattr__(self, "restrictions", tuple(tuple(v) for v in self.restrictions))
+        base = self.base
+        if len(self.stage_posets) != len(base.stages):
+            raise StructureError("totality", "one stage poset per stage is required")
+        if len(self.restrictions) != len(base.strict_pairs()):
+            raise StructureError("totality", "one restriction per strict pair of stages is required")
+        for (p, q), values in zip(base.strict_pairs(), self.restrictions):
+            _check_map(self.stage_poset(p), self.stage_poset(q), values, f"restriction {p!r}->{q!r}: ")
+        pair = base._pair_index
+        for (p, q), pq in zip(base.strict_pairs(), self.restrictions):
+            Q = self.stage_poset(q)._index
+            for r in base.down_list(q):
+                if r == q:
+                    continue
+                qr, pr = self.restrictions[pair[q, r]], self.restrictions[pair[p, r]]
+                for x, y, z in zip(self.at(p), pq, pr):
+                    if qr[Q[y]] != z:
+                        raise StructureError(
+                            "functoriality",
+                            f"restrictions {p!r}->{q!r}->{r!r} disagree with {p!r}->{r!r} at {x!r}",
+                        )
 
     def at(self, p) -> tuple:
-        return self.stage_sets[self.base.poset.index(p)]
+        return self.stage_posets[self.base.poset._index[p]].elements
 
     def res_el(self, p, q, x):
         if p == q:
             return x
-        values = self._res[(p, q)]
-        return values[self.at(p).index(x)]
-
-    @classmethod
-    def make(cls, base: BasePoset, stage_sets: dict, restrictions: dict) -> "Presheaf":
-        sets = tuple(tuple(stage_sets[p]) for p in base.stages)
-        res = []
-        for p, q in base.strict_pairs():
-            mapping = restrictions[(p, q)]
-            res.append((p, q, tuple(mapping[x] for x in stage_sets[p])))
-        return cls(base, sets, tuple(res))
-
-
-@dataclass(frozen=True)
-class InternalPoset:
-    """A presheaf with a stagewise partial order and monotone restrictions.
-
-    The order at each stage is stored once, as the stage poset on that
-    stage's elements."""
-
-    carrier: Presheaf
-    stage_posets: tuple  # aligned with base.stages; FinPoset on each stage set
-
-    def __post_init__(self):
-        object.__setattr__(self, "stage_posets", tuple(self.stage_posets))
-        if len(self.stage_posets) != len(self.base.stages):
-            raise StructureError("totality", "one order per stage is required")
-        for P, els in zip(self.stage_posets, self.carrier.stage_sets):
-            if P.elements != els:
-                raise StructureError("membership", "a stage poset is not on its stage's elements")
-        for p, q in self.base.strict_pairs():
-            P = self.stage_poset(p)
-            for x, y in _row_pairs(P.elements, P._rows):
-                if not self.leq_at(q, self.res_el(p, q, x), self.res_el(p, q, y)):
-                    raise StructureError(
-                        "monotonicity",
-                        f"restriction {p!r}->{q!r} is not monotone on {x!r} <= {y!r}",
-                    )
-
-    @property
-    def base(self) -> BasePoset:
-        return self.carrier.base
-
-    def at(self, p) -> tuple:
-        return self.carrier.at(p)
-
-    def res_el(self, p, q, x):
-        return self.carrier.res_el(p, q, x)
+        base = self.base
+        return self.restrictions[base._pair_index[p, q]][self.stage_posets[base.poset._index[p]]._index[x]]
 
     def stage_poset(self, p) -> FinPoset:
-        return self.stage_posets[self.base.poset.index(p)]
+        return self.stage_posets[self.base.poset._index[p]]
 
     def leq_at(self, p, x, y) -> bool:
-        return self.stage_poset(p).leq(x, y)
+        P = self.stage_posets[self.base.poset._index[p]]
+        return bool(P._rows[P._index[x]] >> P._index[y] & 1)
 
     def size(self) -> int:
-        return sum(len(s) for s in self.carrier.stage_sets)
+        return sum(P.n for P in self.stage_posets)
 
     @classmethod
     def make(cls, base: BasePoset, stage_sets: dict, restrictions: dict, orders: dict) -> "InternalPoset":
-        carrier = Presheaf.make(base, stage_sets, restrictions)
-        return cls(carrier, tuple(FinPoset(els, orders[p]) for p, els in zip(base.stages, carrier.stage_sets)))
+        """Validate and build from stage sets, restrictions as dicts keyed by
+        strict pairs, and each stage's order pairs."""
+        res = tuple(tuple(restrictions[p, q][x] for x in stage_sets[p]) for p, q in base.strict_pairs())
+        return cls(base, tuple(FinPoset(stage_sets[p], orders[p]) for p in base.stages), res)
 
     @classmethod
     def _trusted(cls, base: BasePoset, stage_posets: tuple, restrictions: tuple) -> "InternalPoset":
-        """Build without validation, with the fields and the hidden ``_res``
-        that ``make`` would give.  ``stage_posets`` are
-        validated posets aligned with ``base.stages``; ``restrictions`` are
-        value tuples aligned with ``base.strict_pairs()`` that are total, land
-        in the lower stage, are monotone and compose (``oq1.internal_posets``
-        takes them from ``_order_search`` and checks them with ``_composes``)."""
-        carrier = object.__new__(Presheaf)
-        res = tuple((p, q, v) for (p, q), v in zip(base.strict_pairs(), restrictions))
-        object.__setattr__(carrier, "base", base)
-        object.__setattr__(carrier, "stage_sets", tuple(P.elements for P in stage_posets))
-        object.__setattr__(carrier, "restrictions", res)
-        object.__setattr__(carrier, "_res", dict(zip(base.strict_pairs(), restrictions)))
+        """Build without validation.  ``stage_posets`` are validated posets
+        aligned with ``base.stages``; ``restrictions`` are value tuples
+        aligned with ``base.strict_pairs()`` that are total, land in the lower
+        stage, are monotone and compose (``oq1.internal_posets`` takes them
+        from ``_order_search`` and checks them with ``_composes``;
+        ``restrict_to`` takes them from a valid internal poset)."""
         A = object.__new__(cls)
-        object.__setattr__(A, "carrier", carrier)
+        object.__setattr__(A, "base", base)
         object.__setattr__(A, "stage_posets", tuple(stage_posets))
+        object.__setattr__(A, "restrictions", tuple(restrictions))
         return A
 
     @classmethod
     def constant(cls, base: BasePoset, P: FinPoset) -> "InternalPoset":
         """The constant internal poset: P at every stage, identity restrictions."""
-        sets = {p: P.elements for p in base.stages}
-        res = {(p, q): {x: x for x in P.elements} for p, q in base.strict_pairs()}
-        return cls(Presheaf.make(base, sets, res), (P,) * len(base.stages))
+        return cls(base, (P,) * len(base.stages), (P.elements,) * len(base.strict_pairs()))
 
 
 @dataclass(frozen=True)
@@ -309,43 +263,28 @@ class NatTrans:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
-        base = self.dom.base
-        if self.cod.base != base:
+        dom, cod = self.dom, self.cod
+        base = dom.base
+        if cod.base != base:
             raise StructureError("composability", "domain and codomain bases differ")
         if len(self.components) != len(base.stages):
             raise StructureError("totality", "one component per stage is required")
-        for i, p in enumerate(base.stages):
-            src, comp = self.dom.at(p), self.components[i]
-            if len(comp) != len(src):
-                raise StructureError("totality", f"component at {p!r} must be total")
-            tgt = set(self.cod.at(p))
-            for v in comp:
-                if v not in tgt:
-                    raise StructureError("membership", f"{v!r} not at stage {p!r}")
-            for x in src:
-                for y in src:
-                    if self.dom.leq_at(p, x, y) and not self.cod.leq_at(
-                        p, self.apply(p, x), self.apply(p, y)
-                    ):
-                        raise StructureError(
-                            "monotonicity", f"component at {p!r} breaks {x!r} <= {y!r}"
-                        )
-        for p in base.stages:
-            for q in base.down_list(p):
-                if q == p:
-                    continue
-                for x in self.dom.at(p):
-                    lhs = self.cod.res_el(p, q, self.apply(p, x))
-                    rhs = self.apply(q, self.dom.res_el(p, q, x))
-                    if lhs != rhs:
-                        raise StructureError(
-                            "naturality",
-                            f"square at {x!r} for {p!r}->{q!r} does not commute",
-                        )
+        for p, P, Q, comp in zip(base.stages, dom.stage_posets, cod.stage_posets, self.components):
+            _check_map(P, Q, comp, f"component at {p!r}: ")
+        idx = base.poset._index
+        for (p, q), dom_res, cod_res in zip(base.strict_pairs(), dom.restrictions, cod.restrictions):
+            fp, fq = self.components[idx[p]], self.components[idx[q]]
+            at_p, at_q = cod.stage_posets[idx[p]]._index, dom.stage_posets[idx[q]]._index
+            for x, v, y in zip(dom.at(p), fp, dom_res):
+                if cod_res[at_p[v]] != fq[at_q[y]]:
+                    raise StructureError(
+                        "naturality",
+                        f"square at {x!r} for {p!r}->{q!r} does not commute",
+                    )
 
     def apply(self, p, x):
-        i = self.dom.base.poset.index(p)
-        return self.components[i][self.dom.at(p).index(x)]
+        i = self.dom.base.poset._index[p]
+        return self.components[i][self.dom.stage_posets[i]._index[x]]
 
     @classmethod
     def _trusted(cls, dom: InternalPoset, cod: InternalPoset, components: tuple) -> "NatTrans":
@@ -368,7 +307,7 @@ class NatTrans:
 
     @classmethod
     def identity(cls, A: InternalPoset) -> "NatTrans":
-        return cls._trusted(A, A, A.carrier.stage_sets)
+        return cls._trusted(A, A, tuple(P.elements for P in A.stage_posets))
 
     def __repr__(self):
         return f"NatTrans({self.components!r})"
@@ -379,8 +318,8 @@ def nt_compose(g: NatTrans, f: NatTrans) -> NatTrans:
     if f.cod is not g.dom and f.cod != g.dom:
         raise StructureError("composability", "codomain/domain mismatch")
     comps = tuple(
-        tuple(gc[mid.index(v)] for v in fc)
-        for fc, gc, mid in zip(f.components, g.components, g.dom.carrier.stage_sets)
+        tuple(gc[mid._index[v]] for v in fc)
+        for fc, gc, mid in zip(f.components, g.components, g.dom.stage_posets)
     )
     return NatTrans._trusted(f.dom, g.cod, comps)
 
@@ -390,9 +329,9 @@ def nt_leq(f: NatTrans, g: NatTrans) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         raise StructureError("composability", "maps are not parallel")
     return all(
-        f.cod.leq_at(p, f.apply(p, x), g.apply(p, x))
-        for p in f.dom.base.stages
-        for x in f.dom.at(p)
+        P._rows[P._index[a]] >> P._index[b] & 1
+        for P, fc, gc in zip(f.cod.stage_posets, f.components, g.components)
+        for a, b in zip(fc, gc)
     )
 
 
@@ -789,7 +728,7 @@ def internal_bottom(A: InternalPoset):
 
 
 def is_internal_pointed(A: InternalPoset) -> bool:
-    return all(len(s) > 0 for s in A.carrier.stage_sets) and internal_bottom(A) is not None
+    return all(P.n > 0 for P in A.stage_posets) and internal_bottom(A) is not None
 
 
 def positive_members(A: InternalPoset) -> Subpresheaf:
@@ -824,12 +763,11 @@ def restrict_to(A: InternalPoset, p) -> tuple[BasePoset, InternalPoset]:
     """A truncated to the base ``down-set of p``."""
     base = A.base
     sub_base = BasePoset(base.poset.restrict(base.down_list(p)))
-    sets = {q: A.at(q) for q in sub_base.stages}
-    res = {
-        (q, r): {x: A.res_el(q, r, x) for x in A.at(q)} for q, r in sub_base.strict_pairs()
-    }
-    carrier = Presheaf.make(sub_base, sets, res)
-    return sub_base, InternalPoset(carrier, tuple(A.stage_poset(q) for q in sub_base.stages))
+    return sub_base, InternalPoset._trusted(
+        sub_base,
+        tuple(A.stage_poset(q) for q in sub_base.stages),
+        tuple(A.restrictions[base._pair_index[q, r]] for q, r in sub_base.strict_pairs()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +791,7 @@ def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False) -> bo
 
     def res_index(X, P, r, q):
         # X's restriction from r to q, as indices into P = X's stage poset at q
-        return tuple(P._index[y] for y in X.carrier._res[r, q])
+        return tuple(P._index[y] for y in X.restrictions[base._pair_index[r, q]])
 
     # per stage position i: each earlier position k above it, with both restrictions
     above = [

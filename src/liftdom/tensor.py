@@ -75,28 +75,33 @@ def _smash_by(bk, A, B, presentation: int, mixed) -> TensorObject:
     return T
 
 
-def is_bistrict(bk, f, A, B) -> bool:
-    """f(bot, b) = f(a, bot) = bot, elementwise at every stage."""
+def bistrictness(bk, A, B):
+    """The test of maps f : A x B -> C for bistrictness, f(bot, b) = f(a, bot)
+    = bot elementwise at every stage, with A's and B's bottoms read once for
+    every f it is given and each codomain's bottom once per codomain."""
     pd = bk.product(A, B)
-    if f.dom != pd.obj:
-        raise StructureError("composability", "expected a map out of the product")
-    bot_c = bk.bottom_point(f.cod)
-    if bot_c is None or not bk.is_pointed(A) or not bk.is_pointed(B):
-        raise StructureError("pointedness", "bistrictness needs pointed objects")
     ba, bb = bk.bottom_point(A), bk.bottom_point(B)
-    for p in bk.stages(A):
-        bap, bbp, bcp = (
-            bk.app(ba, p, "*"),
-            bk.app(bb, p, "*"),
-            bk.app(bot_c, p, "*"),
-        )
-        for a in bk.at(A, p):
-            if bk.app(f, p, pd.pack(p, a, bbp)) != bcp:
-                return False
-        for b in bk.at(B, p):
-            if bk.app(f, p, pd.pack(p, bap, b)) != bcp:
-                return False
-    return True
+    bottoms: dict = {}  # codomain -> its bottom point, or None
+
+    def bistrict(f) -> bool:
+        if f.dom != pd.obj:
+            raise StructureError("composability", "expected a map out of the product")
+        if f.cod not in bottoms:
+            bottoms[f.cod] = bk.bottom_point(f.cod)
+        bot_c = bottoms[f.cod]
+        if bot_c is None or ba is None or bb is None:
+            raise StructureError("pointedness", "bistrictness needs pointed objects")
+        for p in bk.stages(A):
+            bap, bbp, bcp = bk.app(ba, p, "*"), bk.app(bb, p, "*"), bk.app(bot_c, p, "*")
+            for a in bk.at(A, p):
+                if bk.app(f, p, pd.pack(p, a, bbp)) != bcp:
+                    return False
+            for b in bk.at(B, p):
+                if bk.app(f, p, pd.pack(p, bap, b)) != bcp:
+                    return False
+        return True
+
+    return bistrict
 
 
 def _bilinear_legs(bk, A, B):
@@ -124,11 +129,6 @@ def bilinearity(bk, A, B):
     return bilinear
 
 
-def bistrict_maps(bk, A, B, C) -> list:
-    pd = bk.product(A, B)
-    return [f for f in bk.hom(pd.obj, C) if is_bistrict(bk, f, A, B)]
-
-
 def factor_bistrict(bk, T: TensorObject, f):
     """The strict map out of the smash induced by a bistrict f, verified."""
     if T.source_kind == "prod":
@@ -147,13 +147,15 @@ def factor_bistrict(bk, T: TensorObject, f):
 def universal_bistrict_check(bk, T: TensorObject, codomains) -> tuple:
     """Each bistrict map factors through the universal one by a unique strict map."""
     A, B = T.factors
-    if not is_bistrict(bk, T.universal, A, B):
+    bistrict = bistrictness(bk, A, B)
+    if not bistrict(T.universal):
         return False, "universal map is not bistrict"
     for C in codomains:
         if not bk.is_pointed(C):
             continue
         groups = restriction_groups(bk, strict_hom_set(bk, T.obj, C), (T.universal,))
-        for table in value_tables(bk, bistrict_maps(bk, A, B, C)):
+        bistrict_maps = [f for f in bk.hom(bk.product(A, B).obj, C) if bistrict(f)]
+        for table in value_tables(bk, bistrict_maps):
             count = len(groups.get((table,), ()))
             if count != 1:
                 return False, ("bistrict map", C, count)

@@ -124,3 +124,39 @@ def test_negative_bound_is_unavailable(capsys):
     assert main(["check", "kz-adjunction", "--max-size", "-1"]) == 2
     out = capsys.readouterr().out
     assert "[UNAVAILABLE] kz-adjunction" in out and "requested bounds are negative" in out
+
+
+def test_export_dot_every_model_name(capsys):
+    # every name either draws or is refused in one line; a presheaf draws as
+    # stage clusters, a base is refused
+    from liftdom.model import default_model
+
+    codes = {}
+    for name in default_model().names():
+        codes[name] = main(["export-dot", name])
+        err = capsys.readouterr().err
+        assert codes[name] in (0, 2) and "Traceback" not in err
+        assert codes[name] == 0 or len(err.splitlines()) == 1
+    assert codes["PSH1"] == 0 and codes["B2"] == 2
+
+
+def test_unreadable_model_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.liftdom")
+    for argv in (
+        ["check", "kz-adjunction"],
+        ["lift", "C2"],
+        ["smash", "C2", "C2"],
+        ["tensor", "C2", "C2"],
+        ["hom", "C2", "C2"],
+        ["export-dot", "C2"],
+    ):
+        assert main(argv + ["--model", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("model error: ") and "missing.liftdom" in err and "Traceback" not in err
+
+
+def test_negative_oq1_bound_is_unavailable(capsys):
+    for flag in ("--max-base", "--max-stage", "--max-carrier"):
+        assert main(["search-oq1", flag, "-1"]) == 2
+        out = capsys.readouterr().out
+        assert "[UNAVAILABLE] search-oq1" in out and "requested bounds are negative" in out

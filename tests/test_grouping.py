@@ -23,8 +23,7 @@ from liftdom.lifting import all_algebra_structures, restriction_groups, strict_h
 from liftdom.order import FinPoset, MonotoneMap, StructureError, posets_upto
 from liftdom.tensor import (
     bilinearity,
-    bistrict_maps,
-    is_bistrict,
+    bistrictness,
     seal_represents_bilinear_check,
     seal_tensor,
     smash,
@@ -103,13 +102,16 @@ def scan_coproduct_algebras_universal_check(bk, X, Y, apexes):
 
 def scan_universal_bistrict_check(bk, T, codomains):
     A, B = T.factors
-    if not is_bistrict(bk, T.universal, A, B):
+    bistrict = bistrictness(bk, A, B)
+    if not bistrict(T.universal):
         return False, "universal map is not bistrict"
     for C in codomains:
         if not bk.is_pointed(C):
             continue
         shoms = strict_hom_set(bk, T.obj, C)
-        for f in bistrict_maps(bk, A, B, C):
+        for f in bk.hom(bk.product(A, B).obj, C):
+            if not bistrict(f):
+                continue
             matching = [h for h in shoms if bk.compose(h, T.universal) == f]
             if len(matching) != 1:
                 return False, ("bistrict map", C, len(matching))

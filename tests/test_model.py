@@ -94,3 +94,27 @@ def test_default_model_contents():
     assert spec.posets["D4"].n == 4
     assert spec.maps["collapse"].is_surjective()
     assert spec.iposets["IP1"].size() == 3
+
+
+def test_presheaf_is_a_discrete_internal_poset():
+    spec = parse_model(
+        """
+        base P2 { elems s0 s1 ; leq s0<=s1 }
+        presheaf F over P2 { stage s1: x y ; stage s0: u ; restrict s1->s0: x->u y->u }
+        iposet A over P2 from F { order s1: x<=y ; order s0: }
+        """
+    )
+    F, A = spec.presheaves["F"], spec.iposets["A"]
+    assert all(P.pairs == {(x, x) for x in P.elements} for P in F.stage_posets)
+    # the internal poset reuses its presheaf's stage sets and restrictions
+    assert A.restrictions == F.restrictions
+    assert [P.elements for P in A.stage_posets] == [P.elements for P in F.stage_posets]
+
+
+def test_partial_restriction_is_a_model_error():
+    with pytest.raises(ModelError) as e:
+        parse_model(
+            "base P2 { elems s0 s1 ; leq s0<=s1 }\n"
+            "presheaf F over P2 { stage s1: x y ; stage s0: u ; restrict s1->s0: x->u }"
+        )
+    assert "not total" in str(e.value) and e.value.line == 2

@@ -116,9 +116,9 @@ def _internal_posets_by_validation(base, bounds):
 
 
 def _hidden_state(A):
-    # dataclass equality sees the carrier and the stage posets; the kernels
-    # also read these
-    return A.carrier._res, [(P.elements, P._index, P._rows) for P in A.stage_posets]
+    # dataclass equality sees the restrictions and the stage posets; the
+    # kernels also read the stage posets' index dicts
+    return A.restrictions, [(P.elements, P._index, P._rows) for P in A.stage_posets]
 
 
 def test_internal_posets_match_validating_enumeration():

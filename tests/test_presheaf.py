@@ -16,7 +16,6 @@ from liftdom.presheaf import (
     Leq,
     NatTrans,
     Not,
-    Presheaf,
     Sieve,
     Subpresheaf,
     TrueF,
@@ -182,24 +181,28 @@ def _restrict_formula(phi):
     return phi
 
 
+def discrete(stage_sets):
+    return {p: {(x, x) for x in els} for p, els in stage_sets.items()}
+
+
 def test_presheaf_validation():
+    # a presheaf of sets is an internal poset with the discrete stage orders
+    sets = {"s1": ("x",), "s0": ("u", "v")}
     with pytest.raises(StructureError) as e:
-        Presheaf.make(
-            SIERP,
-            {"s1": ("x",), "s0": ("u", "v")},
-            {("s1", "s0"): {"x": "w"}},
-        )
+        InternalPoset.make(SIERP, sets, {("s1", "s0"): {"x": "w"}}, discrete(sets))
     assert e.value.law == "membership"
     threechain = BasePoset(FinPoset.chain(3, prefix="s"))
+    sets = {"s0": ("a", "b"), "s1": ("a", "b"), "s2": ("a", "b")}
     with pytest.raises(StructureError) as e:
-        Presheaf.make(
+        InternalPoset.make(
             threechain,
-            {"s0": ("a", "b"), "s1": ("a", "b"), "s2": ("a", "b")},
+            sets,
             {
                 ("s2", "s1"): {"a": "a", "b": "b"},
                 ("s1", "s0"): {"a": "a", "b": "b"},
                 ("s2", "s0"): {"a": "b", "b": "a"},
             },
+            discrete(sets),
         )
     assert e.value.law == "functoriality"
 
@@ -414,11 +417,11 @@ def test_internal_poset_identity_is_its_stage_posets():
             B = InternalPoset.make(
                 base,
                 {p: A.at(p) for p in base.stages},
-                {(p, q): dict(zip(A.at(p), A.carrier._res[p, q])) for p, q in base.strict_pairs()},
+                {pair: dict(zip(A.at(pair[0]), v)) for pair, v in zip(base.strict_pairs(), A.restrictions)},
                 {p: A.stage_poset(p).pairs for p in base.stages},
             )
             assert A == B and hash(A) == hash(B)
-            assert set(vars(A)) == set(vars(B)) == {"carrier", "stage_posets"}
+            assert set(vars(A)) == set(vars(B)) == {"base", "stage_posets", "restrictions"}
             checked += 1
     assert checked == 58
     P = FinPoset.chain(2)
@@ -427,10 +430,12 @@ def test_internal_poset_identity_is_its_stage_posets():
 
 
 def test_stage_posets_must_sit_on_their_stages():
-    carrier = Presheaf.make(SIERP, {"s0": ("u",), "s1": ("a",)}, {("s1", "s0"): {"a": "u"}})
+    # the stage posets carry the stage sets, so a restriction that names
+    # elements of another poset leaves its stage
+    U, A = FinPoset.chain(1, prefix="u"), FinPoset.chain(1, prefix="a")
     with pytest.raises(StructureError) as e:
-        InternalPoset(carrier, (FinPoset.chain(1, prefix="u"), FinPoset.chain(1, prefix="a")))
+        InternalPoset(SIERP, (U, A), (("u",),))
     assert e.value.law == "membership"
     with pytest.raises(StructureError) as e:
-        InternalPoset(carrier, (FinPoset.chain(1, prefix="u"),))
+        InternalPoset(SIERP, (U,), (("u0",),))
     assert e.value.law == "totality"

@@ -6,12 +6,11 @@ from liftdom.order import FinPoset, MonotoneMap, StructureError, poset_iso, pose
 from liftdom.tensor import (
     associator_iso_check,
     bilinearity,
-    bistrict_maps,
+    bistrictness,
     braiding,
     direct_smash_classical,
     hexagon_check,
     homs_coincide_check,
-    is_bistrict,
     kock_criterion_check,
     monoidal_adjunction_check,
     pentagon_check,
@@ -39,25 +38,66 @@ def test_meet_map_is_bistrict():
     meet = MonotoneMap.make(
         pd.obj, SIGMA, lambda x: "c1" if x[1] == "c1" and x[2] == "c1" else "c0"
     )
-    assert is_bistrict(CL, meet, SIGMA, SIGMA)
+    assert bistrictness(CL, SIGMA, SIGMA)(meet)
     assert bilinearity(CL, SIGMA, SIGMA)(meet)
 
 
 def test_projection_is_not_bistrict():
     pd = CL.product(SIGMA, SIGMA)
     proj = MonotoneMap.make(pd.obj, SIGMA, lambda x: x[1])
-    assert not is_bistrict(CL, proj, SIGMA, SIGMA)
+    assert not bistrictness(CL, SIGMA, SIGMA)(proj)
     assert not bilinearity(CL, SIGMA, SIGMA)(proj)
 
 
 def test_bistrict_iff_bilinear_exhaustive():
     for A in POINTED3:
         for B in POINTED3:
-            bilinear = bilinearity(CL, A, B)
+            bilinear, bistrict = bilinearity(CL, A, B), bistrictness(CL, A, B)
             for C in POINTED3:
                 pd = CL.product(A, B)
                 for f in CL.hom(pd.obj, C):
-                    assert is_bistrict(CL, f, A, B) == bilinear(f)
+                    assert bistrict(f) == bilinear(f)
+
+
+def reference_is_bistrict(bk, f, A, B) -> bool:
+    """The per-map test that ``bistrictness`` replaced: it reads every
+    bottom again for every map."""
+    pd = bk.product(A, B)
+    if f.dom != pd.obj:
+        raise StructureError("composability", "expected a map out of the product")
+    bot_c = bk.bottom_point(f.cod)
+    if bot_c is None or not bk.is_pointed(A) or not bk.is_pointed(B):
+        raise StructureError("pointedness", "bistrictness needs pointed objects")
+    ba, bb = bk.bottom_point(A), bk.bottom_point(B)
+    for p in bk.stages(A):
+        bap, bbp, bcp = bk.app(ba, p, "*"), bk.app(bb, p, "*"), bk.app(bot_c, p, "*")
+        if any(bk.app(f, p, pd.pack(p, a, bbp)) != bcp for a in bk.at(A, p)):
+            return False
+        if any(bk.app(f, p, pd.pack(p, bap, b)) != bcp for b in bk.at(B, p)):
+            return False
+    return True
+
+
+def _verdict(test, *args):
+    try:
+        return test(*args)
+    except StructureError as e:
+        return e.law
+
+
+def test_bistrictness_matches_per_map_reference():
+    # one test per factor pair, run over codomains with and without a
+    # bottom and over factors without one, gives the per-map verdicts and
+    # errors; a map out of another product is refused
+    small = [P for P in posets_upto(2) if P.n > 0]
+    for A in small:
+        for B in small:
+            bistrict = bistrictness(CL, A, B)
+            for C in posets_upto(2):
+                for f in CL.hom(CL.product(A, B).obj, C):
+                    assert _verdict(bistrict, f) == _verdict(reference_is_bistrict, CL, f, A, B)
+    f = CL.identity(CL.product(SIGMA, SIGMA).obj)
+    assert _verdict(bistrictness(CL, SIGMA, CHAIN3), f) == "composability"
 
 
 def test_smash_of_sigmas_is_sigma():
@@ -176,7 +216,7 @@ def test_presheaf_smash_of_constant_chains():
     S = InternalPoset.constant(PS.base, SIGMA)
     T = smash(PS, S, S)
     assert all(len(T.obj.at(p)) == 2 for p in PS.base.stages)
-    assert is_bistrict(PS, T.universal, S, S)
+    assert bistrictness(PS, S, S)(T.universal)
 
 
 def test_strict_hom_of_sigmas():
