@@ -50,13 +50,16 @@ def _print_report(rep: CheckReport, as_json: bool):
         print(f"    reason: {rep.reason}")
 
 
+def _names_and_covers(P: FinPoset) -> tuple[str, str]:
+    # each element formatted once, then reused in the list and every cover
+    names = [fmt(e) for e in P.elements]
+    covers = ", ".join(f"{names[i]} < {names[j]}" for i, j in P._cover_indices())
+    return ", ".join(names), covers
+
+
 def _describe_poset(P: FinPoset) -> str:
-    lines = [f"{P.n} elements: {', '.join(fmt(e) for e in P.elements)}"]
-    covers = P.covers()
-    if covers:
-        lines.append("covers: " + ", ".join(f"{fmt(x)} < {fmt(y)}" for x, y in covers))
-    else:
-        lines.append("covers: none (discrete)")
+    names, covers = _names_and_covers(P)
+    lines = [f"{P.n} elements: {names}", f"covers: {covers or 'none (discrete)'}"]
     b = P.bottom()
     lines.append(f"bottom: {fmt(b) if b is not None else 'none'}")
     return "\n".join(lines)
@@ -66,13 +69,15 @@ def _describe_ipo(A: InternalPoset) -> str:
     lines = []
     for p in A.base.stages:
         P = A.stage_poset(p)
-        covers = ", ".join(f"{fmt(x)} < {fmt(y)}" for x, y in P.covers()) or "discrete"
-        lines.append(f"stage {p}: {len(P.elements)} elements "
-                     f"[{', '.join(fmt(e) for e in P.elements)}]; {covers}")
+        names, covers = _names_and_covers(P)
+        lines.append(f"stage {p}: {P.n} elements [{names}]; {covers or 'discrete'}")
     return "\n".join(lines)
 
 
 def describe(obj) -> str:
+    """A poset or internal poset as text: its elements, Hasse covers and
+    (for a poset) bottom, each element formatted once; anything else by
+    ``fmt``."""
     if isinstance(obj, FinPoset):
         return _describe_poset(obj)
     if isinstance(obj, InternalPoset):

@@ -14,8 +14,8 @@ def _quote(s: str) -> str:
 def _poset_body(P: FinPoset, prefix: str, lines: list, indent: str = "  "):
     for i, e in enumerate(P.elements):
         lines.append(f"{indent}{prefix}{i} [label={_quote(fmt(e))}];")
-    for x, y in P.covers():
-        lines.append(f"{indent}{prefix}{P.index(x)} -> {prefix}{P.index(y)};")
+    for i, j in P._cover_indices():
+        lines.append(f"{indent}{prefix}{i} -> {prefix}{j};")
 
 
 def export_dot(obj) -> str:

@@ -54,7 +54,14 @@ found" witness and iso in the reports.
 Row kernels.  ``FinPoset.covers``, the pointwise order of parallel maps and
 the map check ``_check_map`` walk the up-mask rows ``_rows``
 (row i: the indices above element i), not pairwise ``leq`` calls, and give
-the pairwise loops' results and messages in the same order.  The one
+the pairwise loops' results and messages in the same order.  ``covers`` and
+``_restrict_rows`` (behind ``FinPoset.restrict`` and both backends'
+``subobject``) walk only set bits, so their work grows with the bits they
+touch, not with the square of the element count.  ``_restrict_rows`` masks
+each kept row to the kept indices and renumbers its bits through one table.
+``covers`` skips a strict successor j of i that lies strictly above a
+successor z it has already walked; the skip is exact in any listing of the
+elements, as row j then lies in row z minus z, already in the union.  The one
 pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
 backends' ``hom_up_masks``, ``lax_epi_check``, ``colimits_enriched_check``,
 ``paths_check``, ``partial_product_check`` and ``scone_data``.
@@ -115,8 +122,21 @@ def _close_rows(rows: list[int]) -> list[int]:
 
 
 def _restrict_rows(rows, keep) -> tuple:
-    # the up-mask rows of the order induced on the ascending indices ``keep``
-    return tuple(sum(1 << t for t, j in enumerate(keep) if rows[i] >> j & 1) for i in keep)
+    # the up-mask rows of the order induced on the indices ``keep``; an index
+    # left out of ``keep`` has no new position, so the mask must drop it
+    mask, new = 0, [None] * len(rows)
+    for t, j in enumerate(keep):
+        mask |= 1 << j
+        new[j] = 1 << t
+    out = []
+    for i in keep:
+        m, r = rows[i] & mask, 0
+        while m:
+            low = m & -m
+            r |= new[low.bit_length() - 1]
+            m ^= low
+        out.append(r)
+    return tuple(out)
 
 
 def _check_order(elements: tuple, rows: tuple):
@@ -260,24 +280,30 @@ class FinPoset:
     def is_pointed(self) -> bool:
         return self.n > 0 and self.bottom() is not None
 
-    def covers(self) -> list[tuple]:
-        """Hasse edges (x, y): x < y with nothing strictly between."""
-        rows, els = self._rows, self.elements
+    def _cover_indices(self) -> list[tuple[int, int]]:
+        # the Hasse edges as index pairs (i, j), in the order of ``covers``
+        rows = self._rows
         out = []
         for i, row in enumerate(rows):
             strict = row & ~(1 << i)
-            # the y reached through some z with x < z < y
+            # the j reached through some z with i < z < j; a j already in it
+            # is passed over, as its strict up-row is in it too
             beyond, m = 0, strict
             while m:
                 low = m & -m
                 beyond |= rows[low.bit_length() - 1] & ~low
-                m ^= low
+                m = (m ^ low) & ~beyond
             m = strict & ~beyond
             while m:
                 low = m & -m
-                out.append((els[i], els[low.bit_length() - 1]))
+                out.append((i, low.bit_length() - 1))
                 m ^= low
         return out
+
+    def covers(self) -> list[tuple]:
+        """Hasse edges (x, y): x < y with nothing strictly between."""
+        els = self.elements
+        return [(els[i], els[j]) for i, j in self._cover_indices()]
 
     def restrict(self, members) -> "FinPoset":
         """Induced sub-poset on ``members``, keeping the ambient element order."""

@@ -469,19 +469,18 @@ def linear_hom_members(bk, A, B):
 
 
 def strict_hom_members(bk, A, B):
-    """Function elements sending bottom to bottom at every stage."""
+    """Function elements sending bottom to bottom at every stage, with A's
+    and B's bottoms read once per stage."""
     E = bk.exponential(A, B)
     ba, bb = bk.bottom_point(A), bk.bottom_point(B)
     if ba is None or bb is None:
         raise StructureError("pointedness", "function spaces need pointed objects")
     members = {}
     for p in bk.stages(A):
+        bots = [(q, bk.app(ba, q, "*"), bk.app(bb, q, "*")) for q in bk.base_down(p)]
         good = set()
         for fe in bk.at(E.obj, p):
-            if all(
-                E.apply_elem(p, fe, q, bk.app(ba, q, "*")) == bk.app(bb, q, "*")
-                for q in bk.base_down(p)
-            ):
+            if all(E.apply_elem(p, fe, q, a) == b for q, a, b in bots):
                 good.add(fe)
         members[p] = frozenset(good)
     return E, members
