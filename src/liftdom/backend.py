@@ -44,11 +44,12 @@ out of a quotient that a coequalising map induces), products with
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
 the fold of a pointed dcpo A, the map
 ``scone_induced(lift(A), bottom, identity(A))``, and ``hom_up_masks``,
-the pointwise order of a list of parallel maps as up-mask rows.  Every
-map it derives from valid maps goes through ``_derived_mor`` (``inverse``
-and ``descend`` do not), behind the composability checks ``compose`` keeps.
-It also memoises the object constructions, and ``hom`` memoises each
-hom-set that ``_hom`` enumerates.  Both backends' hom enumeration and iso
+the pointwise order of a list of parallel maps, or of the maps after one
+leg, as up-mask rows.  Every map it derives from valid maps goes through
+``_derived_mor`` (``inverse`` and ``descend`` do not), behind the
+composability checks ``compose`` keeps.  It also memoises the object
+constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates;
+both caches live exactly as long as the backend.  Both backends' hom enumeration and iso
 search run the one backtracking search ``order._order_search``.  Outside
 this module only ``report.fmt`` knows how a lift element is stored; other
 code reads an element's partial family with ``LiftData.family`` and builds
@@ -208,13 +209,15 @@ class _ConstructionCache:
         return self._hom_cache[key]
 
     # -- derived from the stage API ------------------------------------------
-    def hom_up_masks(self, A, B, maps) -> list[int]:
-        """Bit j of up[k] is ``hom_leq(maps[k], maps[j])``, by ``_up_masks``
-        on one column per element of A at each stage."""
-        columns = []
+    def hom_up_masks(self, A, B, maps, leg=None) -> list[int]:
+        """Bit j of up[k] is ``hom_leq(maps[k] . leg, maps[j] . leg)``, leg
+        out of A (the identity when None), by ``_up_masks`` on one column per
+        element of A at each stage, read through the leg: no composite is built."""
+        app, columns = self.app, []
         for p in self.stages(A):
-            P = self.stage_poset(B, p)
-            columns += [([P._index[self.app(f, p, x)] for f in maps], P._rows) for x in self.at(A, p)]
+            P, points = self.stage_poset(B, p), self.at(A, p)
+            points = points if leg is None else [app(leg, p, x) for x in points]
+            columns += [([P._index[app(f, p, y)] for f in maps], P._rows) for y in points]
         return _up_masks(len(maps), columns)
 
     def bang(self, A):
@@ -378,9 +381,6 @@ class ClassicalBackend(_ConstructionCache):
 
     def __init__(self):
         self._init_caches()
-        # fresh bottom label -> the element codec of a lift with that
-        # bottom; the thousands of lifts of a run share a few labels
-        self._lift_fns: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, ClassicalBackend)
@@ -483,12 +483,12 @@ class ClassicalBackend(_ConstructionCache):
         LA = FinPoset._trusted(els, ((1 << len(els)) - 1,) + tuple(row << 1 for row in A._rows))
         unit = MonotoneMap._trusted(A, LA, A.elements)
         bottom = MonotoneMap._trusted(TERMINAL, LA, (bot,))
-        if bot not in self._lift_fns:
-            self._lift_fns[bot] = (
-                lambda st, u: () if u == bot else ((st, u),),
-                lambda st, items: items[0][1] if items else bot,
-            )
-        return LiftData(LA, unit, bottom, *self._lift_fns[bot])
+        # one codec per bottom label: the thousands of lifts of a law share a few
+        codec = self.memo(("codec", bot), lambda: (
+            lambda st, u: () if u == bot else ((st, u),),
+            lambda st, items: items[0][1] if items else bot,
+        ))
+        return LiftData(LA, unit, bottom, *codec)
 
     def scone_induced(self, ld: LiftData, c0, c1):
         """The unique map LA -> C with h(bot) = c0 and h(eta a) = c1 a."""

@@ -169,7 +169,7 @@ def colimits_enriched_check(bk, d: Diagram, res: ColimitResult, apexes) -> tuple
         homs = bk.hom(res.apex, P)
         after = [(1 << len(homs)) - 1] * len(homs)
         for n in d.nodes:
-            legged = bk.hom_up_masks(d.objects[n], P, [bk.compose(u, res.legs[n]) for u in homs])
+            legged = bk.hom_up_masks(d.objects[n], P, homs, res.legs[n])
             after = [a & m for a, m in zip(after, legged)]
         for k, (a, full) in enumerate(zip(after, bk.hom_up_masks(res.apex, P, homs))):
             if diff := a ^ full:

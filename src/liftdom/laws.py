@@ -14,7 +14,9 @@ its failing cases or a single PASS line for the whole family.
 Runners and controls build through the ``Backends`` record they are given:
 ``bk.classical`` is the classical backend, and ``bk.presheaf(base)`` the
 presheaf backend over a base.  A lane that the run leaves out is None, and
-runners skip it; controls always get both.
+runners skip it; controls always get both.  ``run_law`` and
+``run_negative`` make a fresh record for each call, so every cache a law
+fills lives no longer than the law.
 """
 from __future__ import annotations
 
@@ -47,16 +49,11 @@ from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, m
 
 @dataclass(frozen=True)
 class Backends:
-    """The backends a law is checked in; a lane left out of the run is None."""
+    """The backends one law is checked in, made fresh for each run with
+    only its lanes; a lane left out of the run is None."""
 
     classical: ClassicalBackend | None
     presheaf: Callable[[BasePoset], PresheafBackend] | None  # base -> its backend, made once per base
-
-
-# One record for the process, so that each law reuses the hom-sets and
-# constructions of the laws before it; a fresh record per law saves memory
-# but loses those hits, and ``check all`` takes longer.
-_BACKENDS = Backends(ClassicalBackend(), cache(PresheafBackend))
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class Law:
     statement: str
     bounds: Bounds
     runner: Callable  # (spec, bounds, Backends) -> iterable of InstanceReport
-    negative: Callable  # (bounds, Backends) -> list[InstanceReport], at least one FAIL
+    negative: Callable  # (Backends) -> list[InstanceReport], at least one FAIL
 
 
 def _gen_posets(n, pointed=False):
@@ -175,7 +172,7 @@ def _corrupted_fold(cl):
     return X, MonotoneMap.make(ld.obj, X, lambda u: "c0" if ld.is_bot(None, u) else ("c2" if u == "c1" else u))
 
 
-def neg_kz(b: Bounds, bk):
+def neg_kz(bk):
     ok, failures = li.kz_check(bk.classical, li.Algebra(*_corrupted_fold(bk.classical)))
     return _control("corrupted fold on the 3-chain", not ok, fmt(failures[0]) if failures else None)
 
@@ -218,7 +215,7 @@ def _cone_law(check, control, junk):
             for name, A in _classical_instances(spec, min(b.max_size, 3)):
                 yield _verdict(name, _against(competitors, lambda C: getattr(li, check)(cl, A, C)))
 
-    def negative(b: Bounds, bk):
+    def negative(bk):
         ok, w = getattr(li, check)(_fake_scone_backend(junk), FinPoset.chain(2), FinPoset.chain(2))
         return _control(control, not ok, fmt(w))
 
@@ -244,7 +241,7 @@ def run_cocomma(spec, b: Bounds, bk):
         yield _verdict("omega-cocomma/2-chain-base", witness)
 
 
-def neg_cocomma(b: Bounds, bk):
+def neg_cocomma(bk):
     fake = _fake_scone_backend()
     ok, w = li.scone_universal_check(fake, fake.terminal(), FinPoset.chain(2))
     return _control("two-antichain posing as sigma", not ok, fmt(w))
@@ -265,7 +262,7 @@ def run_open_classifier(spec, b: Bounds, bk):
             yield _verdict(name, _witness(li.open_classifier_check(ps, A)))
 
 
-def neg_open_classifier(b: Bounds, bk):
+def neg_open_classifier(bk):
     # present a non-open (not up-closed) subset as an open of the 2-chain:
     # its characteristic map is not monotone
     try:
@@ -293,7 +290,7 @@ def run_partial_product(spec, b: Bounds, bk):
         yield _verdict("1⇀1/2-chain-base", _witness(li.partial_product_check(ps, ps.terminal(), ps.terminal())))
 
 
-def neg_partial_product(b: Bounds, bk):
+def neg_partial_product(bk):
     # drop one partial map from the enumeration: the count no longer matches
     cl = bk.classical
     A = FinPoset.chain(2)
@@ -325,7 +322,7 @@ def run_conservative(spec, b: Bounds, bk):
     yield from generated
 
 
-def neg_conservative(b: Bounds, bk):
+def neg_conservative(bk):
     # pair a map with the functorial image of a different map: the unit
     # square no longer commutes
     cl = bk.classical
@@ -361,7 +358,7 @@ def run_pointed_iff_algebra(spec, b: Bounds, bk):
             yield _verdict(name, _pointed_algebra_witness(ps, A))
 
 
-def neg_pointed_iff_algebra(b: Bounds, bk):
+def neg_pointed_iff_algebra(bk):
     # a non-pointed object with a claimed fold: the laws must reject it
     X = FinPoset.antichain(2)
     ld = bk.classical.lift(X)
@@ -381,7 +378,7 @@ def run_pointed_iff_inductive(spec, b: Bounds, bk):
             yield _verdict(name, None if agree else "pointedness disagrees with semidirected completeness")
 
 
-def neg_pointed_iff_inductive(b: Bounds, bk):
+def neg_pointed_iff_inductive(bk):
     # corrupt the inductive side to quantify over directed subsets only:
     # the empty family is lost and the 2-antichain slips through
     X = FinPoset.antichain(2)
@@ -415,7 +412,7 @@ def run_strict_iff_inductive(spec, b: Bounds, bk):
         )
 
 
-def neg_strict_iff_inductive(b: Bounds, bk):
+def neg_strict_iff_inductive(bk):
     # against directed sups only, the constant-top endomap of the 2-chain
     # wrongly qualifies as inductive despite not being strict
     S = FinPoset.chain(2)
@@ -439,7 +436,7 @@ def run_strict_iff_hom(spec, b: Bounds, bk):
         )
 
 
-def neg_strict_iff_hom(b: Bounds, bk):
+def neg_strict_iff_hom(bk):
     # against a corrupted fold the equivalence breaks for the identity map
     cl = bk.classical
     X, bad = _corrupted_fold(cl)
@@ -505,7 +502,7 @@ def run_connected_colimits(spec, b: Bounds, bk):
             yield _verdict(name, _witness(co.creation_check(cl, d, apexes)))
 
 
-def neg_connected_colimits(b: Bounds, bk):
+def neg_connected_colimits(bk):
     d = co.Diagram(("a", "b"), (), {"a": FinPoset.chain(1), "b": FinPoset.chain(1)}, {})
     ok, why = co.creation_check(bk.classical, d, posets_upto(2))
     return _control("disconnected diagram", not ok, str(why))
@@ -527,7 +524,7 @@ def run_algebras_cocomplete(spec, b: Bounds, bk):
     yield _verdict("connected piece", _witness(co.creation_check(cl, _generated_diagrams(cl, count=4)[2], apexes)))
 
 
-def neg_algebras_cocomplete(b: Bounds, bk):
+def neg_algebras_cocomplete(bk):
     # the plain coproduct (bottoms not glued) is not even pointed, so it
     # cannot be the coproduct in algebras
     S = FinPoset.chain(2)
@@ -555,7 +552,7 @@ def run_colimits_enriched(spec, b: Bounds, bk):
         yield _verdict(name, _witness(co.colimits_enriched_check(cl, d, co.colimit(cl, d), apexes)))
 
 
-def neg_colimits_enriched(b: Bounds, bk):
+def neg_colimits_enriched(bk):
     # a non-surjective cone: comparisons can disagree outside the legs' image
     S = FinPoset.chain(2)
     d = co.Diagram(("a",), (), {"a": FinPoset.chain(1)}, {})
@@ -612,7 +609,7 @@ def _half_smash(cl, A):
     return quotient_poset(cl.product(A, A).obj, seeds)[0]
 
 
-def neg_smash_presentations(b: Bounds, bk):
+def neg_smash_presentations(bk):
     # an unbalanced quotient (only left bottoms collapsed) is not the smash
     A = FinPoset.chain(2)
     Q = _half_smash(bk.classical, A)
@@ -639,7 +636,7 @@ def run_bistrict_iff_bilinear(spec, b: Bounds, bk):
     yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
 
 
-def neg_bistrict_iff_bilinear(b: Bounds, bk):
+def neg_bistrict_iff_bilinear(bk):
     # fold the arguments against swapped structure maps: the meet map
     # stays bistrict but the corrupted square fails
     cl = bk.classical
@@ -681,7 +678,7 @@ def run_seal_iso(spec, b: Bounds, bk):
     yield from iso
 
 
-def neg_seal_iso(b: Bounds, bk):
+def neg_seal_iso(bk):
     A = FinPoset.chain(2)
     Q = te.seal_tensor(bk.classical, A, A)[0]
     halfsmash = _half_smash(bk.classical, A)
@@ -718,7 +715,7 @@ def run_monoidal_adjunction(spec, b: Bounds, bk):
         yield _attempt("1,1/2-chain-base", lambda: _witness(te.monoidal_adjunction_check(ps, one, one)))
 
 
-def neg_monoidal_adjunction(b: Bounds, bk):
+def neg_monoidal_adjunction(bk):
     # replace the lifted swap with the identity: the symmetry square fails
     cl = bk.classical
     S = FinPoset.chain(2)
@@ -752,7 +749,7 @@ def run_tensor_hom(spec, b: Bounds, bk):
     yield from currying
 
 
-def neg_tensor_hom(b: Bounds, bk):
+def neg_tensor_hom(bk):
     # currying with the first argument pinned to bottom loses information:
     # the roundtrip misses the universal map itself
     cl = bk.classical
@@ -788,7 +785,7 @@ def run_homs_coincide(spec, b: Bounds, bk):
         )
 
 
-def neg_homs_coincide(b: Bounds, bk):
+def neg_homs_coincide(bk):
     # corrupt the extension: treating the fresh bottom as the top makes the
     # linear side differ from the strict one
     cl = bk.classical
@@ -821,7 +818,7 @@ def run_phoa(spec, b: Bounds, bk):
         yield _verdict("terminal/2-chain-base", None if li.phoa_check(ps, ps.terminal()) else "power differs")
 
 
-def neg_phoa(b: Bounds, bk):
+def neg_phoa(bk):
     cl = bk.classical
     Y = FinPoset.chain(2)
     sigma = cl.lift(cl.terminal())
@@ -846,7 +843,7 @@ def run_paths(spec, b: Bounds, bk):
         )
 
 
-def neg_paths(b: Bounds, bk):
+def neg_paths(bk):
     ok, w = li.paths_check(_fake_scone_backend(junk=True), FinPoset.chain(1), FinPoset.chain(2))
     return _control("interval with a stray point", not ok, fmt(w))
 
@@ -861,7 +858,7 @@ def run_top_opfibration(spec, b: Bounds, bk):
                 yield _verdict(f"base:{name}", None if ok else "comma is not a point")
 
 
-def neg_top_opfibration(b: Bounds, bk):
+def neg_top_opfibration(bk):
     # take the bottom truth value as the claimed top: its upper set is all
     # of sigma, not a point
     cl = bk.classical
@@ -900,7 +897,7 @@ def run_nonboolean_lift(spec, b: Bounds, bk):
     yield _verdict("omega is free on its positive part", None if ok else "canonical extension is not iso")
 
 
-def neg_nonboolean_lift(b: Bounds, bk):
+def neg_nonboolean_lift(bk):
     # over the degenerate one-stage base the topos is boolean and the same
     # comparison IS an isomorphism: the phenomenon disappears
     ps = bk.presheaf(BasePoset(FinPoset(("s",), frozenset([("s", "s")]))))
@@ -947,7 +944,7 @@ def run_commutative_monad(spec, b: Bounds, bk):
         yield _verdict("1,1/2-chain-base", _commutator_witness(ps, ps.terminal(), ps.terminal()))
 
 
-def neg_commutative_monad(b: Bounds, bk):
+def neg_commutative_monad(bk):
     # twist the output of the commutator on one side only: the twisted map
     # no longer restricts to the unit pairing
     cl = bk.classical
@@ -1160,12 +1157,16 @@ REGISTRY: dict = {
 }
 
 
+def _law(name: str) -> Law:
+    if name not in REGISTRY:
+        raise KeyError(f"unknown law {name!r}; known: {', '.join(REGISTRY)}")
+    return REGISTRY[name]
+
+
 def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = None,
             backends=("classical", "presheaf")) -> CheckReport:
     """Run one named law over the model within bounds."""
-    if name not in REGISTRY:
-        raise KeyError(f"unknown law {name!r}; known: {', '.join(REGISTRY)}")
-    law = REGISTRY[name]
+    law = _law(name)
     spec = spec if spec is not None else default_model()
     b = bounds if bounds is not None else law.bounds
     negative = min(b.as_dict().values()) < 0
@@ -1174,7 +1175,8 @@ def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = No
                   else "requested bounds exceed the supported exhaustion range (6)")
         return make_report(name, [InstanceReport("bounds", UNAVAILABLE, None)], b.as_dict(), 0, reason)
     t0 = time.perf_counter()
-    bk = replace(_BACKENDS, **{lane: None for lane in ("classical", "presheaf") if lane not in backends})
+    bk = Backends(ClassicalBackend() if "classical" in backends else None,
+                  cache(PresheafBackend) if "presheaf" in backends else None)
     # the lines a runner yielded before it raised stay in the report
     instances = []
     try:
@@ -1192,14 +1194,13 @@ def run_law(name: str, spec: ModelSpec | None = None, bounds: Bounds | None = No
     return make_report(name, instances, b.as_dict(), elapsed, reason)
 
 
-def run_negative(name: str, bounds: Bounds | None = None) -> CheckReport:
+def run_negative(name: str) -> CheckReport:
     """Run the bundled negative control; the report must come back failing."""
-    law = REGISTRY[name]
-    b = bounds if bounds is not None else law.bounds
+    law = _law(name)
     t0 = time.perf_counter()
-    instances = law.negative(b, _BACKENDS)
+    instances = law.negative(Backends(ClassicalBackend(), cache(PresheafBackend)))
     elapsed = int((time.perf_counter() - t0) * 1000)
-    return make_report(f"{name}:negative-control", instances, b.as_dict(), elapsed)
+    return make_report(f"{name}:negative-control", instances, law.bounds.as_dict(), elapsed)
 
 
 def run_all(spec: ModelSpec | None = None, bounds: Bounds | None = None,

@@ -273,9 +273,9 @@ def scone_universal_check(bk, A, C):
 def joint_epi_check(bk, A, C):
     """Maps out of LA agree when they agree on bottom and on unit images."""
     ld = bk.lift(A)
-    seen: dict = {}
-    for h in bk.hom(ld.obj, C):
-        key = (bk.compose(h, ld.bottom), bk.compose(h, ld.unit))
+    homs, seen = bk.hom(ld.obj, C), {}
+    # h . bottom and h . unit by their tables, equal exactly when the composites are
+    for h, key in zip(homs, zip(value_tables(bk, homs, ld.bottom), value_tables(bk, homs, ld.unit))):
         if key in seen and seen[key] != h:
             return False, ("pair", seen[key], h)
         seen[key] = h
@@ -286,8 +286,8 @@ def lax_epi_check(bk, A, C):
     """Restriction along [bottom | unit] is an order-embedding on homs."""
     ld = bk.lift(A)
     homs = bk.hom(ld.obj, C)
-    bots = bk.hom_up_masks(bk.terminal(), C, [bk.compose(h, ld.bottom) for h in homs])
-    units = bk.hom_up_masks(A, C, [bk.compose(h, ld.unit) for h in homs])
+    bots = bk.hom_up_masks(bk.terminal(), C, homs, ld.bottom)
+    units = bk.hom_up_masks(A, C, homs, ld.unit)
     # the first pair (f, g), f then g in hom order, where the two orders differ
     for k, (b, u, full) in enumerate(zip(bots, units, bk.hom_up_masks(ld.obj, C, homs))):
         if diff := (b & u) ^ full:

@@ -697,7 +697,6 @@ def _extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield tuple(new)
 
 
-@lru_cache(maxsize=None)
 def _labeled_rows(n: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)

@@ -36,6 +36,17 @@ def reference_lax_epi_check(bk, A, C):
     return True, None
 
 
+def reference_joint_epi_check(bk, A, C):
+    ld = bk.lift(A)
+    seen: dict = {}
+    for h in bk.hom(ld.obj, C):
+        key = (bk.compose(h, ld.bottom), bk.compose(h, ld.unit))
+        if key in seen and seen[key] != h:
+            return False, ("pair", seen[key], h)
+        seen[key] = h
+    return True, None
+
+
 def reference_colimits_enriched_check(bk, d, res, apexes):
     for P in apexes:
         homs = bk.hom(res.apex, P)
@@ -77,6 +88,18 @@ def test_scone_data_matches_pairwise_reference():
                 assert li.scone_data(bk, A, C) == reference_scone_data(bk, A, C)
 
 
+def _legs(bk, ld, others=()):
+    """The bottom and the unit of a lift, then every map into it from ``others``."""
+    return [ld.bottom, ld.unit] + [leg for X in others for leg in bk.hom(X, ld.obj)]
+
+
+def assert_leg_form(bk, B, maps, leg):
+    """The rows of the maps read along the leg are the rows of the composites."""
+    assert bk.hom_up_masks(leg.dom, B, maps, leg) == bk.hom_up_masks(
+        leg.dom, B, [bk.compose(f, leg) for f in maps]
+    )
+
+
 def test_hom_up_masks_classical():
     rng = random.Random(0)
     small = posets_upto(3)
@@ -86,6 +109,17 @@ def test_hom_up_masks_classical():
             assert CL.hom_up_masks(A, B, homs) == reference_up_masks(CL, homs)
             part = rng.sample(homs, rng.randint(0, len(homs)))
             assert CL.hom_up_masks(A, B, part) == reference_up_masks(CL, part)
+    # legs into a lift: its bottom, its unit and the maps from small posets,
+    # whose element names the lift shares but whose values differ
+    legged = 0
+    for A in posets_upto(2):
+        ld = CL.lift(A)
+        for B in small:
+            homs = list(CL.hom(ld.obj, B))
+            for leg in _legs(CL, ld, posets_upto(2)):
+                assert_leg_form(CL, B, homs, leg)
+                legged += 1
+    assert legged
 
 
 def test_hom_up_masks_presheaf():
@@ -101,6 +135,10 @@ def test_hom_up_masks_presheaf():
                 masks = bk.hom_up_masks(A, B, homs)
                 assert masks == reference_up_masks(bk, homs)
                 nontrivial += any(m != 1 << k for k, m in enumerate(masks))
+                ld = bk.lift(A)
+                out = bk.hom(ld.obj, B)
+                for leg in _legs(bk, ld, [bk.terminal()]):
+                    assert_leg_form(bk, B, out, leg)
     assert nontrivial
 
 
@@ -129,6 +167,22 @@ def test_lax_epi_witnesses_match_pairwise(monkeypatch):
     assert not seen[-1][0] and seen[-1][1] is not None
 
 
+def test_joint_epi_witnesses_match_composites(monkeypatch):
+    # keyed on value tables, the check gives the verdicts and witnesses of
+    # the check keyed on composite maps, on the law's instances and on the
+    # control's cone with a stray point
+    seen = _parity(monkeypatch, li, "joint_epi_check", reference_joint_epi_check)
+    assert laws.run_law("joint-epi", backends=("classical",)).status == PASS
+    assert seen and all(ok for ok, _ in seen)
+    control = laws.run_negative("joint-epi")
+    assert control.status == FAIL
+    assert not seen[-1][0] and seen[-1][1] is not None
+    bk = laws._fake_scone_backend(junk=True)
+    for A in posets_upto(2):
+        for C in posets_upto(2):
+            assert li.joint_epi_check(bk, A, C) == reference_joint_epi_check(bk, A, C)
+
+
 def test_colimits_enriched_witnesses_match_pairwise(monkeypatch):
     seen = _parity(monkeypatch, co, "colimits_enriched_check", reference_colimits_enriched_check)
     assert laws.run_law("colimits-enriched", backends=("classical",)).status == PASS
@@ -155,6 +209,15 @@ def test_first_failing_pair_is_pinned():
     want = (False, ("pair", homs[1], homs[0]))
     assert reference_lax_epi_check(bk, C, C) == want
     assert li.lax_epi_check(bk, C, C) == want
+
+
+@pytest.mark.parametrize("base", [base for _, base in _small_bases(OQ1Bounds(max_base=2))])
+def test_joint_epi_presheaf_matches_composites(base):
+    bk = PresheafBackend(base)
+    objects = [omega(base), bk.terminal()]
+    for A in objects:
+        for C in objects:
+            assert li.joint_epi_check(bk, A, C) == reference_joint_epi_check(bk, A, C)
 
 
 @pytest.mark.parametrize("base", [base for _, base in _small_bases(OQ1Bounds(max_base=2))])

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 
 import liftdom
 from liftdom import laws, lifting, tensor
-from liftdom.backend import ClassicalBackend
+from liftdom.backend import ClassicalBackend, _ConstructionCache
 from liftdom.laws import REGISTRY, Backends, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import FinPoset, StructureError
@@ -28,6 +30,49 @@ def test_registry_shape():
 def test_unknown_law():
     with pytest.raises(KeyError):
         run_law("no-such-law")
+
+
+def test_unknown_control_names_the_known_laws():
+    # a law and its control share one check and one message
+    for run in (run_law, run_negative):
+        with pytest.raises(KeyError, match="unknown law 'nope'; known: kz-adjunction, "):
+            run("nope")
+
+
+@pytest.mark.parametrize("name", ["kz-adjunction", "lax-epi", "smash-presentations", "top-opfibration"])
+def test_no_backend_outlives_its_law(monkeypatch, name):
+    # every backend a law or its control builds, caches and all, is garbage
+    # once the report is back
+    built = []
+    init = _ConstructionCache._init_caches
+
+    def record(self):
+        init(self)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(_ConstructionCache, "_init_caches", record)
+    for run in (run_law, run_negative):
+        built.clear()
+        run(name)
+        gc.collect()
+        assert built and [r() for r in built] == [None] * len(built), run.__name__
+
+
+def test_consecutive_runs_share_no_backend(monkeypatch):
+    used = []  # per run, the backends asked for a hom-set (kept alive, so ids stay unique)
+    hom = _ConstructionCache.hom
+
+    def record(self, A, B):
+        used[-1].append(self)
+        return hom(self, A, B)
+
+    monkeypatch.setattr(_ConstructionCache, "hom", record)
+    for _ in range(2):
+        used.append([])
+        run_law("kz-adjunction")
+    first, second = ({id(bk) for bk in run} for run in used)
+    assert len(first) == len(second) == 2  # the classical and the presheaf lane
+    assert not first & second
 
 
 # sha256 over every default report's zero-elapsed JSON, each followed by a
