@@ -115,42 +115,73 @@ def colimit(bk, d: Diagram) -> ColimitResult:
     return ColimitResult(coeq.obj, legs, factor)
 
 
-def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list[dict]:
+def enumerate_cocones(bk, d: Diagram, P, leg_pool, as_tables=False) -> list:
     """All commuting cocones under d with apex P whose legs X -> P come from
     ``leg_pool(X, P)``, by backtracking over the nodes in order.  The value
     tables of each pool member and of its composite with each edge into its
-    node are read before the search, so an edge test compares two tables."""
-    pools = {n: list(leg_pool(d.objects[n], P)) for n in d.nodes}
-    own = {n: value_tables(bk, pools[n]) for n in d.nodes}
-    along = [(value_tables(bk, pools[t], d.arrows[name]), s, t) for name, s, t in d.edges]
-    out: list[dict] = []
-    picked: dict = {}
+    node are read before the search.  Each edge between a node and an earlier
+    one is a join: the node's candidates are indexed by the table the edge
+    makes them match, so the search visits, in pool order, only the
+    candidates that every such edge admits.  With ``as_tables`` a cocone is
+    the tuple of its legs' value tables, in node order, instead of its legs."""
+    pos = {n: i for i, n in enumerate(d.nodes)}
+    pools = [list(leg_pool(d.objects[n], P)) for n in d.nodes]
+    own = [value_tables(bk, pool) for pool in pools]
+    fits = [(1 << len(pool)) - 1 for pool in pools]
+    # joins[i]: (j, admit) per edge between node i and an earlier node j;
+    # admit[k] is the mask of node i's candidates that fit j's candidate k
+    joins: list = [[] for _ in pools]
+    for name, s, t in d.edges:
+        i, j = pos[s], pos[t]
+        along = value_tables(bk, pools[j], d.arrows[name])  # leg_t . e, per leg_t
+        if i == j:
+            fits[i] &= sum(1 << k for k, (a, o) in enumerate(zip(along, own[i])) if a == o)
+        elif i < j:
+            joins[j].append((i, _admits(along, own[i])))
+        else:
+            joins[i].append((j, _admits(own[i], along)))
+    out: list = []
+    picked = [0] * len(pools)
 
     def rec(i):
-        if i == len(d.nodes):
-            out.append({n: pools[n][k] for n, k in picked.items()})
+        if i == len(pools):
+            if as_tables:
+                out.append(tuple([tables[k] for tables, k in zip(own, picked)]))
+            else:
+                out.append({n: pool[k] for n, pool, k in zip(d.nodes, pools, picked)})
             return
-        n = d.nodes[i]
-        for k in range(len(pools[n])):
-            picked[n] = k
-            if all(comp[picked[t]] == own[s][picked[s]] for comp, s, t in along if s in picked and t in picked):
-                rec(i + 1)
-        picked.pop(n, None)
+        mask = fits[i]
+        for j, admit in joins[i]:
+            mask &= admit[picked[j]]
+        while mask:
+            low = mask & -mask
+            picked[i] = low.bit_length() - 1
+            rec(i + 1)
+            mask ^= low
 
     rec(0)
     return out
+
+
+def _admits(tables, keys) -> list:
+    """For each of ``keys``, the mask of the positions in ``tables`` equal to it."""
+    index: dict = {}
+    for k, table in enumerate(tables):
+        index[table] = index.get(table, 0) | 1 << k
+    return [index.get(key, 0) for key in keys]
 
 
 def _unique_mediators(bk, d: Diagram, res: ColimitResult, apexes, homs, label) -> tuple:
     """Exactly one mediator in ``homs(res.apex, P)`` to every cocone under d
     with apex P in ``apexes`` and legs in ``homs``: the mediators are grouped
     by the value tables of their composites with the legs once per apex,
-    then each cocone is looked up by the value tables of its legs."""
+    then each cocone is looked up by its legs' value tables, which the
+    cocone search has already read."""
     res_legs = [res.legs[n] for n in d.nodes]
     for P in apexes:
         groups = restriction_groups(bk, homs(res.apex, P), res_legs)
-        for legs in enumerate_cocones(bk, d, P, homs):
-            count = len(groups.get(tuple(value_tables(bk, [legs[n]])[0] for n in d.nodes), ()))
+        for key in enumerate_cocones(bk, d, P, homs, as_tables=True):
+            count = len(groups.get(key, ()))
             if count != 1:
                 return False, (label, P, count)
     return True, None

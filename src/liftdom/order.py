@@ -669,32 +669,32 @@ def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive generation of small posets, deduplicated up to isomorphism.
+# Exhaustive generation of small posets, one per isomorphism class.
+#
+# A labelling of a poset lists its elements as labels 0..n-1; its key is
+# ((down_0, up_0), (down_1, up_1), ...), where down_k and up_k are the masks
+# of the labels j < k with j <= k and with k <= j.  ``_labeled_rows(n)``
+# lists the labelled posets in increasing key order, and ``all_posets(n)``
+# keeps the labelling with the least key of each class, in key order.
 
 def _extensions(rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    # all ways of adding one element to a poset given by up-mask rows:
-    # pick a down-closed D (below the new point) and an up-closed U (above it)
-    # with every d <= every u; each labeled poset arises exactly once.
-    n = len(rows)
-    down_masks = [
-        sum(1 << j for j in range(n) if rows[j] >> i & 1) for i in range(n)
-    ]
-    for dmask in range(1 << n):
-        if any(dmask >> i & 1 and down_masks[i] & ~dmask for i in range(n)):
-            continue
-        rest = [i for i in range(n) if not dmask >> i & 1]
-        for pick in range(1 << len(rest)):
-            umask = 0
-            for k, i in enumerate(rest):
-                if pick >> k & 1:
-                    umask |= 1 << i
-            if any(umask >> i & 1 and rows[i] & ~umask for i in range(n)):
-                continue
-            if any(dmask >> d & 1 and (rows[d] & umask) != umask for d in range(n)):
-                continue
-            new = [rows[i] | ((1 << n) if dmask >> i & 1 else 0) for i in range(n)]
-            new.append((1 << n) | umask)
-            yield tuple(new)
+    # all ways of adding one element, as the last label, to a poset given by
+    # up-mask rows: above a down-closed D and below an up-closed U with every
+    # d <= every u, in increasing (D, U); each labelled poset arises once.
+    n, top = len(rows), 1 << len(rows)
+    down = _down_rows(rows)
+    downsets = [m for m in range(top) if all(down[i] & ~m == 0 for i in range(n) if m >> i & 1)]
+    upsets = [top - 1 ^ m for m in reversed(downsets)]
+    for dmask in downsets:
+        allowed, m = top - 1 & ~dmask, dmask  # the points above every d in D
+        while m:
+            low = m & -m
+            allowed &= rows[low.bit_length() - 1]
+            m ^= low
+        base = tuple(row | top if dmask >> i & 1 else row for i, row in enumerate(rows))
+        for umask in upsets:
+            if umask & ~allowed == 0:
+                yield base + (top | umask,)
 
 
 def _labeled_rows(n: int) -> tuple[tuple[int, ...], ...]:
@@ -706,27 +706,67 @@ def _labeled_rows(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _is_least(rows: tuple[int, ...]) -> bool:
+    """Whether the labelling of ``rows`` has the least key of its class.
+
+    Branch and bound over relabellings, label by label: a free element whose
+    entry against the labels placed so far is below the target's entry shows
+    a smaller key; an equal one is branched on, a larger one pruned.  Of free
+    incomparable twins (equal strict up- and down-sets) only the first is
+    tried, as swapping two of them is an automorphism that fixes the labels
+    placed so far."""
+    n = len(rows)
+    down = _down_rows(rows)
+    # an entry (down_k, up_k) as one integer down_k << n | up_k
+    target = [(down[k] & (1 << k) - 1) << n | rows[k] & (1 << k) - 1 for k in range(n)]
+    strict = [(row & ~(1 << i), below & ~(1 << i)) for i, (row, below) in enumerate(zip(rows, down))]
+    twins = [sum(1 << y for y in range(n) if strict[y] == strict[x]) for x in range(n)]
+
+    def rec(k: int, free: int, entry: list) -> bool:
+        if k == n:
+            return True
+        tried, m = 0, free
+        while m:
+            low = m & -m
+            m ^= low
+            x = low.bit_length() - 1
+            if tried >> x & 1:
+                continue
+            tried |= twins[x]
+            if entry[x] < target[k]:
+                return False
+            if entry[x] == target[k]:
+                nxt = entry[:]
+                for y in range(n):
+                    if rows[x] >> y & 1:
+                        nxt[y] |= 1 << k + n
+                    elif down[x] >> y & 1:
+                        nxt[y] |= 1 << k
+                if not rec(k + 1, free ^ low, nxt):
+                    return False
+        return True
+
+    return rec(0, (1 << n) - 1, [0] * n)
+
+
 def _rows_to_poset(rows: tuple[int, ...], prefix: str = "x") -> FinPoset:
     return FinPoset._trusted(tuple(f"{prefix}{i}" for i in range(len(rows))), rows)
 
 
 @lru_cache(maxsize=None)
 def all_posets(n: int) -> tuple[FinPoset, ...]:
-    """All posets with exactly n elements, one per isomorphism class."""
-    buckets: dict = {}
-    out: list[FinPoset] = []
-    for rows in _labeled_rows(n):
-        P = _rows_to_poset(rows)
-        key = tuple(sorted(_degrees(rows, _down_rows(rows))))
-        found = False
-        for Q in buckets.get(key, ()):
-            if poset_iso(P, Q) is not None:
-                found = True
-                break
-        if not found:
-            buckets.setdefault(key, []).append(P)
-            out.append(P)
-    return tuple(out)
+    """All posets with exactly n elements, one per isomorphism class: the
+    labelling with the least key, in key order; none for negative n.
+
+    Canonical augmentation: deleting the last label of a least-key labelling
+    leaves the least-key labelling of the rest, so each class arises once as
+    an extension of a class with n - 1 elements that ``_is_least`` accepts,
+    and in key order, as both the classes and their extensions come in it."""
+    if n <= 0:
+        return (_rows_to_poset(()),) if n == 0 else ()
+    return tuple(
+        _rows_to_poset(rows) for P in all_posets(n - 1) for rows in _extensions(P._rows) if _is_least(rows)
+    )
 
 
 def posets_upto(n: int, pointed: bool = False) -> tuple[FinPoset, ...]:

@@ -101,6 +101,60 @@ def test_cocones_match_reference_with_loops_and_empty_pools():
     assert enumerate_cocones(CL, Diagram((), (), {}, {}), S, CL.hom) == [{}]
 
 
+# The join: each edge between a node and an earlier one narrows the node's
+# candidates to those whose table the edge admits.  The diagrams below give
+# a node two such edges, edges that point back to an earlier node, and
+# nodes without candidates.
+
+def test_join_where_two_earlier_nodes_fix_a_node():
+    S, C3 = FinPoset.chain(2), FinPoset.chain(3)
+    vee = CL.lift(FinPoset.antichain(2)).obj
+    f, g = strict_hom_set(CL, S, C3)[1], strict_hom_set(CL, vee, C3)[2]
+    cospan = Diagram(("a", "b", "c"), (("f", "a", "c"), ("g", "b", "c")),
+                     {"a": S, "b": vee, "c": C3}, {"f": f, "g": g})
+    # the same node fixed twice by one earlier node, along parallel edges
+    h = strict_hom_set(CL, S, C3)[-1]
+    parallel = Diagram(("a", "c"), (("f", "a", "c"), ("h", "a", "c")), {"a": S, "c": C3}, {"f": f, "h": h})
+    for d in (cospan, parallel):
+        assert any(enumerate_cocones(CL, d, P, CL.hom) for P in posets_upto(3))
+        assert_cocones_match(CL, d, posets_upto(4))
+
+
+def test_join_along_edges_into_earlier_nodes():
+    S, C3 = FinPoset.chain(2), FinPoset.chain(3)
+    f, g = strict_hom_set(CL, S, C3)[1], strict_hom_set(CL, C3, S)[-1]
+    back = Diagram(("c", "a"), (("f", "a", "c"),), {"a": S, "c": C3}, {"f": f})
+    # a later node with one edge back into an earlier node and one from it
+    mixed = Diagram(("a", "c", "b"), (("f", "a", "c"), ("g", "c", "b"), ("e", "b", "a")),
+                    {"a": S, "c": C3, "b": S}, {"f": f, "g": g, "e": CL.identity(S)})
+    for d in (back, mixed):
+        assert_cocones_match(CL, d, posets_upto(4))
+    assert any(enumerate_cocones(CL, mixed, P, CL.hom) for P in posets_upto(3))
+
+
+def test_join_with_empty_pools():
+    S, C3 = FinPoset.chain(2), FinPoset.chain(3)
+    f, g = strict_hom_set(CL, S, C3)[1], strict_hom_set(CL, C3, S)[-1]
+    d = Diagram(("a", "c", "b"), (("f", "a", "c"), ("g", "c", "b")),
+                {"a": S, "c": C3, "b": S}, {"f": f, "g": g})
+
+    def no_legs_from(X):
+        return lambda Y, P: [] if Y == X else CL.hom(Y, P)
+
+    for pool in (no_legs_from(C3), no_legs_from(S)):
+        for P in posets_upto(3):
+            assert enumerate_cocones(CL, d, P, pool) == reference_enumerate_cocones(CL, d, P, pool) == []
+
+
+def test_cocones_as_tables_are_their_legs_tables():
+    for d in laws._generated_diagrams(CL)[:8]:
+        for P in posets_upto(3):
+            cocones = enumerate_cocones(CL, d, P, CL.hom)
+            assert enumerate_cocones(CL, d, P, CL.hom, as_tables=True) == [
+                tuple(value_tables(CL, [legs[n]])[0] for n in d.nodes) for legs in cocones
+            ]
+
+
 def test_strict_hom_set_matches_reference_on_pointed_posets():
     pointed = posets_upto(4, pointed=True)
     for A, B in itertools.product(pointed, repeat=2):
