@@ -115,15 +115,15 @@ def colimit(bk, d: Diagram) -> ColimitResult:
     return ColimitResult(coeq.obj, legs, factor)
 
 
-def enumerate_cocones(bk, d: Diagram, P, leg_pool, as_tables=False) -> list:
+def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list:
     """All commuting cocones under d with apex P whose legs X -> P come from
-    ``leg_pool(X, P)``, by backtracking over the nodes in order.  The value
-    tables of each pool member and of its composite with each edge into its
-    node are read before the search.  Each edge between a node and an earlier
-    one is a join: the node's candidates are indexed by the table the edge
-    makes them match, so the search visits, in pool order, only the
-    candidates that every such edge admits.  With ``as_tables`` a cocone is
-    the tuple of its legs' value tables, in node order, instead of its legs."""
+    ``leg_pool(X, P)``, by backtracking over the nodes in order; each cocone
+    is the tuple of its legs' value tables, in node order.  The value tables
+    of each pool member and of its composite with each edge into its node are
+    read before the search.  Each edge between a node and an earlier one is a
+    join: the node's candidates are indexed by the table the edge makes them
+    match, so the search visits, in pool order, only the candidates that
+    every such edge admits."""
     pos = {n: i for i, n in enumerate(d.nodes)}
     pools = [list(leg_pool(d.objects[n], P)) for n in d.nodes]
     own = [value_tables(bk, pool) for pool in pools]
@@ -145,10 +145,7 @@ def enumerate_cocones(bk, d: Diagram, P, leg_pool, as_tables=False) -> list:
 
     def rec(i):
         if i == len(pools):
-            if as_tables:
-                out.append(tuple([tables[k] for tables, k in zip(own, picked)]))
-            else:
-                out.append({n: pool[k] for n, pool, k in zip(d.nodes, pools, picked)})
+            out.append(tuple([tables[k] for tables, k in zip(own, picked)]))
             return
         mask = fits[i]
         for j, admit in joins[i]:
@@ -180,7 +177,7 @@ def _unique_mediators(bk, d: Diagram, res: ColimitResult, apexes, homs, label) -
     res_legs = [res.legs[n] for n in d.nodes]
     for P in apexes:
         groups = restriction_groups(bk, homs(res.apex, P), res_legs)
-        for key in enumerate_cocones(bk, d, P, homs, as_tables=True):
+        for key in enumerate_cocones(bk, d, P, homs):
             count = len(groups.get(key, ()))
             if count != 1:
                 return False, (label, P, count)

@@ -5,6 +5,8 @@ for every competing datum.  The ``scan_*`` functions keep that scan as the
 reference: for each rewritten check, ``(ok, witness)`` must agree on the
 default suite's instances (with a smaller apex catalog, so the scan stays
 cheap), and on built failures where a key merges two mediators or has none.
+The competing cocones come from the composing reference search in
+``test_value_tables``.
 """
 from liftdom import laws
 from liftdom.backend import ClassicalBackend, UnavailableError
@@ -16,7 +18,6 @@ from liftdom.colimits import (
     coproduct_algebras,
     coproduct_algebras_universal_check,
     creation_check,
-    enumerate_cocones,
     lift_algebra_to_colimit,
 )
 from liftdom.lifting import all_algebra_structures, restriction_groups, strict_hom_set, value_tables
@@ -29,6 +30,8 @@ from liftdom.tensor import (
     smash,
     universal_bistrict_check,
 )
+
+from test_value_tables import reference_enumerate_cocones
 
 CL = ClassicalBackend()
 S = FinPoset.chain(2)
@@ -46,7 +49,7 @@ def scan_colimit_universal_check(bk, d, res, apexes):
         return False, "colimit legs do not commute"
     for P in apexes:
         homs = bk.hom(res.apex, P)
-        for legs in enumerate_cocones(bk, d, P, bk.hom):
+        for legs in reference_enumerate_cocones(bk, d, P, bk.hom):
             matching = [
                 h
                 for h in homs
@@ -69,7 +72,7 @@ def scan_creation_check(bk, d, apexes):
         return False, ("structure not unique", len(structures))
     for P in [P for P in apexes if bk.is_pointed(P)]:
         shoms = strict_hom_set(bk, res.apex, P)
-        for legs in enumerate_cocones(
+        for legs in reference_enumerate_cocones(
             bk, d, P, leg_pool=lambda X, C: strict_hom_set(bk, X, C)
         ):
             matching = [
