@@ -1,4 +1,5 @@
 import gc
+import itertools
 import hashlib
 import os
 import subprocess
@@ -15,7 +16,7 @@ from liftdom import laws, lifting, tensor
 from liftdom.backend import ClassicalBackend, _ConstructionCache
 from liftdom.laws import REGISTRY, Backends, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
-from liftdom.order import FinPoset, StructureError
+from liftdom.order import FinPoset, StructureError, posets_upto
 from liftdom.report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport
 
 
@@ -299,3 +300,85 @@ def test_negative_reports_pinned_across_hash_seeds():
             env=env, capture_output=True, text=True, check=True, timeout=120,
         ).stdout.split()
         assert out == ["27", NEGATIVES_SHA256], seed
+
+
+# OEIS A000112: posets on n points up to isomorphism.  A pointed poset on
+# n + 1 points is a poset on n points with a bottom added.
+A000112 = [1, 1, 2, 5, 16, 63, 318]
+
+
+def _posets_upto_count(n, pointed=False):
+    return sum(A000112[k - 1] if pointed else A000112[k] for k in range(pointed, n + 1))
+
+
+def _monotone_count(dom, leq, B):
+    """Brute force: the functions from ``dom`` to B that preserve ``leq``."""
+    below = [(i, j) for i, x in enumerate(dom) for j, y in enumerate(dom) if leq(x, y)]
+    return sum(
+        all(B.leq(f[i], f[j]) for i, j in below) for f in itertools.product(B.elements, repeat=len(dom))
+    )
+
+
+def _maps_count(n, pointed=False):
+    ps = posets_upto(n, pointed=pointed)
+    return sum(_monotone_count(A.elements, A.leq, B) for A in ps for B in ps)
+
+
+def _triples_count(n):
+    # maps A x B -> C between pointed posets, A x B ordered componentwise
+    ps = posets_upto(n, pointed=True)
+    count = 0
+    for A, B in itertools.product(ps, repeat=2):
+        pairs = list(itertools.product(A.elements, B.elements))
+        leq = lambda x, y: A.leq(x[0], y[0]) and B.leq(x[1], y[1])  # noqa: E731
+        count += sum(_monotone_count(pairs, leq, C) for C in ps)
+    return count
+
+
+def test_exhausted_families_are_counted(monkeypatch):
+    # a family that drops cases still prints one PASS line, so every
+    # exhausted family's case count is pinned to a count made without the law
+    seen = {}
+    exhaust = laws._exhaust
+
+    def counting(results, summary):
+        cases = list(results)
+        seen[law].append((summary, len(cases)))
+        return exhaust(cases, summary)
+
+    monkeypatch.setattr(laws, "_exhaust", counting)
+    for law in REGISTRY:
+        seen[law] = []
+        assert run_law(law).status == PASS, law
+    pairs = _posets_upto_count(3) ** 2
+    pointed3 = _posets_upto_count(3, pointed=True)
+    small = _posets_upto_count(2, pointed=True) + 1  # and the 3-chain
+    expected = {
+        "partial-product": [("all pairs ≤ 3 classical", pairs)],
+        "conservative-L": [("all maps between posets ≤ 3", _maps_count(3))],
+        "strict-iff-inductive": [("all maps between pointed posets ≤ 3", _maps_count(3, pointed=True))],
+        "strict-iff-hom": [("all maps between pointed posets ≤ 4", _maps_count(4, pointed=True))],
+        "monadicity-triple": [("map-level equivalences", _maps_count(3, pointed=True))],
+        "smash-presentations": [
+            ("four presentations agree for pointed pairs ≤ 5", _posets_upto_count(5, pointed=True) ** 2),
+            ("unique bistrict factorisation on the bounded range", small**2),
+        ],
+        "bistrict-iff-bilinear": [("exhaustive over pointed triples ≤ 3", _triples_count(3))],
+        "seal-iso": [("tensor ≅ smash for pointed pairs ≤ 3", pointed3**2)],
+        "monoidal-adjunction": [
+            ("strong/lax symmetry for pairs ≤ 3", pairs),
+            ("coherence on 2-chains", _posets_upto_count(2, pointed=True) ** 2 + 2),  # and hexagon, pentagon
+        ],
+        "tensor-hom": [("currying bijections verified", small**3)],
+        "homs-coincide": [("pointed pairs ≤ 3", pointed3**2 + 1)],  # and the Kock criterion
+        "paths": [("paths = pointwise order, A ≤ 2, B ≤ 3", _posets_upto_count(2) * _posets_upto_count(3))],
+        "commutative-monad": [
+            ("extension orders agree for pairs ≤ 3", pairs),
+            ("strict extension criterion on pointed pairs ≤ 2", _posets_upto_count(2, pointed=True) ** 2),
+        ],
+    }
+    assert {law: counts for law, counts in seen.items() if counts} == expected
+    # the counts measured when the families were first pinned
+    assert [n for law in expected for _, n in seen[law]] == [
+        81, 485, 77, 1679, 77, 625, 9, 2666, 16, 81, 6, 27, 17, 36, 81, 4
+    ]
