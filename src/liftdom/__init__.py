@@ -13,7 +13,7 @@ from .backend import (  # noqa: F401
     PresheafBackend,
     UnavailableError,
 )
-from .laws import REGISTRY, Bounds, run_all, run_law, run_negative  # noqa: F401
+from .laws import REGISTRY, Bounds, run_law, run_negative  # noqa: F401
 from .model import ModelError, ModelSpec, default_model, parse_model, render_model  # noqa: F401
 from .oq1 import OQ1Bounds, search_open_question_1  # noqa: F401
 from .order import (  # noqa: F401

@@ -11,15 +11,21 @@ when it holds, otherwise a short text.  ``_verdict`` turns one witness into
 a report line, and ``_exhaust`` turns a bounded family of them into either
 its failing cases or a single PASS line for the whole family.
 
-Runners and controls build through the ``Backends`` record they are given:
-``bk.classical`` is the classical backend, and ``bk.presheaf(base)`` the
-presheaf backend over a base.  A lane that the run leaves out is None, and
-runners skip it; controls always get both.  ``run_law`` and
-``run_negative`` make a fresh record for each call, so every cache a law
-fills lives no longer than the law.
+A runner declares its lanes through ``_lanes``: per backend, a lazy family
+of named cases built from the backend, the model and the bounds; one
+checker ``(bk, *case) -> witness``; and an optional summary, which makes
+each family one ``_exhaust`` line.  ``_lanes`` alone decides whether a lane
+runs (its field of the ``Backends`` record is None when the run leaves it
+out), which base the presheaf lane uses (the Sierpinski base), and how its
+cases are reported.  ``_seq`` joins such runners in report order.  The few
+runners that do not fit stay hand-written and say why in their docstrings.
+Controls always get both backends.  ``run_law`` and ``run_negative`` make
+a fresh record for each call, so every cache a law fills lives no longer
+than the law.
 """
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -80,21 +86,30 @@ def _gen_posets(n, pointed=False):
     return [(f"gen{'P' if pointed else ''}{P.n}.{i}", P) for i, P in enumerate(posets_upto(n, pointed=pointed))]
 
 
-def _classical_instances(spec, n, pointed=False):
-    """The generated posets of at most n elements, then the model's."""
-    return _gen_posets(n, pointed) + [
-        (f"model:{name}", P) for name, P in spec.posets.items() if P.n <= n and (not pointed or P.is_pointed())
-    ]
-
-
 def _pairs(gens, label):
     """Every ordered pair of named objects, named ``label.format(first, second)``."""
     return ((label.format(na, nb), A, B) for na, A in gens for nb, B in gens)
 
 
-def _maps(cl, n, pointed=False):
-    """Every map between generated posets of at most n elements, named by its ends."""
-    return ((name, f) for name, A, B in _pairs(_gen_posets(n, pointed), "{}->{}") for f in cl.hom(A, B))
+def _each_poset(pointed=False):
+    """The family of generated posets up to ``max_size``, then the model's."""
+    return lambda cl, spec, b: _gen_posets(b.max_size, pointed) + [
+        (f"model:{name}", P)
+        for name, P in spec.posets.items()
+        if P.n <= b.max_size and (not pointed or P.is_pointed())
+    ]
+
+
+def _each_pair(label, pointed=False):
+    """The family of ordered pairs of generated posets up to ``max_size``."""
+    return lambda cl, spec, b: _pairs(_gen_posets(b.max_size, pointed), label)
+
+
+def _each_map(pointed=False):
+    """The family of maps between generated posets up to ``max_size``, named by their ends."""
+    return lambda cl, spec, b: (
+        (name, f) for name, A, B in _pairs(_gen_posets(b.max_size, pointed), "{}->{}") for f in cl.hom(A, B)
+    )
 
 
 def _witness(result):
@@ -137,6 +152,45 @@ def _attempt(name, check, refusals=(UnavailableError,)):
         return InstanceReport(name, UNAVAILABLE, str(e))
 
 
+def _sierpinski(bk):
+    """The presheaf lane's backend, over the Sierpinski base; None when the run leaves the lane out."""
+    return bk.presheaf and bk.presheaf(sierpinski_base())
+
+
+def _lanes(check, classical=None, presheaf=None, summary=None, cap=None):
+    """The runner that checks ``check(bk, *case)`` on every case of its lanes.
+
+    ``classical`` and ``presheaf`` are families ``(bk, spec, bounds) ->
+    (name, *case)``, kept lazy; a lane runs when the law gives its family
+    and the run selects its backend, the presheaf one over the Sierpinski
+    base.  ``cap`` bounds ``max_size`` before the families see it.  Without
+    a ``summary`` each case is a line of its own; with one, each lane is one
+    ``_exhaust`` family, its summary formatted with the capped size ``n``."""
+
+    def run(spec, b: Bounds, bk):
+        if cap is not None:
+            b = replace(b, max_size=min(b.max_size, cap))
+        for family, lane in ((classical, bk.classical), (presheaf, presheaf and _sierpinski(bk))):
+            if family and lane:
+                results = ((name, check(lane, *case)) for name, *case in family(lane, spec, b))
+                if summary is None:
+                    yield from (_verdict(name, w) for name, w in results)
+                else:
+                    yield from _exhaust(results, summary.format(n=b.max_size))
+
+    return run
+
+
+def _seq(*runners):
+    """The runner that yields the lines of each runner in turn."""
+
+    def run(spec, b: Bounds, bk):
+        for runner in runners:
+            yield from runner(spec, b, bk)
+
+    return run
+
+
 def _control(name, caught, witness):
     """A negative control's report: FAIL when the corruption was caught."""
     return [InstanceReport(name, FAIL if caught else PASS, witness)]
@@ -156,13 +210,8 @@ def _kz_witness(bk, X):
     return None if structures == [alg.structure] else f"{len(structures)} structure maps found"
 
 
-def run_kz(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        for name, X in _classical_instances(spec, b.max_size, pointed=True):
-            yield _verdict(name, _kz_witness(cl, X))
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        yield _verdict("omega/2-chain-base", _kz_witness(ps, omega(ps.base)))
+run_kz = _lanes(_kz_witness, classical=_each_poset(pointed=True),
+                presheaf=lambda ps, spec, b: [("omega/2-chain-base", omega(ps.base))])
 
 
 def _corrupted_fold(cl):
@@ -203,23 +252,27 @@ def _fake_scone_backend(junk=False):
     return Fake()
 
 
+def _universal(check):
+    """The checker of a lift of A against competing objects by the lifting
+    checker named ``check``, looked up when it runs, so a stubbed one is seen."""
+    return lambda bk, A, competitors: _against(competitors, lambda C: getattr(li, check)(bk, A, C))
+
+
+def _competing(cl, spec, b):
+    """The family of ``_each_poset``, each with the competing posets."""
+    competitors = posets_upto(b.competing)
+    return ((name, A, competitors) for name, A in _each_poset()(cl, spec, b))
+
+
 def _cone_law(check, control, junk):
     """The runner and the negative control of a law that the lifting
-    checker named ``check`` decides for a lift against a competing object.
-
-    The checker is looked up when it runs, so a stubbed one is seen."""
-
-    def run(spec, b: Bounds, bk):
-        if cl := bk.classical:
-            competitors = posets_upto(b.competing)
-            for name, A in _classical_instances(spec, min(b.max_size, 3)):
-                yield _verdict(name, _against(competitors, lambda C: getattr(li, check)(cl, A, C)))
+    checker named ``check`` decides for a lift against a competing object."""
 
     def negative(bk):
         ok, w = getattr(li, check)(_fake_scone_backend(junk), FinPoset.chain(2), FinPoset.chain(2))
         return _control(control, not ok, fmt(w))
 
-    return run, negative
+    return _lanes(_universal(check), classical=_competing, cap=3), negative
 
 
 run_scone, neg_scone = _cone_law(
@@ -229,16 +282,13 @@ run_joint_epi, neg_joint_epi = _cone_law("joint_epi_check", "cone with a stray p
 run_lax_epi, neg_lax_epi = _cone_law("lax_epi_check", "cone with a stray point", junk=True)
 
 
-def run_cocomma(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        witness = _against(posets_upto(b.competing), lambda C: li.scone_universal_check(cl, cl.terminal(), C))
-        yield _verdict("sigma=lift(1)", witness)
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        one = ps.terminal()
-        competing = [one, omega(ps.base), InternalPoset.constant(ps.base, FinPoset.chain(2))]
-        witness = _against(competing, lambda C: li.scone_universal_check(ps, one, C))
-        yield _verdict("omega-cocomma/2-chain-base", witness)
+run_cocomma = _lanes(
+    _universal("scone_universal_check"),
+    classical=lambda cl, spec, b: [("sigma=lift(1)", cl.terminal(), posets_upto(b.competing))],
+    presheaf=lambda ps, spec, b: [("omega-cocomma/2-chain-base", ps.terminal(), [
+        ps.terminal(), omega(ps.base), InternalPoset.constant(ps.base, FinPoset.chain(2))
+    ])],
+)
 
 
 def neg_cocomma(bk):
@@ -250,16 +300,11 @@ def neg_cocomma(bk):
 # ---------------------------------------------------------------------------
 # open-classifier
 
-def run_open_classifier(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        for name, A in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _witness(li.open_classifier_check(cl, A)))
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        targets = [("terminal", ps.terminal()), ("omega", omega(ps.base))]
-        targets += [(f"model:{name}", ip) for name, ip in spec.iposets.items() if ip.size() <= 4]
-        for name, A in targets:
-            yield _verdict(name, _witness(li.open_classifier_check(ps, A)))
+run_open_classifier = _lanes(
+    lambda bk, A: _witness(li.open_classifier_check(bk, A)), classical=_each_poset(), cap=4,
+    presheaf=lambda ps, spec, b: [("terminal", ps.terminal()), ("omega", omega(ps.base))]
+    + [(f"model:{name}", ip) for name, ip in spec.iposets.items() if ip.size() <= 4],
+)
 
 
 def neg_open_classifier(bk):
@@ -275,19 +320,15 @@ def neg_open_classifier(bk):
 # ---------------------------------------------------------------------------
 # partial-product
 
-def run_partial_product(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        n = min(b.max_size, 3)
-        yield from _exhaust(
-            (
-                (name, _witness(li.partial_product_check(cl, A, B)))
-                for name, A, B in _pairs(_gen_posets(n), "{}⇀{}")
-            ),
-            f"all pairs ≤ {n} classical",
-        )
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        yield _verdict("1⇀1/2-chain-base", _witness(li.partial_product_check(ps, ps.terminal(), ps.terminal())))
+def _partial_product_witness(bk, A, B):
+    return _witness(li.partial_product_check(bk, A, B))
+
+
+run_partial_product = _seq(
+    _lanes(_partial_product_witness, classical=_each_pair("{}⇀{}"), summary="all pairs ≤ {n} classical", cap=3),
+    _lanes(_partial_product_witness,
+           presheaf=lambda ps, spec, b: [("1⇀1/2-chain-base", ps.terminal(), ps.terminal())]),
+)
 
 
 def neg_partial_product(bk):
@@ -307,19 +348,16 @@ def neg_partial_product(bk):
 # ---------------------------------------------------------------------------
 # conservative-L
 
-def run_conservative(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
+def _named_conservativity_witness(bk, f):
+    ok, w = li.conservativity_check(bk, f)
+    return None if ok else f"{fmt(f)}: {fmt(w)}"
 
-    def witness(f):
-        ok, w = li.conservativity_check(cl, f)
-        return None if ok else f"{fmt(f)}: {fmt(w)}"
 
-    n = min(b.max_size, 3)
-    generated = _exhaust(((name, witness(f)) for name, f in _maps(cl, n)), f"all maps between posets ≤ {n}")
-    for name, f in spec.maps.items():
-        yield _verdict(f"model:{name}", _witness(li.conservativity_check(cl, f)))
-    yield from generated
+run_conservative = _seq(
+    _lanes(lambda bk, f: _witness(li.conservativity_check(bk, f)),
+           classical=lambda cl, spec, b: ((f"model:{name}", f) for name, f in spec.maps.items())),
+    _lanes(_named_conservativity_witness, classical=_each_map(), summary="all maps between posets ≤ {n}", cap=3),
+)
 
 
 def neg_conservative(bk):
@@ -348,14 +386,10 @@ def _pointed_algebra_witness(bk, X):
     return None if len(structures) == int(pointed) else f"{len(structures)} structure maps"
 
 
-def run_pointed_iff_algebra(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, _pointed_algebra_witness(cl, X))
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        for name, A in [("omega", omega(ps.base)), ("terminal", ps.terminal())]:
-            yield _verdict(name, _pointed_algebra_witness(ps, A))
+run_pointed_iff_algebra = _lanes(
+    _pointed_algebra_witness, classical=_each_poset(), cap=4,
+    presheaf=lambda ps, spec, b: [("omega", omega(ps.base)), ("terminal", ps.terminal())],
+)
 
 
 def neg_pointed_iff_algebra(bk):
@@ -371,11 +405,11 @@ def _inductive_object(X, subsets=semidirected_subsets) -> bool:
     return all(lub(X, S) is not None for S in subsets(X))
 
 
-def run_pointed_iff_inductive(spec, b: Bounds, bk):
-    if bk.classical:
-        for name, X in _classical_instances(spec, min(b.max_size, 4)):
-            agree = X.is_pointed() == _inductive_object(X)
-            yield _verdict(name, None if agree else "pointedness disagrees with semidirected completeness")
+def _pointed_inductive_witness(bk, X):
+    return None if X.is_pointed() == _inductive_object(X) else "pointedness disagrees with semidirected completeness"
+
+
+run_pointed_iff_inductive = _lanes(_pointed_inductive_witness, classical=_each_poset(), cap=4)
 
 
 def neg_pointed_iff_inductive(bk):
@@ -400,16 +434,12 @@ def _preserves_sups(f, subsets=semidirected_subsets) -> bool:
     return True
 
 
-def run_strict_iff_inductive(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        n = min(b.max_size, 3)
-        yield from _exhaust(
-            (
-                (name, None if li.is_strict(cl, f) == _preserves_sups(f) else fmt(f))
-                for name, f in _maps(cl, n, pointed=True)
-            ),
-            f"all maps between pointed posets ≤ {n}",
-        )
+def _strict_inductive_witness(bk, f):
+    return None if li.is_strict(bk, f) == _preserves_sups(f) else fmt(f)
+
+
+run_strict_iff_inductive = _lanes(_strict_inductive_witness, classical=_each_map(pointed=True),
+                                  summary="all maps between pointed posets ≤ {n}", cap=3)
 
 
 def neg_strict_iff_inductive(bk):
@@ -424,16 +454,12 @@ def neg_strict_iff_inductive(bk):
     )
 
 
-def run_strict_iff_hom(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        n = min(b.max_size, 4)
-        yield from _exhaust(
-            (
-                (name, None if li.strict_iff_hom_check(cl, f) else fmt(f))
-                for name, f in _maps(cl, n, pointed=True)
-            ),
-            f"all maps between pointed posets ≤ {n}",
-        )
+def _strict_hom_witness(bk, f):
+    return None if li.strict_iff_hom_check(bk, f) else fmt(f)
+
+
+run_strict_iff_hom = _lanes(_strict_hom_witness, classical=_each_map(pointed=True),
+                            summary="all maps between pointed posets ≤ {n}", cap=4)
 
 
 def neg_strict_iff_hom(bk):
@@ -448,18 +474,12 @@ def neg_strict_iff_hom(bk):
     )
 
 
-def run_monadicity(spec, b: Bounds, bk):
-    yield from run_pointed_iff_algebra(spec, replace(b, max_size=min(b.max_size, 4)), bk)
-    yield from run_pointed_iff_inductive(spec, b, bk)
-    if cl := bk.classical:
-        yield from _exhaust(
-            (
-                (name, None if li.strict_iff_hom_check(cl, f) and li.is_strict(cl, f) == _preserves_sups(f)
-                 else fmt(f))
-                for name, f in _maps(cl, min(b.max_size, 3), pointed=True)
-            ),
-            "map-level equivalences",
-        )
+run_monadicity = _seq(
+    run_pointed_iff_algebra,
+    run_pointed_iff_inductive,
+    _lanes(lambda bk, f: _strict_hom_witness(bk, f) or _strict_inductive_witness(bk, f),
+           classical=_each_map(pointed=True), summary="map-level equivalences", cap=3),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +514,15 @@ def _generated_diagrams(cl, max_carrier=3, count=24):
     return out
 
 
-def run_connected_colimits(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        apexes = posets_upto(b.apex)
-        for i, d in enumerate(_generated_diagrams(cl)):
-            name = f"diagram#{i} ({len(d.nodes)} nodes/{len(d.edges)} edges)"
-            yield _verdict(name, _witness(co.creation_check(cl, d, apexes)))
+def _each_diagram(cl, spec, b):
+    """The family of ``_generated_diagrams``, each with the apexes up to ``apex``."""
+    apexes = posets_upto(b.apex)
+    for i, d in enumerate(_generated_diagrams(cl)):
+        yield f"diagram#{i} ({len(d.nodes)} nodes/{len(d.edges)} edges)", d, apexes
+
+
+run_connected_colimits = _lanes(lambda bk, d, apexes: _witness(co.creation_check(bk, d, apexes)),
+                                classical=_each_diagram)
 
 
 def neg_connected_colimits(bk):
@@ -509,6 +532,7 @@ def neg_connected_colimits(bk):
 
 
 def run_algebras_cocomplete(spec, b: Bounds, bk):
+    """Hand-written: a coproduct whose construction is refused is reported, and the law goes on."""
     if not (cl := bk.classical):
         return
     apexes = posets_upto(b.apex)
@@ -536,9 +560,8 @@ def neg_algebras_cocomplete(bk):
     )
 
 
-def run_colimits_enriched(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
+def _enriched_diagrams(cl, spec, b):
+    """A pushout and a single node, each with the apexes up to ``apex``."""
     apexes = posets_upto(b.apex)
     S = FinPoset.chain(2)
     pt = FinPoset.chain(1)
@@ -548,8 +571,12 @@ def run_colimits_enriched(spec, b: Bounds, bk):
         {"a": pt, "b": S},
         {"e": MonotoneMap.make(pt, S, lambda _: "c0")},
     )
-    for name, d in [("pushout instance", pushout), ("single node", co.Diagram(("a",), (), {"a": S}, {}))]:
-        yield _verdict(name, _witness(co.colimits_enriched_check(cl, d, co.colimit(cl, d), apexes)))
+    return [("pushout instance", pushout, apexes), ("single node", co.Diagram(("a",), (), {"a": S}, {}), apexes)]
+
+
+run_colimits_enriched = _lanes(
+    lambda bk, d, apexes: _witness(co.colimits_enriched_check(bk, d, co.colimit(bk, d), apexes)),
+    classical=_enriched_diagrams)
 
 
 def neg_colimits_enriched(bk):
@@ -580,26 +607,23 @@ def _presentations_witness(cl, A, B):
     return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
 
 
-def run_smash_presentations(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
-    n = min(b.max_size, 5)
-    yield from _exhaust(
-        (
-            (name, _presentations_witness(cl, A, B))
-            for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊗{}")
-        ),
-        f"four presentations agree for pointed pairs ≤ {n}",
-    )
+def _small_pointed():
+    """The pointed posets of at most 2 elements and the 3-chain."""
+    return _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
+
+
+def _universal_pairs(cl, spec, b):
+    """The pairs of ``_small_pointed``, each with the pointed codomains to factor through."""
     codomains = posets_upto(min(b.competing, 4), pointed=True)
-    small = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
-    yield from _exhaust(
-        (
-            (name, _witness(te.universal_bistrict_check(cl, te.smash(cl, A, B), codomains)))
-            for name, A, B in _pairs(small, "universal {}⊗{}")
-        ),
-        "unique bistrict factorisation on the bounded range",
-    )
+    return ((name, A, B, codomains) for name, A, B in _pairs(_small_pointed(), "universal {}⊗{}"))
+
+
+run_smash_presentations = _seq(
+    _lanes(_presentations_witness, classical=_each_pair("{}⊗{}", pointed=True),
+           summary="four presentations agree for pointed pairs ≤ {n}", cap=5),
+    _lanes(lambda bk, A, B, codomains: _witness(te.universal_bistrict_check(bk, te.smash(bk, A, B), codomains)),
+           classical=_universal_pairs, summary="unique bistrict factorisation on the bounded range"),
+)
 
 
 def _half_smash(cl, A):
@@ -619,21 +643,20 @@ def neg_smash_presentations(bk):
     )
 
 
-def run_bistrict_iff_bilinear(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
-    n = min(b.max_size, 3)
-    pointed = _gen_posets(n, pointed=True)
+def _binary_maps(cl, spec, b):
+    """Every map A x B -> C between pointed posets up to ``max_size``, with
+    the bilinearity and bistrictness tests of its pair."""
+    pointed = _gen_posets(b.max_size, pointed=True)
+    for name, A, B in _pairs(pointed, "{},{}"):
+        pd = cl.product(A, B)
+        bilinear, bistrict = te.bilinearity(cl, A, B), te.bistrictness(cl, A, B)
+        for nc, C in pointed:
+            for f in cl.hom(pd.obj, C):
+                yield f"{name}->{nc}", f, bilinear, bistrict
 
-    def cases():
-        for name, A, B in _pairs(pointed, "{},{}"):
-            pd = cl.product(A, B)
-            bilinear, bistrict = te.bilinearity(cl, A, B), te.bistrictness(cl, A, B)
-            for nc, C in pointed:
-                for f in cl.hom(pd.obj, C):
-                    yield f"{name}->{nc}", None if bistrict(f) == bilinear(f) else fmt(f)
 
-    yield from _exhaust(cases(), f"exhaustive over pointed triples ≤ {n}")
+run_bistrict_iff_bilinear = _lanes(lambda bk, f, bilinear, bistrict: None if bistrict(f) == bilinear(f) else fmt(f),
+                                   classical=_binary_maps, summary="exhaustive over pointed triples ≤ {n}", cap=3)
 
 
 def neg_bistrict_iff_bilinear(bk):
@@ -662,20 +685,12 @@ def neg_bistrict_iff_bilinear(bk):
     )
 
 
-def run_seal_iso(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
-    n = min(b.max_size, 3)
-    iso = _exhaust(
-        (
-            (name, _witness(te.seal_iso_check(cl, A, B)))
-            for name, A, B in _pairs(_gen_posets(n, pointed=True), "{}⊠{}")
-        ),
-        f"tensor ≅ smash for pointed pairs ≤ {n}",
-    )
-    represents = te.seal_represents_bilinear_check(cl, FinPoset.chain(2), FinPoset.chain(2), posets_upto(3))
-    yield _verdict("tensor represents bilinear maps", _witness(represents))
-    yield from iso
+run_seal_iso = _seq(
+    _lanes(lambda bk, S: _witness(te.seal_represents_bilinear_check(bk, S, S, posets_upto(3))),
+           classical=lambda cl, spec, b: [("tensor represents bilinear maps", FinPoset.chain(2))]),
+    _lanes(lambda bk, A, B: _witness(te.seal_iso_check(bk, A, B)), classical=_each_pair("{}⊠{}", pointed=True),
+           summary="tensor ≅ smash for pointed pairs ≤ {n}", cap=3),
+)
 
 
 def neg_seal_iso(bk):
@@ -688,6 +703,7 @@ def neg_seal_iso(bk):
 
 
 def run_monoidal_adjunction(spec, b: Bounds, bk):
+    """Hand-written: its presheaf case runs only without the classical lane; its coherence mixes checkers."""
     if cl := bk.classical:
         n = min(b.max_size, 3)
         yield from _exhaust(
@@ -705,12 +721,11 @@ def run_monoidal_adjunction(spec, b: Bounds, bk):
         coherence.append(("hexagon chain2", None if te.hexagon_check(cl, S, S, S) else "hexagon fails"))
         coherence.append(("pentagon chain2", None if te.pentagon_check(cl, S, S, S, S) else "pentagon fails"))
         yield from _exhaust(coherence, "coherence on 2-chains")
-    if bk.presheaf and not bk.classical:
+    if not bk.classical and (ps := _sierpinski(bk)):
         # only when the presheaf backend alone is selected: the smash of two
         # lifted objects needs a coequaliser the stagewise quotient cannot
         # deliver, so this instance reports unavailable rather than an
         # approximation, which would turn the default run unavailable
-        ps = bk.presheaf(sierpinski_base())
         one = ps.terminal()
         yield _attempt("1,1/2-chain-base", lambda: _witness(te.monoidal_adjunction_check(ps, one, one)))
 
@@ -731,22 +746,16 @@ def neg_monoidal_adjunction(bk):
     )
 
 
-def run_tensor_hom(spec, b: Bounds, bk):
-    if not (cl := bk.classical):
-        return
-    pointed = _gen_posets(2, pointed=True) + [("chain3", FinPoset.chain(3))]
-    currying = _exhaust(
-        (
-            (f"{nc}⊗{na}⊸{nb}", _witness(te.tensor_hom_adjunction_check(cl, C, A, B)))
-            for nc, C in pointed
-            for na, A in pointed
-            for nb, B in pointed
-        ),
-        "currying bijections verified",
-    )
-    S = FinPoset.chain(2)
-    yield _verdict("naturality on 2-chains", _witness(te.tensor_hom_naturality_check(cl, S, S, S, S)))
-    yield from currying
+run_tensor_hom = _seq(
+    _lanes(lambda bk, S: _witness(te.tensor_hom_naturality_check(bk, S, S, S, S)),
+           classical=lambda cl, spec, b: [("naturality on 2-chains", FinPoset.chain(2))]),
+    _lanes(lambda bk, C, A, B: _witness(te.tensor_hom_adjunction_check(bk, C, A, B)),
+           classical=lambda cl, spec, b: (
+               (f"{nc}⊗{na}⊸{nb}", C, A, B)
+               for (nc, C), (na, A), (nb, B) in itertools.product(_small_pointed(), repeat=3)
+           ),
+           summary="currying bijections verified"),
+)
 
 
 def neg_tensor_hom(bk):
@@ -768,6 +777,7 @@ def neg_tensor_hom(bk):
 
 
 def run_homs_coincide(spec, b: Bounds, bk):
+    """Hand-written: its classical family mixes two checkers, and a refused presheaf case is reported."""
     if cl := bk.classical:
         n = min(b.max_size, 3)
         cases = [
@@ -777,8 +787,7 @@ def run_homs_coincide(spec, b: Bounds, bk):
         S = FinPoset.chain(2)
         cases.append(("kock-criterion", None if te.kock_criterion_check(cl, S, S) else "extension map is not strict"))
         yield from _exhaust(cases, f"pointed pairs ≤ {n}")
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
+    if ps := _sierpinski(bk):
         S = InternalPoset.constant(ps.base, FinPoset.chain(2))
         yield _attempt(
             "const-chain2/2-chain-base", lambda: None if te.homs_coincide_check(ps, S, S) else "members differ"
@@ -809,13 +818,9 @@ def neg_homs_coincide(bk):
     )
 
 
-def run_phoa(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        for name, Y in _classical_instances(spec, min(b.max_size, 4)):
-            yield _verdict(name, None if li.phoa_check(cl, Y) else "power by the walking arrow differs")
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        yield _verdict("terminal/2-chain-base", None if li.phoa_check(ps, ps.terminal()) else "power differs")
+run_phoa = _lanes(lambda bk, Y: None if li.phoa_check(bk, Y) else "power by the walking arrow differs",
+                  classical=_each_poset(), presheaf=lambda ps, spec, b: [("terminal/2-chain-base", ps.terminal())],
+                  cap=4)
 
 
 def neg_phoa(bk):
@@ -831,16 +836,12 @@ def neg_phoa(bk):
     )
 
 
-def run_paths(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        n = min(b.max_size, 3)
-        yield from _exhaust(
-            (
-                (f"{na}~>{nb}", _witness(li.paths_check(cl, A, B))) for na, A in _gen_posets(2)
-                for nb, B in _gen_posets(n)
-            ),
-            f"paths = pointwise order, A ≤ 2, B ≤ {n}",
-        )
+run_paths = _lanes(
+    lambda bk, A, B: _witness(li.paths_check(bk, A, B)), summary="paths = pointwise order, A ≤ 2, B ≤ {n}", cap=3,
+    classical=lambda cl, spec, b: (
+        (f"{na}~>{nb}", A, B) for na, A in _gen_posets(2) for nb, B in _gen_posets(b.max_size)
+    ),
+)
 
 
 def neg_paths(bk):
@@ -849,6 +850,7 @@ def neg_paths(bk):
 
 
 def run_top_opfibration(spec, b: Bounds, bk):
+    """Hand-written: its presheaf lane runs over the model's bases of at most ``base_stages`` stages."""
     if cl := bk.classical:
         yield _verdict("classical", None if li.top_opfibration_check(cl) else "comma is not a point")
     if bk.presheaf:
@@ -880,9 +882,9 @@ def _positive_part_comparison_is_iso(bk, O) -> bool:
 
 
 def run_nonboolean_lift(spec, b: Bounds, bk):
-    if not bk.presheaf:
+    """Hand-written: five different checks of one object, each its own line."""
+    if not (ps := _sierpinski(bk)):
         return
-    ps = bk.presheaf(sierpinski_base())
     O = omega(ps.base)
     lone = ps.lift(ps.terminal())
     sizes_ok = len(O.at("s1")) == 3 and len(O.at("s0")) == 2 and len(global_elements_raw(O)) == 3
@@ -925,23 +927,14 @@ def _commutator_witness(bk, A, B):
     return None if te.bistrictness(bk, la.obj, lb.obj)(k1) else "commutator is not bistrict"
 
 
-def run_commutative_monad(spec, b: Bounds, bk):
-    if cl := bk.classical:
-        n = min(b.max_size, 3)
-        yield from _exhaust(
-            ((name, _commutator_witness(cl, A, B)) for name, A, B in _pairs(_gen_posets(n), "{}×{}")),
-            f"extension orders agree for pairs ≤ {n}",
-        )
-        yield from _exhaust(
-            (
-                (name, None if te.kock_criterion_check(cl, A, B) else "extension map not strict")
-                for name, A, B in _pairs(_gen_posets(2, pointed=True), "kock {},{}")
-            ),
-            "strict extension criterion on pointed pairs ≤ 2",
-        )
-    if bk.presheaf:
-        ps = bk.presheaf(sierpinski_base())
-        yield _verdict("1,1/2-chain-base", _commutator_witness(ps, ps.terminal(), ps.terminal()))
+run_commutative_monad = _seq(
+    _lanes(_commutator_witness, classical=_each_pair("{}×{}"),
+           summary="extension orders agree for pairs ≤ {n}", cap=3),
+    _lanes(lambda bk, A, B: None if te.kock_criterion_check(bk, A, B) else "extension map not strict",
+           classical=lambda cl, spec, b: _pairs(_gen_posets(2, pointed=True), "kock {},{}"),
+           summary="strict extension criterion on pointed pairs ≤ 2"),
+    _lanes(_commutator_witness, presheaf=lambda ps, spec, b: [("1,1/2-chain-base", ps.terminal(), ps.terminal())]),
+)
 
 
 def neg_commutative_monad(bk):
@@ -1202,7 +1195,3 @@ def run_negative(name: str) -> CheckReport:
     elapsed = int((time.perf_counter() - t0) * 1000)
     return make_report(f"{name}:negative-control", instances, law.bounds.as_dict(), elapsed)
 
-
-def run_all(spec: ModelSpec | None = None, bounds: Bounds | None = None,
-            backends=("classical", "presheaf")) -> list[CheckReport]:
-    return [run_law(name, spec, bounds, backends) for name in REGISTRY]

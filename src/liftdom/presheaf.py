@@ -249,9 +249,6 @@ class Subpresheaf:
     def make(cls, parent: InternalPoset, members: dict) -> "Subpresheaf":
         return cls(parent, tuple(frozenset(members.get(p, ())) for p in parent.base.stages))
 
-    def union(self, other: "Subpresheaf") -> "Subpresheaf":
-        return Subpresheaf(self.parent, tuple(a | b for a, b in zip(self.members, other.members)))
-
 
 @dataclass(frozen=True)
 class NatTrans:

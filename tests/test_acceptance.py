@@ -9,7 +9,7 @@ import time
 import pytest
 
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
-from liftdom.laws import REGISTRY, run_all, run_law, run_negative
+from liftdom.laws import REGISTRY, run_law, run_negative
 from liftdom.lifting import (
     all_algebra_structures,
     algebra_structure,

@@ -1,4 +1,6 @@
+import ast
 import gc
+import importlib.util
 import itertools
 import hashlib
 import os
@@ -153,15 +155,19 @@ def test_backend_filtering():
         assert "continuous" in rep.instances[0].witness
 
 
+def _reduced(law):
+    """The law's bounds cut down to the smallest sizes that still give cases."""
+    b = REGISTRY[law].bounds
+    return replace(b, max_size=min(b.max_size, 2), apex=min(b.apex, 3), competing=min(b.competing, 2))
+
+
 def test_both_lanes_report_what_each_lane_reports_alone():
     # run_law narrows the shared record to the selected lanes, so running
     # both lanes must give, as a multiset, the instances of each lane run
     # alone; monoidal-adjunction's presheaf instance is the one exception,
     # as it runs only when the presheaf lane runs alone
     def instances(law, backends):
-        b = REGISTRY[law].bounds
-        b = replace(b, max_size=min(b.max_size, 2), apex=min(b.apex, 3), competing=min(b.competing, 2))
-        rep = run_law(law, bounds=b, backends=backends)
+        rep = run_law(law, bounds=_reduced(law), backends=backends)
         return Counter((i.objects, i.status, i.witness) for i in rep.instances if i.objects != "no instances in scope")
 
     for law in REGISTRY:
@@ -335,21 +341,10 @@ def _triples_count(n):
     return count
 
 
-def test_exhausted_families_are_counted(monkeypatch):
+def test_exhausted_families_are_counted(default_suite_run):
     # a family that drops cases still prints one PASS line, so every
     # exhausted family's case count is pinned to a count made without the law
-    seen = {}
-    exhaust = laws._exhaust
-
-    def counting(results, summary):
-        cases = list(results)
-        seen[law].append((summary, len(cases)))
-        return exhaust(cases, summary)
-
-    monkeypatch.setattr(laws, "_exhaust", counting)
-    for law in REGISTRY:
-        seen[law] = []
-        assert run_law(law).status == PASS, law
+    seen = {rep.law: counts for rep, counts in zip(default_suite_run.reports, default_suite_run.families) if counts}
     pairs = _posets_upto_count(3) ** 2
     pointed3 = _posets_upto_count(3, pointed=True)
     small = _posets_upto_count(2, pointed=True) + 1  # and the 3-chain
@@ -377,8 +372,37 @@ def test_exhausted_families_are_counted(monkeypatch):
             ("strict extension criterion on pointed pairs ≤ 2", _posets_upto_count(2, pointed=True) ** 2),
         ],
     }
-    assert {law: counts for law, counts in seen.items() if counts} == expected
+    assert seen == expected
     # the counts measured when the families were first pinned
     assert [n for law in expected for _, n in seen[law]] == [
         81, 485, 77, 1679, 77, 625, 9, 2666, 16, 81, 6, 27, 17, 36, 81, 4
     ]
+
+
+def test_every_function_in_laws_is_reached():
+    # every law under each lane selection, and every control, over a copy
+    # of the module loaded under the profiler, so that the functions that
+    # build runners at load time count too: a runner rebuilt on the lane
+    # combinator must leave no helper behind unused
+    source = Path(laws.__file__).read_text(encoding="utf-8")
+    defined = {(node.name, node.lineno) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == laws.__file__:
+            entered.add((code.co_name, code.co_firstlineno))
+
+    spec = importlib.util.spec_from_file_location(laws.__name__, laws.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    sys.setprofile(profile)
+    try:
+        spec.loader.exec_module(fresh)
+        for law in fresh.REGISTRY:
+            for backends in (("classical", "presheaf"), ("classical",), ("presheaf",)):
+                fresh.run_law(law, bounds=_reduced(law), backends=backends)
+            fresh.run_negative(law)
+    finally:
+        sys.setprofile(None)
+    allowed = set()  # (name, line) of a function that no law or control reaches, each with its reason
+    assert sorted(defined - entered - allowed) == []
