@@ -135,15 +135,6 @@ def _exhaust(results, summary):
     return bad or [InstanceReport(summary, PASS)]
 
 
-def _against(competitors, check):
-    """A witness against the first competitor that fails ``check``, else None."""
-    for C in competitors:
-        ok, w = check(C)
-        if not ok:
-            return f"against {fmt(C)}: {fmt(w)}"
-    return None
-
-
 def _attempt(name, check, refusals=(UnavailableError,)):
     """The verdict of ``check()``, or UNAVAILABLE with the reason a construction was refused."""
     try:
@@ -254,8 +245,17 @@ def _fake_scone_backend(junk=False):
 
 def _universal(check):
     """The checker of a lift of A against competing objects by the lifting
-    checker named ``check``, looked up when it runs, so a stubbed one is seen."""
-    return lambda bk, A, competitors: _against(competitors, lambda C: getattr(li, check)(bk, A, C))
+    checker named ``check``, looked up when it runs, so a stubbed one is
+    seen: a witness against the first competitor that fails, else None."""
+
+    def witness(bk, A, competitors):
+        for C in competitors:
+            ok, w = getattr(li, check)(bk, A, C)
+            if not ok:
+                return f"against {fmt(C)}: {fmt(w)}"
+        return None
+
+    return witness
 
 
 def _competing(cl, spec, b):
