@@ -1,14 +1,14 @@
 """Smash products, the tensor of algebras, and strict function spaces.
 
-The smash product is computed as any of four coequaliser presentations
-(two with lifted source, two plain; two into the cartesian product, two
-into its lift); the module constructs explicit comparison isomorphisms
-between them, compares against a direct quotient oracle in the classical
-backend, verifies the universal property over bistrict maps by bounded
-exhaustion, and builds the braiding, associator and unitors through that
-universal property.  Function spaces are carved out of the exponential as
-equaliser subobjects, with the linear and strict descriptions checked to
-agree.
+The smash product has four coequaliser presentations (two with lifted
+source, two plain; two into the cartesian product, two into its lift):
+``smash`` builds the third, ``smash_presentations`` all four.  The module
+constructs explicit comparison isomorphisms between them, compares against
+a direct quotient oracle in the classical backend, verifies the universal
+property over bistrict maps by bounded exhaustion, and builds the braiding,
+associator and unitors through that universal property.  Function spaces
+are carved out of the exponential as equaliser subobjects, with the linear
+and strict descriptions checked to agree.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ class TensorObject:
     universal: Any  # A x B -> obj, the universal bistrict map
     proj: Any  # source -> obj, the defining coequaliser surjection
     source_kind: str  # "prod" or "lift"
-    presentation: int
 
 
 def _mixed_cotuple(bk, A, B):
@@ -42,11 +41,9 @@ def _mixed_cotuple(bk, A, B):
     return pd, cd, bk.cotuple(cd, left, right), bk.pair(pd, bot_a, bot_b)
 
 
-def smash(bk, A, B, presentation: int = 3) -> TensorObject:
-    """The smash product by the chosen coequaliser presentation (1..4)."""
-    if presentation not in (1, 2, 3, 4):
-        raise StructureError("presentation", "presentations are numbered 1..4")
-    return _smash_by(bk, A, B, presentation, _mixed_cotuple(bk, A, B))
+def smash(bk, A, B) -> TensorObject:
+    """The smash product by presentation 3: the plain coproduct into A x B."""
+    return _smash_by(bk, A, B, 3, _mixed_cotuple(bk, A, B))
 
 
 def smash_presentations(bk, A, B) -> list:
@@ -69,7 +66,7 @@ def _smash_by(bk, A, B, presentation: int, mixed) -> TensorObject:
         other = bk.lift_map(m) if presentation == 2 else bk.compose(ld_pd.unit, m)
         coeq = bk.coequalizer(const_bot, other)
         universal, kind = bk.compose(coeq.proj, ld_pd.unit), "lift"
-    T = TensorObject((A, B), coeq.obj, universal, coeq.proj, kind, presentation)
+    T = TensorObject((A, B), coeq.obj, universal, coeq.proj, kind)
     if not bk.is_pointed(T.obj):
         raise StructureError("pointedness", "smash apex lost its bottom")
     return T

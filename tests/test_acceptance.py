@@ -27,8 +27,8 @@ from liftdom.tensor import (
     direct_smash_classical,
     homs_coincide_check,
     seal_iso_check,
-    smash,
     smash_comparison,
+    smash_presentations,
     tensor_hom_adjunction_check,
 )
 
@@ -110,7 +110,7 @@ def test_criterion_smash_products():
         pointed5 = posets_upto(5, pointed=True)
         for A in pointed5:
             for B in pointed5:
-                tensors = [smash(CL, A, B, k) for k in (1, 2, 3, 4)]
+                tensors = smash_presentations(CL, A, B)
                 for i in range(4):
                     for j in range(i + 1, 4):
                         smash_comparison(CL, tensors[i], tensors[j])

@@ -19,6 +19,7 @@ from liftdom.tensor import (
     seal_tensor,
     smash,
     smash_comparison,
+    smash_presentations,
     strict_hom,
     tensor_hom_adjunction_check,
     tensor_hom_naturality_check,
@@ -101,8 +102,7 @@ def test_bistrictness_matches_per_map_reference():
 
 
 def test_smash_of_sigmas_is_sigma():
-    for pres in (1, 2, 3, 4):
-        T = smash(CL, SIGMA, SIGMA, pres)
+    for T in smash_presentations(CL, SIGMA, SIGMA):
         assert T.obj.n == 2
         assert poset_iso(T.obj, SIGMA) is not None
 
@@ -125,7 +125,7 @@ def test_direct_smash_formula():
 def test_four_presentations_agree():
     for A in POINTED3:
         for B in POINTED3:
-            tensors = [smash(CL, A, B, k) for k in (1, 2, 3, 4)]
+            tensors = smash_presentations(CL, A, B)
             for i in range(4):
                 for j in range(i + 1, 4):
                     smash_comparison(CL, tensors[i], tensors[j])
