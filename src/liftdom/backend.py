@@ -224,7 +224,7 @@ class _ConstructionCache:
         return self._derived_mor(A, self.terminal(), lambda p, x: "*")
 
     def from_initial(self, A):
-        return self.mor_from_fn(self.initial(), A, lambda p, x: x)
+        return self._derived_mor(self.initial(), A, lambda p, x: x)
 
     def global_elements(self, A) -> tuple:
         return self.hom(self.terminal(), A)
@@ -492,13 +492,15 @@ class ClassicalBackend(_ConstructionCache):
 
     def scone_induced(self, ld: LiftData, c0, c1):
         """The unique map LA -> C with h(bot) = c0 and h(eta a) = c1 a."""
-        A = c1.dom
-        _composable((ld.unit.dom,), (A,))
-        if not map_leq(compose(c0, self.bang(A)), c1):
+        A, C = c1.dom, c1.cod
+        _composable((ld.unit.dom, c0.dom, c0.cod), (A, TERMINAL, C))
+        bot = c0.values[0]
+        # c0's one value against each of c1's, without composing c0 with the bang
+        if not all(C.leq(bot, c) for c in c1.values):
             raise StructureError("laxness", "bottom leg must sit below the top leg")
         # monotone by laxness: c0 sits below every c1 a, as bottom below eta a
-        vals = tuple([c0.values[0] if ld.is_bot(None, u) else c1(u) for u in ld.obj.elements])
-        return MonotoneMap._trusted(ld.obj, c1.cod, vals)
+        vals = tuple([bot if ld.is_bot(None, u) else c1(u) for u in ld.obj.elements])
+        return MonotoneMap._trusted(ld.obj, C, vals)
 
     def positive_elements(self, A) -> dict:
         """Elements x such that every semidirected set whose supremum lies

@@ -120,12 +120,35 @@ def test_presentations_witness_reaches_every_presentation(monkeypatch):
     assert isinstance(laws._presentations_witness(cl, A, A), str)
 
 
-def test_open_classifier_control_reaches_the_checker(monkeypatch):
-    # with the checker stubbed to pass, the control has nothing left to catch
-    monkeypatch.setattr(lifting, "open_classifier_check", lambda *args, **kwargs: (True, None))
-    rep = run_negative("open-classifier")
-    assert rep.status == PASS
-    assert [i.status for i in rep.instances] == [PASS]
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_the_fault_not_the_bound_fails_each_control(name):
+    # at the control bound the law's runner passes on honest backends in the
+    # lanes its fault sets, and fails on the fault with a witness on one of
+    # the law's own case lines, where the control stops
+    fault = REGISTRY[name].fault()
+    lanes = [lane for lane in ("classical", "presheaf") if getattr(fault, lane)]
+    assert len(lanes) == 1
+    assert run_law(name, bounds=laws.CONTROL_BOUNDS, backends=lanes).status == PASS
+    rep = run_negative(name)
+    assert rep.status == FAIL and rep.bounds == laws.CONTROL_BOUNDS.as_dict()
+    caught = rep.instances[-1]
+    assert [i for i in rep.instances if i.status == FAIL] == [caught]
+    assert caught.witness and caught.objects != "construction"
+
+
+def test_structure_error_in_a_fault_is_a_construction_failure(monkeypatch):
+    # a fault that makes a construction refuse ends its control the way
+    # run_law ends a law, not the whole run
+    class Refusing(ClassicalBackend):
+        def lift(self, A):
+            raise StructureError("lift", "stubbed refusal")
+
+    monkeypatch.setattr(REGISTRY["kz-adjunction"], "fault", lambda: Backends(Refusing(), None))
+    rep = run_negative("kz-adjunction")
+    assert rep.status == FAIL
+    assert [(i.objects, i.status, i.witness) for i in rep.instances] == [
+        ("construction", FAIL, "lift: stubbed refusal")
+    ]
 
 
 def test_reports_deterministic():
@@ -210,6 +233,29 @@ def test_lines_yielded_before_a_runner_raised_are_kept(monkeypatch):
     ]
 
 
+def test_failing_cases_found_before_a_raise_are_kept(monkeypatch):
+    # the 3rd pair fails and the 10th raises: the failing case is reported as
+    # it is found, so it stays in the report above the construction line
+    calls = []
+    real = lifting.partial_product_check
+
+    def stub(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            return False, "stubbed"
+        if len(calls) == 10:
+            raise StructureError("pp", "stubbed refusal")
+        return real(*args)
+
+    monkeypatch.setattr(lifting, "partial_product_check", stub)
+    rep = run_law("partial-product", backends=("classical",))
+    pairs = [name for name, _, _ in laws._each_pair("{}⇀{}")(None, None, Bounds(max_size=3))]
+    assert [(i.objects, i.status, i.witness) for i in rep.instances] == [
+        (pairs[2], FAIL, "stubbed"),
+        ("construction", FAIL, "pp: stubbed refusal"),
+    ]
+
+
 def test_negative_bounds_are_refused():
     # a negative bound would make the classical lane check nothing and the
     # colimit laws pass vacuously
@@ -220,16 +266,9 @@ def test_negative_bounds_are_refused():
         assert [(i.objects, i.status) for i in rep.instances] == [("bounds", UNAVAILABLE)]
 
 
-class DropLastMap(ClassicalBackend):
-    """A fault in one construction: every non-empty hom-set loses its last map."""
-
-    def hom(self, A, B):
-        return super().hom(A, B)[:-1]
-
-
 def test_fault_injected_through_the_record_fails_the_law():
     run, b = REGISTRY["kz-adjunction"].runner, Bounds(max_size=3)
-    faulty = list(run(default_model(), b, Backends(DropLastMap(), None)))
+    faulty = list(run(default_model(), b, Backends(laws._DropLastMap(), None)))
     assert any(i.status == FAIL and i.witness for i in faulty)
     assert [i.status for i in run(default_model(), b, Backends(ClassicalBackend(), None))] == [PASS] * len(faulty)
 
@@ -280,11 +319,11 @@ def test_json_schema():
 
 
 # sha256 over every negative control's zero-elapsed JSON, each followed by a
-# newline, in registry order; pinned before the order kernel stopped
-# re-validating its own composites, and re-pinned when the unread
-# ``per_stage`` bound left every report's bounds.  A change that moves it
-# must say what changed in the report on purpose.
-NEGATIVES_SHA256 = "2a42e07cf1a51dec82817d4c18eb98e42fe3b4ece229948ab417fbdd363d261f"
+# newline, in registry order; re-pinned when every control became its law's
+# own runner on the law's fault, reporting the lines up to the first FAIL at
+# the control bounds.  A change that moves it must say what changed in the
+# report on purpose.
+NEGATIVES_SHA256 = "7d91428d7abd2d670eeabde0f2119b75060bbefd574506d84569f25a35761d55"
 
 _NEGATIVES_DIGEST = """
 import hashlib

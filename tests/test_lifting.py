@@ -8,6 +8,7 @@ from liftdom.backend import (
 )
 from liftdom.lifting import (
     Algebra,
+    _is_point,
     algebra_structure,
     all_algebra_structures,
     commutator,
@@ -37,6 +38,7 @@ from liftdom.lifting import (
     top_opfibration_check,
     unit_naturality_holds,
 )
+from liftdom.oq1 import OQ1Bounds, _small_bases, internal_posets
 from liftdom.order import (
     FinPoset,
     MonotoneMap,
@@ -267,6 +269,18 @@ def test_paths_phoa_opfibration():
         assert phoa_check(CL, Y)
     assert top_opfibration_check(CL)
     assert top_opfibration_check(PS)
+
+
+def test_a_point_is_what_is_isomorphic_to_1():
+    # top_opfibration_check counts elements per stage instead of searching
+    # for an iso with 1; both answers agree on every small object
+    cases = [(CL, X) for X in posets_upto(3)]
+    for _, base in _small_bases(OQ1Bounds(2, 2, 2)):
+        bk = PresheafBackend(base)
+        cases += [(bk, X) for X in internal_posets(base, OQ1Bounds(2, 2, 2))]
+    assert sum(_is_point(bk, X) for bk, X in cases) > 1
+    for bk, X in cases:
+        assert _is_point(bk, X) == (bk.iso(X, bk.terminal()) is not None)
 
 
 def test_partial_maps_count_and_bijection():
