@@ -7,17 +7,29 @@ fails to be an isomorphism.  Any hit is re-verified independently
 (positivity recomputed from the forcing definition, the iso failure
 re-checked by exhaustive iso search) before being reported.  No outcome is
 asserted: the report is data.
+
+One decision per natural-isomorphism class.  The generator lists carriers
+as labellings, so one object over a base appears once per stagewise
+relabelling.  Being a dcpo, being free on the positive part (or the
+reason the check refuses) and the re-verified failure are all invariant
+under natural isomorphism, so each is decided for the first labelling of
+its class, found by ``iso_key``, and reused for the rest.  Every labelling
+still counts, still waits on the time budget and still gets its own
+report line, so the report is the one a per-labelling search gives.  A
+reused confirmation is reported as confirmed only when ``natural_iso``
+finds an iso from the labelling to the class's first member; otherwise the
+line reads "unconfirmed".
 """
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
 from .lifting import free_on_positives_check
-from .order import FinPoset, posets_upto, _labeled_rows, _order_search, _rows_to_poset
-from .presheaf import BasePoset, InternalPoset, is_internal_dcpo
+from .order import FinPoset, posets_upto, _down_rows, _labeled_rows, _order_search, _rows_to_poset
+from .presheaf import BasePoset, InternalPoset, is_internal_dcpo, natural_iso
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
 
@@ -96,13 +108,75 @@ def internal_posets(base: BasePoset, bounds: OQ1Bounds, pointed: bool = False):
                     yield InternalPoset._trusted(base, stage_posets, combo)
 
 
+def _stage_canon(P: FinPoset, canon: dict) -> tuple:
+    """The up-mask rows of the least-key labelling of P (the labelling
+    ``all_posets`` keeps), and every relabelling of P onto them, each as
+    ``(order, label)``: ``order[k]`` is the index of the element that gets
+    label k, and ``label`` maps each element to its label.  Cached in
+    ``canon`` by P: a stage with n elements has n! relabellings to try."""
+    got = canon.get(P)
+    if got is None:
+        n, rows = P.n, P._rows
+        onto: dict = {}
+        for order in permutations(range(n)):
+            new = tuple(sum(1 << j for j in range(n) if rows[i] >> order[j] & 1) for i in order)
+            onto.setdefault(new, []).append(
+                (order, {P.elements[i]: k for k, i in enumerate(order)})
+            )
+        least = min(onto, key=_order_key)
+        got = canon[P] = least, tuple(onto[least])
+    return got
+
+
+def _order_key(rows: tuple) -> tuple:
+    # the key of a labelling in order.py: per label k, the masks of the
+    # labels j < k with j <= k and with k <= j
+    down = _down_rows(rows)
+    return tuple((down[k] & (1 << k) - 1, rows[k] & (1 << k) - 1) for k in range(len(rows)))
+
+
+def iso_key(A: InternalPoset, canon: dict | None = None) -> tuple:
+    """A key that is the same for two internal posets over one base exactly
+    when they are naturally isomorphic.
+
+    It holds the canonical rows of each stage poset (``_stage_canon``) and
+    the least tuple of restriction tables, in labels, over every stagewise
+    relabelling that maps each stage onto its canonical rows.  Two such
+    relabellings of one stage differ by an automorphism, so naturally
+    isomorphic objects reach the same set of tables; equal keys give a
+    stagewise iso onto one common object that commutes with the
+    restrictions.  ``canon`` is a table of stage canonical forms to reuse,
+    owned by the caller."""
+    canon = {} if canon is None else canon
+    base = A.base
+    at = base.poset._index
+    stages = [_stage_canon(P, canon) for P in A.stage_posets]
+    pairs = [(at[p], at[q], values) for (p, q), values in zip(base.strict_pairs(), A.restrictions)]
+
+    def tables(sigma) -> tuple:
+        # the restriction p -> q sends label k to the label of the value at
+        # the element labelled k
+        return tuple(
+            tuple([sigma[iq][1][values[i]] for i in sigma[ip][0]]) for ip, iq, values in pairs
+        )
+
+    least = min(map(tables, iproduct(*[relabellings for _, relabellings in stages])))
+    return tuple(rows for rows, _ in stages), least
+
+
 def candidate_algebras(base: BasePoset, bounds: OQ1Bounds):
-    """All pointed internal dcpos over the base within the size bounds: the
-    pointed objects of ``internal_posets``, in its order, that pass
-    ``is_internal_dcpo``."""
+    """All pointed internal dcpos over the base within the size bounds, each
+    as ``(iso_key(A), A)``: the pointed objects of ``internal_posets``, in
+    its order, that pass ``is_internal_dcpo``.  Being a dcpo is invariant
+    under natural isomorphism, so the check runs once per class."""
+    canon: dict = {}
+    dcpo: dict = {}
     for A in internal_posets(base, bounds, pointed=True):
-        if is_internal_dcpo(A)[0]:
-            yield A
+        key = iso_key(A, canon)
+        if key not in dcpo:
+            dcpo[key] = is_internal_dcpo(A)[0]
+        if dcpo[key]:
+            yield key, A
 
 
 def _small_bases(bounds: OQ1Bounds) -> list[tuple]:
@@ -182,6 +256,17 @@ def reverify_failure(bk, X) -> bool:
     return bk.iso(ld.obj, X) is None
 
 
+def _class_verdict(bk, A):
+    """The search's verdict on A, which holds for A's whole class: None when
+    A is free on its positive part, the reason when the check refuses, and
+    otherwise whether ``reverify_failure`` confirms the failure."""
+    try:
+        ok, _h = free_on_positives_check(bk, A)
+    except UnavailableError as e:
+        return e.reason
+    return None if ok else reverify_failure(bk, A)
+
+
 def search_open_question_1(
     bounds: OQ1Bounds | None = None, time_budget_s: float | None = None
 ) -> CheckReport:
@@ -223,7 +308,8 @@ def search_open_question_1(
         bk = PresheafBackend(base)
         checked = 0
         hits = 0
-        for A in candidate_algebras(base, bounds):
+        verdicts: dict = {}  # iso_key -> (first member, _class_verdict)
+        for key, A in candidate_algebras(base, bounds):
             if out_of_time():
                 truncated = True
                 instances.append(
@@ -235,25 +321,24 @@ def search_open_question_1(
                 )
                 break
             checked += 1
-            try:
-                ok, _h = free_on_positives_check(bk, A)
-            except UnavailableError as e:
-                instances.append(
-                    InstanceReport(f"{base_name}:carrier#{checked}", UNAVAILABLE, e.reason)
-                )
+            if key not in verdicts:
+                verdicts[key] = A, _class_verdict(bk, A)
+            first, verdict = verdicts[key]
+            if verdict is None:
                 continue
-            if not ok:
-                confirmed = reverify_failure(bk, A)
-                hits += 1
-                status = FAIL if confirmed else UNAVAILABLE
-                instances.append(
-                    InstanceReport(
-                        f"{base_name}:carrier#{checked}",
-                        status,
-                        ("confirmed candidate: " if confirmed else "unconfirmed: ")
-                        + fmt(A),
-                    )
+            name = f"{base_name}:carrier#{checked}"
+            if isinstance(verdict, str):
+                instances.append(InstanceReport(name, UNAVAILABLE, verdict))
+                continue
+            hits += 1
+            confirmed = verdict and (A is first or natural_iso(A, first) is not None)
+            instances.append(
+                InstanceReport(
+                    name,
+                    FAIL if confirmed else UNAVAILABLE,
+                    ("confirmed candidate: " if confirmed else "unconfirmed: ") + fmt(A),
                 )
+            )
         instances.append(
             InstanceReport(
                 f"{base_name} ({checked} algebras searched)",

@@ -1,17 +1,32 @@
 import hashlib
+import time
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
-from liftdom.backend import PresheafBackend
+import pytest
+
+from liftdom import oq1
+from liftdom.backend import ClassicalBackend, PresheafBackend, UnavailableError
 from liftdom.oq1 import (
     OQ1Bounds,
     _labeled_posets_named,
     _small_bases,
+    _stage_canon,
     candidate_algebras,
     internal_posets,
+    iso_key,
     positivity_by_forcing,
     search_open_question_1,
 )
-from liftdom.order import FinPoset, StructureError
+from liftdom.order import (
+    FinPoset,
+    StructureError,
+    _labeled_rows,
+    _rows_to_poset,
+    all_posets,
+    posets_upto,
+)
+from liftdom.report import FAIL, PASS, UNAVAILABLE, InstanceReport, fmt, make_report
 from liftdom.presheaf import (
     BasePoset,
     InternalPoset,
@@ -88,7 +103,7 @@ def test_time_budget_truncates_with_marker():
 def test_candidate_enumeration_filters():
     base = BasePoset(FinPoset.from_generators(("lo", "hi"), [("lo", "hi")]))
     bounds = OQ1Bounds(max_base=2, max_stage=2, max_carrier=3)
-    for A in candidate_algebras(base, bounds):
+    for _, A in candidate_algebras(base, bounds):
         bk = PresheafBackend(base)
         assert bk.is_pointed(A)
         ok, _ = bk.is_dcpo(A)
@@ -141,7 +156,7 @@ def test_candidate_algebras_match_filtered_validating_enumeration():
     bounds = OQ1Bounds(3, 3, 5)
     total = 0
     for _, base in _small_bases(bounds):
-        got = list(candidate_algebras(base, bounds))
+        got = [A for _, A in candidate_algebras(base, bounds)]
         want = [
             A
             for A in _internal_posets_by_validation(base, bounds)
@@ -151,3 +166,214 @@ def test_candidate_algebras_match_filtered_validating_enumeration():
         assert [_hidden_state(A) for A in got] == [_hidden_state(A) for A in want]
         total += len(got)
     assert total == 255
+
+
+def test_stage_canon_is_the_all_posets_labelling():
+    # the canonical rows of a labelled poset are those of the all_posets
+    # representative of its class, and each listed relabelling maps it there
+    for n in range(5):
+        reps = {P._rows for P in all_posets(n)}
+        for P in all_posets(n):
+            assert _stage_canon(P, {})[0] == P._rows
+        for rows in _labeled_rows(n):
+            P = _rows_to_poset(rows)
+            least, relabellings = _stage_canon(P, {})
+            assert least in reps and relabellings
+            for order, label in relabellings:
+                assert [label[P.elements[i]] for i in order] == list(range(n))
+                assert all(
+                    P.leq(P.elements[order[k]], P.elements[order[j]]) == bool(least[k] >> j & 1)
+                    for k in range(n)
+                    for j in range(n)
+                )
+
+
+def test_iso_key_matches_backend_iso():
+    # the key against the slow reference it replaces: equal keys exactly
+    # when the exhaustive natural-iso search finds an iso
+    bounds = OQ1Bounds(3, 3, 5)
+    objects = classes = 0
+    for _, base in _small_bases(bounds):
+        bk = PresheafBackend(base)
+        objs = list(internal_posets(base, bounds, pointed=True))
+        keys = [iso_key(A) for A in objs]
+        for i, j in combinations_with_replacement(range(len(objs)), 2):
+            assert (keys[i] == keys[j]) == (bk.iso(objs[i], objs[j]) is not None), (i, j)
+        objects += len(objs)
+        classes += len(set(keys))
+    assert (objects, classes) == (478, 108)
+
+
+def test_class_counts_at_deep_bounds():
+    # the counts ROADMAP item 2 quotes for OQ1Bounds(3, 3, 6), summed over
+    # the bases: pointed objects and their classes, dcpos and their classes
+    bounds = OQ1Bounds(3, 3, 6)
+    pointed = pointed_classes = dcpos = dcpo_classes = 0
+    for _, base in _small_bases(bounds):
+        keys = [iso_key(A) for A in internal_posets(base, bounds, pointed=True)]
+        pointed, pointed_classes = pointed + len(keys), pointed_classes + len(set(keys))
+        keys = [key for key, _ in candidate_algebras(base, bounds)]
+        dcpos, dcpo_classes = dcpos + len(keys), dcpo_classes + len(set(keys))
+    assert (pointed, pointed_classes, dcpos, dcpo_classes) == (2314, 255, 698, 102)
+
+
+def _search_by_labelling(bounds, time_budget_s=None):
+    """The reference search: every labelling decided on its own, with the
+    dcpo check, the freeness check and the re-verification run for each."""
+    t0 = time.perf_counter()
+
+    def out_of_time() -> bool:
+        return time_budget_s is not None and time.perf_counter() - t0 > time_budget_s
+
+    instances = []
+    cl = ClassicalBackend()
+    classical_failures = 0
+    for i, X in enumerate(posets_upto(min(bounds.max_carrier, 4), pointed=True)):
+        ok, _h = oq1.free_on_positives_check(cl, X)
+        if not ok:
+            classical_failures += 1
+            instances.append(
+                InstanceReport(f"classical#{i}", FAIL, f"not free on positives: {fmt(X)}")
+            )
+    instances.append(
+        InstanceReport(
+            f"classical lane (pointed ≤ {min(bounds.max_carrier, 4)})",
+            PASS if classical_failures == 0 else FAIL,
+            f"{classical_failures} failures",
+        )
+    )
+    truncated = False
+    for base_name, base in _small_bases(bounds):
+        if truncated:
+            break
+        bk = PresheafBackend(base)
+        checked = 0
+        hits = 0
+        for A in internal_posets(base, bounds, pointed=True):
+            if not is_internal_dcpo(A)[0]:
+                continue
+            if out_of_time():
+                truncated = True
+                instances.append(
+                    InstanceReport(
+                        f"{base_name}: search truncated after {checked} algebras",
+                        UNAVAILABLE,
+                        f"time budget of {time_budget_s}s exceeded; report is partial",
+                    )
+                )
+                break
+            checked += 1
+            try:
+                ok, _h = oq1.free_on_positives_check(bk, A)
+            except UnavailableError as e:
+                instances.append(
+                    InstanceReport(f"{base_name}:carrier#{checked}", UNAVAILABLE, e.reason)
+                )
+                continue
+            if not ok:
+                confirmed = oq1.reverify_failure(bk, A)
+                hits += 1
+                status = FAIL if confirmed else UNAVAILABLE
+                instances.append(
+                    InstanceReport(
+                        f"{base_name}:carrier#{checked}",
+                        status,
+                        ("confirmed candidate: " if confirmed else "unconfirmed: ") + fmt(A),
+                    )
+                )
+        instances.append(
+            InstanceReport(
+                f"{base_name} ({checked} algebras searched)",
+                PASS,
+                f"{hits} candidate counterexamples",
+            )
+        )
+    return make_report("search-oq1", instances, bounds.as_dict(), 0)
+
+
+def _carriers(bounds):
+    """Per carrier line name, the base, the class key, the labelling and
+    whether it is the first labelling of its class in the search order."""
+    out = {}
+    for base_name, base in _small_bases(bounds):
+        seen = set()
+        for k, (key, A) in enumerate(candidate_algebras(base, bounds), 1):
+            out[f"{base_name}:carrier#{k}"] = (base, key, A, key not in seen)
+            seen.add(key)
+    return out
+
+
+@pytest.mark.parametrize("bounds", [OQ1Bounds(2, 3, 5), OQ1Bounds(3, 3, 5)])
+def test_search_matches_per_labelling_reference(bounds):
+    got = search_open_question_1(bounds).to_json(zero_elapsed=True)
+    assert got == _search_by_labelling(bounds).to_json(zero_elapsed=True)
+
+
+def test_truncated_search_matches_per_labelling_reference():
+    got = search_open_question_1(OQ1Bounds(3, 3, 5), time_budget_s=0.0)
+    want = _search_by_labelling(OQ1Bounds(3, 3, 5), time_budget_s=0.0)
+    assert got.to_json(zero_elapsed=True) == want.to_json(zero_elapsed=True)
+
+
+def test_refused_class_reads_unavailable_on_every_labelling(monkeypatch):
+    # the freeness check refuses on one candidate class with several
+    # labellings: each of them gets the refusal's line, under its own
+    # carrier number, and every other line stays as it was
+    bounds = OQ1Bounds(2, 3, 5)
+    plain = {i.objects: i for i in search_open_question_1(bounds).instances}
+    carriers = _carriers(bounds)
+    sizes: dict = {}
+    for name, (base, key, _, _) in carriers.items():
+        if plain.get(name) is not None:
+            sizes[base, key] = sizes.get((base, key), 0) + 1
+    target = max(sizes, key=sizes.get)
+    assert sizes[target] > 1
+    real = oq1.free_on_positives_check
+
+    def refuse(bk, A):
+        if getattr(A, "base", None) == target[0] and iso_key(A) == target[1]:
+            raise UnavailableError("stubbed refusal")
+        return real(bk, A)
+
+    monkeypatch.setattr(oq1, "free_on_positives_check", refuse)
+    rep = search_open_question_1(bounds)
+    assert rep.to_json(zero_elapsed=True) == _search_by_labelling(bounds).to_json(zero_elapsed=True)
+    members = {name for name, (base, key, _, _) in carriers.items() if (base, key) == target}
+    refused = [i for i in rep.instances if i.status == UNAVAILABLE]
+    assert {i.objects for i in refused} == members
+    assert all(i.witness == "stubbed refusal" for i in refused)
+    for i in rep.instances:
+        if i.objects not in members and ":carrier#" in i.objects:
+            assert i == plain[i.objects]
+
+
+def test_reused_hit_without_an_iso_reads_unconfirmed(monkeypatch):
+    # refuse rather than guess: a labelling that reuses its class's confirmed
+    # verdict is confirmed only through an iso to the class's first member
+    bounds = OQ1Bounds(2, 3, 5)
+    want = _search_by_labelling(bounds).instances
+    carriers = _carriers(bounds)
+    monkeypatch.setattr(oq1, "natural_iso", lambda A, B: None)
+    got = search_open_question_1(bounds).instances
+    reused = 0
+    for g, w in zip(got, want):
+        if w.status == FAIL and w.objects in carriers and not carriers[w.objects][3]:
+            reused += 1
+            witness = w.witness.replace("confirmed candidate: ", "unconfirmed: ", 1)
+            w = InstanceReport(w.objects, UNAVAILABLE, witness)
+        assert g == w
+    assert len(got) == len(want) and reused > 0
+
+
+# sha256 of the zero-elapsed JSON and a newline of searches deeper than the
+# default, pinned to the per-labelling search's reports
+DEEP_SEARCH_SHA256 = {
+    OQ1Bounds(3, 3, 7): "a5c6a43db42a21f0d6b7f0127949a79c0e739dca029f26e6b5b66f4d0cc5d06d",
+    OQ1Bounds(4, 3, 6): "c0437b57461d4567171628a0160fb186465f3c82173b6c4dd29281a037d26a1d",
+}
+
+
+@pytest.mark.parametrize("bounds", list(DEEP_SEARCH_SHA256))
+def test_deep_search_digest(bounds):
+    text = search_open_question_1(bounds).to_json(zero_elapsed=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEEP_SEARCH_SHA256[bounds]
