@@ -430,19 +430,22 @@ run_colimits_enriched = _lanes(
 # tensor laws
 
 def _presentations_witness(cl, A, B):
-    tensors = te.smash_presentations(cl, A, B)
-    # a spanning tree of comparisons suffices: the comparisons commute with
-    # the universal maps, so by uniqueness of the factorisation a composite
-    # of two of them is the third
-    try:
-        for T in tensors[1:]:
-            te.smash_comparison(cl, tensors[0], T)
-    except StructureError as e:
-        return str(e)
-    T = tensors[0].obj
-    if poset_iso(T, te.direct_smash_classical(cl, A, B)) is None:
-        return "disagrees with the direct quotient"
-    return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
+    # no later pair reads what this pair builds, so the law's memory stays
+    # one pair's, not 625 pairs'
+    with cl.scope():
+        tensors = te.smash_presentations(cl, A, B)
+        # a spanning tree of comparisons suffices: the comparisons commute
+        # with the universal maps, so by uniqueness of the factorisation a
+        # composite of two of them is the third
+        try:
+            for T in tensors[1:]:
+                te.smash_comparison(cl, tensors[0], T)
+        except StructureError as e:
+            return str(e)
+        T = tensors[0].obj
+        if poset_iso(T, te.direct_smash_classical(cl, A, B)) is None:
+            return "disagrees with the direct quotient"
+        return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
 
 
 def _small_pointed():
