@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import liftdom
-from liftdom import laws, lifting, tensor
-from liftdom.backend import ClassicalBackend, _ConstructionCache
+from liftdom import colimits, laws, lifting, tensor
+from liftdom.backend import ClassicalBackend, UnavailableError, _ConstructionCache
 from liftdom.laws import REGISTRY, Backends, Bounds, run_law, run_negative
 from liftdom.model import default_model, parse_model
 from liftdom.order import FinPoset, StructureError, posets_upto
@@ -168,6 +168,23 @@ def test_structure_error_in_a_fault_is_a_construction_failure(monkeypatch):
     assert [(i.objects, i.status, i.witness) for i in rep.instances] == [
         ("construction", FAIL, "lift: stubbed refusal")
     ]
+
+
+def test_a_faulty_coproduct_fails_on_its_own_line(monkeypatch):
+    # a coproduct check whose construction rejects what it built fails on
+    # that coproduct's line; only a refused construction is UNAVAILABLE,
+    # and the law goes on past it
+    rep = run_negative("algebras-cocomplete")
+    assert [(i.objects, i.status, i.witness) for i in rep.instances] == [
+        ("coproduct 2⊕2", FAIL, "reflexivity: section fails the first leg")
+    ]
+
+    def refuse(cl, X, Y, apexes):
+        raise UnavailableError("stubbed refusal")
+
+    monkeypatch.setattr(colimits, "coproduct_algebras_universal_check", refuse)
+    rep = run_law("algebras-cocomplete", bounds=laws.CONTROL_BOUNDS)
+    assert [(i.status, i.witness) for i in rep.instances] == [(UNAVAILABLE, "stubbed refusal")] * 4 + [(PASS, None)]
 
 
 def test_reports_deterministic():
@@ -340,9 +357,11 @@ def test_json_schema():
 # sha256 over every negative control's zero-elapsed JSON, each followed by a
 # newline, in registry order; re-pinned when every control became its law's
 # own runner on the law's fault, reporting the lines up to the first FAIL at
-# the control bounds.  A change that moves it must say what changed in the
-# report on purpose.
-NEGATIVES_SHA256 = "7d91428d7abd2d670eeabde0f2119b75060bbefd574506d84569f25a35761d55"
+# the control bounds, and again when a coproduct whose construction rejects
+# what it built became a FAIL on its own line (the algebras-cocomplete
+# control now stops at "coproduct 2⊕2").  A change that moves it must say
+# what changed in the report on purpose.
+NEGATIVES_SHA256 = "60b2c4f347a8b2d60729afed84a164c3fe32ff323fbd0148c491326a7bf01735"
 
 _NEGATIVES_DIGEST = """
 import hashlib
