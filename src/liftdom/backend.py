@@ -192,7 +192,7 @@ class _ConstructionCache:
         insertion order, so what the block added is each dict's tail."""
         marks = [(d, len(d)) for d in (self._memo, self._hom_cache)]
         try:
-            yield self
+            yield
         finally:
             for d, mark in marks:
                 for _ in range(len(d) - mark):
