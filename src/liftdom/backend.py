@@ -14,7 +14,7 @@ the classical backend has the single stage ``None``.
 A backend supplies only what depends on how it stores objects and maps:
 
 * the stage API: ``stages``, ``base_down``, ``at``, ``stage_poset``,
-  ``leq_at``, ``res_el``, ``app`` and ``size``;
+  ``leq_at``, ``res_el`` and ``app``;
 * ``_build(elements, restrict, order)``, which turns stagewise data into
   an object (``elements(p)`` lists the elements at stage p,
   ``restrict(p, q, x)`` restricts x to a stage q < p, and
@@ -401,12 +401,6 @@ class ClassicalBackend(_ConstructionCache):
     def __init__(self):
         self._init_caches()
 
-    def __eq__(self, other):
-        return isinstance(other, ClassicalBackend)
-
-    def __hash__(self):
-        return hash("classical")
-
     # -- stage API ----------------------------------------------------------
     def stages(self, A) -> tuple:
         return (None,)
@@ -429,9 +423,6 @@ class ClassicalBackend(_ConstructionCache):
     def app(self, f, stage, x):
         # f(x) inlined: generic code applies maps once per element
         return f.values[f.dom._index[x]]
-
-    def size(self, A) -> int:
-        return A.n
 
     # -- category -----------------------------------------------------------
     def identity(self, A):
@@ -586,9 +577,6 @@ class PresheafBackend(_ConstructionCache):
 
     def app(self, f, stage, x):
         return f.apply(stage, x)
-
-    def size(self, A) -> int:
-        return A.size()
 
     # -- category -----------------------------------------------------------
     def identity(self, A):

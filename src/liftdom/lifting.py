@@ -42,15 +42,6 @@ def kleisli_extend(bk, f, B):
     return bk.compose(bk.mult(B), bk.lift_map(f))
 
 
-def classifier(bk, A):
-    """The support map LA -> Sigma, the functorial image of A -> 1.
-
-    Classically it sends the fresh bottom to bottom and everything else to
-    top; in the presheaf backend it reads off the sieve coordinate.
-    """
-    return bk.lift_map(bk.bang(A))
-
-
 def swap_map(bk, A, B):
     pd_ab = bk.product(A, B)
     pd_ba = bk.product(B, A)
@@ -92,39 +83,6 @@ def commutator(bk, A, B):
     if k1 != k2:
         raise StructureError("commutativity", "the two extension orders disagree")
     return k1
-
-
-# ---------------------------------------------------------------------------
-# Monad laws.
-
-def functor_laws_hold(bk, A, B, C, f, g) -> bool:
-    """L preserves identities and composition (f : A->B, g : B->C)."""
-    la = bk.lift(A)
-    if bk.lift_map(bk.identity(A)) != bk.identity(la.obj):
-        return False
-    return bk.lift_map(bk.compose(g, f)) == bk.compose(bk.lift_map(g), bk.lift_map(f))
-
-
-def monad_laws_hold(bk, A) -> bool:
-    la = bk.lift(A)
-    mu = bk.mult(A)
-    ident = bk.identity(la.obj)
-    if bk.compose(mu, bk.lift(la.obj).unit) != ident:
-        return False
-    if bk.compose(mu, bk.lift_map(la.unit)) != ident:
-        return False
-    return bk.compose(mu, bk.mult(la.obj)) == bk.compose(mu, bk.lift_map(mu))
-
-
-def unit_naturality_holds(bk, f) -> bool:
-    la, lb = bk.lift(f.dom), bk.lift(f.cod)
-    return bk.compose(bk.lift_map(f), la.unit) == bk.compose(lb.unit, f)
-
-
-def mult_naturality_holds(bk, f) -> bool:
-    return bk.compose(bk.lift_map(f), bk.mult(f.dom)) == bk.compose(
-        bk.mult(f.cod), bk.lift_map(bk.lift_map(f))
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,16 @@ Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
 found" witness and iso in the reports.
 
-Row kernels.  ``FinPoset.covers``, the pointwise order of parallel maps and
-the map check ``_check_map`` walk the up-mask rows ``_rows``
-(row i: the indices above element i), not pairwise ``leq`` calls, and give
-the pairwise loops' results and messages in the same order.  ``covers`` and
-``_restrict_rows`` (behind ``FinPoset.restrict`` and both backends'
-``subobject``) walk only set bits, so their work grows with the bits they
-touch, not with the square of the element count.  ``_restrict_rows`` masks
-each kept row to the kept indices and renumbers its bits through one table.
-``covers`` skips a strict successor j of i that lies strictly above a
+Row kernels.  The Hasse covers ``FinPoset._cover_indices``, the pointwise
+order of parallel maps and the map check ``_check_map`` walk the up-mask
+rows ``_rows`` (row i: the indices above element i), not pairwise ``leq``
+calls, and give the pairwise loops' results and messages in the same order.
+``_cover_indices`` and ``_restrict_rows`` (behind ``FinPoset.restrict`` and
+both backends' ``subobject``) walk only set bits, so their work grows with
+the bits they touch, not with the square of the element count.
+``_restrict_rows`` masks each kept row to the kept indices and renumbers its
+bits through one table.  ``_cover_indices`` skips a strict successor j of i
+that lies strictly above a
 successor z it has already walked; the skip is exact in any listing of the
 elements, as row j then lies in row z minus z, already in the union.  The one
 pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
@@ -261,11 +262,6 @@ class FinPoset:
         els = tuple(f"{prefix}{i}" for i in range(n))
         return cls.from_generators(els, [(els[i], els[i + 1]) for i in range(n - 1)])
 
-    @classmethod
-    def antichain(cls, n: int, prefix: str = "a") -> "FinPoset":
-        els = tuple(f"{prefix}{i}" for i in range(n))
-        return cls(els, frozenset((e, e) for e in els))
-
     def up_set(self, x) -> tuple:
         return tuple(e for e in self.elements if self.leq(x, e))
 
@@ -281,7 +277,8 @@ class FinPoset:
         return self.n > 0 and self.bottom() is not None
 
     def _cover_indices(self) -> list[tuple[int, int]]:
-        # the Hasse edges as index pairs (i, j), in the order of ``covers``
+        # the Hasse edges as index pairs (i, j): e_i < e_j with nothing
+        # strictly between, ascending in i and then in j
         rows = self._rows
         out = []
         for i, row in enumerate(rows):
@@ -299,11 +296,6 @@ class FinPoset:
                 out.append((i, low.bit_length() - 1))
                 m ^= low
         return out
-
-    def covers(self) -> list[tuple]:
-        """Hasse edges (x, y): x < y with nothing strictly between."""
-        els = self.elements
-        return [(els[i], els[j]) for i, j in self._cover_indices()]
 
     def restrict(self, members) -> "FinPoset":
         """Induced sub-poset on ``members``, keeping the ambient element order."""
@@ -399,12 +391,6 @@ class MonotoneMap:
     def __call__(self, x):
         return self.values[self.dom._index[x]]
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.dom.elements, self.values))
-
-    def is_surjective(self) -> bool:
-        return set(self.values) == set(self.cod.elements)
-
     def __repr__(self):
         body = ", ".join(f"{x!r}->{v!r}" for x, v in zip(self.dom.elements, self.values))
         return f"MonotoneMap({body})"
@@ -437,11 +423,6 @@ def is_semidirected(P: FinPoset, S: Subset) -> bool:
     return True
 
 
-def is_directed(P: FinPoset, S: Subset) -> bool:
-    """Semidirected and inhabited."""
-    return len(S.members) > 0 and is_semidirected(P, S)
-
-
 def lub(P: FinPoset, S: Subset):
     """Least upper bound of S in P, or None if it does not exist."""
     if S.parent != P:
@@ -472,10 +453,6 @@ def scott_opens(P: FinPoset) -> list[Subset]:
     coincides with up-closed.
     """
     return [S for S in subsets(P) if is_up_closed(P, S.members)]
-
-
-def directed_subsets(P: FinPoset) -> list[Subset]:
-    return [S for S in subsets(P) if is_directed(P, S)]
 
 
 def semidirected_subsets(P: FinPoset) -> list[Subset]:
@@ -594,15 +571,6 @@ def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
     index = B._index
     up = _up_masks(len(maps), (([index[f.values[i]] for f in maps], B._rows) for i in range(A.n)))
     return FinPoset._trusted(els, tuple(up)), dict(zip(els, maps))
-
-
-def is_order_embedding(f: MonotoneMap) -> bool:
-    """f(x) <= f(y) iff x <= y, for all x, y."""
-    for x in f.dom.elements:
-        for y in f.dom.elements:
-            if f.cod.leq(f(x), f(y)) != f.dom.leq(x, y):
-                return False
-    return True
 
 
 def poset_iso(A: FinPoset, B: FinPoset):

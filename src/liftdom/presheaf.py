@@ -389,14 +389,6 @@ def global_elements_raw(A: InternalPoset) -> list[dict]:
     return [dict(zip(stages, fam)) for fam in compatible_families(A, stages)]
 
 
-def omega_top(O: InternalPoset, p) -> Sieve:
-    return Sieve(O.base, p, frozenset(O.base.down_list(p)))
-
-
-def omega_bot(O: InternalPoset, p) -> Sieve:
-    return Sieve(O.base, p, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # Kripke-Joyal forcing over the base poset with trivial covers.
 
@@ -578,10 +570,6 @@ def semidirectedness_formula(D: Subpresheaf):
 def internal_directed(D: Subpresheaf, stage) -> bool:
     """Forced inhabitation plus pairwise bounds within D at every lower stage."""
     return kj_forces(D.parent.base, stage, directedness_formula(D))
-
-
-def internal_semidirected(D: Subpresheaf, stage) -> bool:
-    return kj_forces(D.parent.base, stage, semidirectedness_formula(D))
 
 
 # ---------------------------------------------------------------------------

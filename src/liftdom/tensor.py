@@ -344,10 +344,6 @@ def associator(bk, A, B, C):
     return T_left, T_right, assoc
 
 
-def associator_iso_check(bk, A, B, C) -> bool:
-    return bk.is_iso(associator(bk, A, B, C)[2])
-
-
 def triangle_check(bk, A, B) -> bool:
     """(A (x) I) (x) B -> A (x) B both ways around the unitors agree."""
     I = unit_object(bk).obj

@@ -15,10 +15,9 @@ from liftdom.lifting import (
     algebra_structure,
     free_on_positives_check,
     kz_check,
-    monad_laws_hold,
 )
 from liftdom.oq1 import OQ1Bounds, search_open_question_1
-from liftdom.order import FinPoset, is_order_embedding, poset_iso, posets_upto
+from liftdom.order import FinPoset, poset_iso, posets_upto
 from liftdom.presheaf import global_elements_raw, omega
 from liftdom.report import PASS
 from liftdom.tensor import (
@@ -31,6 +30,8 @@ from liftdom.tensor import (
     smash_presentations,
     tensor_hom_adjunction_check,
 )
+
+from support import is_order_embedding, monad_laws_hold
 
 CL = ClassicalBackend()
 

@@ -2,7 +2,7 @@
 from itertools import product as iproduct
 
 from liftdom.backend import ClassicalBackend, PresheafBackend
-from liftdom.lifting import is_algebra, kleisli_extend, monad_laws_hold
+from liftdom.lifting import is_algebra, kleisli_extend
 from liftdom.oq1 import OQ1Bounds, internal_posets
 from liftdom.order import FinPoset, enumerate_monotone_maps, posets_upto, scott_opens, subsets
 from liftdom.presheaf import (
@@ -15,6 +15,8 @@ from liftdom.presheaf import (
     omega,
     subpresheaves_below,
 )
+
+from support import antichain, monad_laws_hold
 
 CL = ClassicalBackend()
 
@@ -44,7 +46,7 @@ def test_monad_laws_up_to_four_classical():
 def test_monad_laws_presheaf_three_stages():
     base = BasePoset(FinPoset.chain(3, prefix="s"))
     bk = PresheafBackend(base)
-    for P in (FinPoset.chain(1), FinPoset.chain(2), FinPoset.antichain(2)):
+    for P in (FinPoset.chain(1), FinPoset.chain(2), antichain(2)):
         A = InternalPoset.constant(base, P)
         assert monad_laws_hold(bk, A)
     assert monad_laws_hold(bk, omega(base))

@@ -1,6 +1,4 @@
-import ast
 import gc
-import importlib.util
 import itertools
 import hashlib
 import os
@@ -455,31 +453,3 @@ def test_exhausted_families_are_counted(default_suite_run):
         81, 485, 77, 1679, 77, 625, 9, 2666, 16, 81, 6, 27, 17, 36, 81, 4
     ]
 
-
-def test_every_function_in_laws_is_reached():
-    # every law under each lane selection, and every control, over a copy
-    # of the module loaded under the profiler, so that the functions that
-    # build runners at load time count too: a runner rebuilt on the lane
-    # combinator must leave no helper behind unused
-    source = Path(laws.__file__).read_text(encoding="utf-8")
-    defined = {(node.name, node.lineno) for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
-    entered = set()
-
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename == laws.__file__:
-            entered.add((code.co_name, code.co_firstlineno))
-
-    spec = importlib.util.spec_from_file_location(laws.__name__, laws.__file__)
-    fresh = importlib.util.module_from_spec(spec)
-    sys.setprofile(profile)
-    try:
-        spec.loader.exec_module(fresh)
-        for law in fresh.REGISTRY:
-            for backends in (("classical", "presheaf"), ("classical",), ("presheaf",)):
-                fresh.run_law(law, bounds=_reduced(law), backends=backends)
-            fresh.run_negative(law)
-    finally:
-        sys.setprofile(None)
-    allowed = set()  # (name, line) of a function that no law or control reaches, each with its reason
-    assert sorted(defined - entered - allowed) == []

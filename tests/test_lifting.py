@@ -17,7 +17,6 @@ from liftdom.lifting import (
     costrength,
     enumerate_partial_maps,
     free_on_positives_check,
-    functor_laws_hold,
     is_algebra,
     is_homomorphism,
     is_strict,
@@ -25,8 +24,6 @@ from liftdom.lifting import (
     kleisli_extend,
     kz_check,
     lax_epi_check,
-    monad_laws_hold,
-    mult_naturality_holds,
     open_classifier_check,
     partial_product_check,
     paths_check,
@@ -36,13 +33,11 @@ from liftdom.lifting import (
     strict_hom_set,
     strict_iff_hom_check,
     top_opfibration_check,
-    unit_naturality_holds,
 )
 from liftdom.oq1 import OQ1Bounds, _small_bases, internal_posets
 from liftdom.order import (
     FinPoset,
     MonotoneMap,
-    is_order_embedding,
     is_semidirected,
     lub,
     poset_iso,
@@ -50,6 +45,15 @@ from liftdom.order import (
     subsets,
 )
 from liftdom.presheaf import InternalPoset, global_elements_raw, omega
+
+from support import (
+    classifier,
+    functor_laws_hold,
+    is_order_embedding,
+    monad_laws_hold,
+    mult_naturality_holds,
+    unit_naturality_holds,
+)
 
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
@@ -385,8 +389,6 @@ def test_open_classifier_check_needs_every_open_once():
 
 
 def test_classifier_map():
-    from liftdom.lifting import classifier
-
     for bk, A in ((CL, FinPoset.chain(2)), (PS, PS.terminal())):
         ld = bk.lift(A)
         sg = bk.lift(bk.terminal())

@@ -17,7 +17,6 @@ from liftdom.presheaf import (
     directed_subpresheaves_below,
     enumerate_nat_trans,
     internal_directed,
-    internal_semidirected,
     internal_sup,
     is_continuous,
     is_internal_dcpo,
@@ -26,6 +25,8 @@ from liftdom.presheaf import (
     subpresheaves_below,
     subpresheaves_below_all,
 )
+
+from support import internal_semidirected
 
 BOUNDS = OQ1Bounds(max_base=3, max_stage=3, max_carrier=5)
 

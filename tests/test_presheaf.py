@@ -33,17 +33,17 @@ from liftdom.presheaf import (
     kj_forces,
     nt_compose,
     omega,
-    omega_bot,
-    omega_top,
     positive_members,
     scott_open_subpresheaves,
     sieves_on,
     subpresheaves_below,
 )
 
+from support import antichain, omega_bot, omega_top
+
 POINT = BasePoset(FinPoset(("s",), frozenset([("s", "s")])))
 SIERP = BasePoset(FinPoset.from_generators(("s0", "s1"), [("s0", "s1")]))
-ANTI = BasePoset(FinPoset.antichain(2, prefix="t"))
+ANTI = BasePoset(antichain(2, prefix="t"))
 CHAIN3 = BasePoset(FinPoset.chain(3, prefix="s"))
 
 
@@ -73,7 +73,7 @@ def test_omega_is_internal_dcpo():
 
 
 def test_constant_presheaves_are_dcpos():
-    for P in (FinPoset.chain(3), FinPoset.antichain(2), FinPoset.chain(1)):
+    for P in (FinPoset.chain(3), antichain(2), FinPoset.chain(1)):
         A = InternalPoset.constant(SIERP, P)
         ok, _ = is_internal_dcpo(A)
         assert ok

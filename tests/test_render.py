@@ -9,11 +9,13 @@ from liftdom.presheaf import InternalPoset
 from liftdom.report import fmt
 from liftdom.tensor import seal_tensor, smash, strict_hom
 
+import support
+
 
 def reference_describe(obj) -> str:
     if isinstance(obj, FinPoset):
         lines = [f"{obj.n} elements: {', '.join(fmt(e) for e in obj.elements)}"]
-        covers = obj.covers()
+        covers = support.covers(obj)
         if covers:
             lines.append("covers: " + ", ".join(f"{fmt(x)} < {fmt(y)}" for x, y in covers))
         else:
@@ -25,7 +27,7 @@ def reference_describe(obj) -> str:
     lines = []
     for p in obj.base.stages:
         P = obj.stage_poset(p)
-        covers = ", ".join(f"{fmt(x)} < {fmt(y)}" for x, y in P.covers()) or "discrete"
+        covers = ", ".join(f"{fmt(x)} < {fmt(y)}" for x, y in support.covers(P)) or "discrete"
         lines.append(f"stage {p}: {len(P.elements)} elements "
                      f"[{', '.join(fmt(e) for e in P.elements)}]; {covers}")
     return "\n".join(lines)
@@ -34,7 +36,7 @@ def reference_describe(obj) -> str:
 def reference_poset_body(P, prefix, lines, indent="  "):
     for i, e in enumerate(P.elements):
         lines.append(f"{indent}{prefix}{i} [label={dot._quote(fmt(e))}];")
-    for x, y in P.covers():
+    for x, y in support.covers(P):
         lines.append(f"{indent}{prefix}{P.index(x)} -> {prefix}{P.index(y)};")
 
 

@@ -4,7 +4,6 @@ from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
 from liftdom.lifting import strict_hom_set
 from liftdom.order import FinPoset, MonotoneMap, StructureError, poset_iso, posets_upto
 from liftdom.tensor import (
-    associator_iso_check,
     bilinearity,
     bistrictness,
     braiding,
@@ -26,6 +25,8 @@ from liftdom.tensor import (
     triangle_check,
     universal_bistrict_check,
 )
+
+from support import antichain, associator_iso_check
 
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
@@ -269,4 +270,4 @@ def test_tensor_hom_naturality():
 
 def test_smash_needs_pointed():
     with pytest.raises(StructureError):
-        smash(CL, FinPoset.antichain(2), SIGMA)
+        smash(CL, antichain(2), SIGMA)

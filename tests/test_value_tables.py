@@ -22,6 +22,8 @@ from liftdom.lifting import is_strict, restriction_groups, strict_hom_set, value
 from liftdom.order import FinPoset, StructureError, posets_upto
 from liftdom.presheaf import InternalPoset
 
+from support import antichain
+
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
 
@@ -115,7 +117,7 @@ def test_cocones_match_reference_with_loops_and_empty_pools():
 
 def test_join_where_two_earlier_nodes_fix_a_node():
     S, C3 = FinPoset.chain(2), FinPoset.chain(3)
-    vee = CL.lift(FinPoset.antichain(2)).obj
+    vee = CL.lift(antichain(2)).obj
     f, g = strict_hom_set(CL, S, C3)[1], strict_hom_set(CL, vee, C3)[2]
     cospan = Diagram(("a", "b", "c"), (("f", "a", "c"), ("g", "b", "c")),
                      {"a": S, "b": vee, "c": C3}, {"f": f, "g": g})
@@ -171,7 +173,7 @@ def test_strict_hom_set_raises_where_the_reference_raises():
 
 def test_restriction_groups_match_reference():
     S, C3 = FinPoset.chain(2), FinPoset.chain(3)
-    for X, Y in [(S, C3), (C3, C3), (FinPoset.antichain(2), C3)]:
+    for X, Y in [(S, C3), (C3, C3), (antichain(2), C3)]:
         for legs in itertools.combinations(CL.hom(X, Y), 2):
             for P in posets_upto(3):
                 homs = CL.hom(Y, P)
@@ -197,7 +199,7 @@ def presheaf_catalog():
     one = PS.terminal()
     sigma = PS.lift(one).obj
     const = [InternalPoset.constant(PS.base, FinPoset.chain(n)) for n in (2, 3)]
-    anti = InternalPoset.constant(PS.base, FinPoset.antichain(2))
+    anti = InternalPoset.constant(PS.base, antichain(2))
     return [one, sigma, *const, PS.lift(anti).obj, collapsing_chain(), anti]
 
 
@@ -236,7 +238,7 @@ def presheaf_diagrams():
 
 
 def test_presheaf_cocones_match_reference():
-    apexes = [X for X in CATALOG if PS.size(X) <= 6]
+    apexes = [X for X in CATALOG if X.size() <= 6]
     for d in presheaf_diagrams():
         assert_cocones_match(PS, d, apexes)
 
