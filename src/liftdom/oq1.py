@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
 from .backend import ClassicalBackend, PresheafBackend, UnavailableError
 from .lifting import free_on_positives_check
-from .order import FinPoset, posets_upto, _down_rows, _labeled_rows, _order_search, _rows_to_poset
+from .order import FinPoset, all_posets, posets_upto, _labeled_rows, _order_search, _rows_to_poset
 from .presheaf import BasePoset, InternalPoset, is_internal_dcpo, natural_iso
 from .report import FAIL, PASS, UNAVAILABLE, CheckReport, InstanceReport, fmt, make_report
 
@@ -109,30 +109,27 @@ def internal_posets(base: BasePoset, bounds: OQ1Bounds, pointed: bool = False):
 
 
 def _stage_canon(P: FinPoset, canon: dict) -> tuple:
-    """The up-mask rows of the least-key labelling of P (the labelling
-    ``all_posets`` keeps), and every relabelling of P onto them, each as
-    ``(order, label)``: ``order[k]`` is the index of the element that gets
-    label k, and ``label`` maps each element to its label.  Cached in
-    ``canon`` by P: a stage with n elements has n! relabellings to try."""
+    """The up-mask rows of the labelling of P that ``all_posets`` keeps, and
+    every relabelling of P onto them, each as ``(order, label)``:
+    ``order[k]`` is the index of the element that gets label k, and
+    ``label`` maps each element to its label.  The relabellings are the
+    order-isos onto the one member of ``all_posets(P.n)`` that P is
+    isomorphic to.  Cached in ``canon`` by P."""
     got = canon.get(P)
     if got is None:
-        n, rows = P.n, P._rows
-        onto: dict = {}
-        for order in permutations(range(n)):
-            new = tuple(sum(1 << j for j in range(n) if rows[i] >> order[j] & 1) for i in order)
-            onto.setdefault(new, []).append(
-                (order, {P.elements[i]: k for k, i in enumerate(order)})
-            )
-        least = min(onto, key=_order_key)
-        got = canon[P] = least, tuple(onto[least])
+        isos: list = []
+
+        def emit(vals):
+            isos.append(tuple(vals))
+            return False  # collect every iso
+
+        for Q in all_posets(P.n):
+            _order_search(P._rows, Q._rows, emit, iso=True)
+            if isos:
+                break
+        onto = tuple((tuple(vals.index(k) for k in range(P.n)), dict(zip(P.elements, vals))) for vals in isos)
+        got = canon[P] = Q._rows, onto
     return got
-
-
-def _order_key(rows: tuple) -> tuple:
-    # the key of a labelling in order.py: per label k, the masks of the
-    # labels j < k with j <= k and with k <= j
-    down = _down_rows(rows)
-    return tuple((down[k] & (1 << k) - 1, rows[k] & (1 << k) - 1) for k in range(len(rows)))
 
 
 def iso_key(A: InternalPoset, canon: dict | None = None) -> tuple:

@@ -1,6 +1,6 @@
 import hashlib
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 
 import pytest
@@ -21,6 +21,7 @@ from liftdom.oq1 import (
 from liftdom.order import (
     FinPoset,
     StructureError,
+    _down_rows,
     _labeled_rows,
     _rows_to_poset,
     all_posets,
@@ -186,6 +187,43 @@ def test_stage_canon_is_the_all_posets_labelling():
                     for k in range(n)
                     for j in range(n)
                 )
+
+
+def _order_key(rows: tuple) -> tuple:
+    # the key of a labelling in order.py: per label k, the masks of the
+    # labels j < k with j <= k and with k <= j
+    down = _down_rows(rows)
+    return tuple((down[k] & (1 << k) - 1, rows[k] & (1 << k) - 1) for k in range(len(rows)))
+
+
+def _stage_canon_by_permutations(P: FinPoset) -> tuple:
+    """The reference for ``_stage_canon``: try all n! relabellings of P and
+    keep those onto the rows with the least key."""
+    n, rows = P.n, P._rows
+    onto: dict = {}
+    for order in permutations(range(n)):
+        new = tuple(sum(1 << j for j in range(n) if rows[i] >> order[j] & 1) for i in order)
+        onto.setdefault(new, []).append((order, {P.elements[i]: k for k, i in enumerate(order)}))
+    least = min(onto, key=_order_key)
+    return least, onto[least]
+
+
+def test_stage_canon_matches_the_permutation_reference():
+    # the same canonical rows and the same relabellings onto them, on every
+    # labelled poset with at most 4 elements
+    def relabellings(pairs):
+        return sorted((order, sorted(label.items())) for order, label in pairs)
+
+    count = 0
+    for n in range(5):
+        for rows in _labeled_rows(n):
+            P = _rows_to_poset(rows)
+            least, pairs = _stage_canon(P, {})
+            ref_least, ref_pairs = _stage_canon_by_permutations(P)
+            assert least == ref_least
+            assert relabellings(pairs) == relabellings(ref_pairs)
+            count += 1
+    assert count == 1 + 1 + 3 + 19 + 219  # OEIS A001035
 
 
 def test_iso_key_matches_backend_iso():
