@@ -60,22 +60,39 @@ def test_no_backend_outlives_its_law(monkeypatch, name):
         assert built and [r() for r in built] == [None] * len(built), run.__name__
 
 
+def _traced_peak(name):
+    """The law's report and its ``tracemalloc`` peak in bytes, at its
+    registered bounds, with ``posets_upto(6)`` built and a collection run
+    first."""
+    posets_upto(6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = run_law(name)
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_smash_presentations_forgets_each_pair():
     # each of the law's 625 pairs builds objects that no later pair reads;
     # kept in the memo until the law ends they peak at 9.9-10.6 MiB.  Scoped
     # to their pair the peak reads 1.3-2.8 MiB: most of it is the
     # interpreter's free lists, which the collection before the run empties
     # and the run then fills with traced blocks (the worst case)
-    posets_upto(6)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rep = run_law("smash-presentations")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = _traced_peak("smash-presentations")
     assert rep.status == PASS
     assert peak < 4 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("name, ceiling", [("algebras-cocomplete", 12), ("connected-colimits", 8)])
+def test_colimit_laws_stay_under_their_memory_ceilings(name, ceiling):
+    # measured alone in a fresh interpreter under hash seeds 1-3: 9.68 MiB
+    # (algebras-cocomplete) and 6.48 MiB (connected-colimits), each the same
+    # under every seed; the ceilings leave about a fifth on top
+    rep, peak = _traced_peak(name)
+    assert rep.status == PASS
+    assert peak < ceiling * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_consecutive_runs_share_no_backend(monkeypatch):
