@@ -688,6 +688,7 @@ class PresheafBackend(_ConstructionCache):
         ok, w = ps.is_internal_dcpo(C)
         if not ok:
             raise UnavailableError("cone codomain is not an internal dcpo", w)
+        table = ps.sup_table(C)
 
         def h(p, u):
             members = {
@@ -696,7 +697,7 @@ class PresheafBackend(_ConstructionCache):
             for q, v in ld.family(p, u):
                 members[q] = members[q] | {c1.apply(q, v)}
             D = ps.Subpresheaf.make(C, members)
-            s = ps.internal_sup(C, D, p)
+            s = ps.internal_sup(C, D, p, table)
             if s is None:
                 raise UnavailableError("no internal supremum for induced cone map", (p, u))
             return s

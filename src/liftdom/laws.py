@@ -923,7 +923,9 @@ def _law(name: str) -> Law:
 
 def _report(name, lines, b: Bounds, until_fail=False) -> CheckReport:
     """The report of a runner's ``lines``, up to the first FAIL when
-    ``until_fail``; a refused construction ends it with a ``construction`` line."""
+    ``until_fail``.  A refused construction ends it with an UNAVAILABLE
+    ``construction`` line, and any other exception with a FAIL one naming
+    the exception: a check that crashed has not passed."""
     t0 = time.perf_counter()
     # the lines a runner yielded before it raised stay in the report
     instances = []
@@ -936,6 +938,8 @@ def _report(name, lines, b: Bounds, until_fail=False) -> CheckReport:
         instances.append(InstanceReport("construction", UNAVAILABLE, e.reason))
     except StructureError as e:  # a construction rejected what the law built
         instances.append(InstanceReport("construction", FAIL, str(e)))
+    except Exception as e:  # a backend broke an invariant the checker reads
+        instances.append(InstanceReport("construction", FAIL, f"{type(e).__name__}: {e}"))
     finally:
         lines.close()
     elapsed = int((time.perf_counter() - t0) * 1000)

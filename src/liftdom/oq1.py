@@ -78,10 +78,13 @@ def internal_posets(base: BasePoset, bounds: OQ1Bounds, pointed: bool = False):
     the restrictions are monotone because ``_order_search`` produced them and
     compose because ``_composes`` checked them, so ``InternalPoset._trusted``
     builds the objects.  The order is that of building every combination
-    through ``InternalPoset.make`` and keeping the valid (and pointed) ones."""
+    through ``InternalPoset.make`` and keeping the valid (and pointed) ones.
+    The value lists of each pair of labelled stage posets are computed once
+    per call, since a pair recurs across the combinations of other stages."""
     stages = base.stages
     pairs = base.strict_pairs()
     labelled: dict = {}
+    restriction_values: dict = {}  # (P, Q) -> the candidate value tuples of P -> Q
     for sizes in iproduct(*[range(1, bounds.max_stage + 1) for _ in stages]):
         if sum(sizes) > bounds.max_carrier:
             continue
@@ -94,10 +97,13 @@ def internal_posets(base: BasePoset, bounds: OQ1Bounds, pointed: bool = False):
             res_choices = []
             for p, q in pairs:
                 P, Q = posets[p], posets[q]
-                values = _monotone_values(P, Q)
-                if pointed:
-                    b, c = P.index(P.bottom()), Q.bottom()
-                    values = [v for v in values if v[b] == c]
+                values = restriction_values.get((P, Q))
+                if values is None:
+                    values = _monotone_values(P, Q)
+                    if pointed:
+                        b, c = P.index(P.bottom()), Q.bottom()
+                        values = [v for v in values if v[b] == c]
+                    restriction_values[P, Q] = values
                 res_choices.append(values)
             for combo in iproduct(*res_choices):
                 restrictions = {

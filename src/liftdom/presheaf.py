@@ -40,18 +40,34 @@ only on D's lax family.  ``is_internal_dcpo``, ``is_continuous``,
 ``positive_members`` and the directed-sup half of
 ``is_scott_open_subpresheaf`` therefore enumerate lax families (at most
 the product of the stage sizes) rather than subpresheaves (2 to the total
-size) tested by forcing.  ``subpresheaves_below``,
-``directed_subpresheaves_below`` and ``kj_forces`` keep the literal
-definitions: they are the reference the tests compare the kernel with,
-and ``oq1.positivity_by_forcing`` re-verifies search results through them
-on purpose, so that the re-verification shares nothing with the kernel.
+size) tested by forcing.
+
+Up-mask tables.  The kernel reads the stages' up-mask rows.
+``sup_table`` holds, for each stage q, each r <= q and each element d at
+r, the mask of the s at q with d <= res(q, r, s); the upper bounds at q
+of a family are the AND of its members' masks, and the least is the u
+whose up-row covers them.  A lax family's candidates at a stage are the
+AND of the up-rows of the restricted earlier picks.  Each top-level call
+builds its table once and keeps it nowhere.  Continuity is a constraint
+of ``_stagewise_search``: a branch is dropped as soon as the stages below
+p are chosen and f_p of a family's supremum is not the least upper bound
+of its image.
+
+The references.  ``tests/support.py`` keeps the element-level kernel this
+one replaced (``slow_lax_families``, ``slow_least_upper_bound`` and the
+filtering ``slow_continuous_maps``) as the oracle the tests compare it
+with.  ``subpresheaves_below``, ``directed_subpresheaves_below`` and
+``kj_forces`` keep the literal definitions: they are the second
+reference, and ``oq1.positivity_by_forcing`` re-verifies search results
+through them on purpose, so that the re-verification shares nothing with
+the kernel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
-from .order import FinPoset, StructureError, _check_map, _order_search
+from .order import FinPoset, StructureError, _check_map, _down_rows, _order_search
 
 
 class SortError(TypeError):
@@ -610,78 +626,139 @@ def directed_subpresheaves_below(A: InternalPoset, p) -> list[Subpresheaf]:
     return [D for D in subpresheaves_below(A, p) if internal_directed(D, p)]
 
 
-def _below_desc(base: BasePoset, p) -> list:
-    """The stages <= p, higher stages first."""
-    return [q for q in base.stages_desc() if base.leq(q, p)]
+def _below_desc(base: BasePoset, p, strict: bool = False) -> list:
+    """The positions of the stages <= p (< p with ``strict``), higher first."""
+    at = base.poset._index
+    return [at[q] for q in base.stages_desc() if base.leq(q, p) and not (strict and q == p)]
 
 
-def _lax_families(A: InternalPoset, stage_list):
-    """Every lax family on ``stage_list`` (down-closed, higher stages first):
-    a dict stage -> element with res(q, r, m[q]) <= m[r] whenever r <= q."""
+def sup_table(A: InternalPoset) -> tuple:
+    """A's up-mask table for suprema, indexed by stage position (the order of
+    ``base.stages``): ``(rows, res, pre)`` with
+
+    * ``rows[q]``: the up-mask rows of stage q;
+    * ``res[q]``: a pair ``(r, values)`` for each stage r < q, ``values``
+      the restriction q -> r as element indices;
+    * ``pre[q]``: a pair ``(r, masks)`` for each stage r <= q, stage q
+      first, where ``masks[d]`` is the set of s at q with d <= res(q, r, s)
+      (for r = q, the up-rows themselves).
+
+    Built once per top-level call and never kept on the object."""
     base = A.base
-    above = [[r for r in stage_list[:i] if base.leq(q, r)] for i, q in enumerate(stage_list)]
-    fam: dict = {}
-
-    def rec(i: int):
-        if i == len(stage_list):
-            yield dict(fam)
-            return
-        q = stage_list[i]
-        lower = [A.res_el(r, q, fam[r]) for r in above[i]]
-        P = A.stage_poset(q)
-        for x in A.at(q):
-            if all(P.leq(y, x) for y in lower):
-                fam[q] = x
-                yield from rec(i + 1)
-                del fam[q]
-
-    return rec(0)
-
-
-def _generated(A: InternalPoset, fam: dict) -> Subpresheaf:
-    """The subpresheaf generated by a family: every restriction of a member."""
-    members: dict = {r: set() for r in A.base.stages}
-    for q, m in fam.items():
-        for r in A.base.down_list(q):
-            members[r].add(A.res_el(q, r, m))
-    return Subpresheaf.make(A, members)
+    at = base.poset._index
+    rows = [P._rows for P in A.stage_posets]
+    res, pre = [], []
+    for q, P in zip(base.stages, A.stage_posets):
+        lower, masks_at = [], [(at[q], P._rows)]
+        for r in base.down_list(q):
+            if r == q:
+                continue
+            R = A.stage_posets[at[r]]
+            values = tuple(R._index[y] for y in A.restrictions[base._pair_index[q, r]])
+            masks = [0] * R.n
+            for s, y in enumerate(values):
+                for d in range(R.n):
+                    if R._rows[d] >> y & 1:
+                        masks[d] |= 1 << s
+            lower.append((at[r], values))
+            masks_at.append((at[r], tuple(masks)))
+        res.append(tuple(lower))
+        pre.append(tuple(masks_at))
+    return rows, res, pre
 
 
-def _least_upper_bound(A: InternalPoset, below, p):
-    """The internal least upper bound at stage p of everything ``below(r)``
-    lists at the stages r <= p, or None.
+def _lax_families(tab: tuple, order: list):
+    """Every lax family on the stage positions ``order`` (a down-closed set
+    of stages, higher stages first): one element m_q per listed stage with
+    res(q, r, m_q) <= m_r whenever r <= q.  Stage q's candidates are the
+    AND of the up-rows of the restrictions of the earlier picks above q, so
+    families come out in stage order, elements in stage order.
 
-    s qualifies iff its restriction to every q <= p is the minimum of the
-    stage-q upper bounds; this unfolds the forced statement that s is an
-    upper bound and below every upper bound at every lower stage.
-    """
-    base = A.base
-    mins = {}
-    for q in base.down_list(p):
-        lower = [(r, d) for r in base.down_list(q) for d in below(r)]
-        ubs = [
-            s for s in A.at(q) if all(A.leq_at(r, d, A.res_el(q, r, s)) for r, d in lower)
-        ]
-        m = next((u for u in ubs if all(A.leq_at(q, u, v) for v in ubs)), None)
-        if m is None:
-            return None
-        mins[q] = m
-    s = mins[p]
-    for q in base.down_list(p):
-        if A.res_el(p, q, s) != mins[q]:
+    Each family is one list indexed by stage position, holding ``(m_q,)``
+    (an element index) at each listed stage and ``()`` elsewhere.  The list
+    is reused: a caller that keeps a family copies it."""
+    rows, res, _ = tab
+    down = [dict(lower) for lower in res]
+    above = [[(r, down[r][q]) for r in order[:i] if q in down[r]] for i, q in enumerate(order)]
+    n = len(order)
+    fam: list = [()] * len(rows)
+    cand: list = [None] * (n + 1)  # the candidates left at each position
+    i = 0
+    while i >= 0:
+        if cand[i] is None:
+            if i == n:
+                yield fam
+                i -= 1
+                continue
+            q = order[i]
+            mask = (1 << len(rows[q])) - 1
+            for r, values in above[i]:
+                mask &= rows[q][values[fam[r][0]]]
+            cand[i] = mask
+        mask = cand[i]
+        if not mask:
+            cand[i] = None
+            i -= 1
+            continue
+        low = mask & -mask
+        cand[i] = mask ^ low
+        fam[order[i]] = (low.bit_length() - 1,)
+        i += 1
+
+
+def _stage_min(tab: tuple, below: list, q: int):
+    """The least s at stage q with d <= res(q, r, s) for every element index
+    d in ``below[r]``, r <= q, or None: the AND of the ``pre`` masks is the
+    set of upper bounds, and the least one is the u it lies above."""
+    rows, _, pre = tab
+    ubs = (1 << len(rows[q])) - 1
+    for r, masks in pre[q]:
+        for d in below[r]:
+            ubs &= masks[d]
+    row, m = rows[q], ubs
+    while m:
+        low = m & -m
+        u = low.bit_length() - 1
+        if not ubs & ~row[u]:
+            return u
+        m ^= low
+    return None
+
+
+def _lub(tab: tuple, below: list, p: int):
+    """The internal least upper bound at stage position p of the element
+    indices ``below[r]`` at the stages r <= p, or None.
+
+    s qualifies iff its restriction to every q <= p is the least stage-q
+    upper bound; this unfolds the forced statement that s is an upper bound
+    and below every upper bound at every lower stage."""
+    s = _stage_min(tab, below, p)
+    if s is None:
+        return None
+    for q, values in tab[1][p]:
+        if _stage_min(tab, below, q) != values[s]:
             return None
     return s
 
 
-def internal_sup(A: InternalPoset, D: Subpresheaf, p):
-    """The internal least upper bound of D at stage p, or None."""
-    return _least_upper_bound(A, D.at, p)
+def _generated(A: InternalPoset, fam: list) -> Subpresheaf:
+    """The subpresheaf a lax family generates: every restriction of a member."""
+    base = A.base
+    members: dict = {r: set() for r in base.stages}
+    for q, P, picked in zip(base.stages, A.stage_posets, fam):
+        for x in picked:
+            for r in base.down_list(q):
+                members[r].add(A.res_el(q, r, P.elements[x]))
+    return Subpresheaf.make(A, members)
 
 
-def _family_sup(A: InternalPoset, fam: dict, p):
-    """The internal supremum at p of the subpresheaf a lax family generates:
-    only the maxima fam[r] need to lie below."""
-    return _least_upper_bound(A, lambda r: (fam[r],) if r in fam else (), p)
+def internal_sup(A: InternalPoset, D: Subpresheaf, p, table: tuple | None = None):
+    """The internal least upper bound of D at stage p, or None.  A caller
+    that asks about many subpresheaves of A passes A's ``sup_table``."""
+    tab = sup_table(A) if table is None else table
+    below = [tuple(P._index[x] for x in D.at(q)) for q, P in zip(A.base.stages, A.stage_posets)]
+    s = _lub(tab, below, A.base.poset._index[p])
+    return None if s is None else A.stage_poset(p).elements[s]
 
 
 def is_internal_dcpo(A: InternalPoset):
@@ -689,9 +766,10 @@ def is_internal_dcpo(A: InternalPoset):
 
     The offender is the subpresheaf generated by the first lax family
     without a supremum."""
-    for p in A.base.stages:
-        for fam in _lax_families(A, _below_desc(A.base, p)):
-            if _family_sup(A, fam, p) is None:
+    tab = sup_table(A)
+    for ip, p in enumerate(A.base.stages):
+        for fam in _lax_families(tab, _below_desc(A.base, p)):
+            if _lub(tab, fam, ip) is None:
                 return False, (p, _generated(A, fam))
     return True, None
 
@@ -727,19 +805,24 @@ def positive_members(A: InternalPoset) -> Subpresheaf:
     x at p is positive iff no restriction x|q lies below the supremum of a
     lax family on the stages strictly below q."""
     base = A.base
-    blocked: dict = {}
-    for q in base.stages:
-        strictly_below = [r for r in _below_desc(base, q) if r != q]
-        sups = {_family_sup(A, fam, q) for fam in _lax_families(A, strictly_below)}
-        sups.discard(None)
-        blocked[q] = {y for y in A.at(q) if any(A.leq_at(q, y, s) for s in sups)}
+    tab = sup_table(A)
+    rows, res, _ = tab
+    blocked = []  # per stage: the mask of elements below such a supremum
+    for iq, q in enumerate(base.stages):
+        down, mask = _down_rows(rows[iq]), 0
+        for fam in _lax_families(tab, _below_desc(base, q, strict=True)):
+            s = _lub(tab, fam, iq)
+            if s is not None:
+                mask |= down[s]
+        blocked.append(mask)
     members = {
         p: {
             x
-            for x in A.at(p)
-            if all(A.res_el(p, q, x) not in blocked[q] for q in base.down_list(p))
+            for i, x in enumerate(P.elements)
+            if not blocked[ip] >> i & 1
+            and not any(blocked[iq] >> values[i] & 1 for iq, values in res[ip])
         }
-        for p in base.stages
+        for ip, (p, P) in enumerate(zip(base.stages, A.stage_posets))
     }
     return Subpresheaf.make(A, members)
 
@@ -758,37 +841,86 @@ def restrict_to(A: InternalPoset, p) -> tuple[BasePoset, InternalPoset]:
 # ---------------------------------------------------------------------------
 # Enumeration of natural transformations, with and without continuity.
 
-def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False) -> bool:
+def _continuity_checks(A: InternalPoset, B: InternalPoset) -> list:
+    """What Scott continuity asks of a monotone natural map f: A -> B, one
+    check per stage position p: ``(p, pre, rows, families)`` with B's
+    ``pre[p]`` and ``rows[p]``, and ``families`` listing ``(m, s)`` for each
+    lax family on the stages <= p whose supremum s at p exists in A and is
+    not its own member m_p; ``m`` holds the family's element indices in
+    ``pre[p]``'s stage order.
+
+    f preserves every directed supremum iff, for each listed pair, f_p(s)
+    is the least stage-p upper bound of f(m) in B.  That is the supremum
+    condition at p alone: the family's restriction to q <= p is a lax
+    family whose supremum is res(p, q, s), so its own check at q, with
+    naturality, gives the condition at each lower stage.  A family whose
+    supremum is its own member passes for every monotone natural f."""
+    tab, pre_b, rows_b = sup_table(A), sup_table(B)[2], [Q._rows for Q in B.stage_posets]
+    checks = []
+    for ip, p in enumerate(A.base.stages):
+        families = []
+        for fam in _lax_families(tab, _below_desc(A.base, p)):
+            s = _lub(tab, fam, ip)
+            if s is not None and fam[ip][0] != s:
+                families.append((tuple(fam[r][0] for r, _ in pre_b[ip]), s))
+        if families:
+            checks.append((ip, pre_b[ip], rows_b[ip], families))
+    return checks
+
+
+def _preserves(check: tuple, comps: list) -> bool:
+    """Whether components given as value indices per stage position pass
+    one check of ``_continuity_checks``; only the stages <= p are read."""
+    p, pre, rows, families = check
+    full, fp = (1 << len(rows)) - 1, comps[p]
+    for m, s in families:
+        ubs = full
+        for (r, masks), x in zip(pre, m):
+            ubs &= masks[comps[r][x]]
+        t = fp[s]
+        if not ubs >> t & 1 or ubs & ~rows[t]:
+            return False
+    return True
+
+
+def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False, continuous=False) -> bool:
     """Every natural stagewise map A -> B that is monotone (with ``iso``, an
-    order-iso) at each stage, lexicographic over stages in ``stages_desc()``
-    order, elements in stage order and values in codomain order.
+    order-iso; with ``continuous``, Scott continuous) at each stage,
+    lexicographic over stages in ``stages_desc()`` order, elements in stage
+    order and values in codomain order.
 
     Each stage above q comes before q, so naturality at q pins
     f_q(res(x)) = res(f_r(x)) for every chosen r above q (conflicting pins
     leave no component), and the order search lists the components at q
-    that agree with the pins.  ``emit(components)`` gets each map aligned
-    with ``base.stages``; a true return stops the search."""
+    that agree with the pins.  A continuity check at p runs as soon as every
+    stage <= p has its component, and a branch that fails it is dropped.
+    ``emit(components)`` gets each map aligned with ``base.stages``; a true
+    return stops the search."""
     base = A.base
+    at = base.poset._index
     stages = base.stages_desc()
-    pos = [stages.index(p) for p in base.stages]
-    PA = [A.stage_poset(q) for q in stages]
-    PB = [B.stage_poset(q) for q in stages]
+    order = [at[q] for q in stages]
+    PA, PB = A.stage_posets, B.stage_posets
 
-    def res_index(X, P, r, q):
-        # X's restriction from r to q, as indices into P = X's stage poset at q
-        return tuple(P._index[y] for y in X.restrictions[base._pair_index[r, q]])
+    def res_index(X, r, q):
+        # X's restriction from r to q, as indices into X's stage poset at q
+        return tuple(X.stage_posets[at[q]]._index[y] for y in X.restrictions[base._pair_index[r, q]])
 
-    # per stage position i: each earlier position k above it, with both restrictions
+    # per search position i: each earlier stage above it, with both restrictions
     above = [
-        [(k, res_index(A, PA[i], r, q), res_index(B, PB[i], r, q))
-         for k, r in enumerate(stages[:i]) if base.leq(q, r)]
+        [(at[r], res_index(A, r, q), res_index(B, r, q)) for r in stages[:i] if base.leq(q, r)]
         for i, q in enumerate(stages)
     ]
+    # per search position: the continuity checks whose stages are all chosen there
+    ready: list = [[] for _ in stages]
+    if continuous:
+        for check in _continuity_checks(A, B):
+            ready[max(order.index(r) for r, _ in check[1])].append(check)
     chosen: list = [None] * len(stages)  # value indices per stage position
 
     def rec(i: int) -> bool:
         if i == len(stages):
-            return emit(tuple(tuple(map(PB[k].elements.__getitem__, chosen[k])) for k in pos))
+            return emit(tuple(tuple(map(Q.elements.__getitem__, vals)) for Q, vals in zip(PB, chosen)))
         pins: dict = {}
         for k, res_a, res_b in above[i]:
             for x, v in zip(res_a, chosen[k]):
@@ -797,21 +929,22 @@ def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False) -> bo
                     return False
 
         def stage_emit(vals):
-            chosen[i] = tuple(vals)
-            return rec(i + 1)
+            chosen[order[i]] = tuple(vals)
+            return all(_preserves(check, chosen) for check in ready[i]) and rec(i + 1)
 
-        return _order_search(PA[i]._rows, PB[i]._rows, stage_emit, pins, iso)
+        return _order_search(PA[order[i]]._rows, PB[order[i]]._rows, stage_emit, pins, iso)
 
     return rec(0)
 
 
-def enumerate_nat_trans(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
-    """All order-preserving natural transformations A -> B, in canonical order.
+def enumerate_nat_trans(A: InternalPoset, B: InternalPoset, continuous: bool = False) -> list[NatTrans]:
+    """All order-preserving natural transformations A -> B (with
+    ``continuous``, the Scott-continuous ones), in canonical order.
 
     A trusted producer: the stagewise search checks monotonicity at every
     stage and every naturality square as it goes."""
     out: list[NatTrans] = []
-    _stagewise_search(A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)))
+    _stagewise_search(A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)), continuous=continuous)
     return out
 
 
@@ -832,21 +965,15 @@ def is_continuous(f: NatTrans) -> bool:
     """Whether f preserves internal directed suprema (not automatic here).
 
     f maps the maxima of a directed D to the maxima of its image, so it is
-    enough to run over lax families."""
-    A, B = f.dom, f.cod
-    for p in A.base.stages:
-        for fam in _lax_families(A, _below_desc(A.base, p)):
-            s = _family_sup(A, fam, p)
-            if s is None:
-                continue
-            t = _family_sup(B, {q: f.apply(q, m) for q, m in fam.items()}, p)
-            if t is None or f.apply(p, s) != t:
-                return False
-    return True
+    enough to run over lax families (``_continuity_checks``)."""
+    comps = [tuple(Q._index[v] for v in c) for Q, c in zip(f.cod.stage_posets, f.components)]
+    return all(_preserves(check, comps) for check in _continuity_checks(f.dom, f.cod))
 
 
 def continuous_maps(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
-    return [f for f in enumerate_nat_trans(A, B) if is_continuous(f)]
+    """The continuous maps among ``enumerate_nat_trans(A, B)``, in its order;
+    the stagewise search prunes by continuity instead of filtering."""
+    return enumerate_nat_trans(A, B, continuous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -856,19 +983,18 @@ def is_scott_open_subpresheaf(U: Subpresheaf) -> bool:
     """Stagewise up-closed, restriction-closed (by construction), and
     inaccessible by internal directed suprema."""
     A = U.parent
-    for p in A.base.stages:
-        P = A.stage_poset(p)
-        for x in U.at(p):
-            for y in P.up_set(x):
-                if y not in U.at(p):
-                    return False
+    inside = [sum(1 << P._index[x] for x in U.at(p)) for p, P in zip(A.base.stages, A.stage_posets)]
+    for P, mask in zip(A.stage_posets, inside):
+        if any(mask >> x & 1 and P._rows[x] & ~mask for x in range(P.n)):
+            return False
     # U(p) is up-closed, so a directed D meets it at p iff its maximum m[p] does
-    for p in A.base.stages:
-        for fam in _lax_families(A, _below_desc(A.base, p)):
-            if fam[p] in U.at(p):
+    tab = sup_table(A)
+    for ip, p in enumerate(A.base.stages):
+        for fam in _lax_families(tab, _below_desc(A.base, p)):
+            if inside[ip] >> fam[ip][0] & 1:
                 continue
-            s = _family_sup(A, fam, p)
-            if s is not None and s in U.at(p):
+            s = _lub(tab, fam, ip)
+            if s is not None and inside[ip] >> s & 1:
                 return False
     return True
 

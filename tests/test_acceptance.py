@@ -6,14 +6,11 @@ deferred to later calibration.
 """
 import time
 
-import pytest
-
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
-from liftdom.laws import REGISTRY, run_law, run_negative
+from liftdom.laws import run_law, run_negative
 from liftdom.lifting import (
     all_algebra_structures,
     algebra_structure,
-    free_on_positives_check,
     kz_check,
 )
 from liftdom.oq1 import OQ1Bounds, search_open_question_1

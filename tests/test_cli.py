@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from liftdom.cli import main
 from liftdom.laws import REGISTRY, Bounds
 

@@ -185,6 +185,36 @@ def test_structure_error_in_a_fault_is_a_construction_failure(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "fault, law, witness",
+    [
+        (laws._fake_scone_backend, "kz-adjunction", "KeyError: ('in', 1, 'x0')"),
+        (laws._AlwaysPointed, "pointed-iff-algebra", "AttributeError: 'NoneType' object has no attribute 'dom'"),
+    ],
+)
+def test_an_exception_from_a_checker_is_a_construction_failure(fault, law, witness):
+    # another law's fault breaks an invariant this law's checker reads, and
+    # the checker raises; the report ends on a FAIL line naming the
+    # exception instead of the raise ending the run
+    lines = REGISTRY[law].runner(laws._control_model(), laws.CONTROL_BOUNDS, Backends(fault(), None))
+    rep = laws._report(law, lines, laws.CONTROL_BOUNDS)
+    assert rep.status == FAIL
+    assert [(i.objects, i.status, i.witness) for i in rep.instances] == [("construction", FAIL, witness)]
+
+
+def test_no_exception_escapes_a_report():
+    # every law's runner on every law's fault at the control bounds gives a
+    # report; the runs whose checker raised end on a FAIL construction line
+    crashed = 0
+    for fault in [law.fault for law in REGISTRY.values()]:
+        for name, law in REGISTRY.items():
+            rep = laws._report(name, law.runner(laws._control_model(), laws.CONTROL_BOUNDS, fault()), laws.CONTROL_BOUNDS)
+            last = rep.instances[-1]
+            if last.objects == "construction" and last.status == FAIL:
+                crashed += last.witness.startswith(("KeyError: ", "AttributeError: "))
+    assert crashed
+
+
 def test_a_faulty_coproduct_fails_on_its_own_line(monkeypatch):
     # a coproduct check whose construction rejects what it built fails on
     # that coproduct's line; only a refused construction is UNAVAILABLE,

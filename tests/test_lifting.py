@@ -1,9 +1,6 @@
-import pytest
-
 from liftdom.backend import (
     ClassicalBackend,
     PresheafBackend,
-    UnavailableError,
     sierpinski_base,
 )
 from liftdom.lifting import (
@@ -14,7 +11,6 @@ from liftdom.lifting import (
     commutator,
     commutator_both,
     conservativity_check,
-    costrength,
     enumerate_partial_maps,
     free_on_positives_check,
     is_algebra,

@@ -1,13 +1,11 @@
 import pytest
 
 from liftdom.model import (
-    DEFAULT_MODEL_TEXT,
     ModelError,
     default_model,
     parse_model,
     render_model,
 )
-from liftdom.order import FinPoset
 from liftdom.presheaf import is_internal_dcpo
 
 

@@ -151,6 +151,29 @@ def test_internal_posets_match_validating_enumeration():
     assert objects == 2012
 
 
+def test_restriction_values_are_computed_once_per_pair(monkeypatch):
+    # internal_posets keeps one value list per pair of labelled stage posets
+    # within a call, so each pair's maps are searched once per base; the
+    # objects, their order and their hidden state stay the validating ones
+    bounds = OQ1Bounds(3, 3, 6)
+    real, calls = oq1._monotone_values, []
+    monkeypatch.setattr(oq1, "_monotone_values", lambda P, Q: calls.append((P, Q)) or real(P, Q))
+    totals = {False: [0, 0], True: [0, 0]}  # objects, _monotone_values calls
+    for _, base in _small_bases(bounds):
+        want = list(_internal_posets_by_validation(base, bounds))
+        for pointed in (False, True):
+            calls.clear()
+            got = list(internal_posets(base, bounds, pointed=pointed))
+            expected = [A for A in want if is_internal_pointed(A)] if pointed else want
+            assert got == expected
+            assert [_hidden_state(A) for A in got] == [_hidden_state(A) for A in expected]
+            assert len(calls) == len(set(calls))
+            totals[pointed][0] += len(got)
+            totals[pointed][1] += len(calls)
+    # one call per pair and base: 4,233 and 1,440 calls before the table
+    assert totals == {False: [16251, 1873], True: [2314, 648]}
+
+
 def test_candidate_algebras_match_filtered_validating_enumeration():
     # pointed first: the stagewise bottom filter keeps exactly the
     # is_internal_pointed objects, in order

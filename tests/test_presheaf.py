@@ -36,7 +36,6 @@ from liftdom.presheaf import (
     positive_members,
     scott_open_subpresheaves,
     sieves_on,
-    subpresheaves_below,
 )
 
 from support import antichain, omega_bot, omega_top

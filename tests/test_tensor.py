@@ -15,7 +15,6 @@ from liftdom.tensor import (
     pentagon_check,
     seal_iso_check,
     seal_represents_bilinear_check,
-    seal_tensor,
     smash,
     smash_comparison,
     smash_presentations,
