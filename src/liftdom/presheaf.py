@@ -626,10 +626,10 @@ def directed_subpresheaves_below(A: InternalPoset, p) -> list[Subpresheaf]:
     return [D for D in subpresheaves_below(A, p) if internal_directed(D, p)]
 
 
-def _below_desc(base: BasePoset, p, strict: bool = False) -> list:
-    """The positions of the stages <= p (< p with ``strict``), higher first."""
+def _below_desc(base: BasePoset, p) -> list:
+    """The positions of the stages <= p, higher stages first."""
     at = base.poset._index
-    return [at[q] for q in base.stages_desc() if base.leq(q, p) and not (strict and q == p)]
+    return [at[q] for q in base.stages_desc() if base.leq(q, p)]
 
 
 def sup_table(A: InternalPoset) -> tuple:
@@ -709,7 +709,7 @@ def _lax_families(tab: tuple, order: list):
 def _stage_min(tab: tuple, below: list, q: int):
     """The least s at stage q with d <= res(q, r, s) for every element index
     d in ``below[r]``, r <= q, or None: the AND of the ``pre`` masks is the
-    set of upper bounds, and the least one is the u it lies above."""
+    set of upper bounds, and the least one is the u whose up-row holds it."""
     rows, _, pre = tab
     ubs = (1 << len(rows[q])) - 1
     for r, masks in pre[q]:
@@ -810,7 +810,8 @@ def positive_members(A: InternalPoset) -> Subpresheaf:
     blocked = []  # per stage: the mask of elements below such a supremum
     for iq, q in enumerate(base.stages):
         down, mask = _down_rows(rows[iq]), 0
-        for fam in _lax_families(tab, _below_desc(base, q, strict=True)):
+        strictly_below = [r for r in _below_desc(base, q) if r != iq]
+        for fam in _lax_families(tab, strictly_below):
             s = _lub(tab, fam, iq)
             if s is not None:
                 mask |= down[s]
@@ -855,7 +856,8 @@ def _continuity_checks(A: InternalPoset, B: InternalPoset) -> list:
     family whose supremum is res(p, q, s), so its own check at q, with
     naturality, gives the condition at each lower stage.  A family whose
     supremum is its own member passes for every monotone natural f."""
-    tab, pre_b, rows_b = sup_table(A), sup_table(B)[2], [Q._rows for Q in B.stage_posets]
+    tab = sup_table(A)
+    rows_b, _, pre_b = sup_table(B)
     checks = []
     for ip, p in enumerate(A.base.stages):
         families = []

@@ -222,7 +222,7 @@ def test_scott_openness_on_a_seeded_sample(objects, directed):
 def _omega_and_lift_one(base):
     bk = PresheafBackend(base)
     O, L1 = omega(base), bk.lift(bk.terminal()).obj
-    return bk, {"Ω": O, "L1": L1, "Ω×L1": bk.product(O, L1).obj}
+    return {"Ω": O, "L1": L1, "Ω×L1": bk.product(O, L1).obj}
 
 
 # the up-mask rows of the 3-chain s2 < s1 < s0 and of s0, s1 < s2 as
@@ -237,7 +237,7 @@ _BASES = _small_bases(OQ1Bounds(3, 3, 9))
 def test_continuous_maps_match_the_filter(name, base):
     # same maps in the same order as listing every monotone natural map and
     # filtering it by the element-level continuity check
-    _, objs = _omega_and_lift_one(base)
+    objs = _omega_and_lift_one(base)
     pairs = [(a, b) for a in ("Ω", "L1") for b in ("Ω", "L1")] + [("Ω", "Ω×L1"), ("Ω×L1", "Ω")]
     for a, b in pairs:
         # left out: over the 3-chain the filtering reference takes about 6 s,
