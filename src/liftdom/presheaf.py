@@ -637,8 +637,8 @@ def sup_table(A: InternalPoset) -> tuple:
     ``base.stages``): ``(rows, res, pre)`` with
 
     * ``rows[q]``: the up-mask rows of stage q;
-    * ``res[q]``: a pair ``(r, values)`` for each stage r < q, ``values``
-      the restriction q -> r as element indices;
+    * ``res[q]``: a dict from each stage r < q to the restriction q -> r
+      as element indices;
     * ``pre[q]``: a pair ``(r, masks)`` for each stage r <= q, stage q
       first, where ``masks[d]`` is the set of s at q with d <= res(q, r, s)
       (for r = q, the up-rows themselves).
@@ -649,7 +649,7 @@ def sup_table(A: InternalPoset) -> tuple:
     rows = [P._rows for P in A.stage_posets]
     res, pre = [], []
     for q, P in zip(base.stages, A.stage_posets):
-        lower, masks_at = [], [(at[q], P._rows)]
+        lower, masks_at = {}, [(at[q], P._rows)]
         for r in base.down_list(q):
             if r == q:
                 continue
@@ -660,9 +660,9 @@ def sup_table(A: InternalPoset) -> tuple:
                 for d in range(R.n):
                     if R._rows[d] >> y & 1:
                         masks[d] |= 1 << s
-            lower.append((at[r], values))
+            lower[at[r]] = values
             masks_at.append((at[r], tuple(masks)))
-        res.append(tuple(lower))
+        res.append(lower)
         pre.append(tuple(masks_at))
     return rows, res, pre
 
@@ -678,8 +678,7 @@ def _lax_families(tab: tuple, order: list):
     (an element index) at each listed stage and ``()`` elsewhere.  The list
     is reused: a caller that keeps a family copies it."""
     rows, res, _ = tab
-    down = [dict(lower) for lower in res]
-    above = [[(r, down[r][q]) for r in order[:i] if q in down[r]] for i, q in enumerate(order)]
+    above = [[(r, res[r][q]) for r in order[:i] if q in res[r]] for i, q in enumerate(order)]
     n = len(order)
     fam: list = [()] * len(rows)
     cand: list = [None] * (n + 1)  # the candidates left at each position
@@ -735,7 +734,7 @@ def _lub(tab: tuple, below: list, p: int):
     s = _stage_min(tab, below, p)
     if s is None:
         return None
-    for q, values in tab[1][p]:
+    for q, values in tab[1][p].items():
         if _stage_min(tab, below, q) != values[s]:
             return None
     return s
@@ -821,7 +820,7 @@ def positive_members(A: InternalPoset) -> Subpresheaf:
             x
             for i, x in enumerate(P.elements)
             if not blocked[ip] >> i & 1
-            and not any(blocked[iq] >> values[i] & 1 for iq, values in res[ip])
+            and not any(blocked[iq] >> values[i] & 1 for iq, values in res[ip].items())
         }
         for ip, (p, P) in enumerate(zip(base.stages, A.stage_posets))
     }
