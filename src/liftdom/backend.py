@@ -525,7 +525,7 @@ class ClassicalBackend(_ConstructionCache):
         if f.dom != g.dom or f.cod != g.cod:
             raise StructureError("composability", "maps are not parallel")
         B = f.cod
-        Q, assign = quotient_poset(B, [(f(x), g(x)) for x in f.dom.elements])
+        Q, assign = quotient_poset(B, zip(f.values, g.values))
         return CoeqData(Q, MonotoneMap._trusted(B, Q, tuple([assign[x] for x in B.elements])))
 
     def _exponential(self, A, B) -> ExpData:

@@ -35,7 +35,9 @@ construction:
 * ``hom_poset``: the rows of ``_up_masks`` are the pointwise order of
   distinct monotone maps, a partial order;
 * ``quotient_poset``: its class rows are closed, and it merges preorder
-  cycles until none is left;
+  cycles until none is left.  One union-find keeps each class's least
+  index as its root; a class's row is the OR, over the set bits j of the
+  class's up-mask, of the table entry ``bit[j]`` = 1 << (class of j);
 * ``_rows_to_poset``: ``_extensions`` adds one point to a poset at a time,
   below an up-closed and above a down-closed set.
 
@@ -46,6 +48,10 @@ their unit and bottom, bottom points, coequaliser projections, the map
 ``scone_induced`` builds once the laxness check has passed, and the maps
 of the shared base's ``_derived_mor``.  Re-validating those results would
 repeat work in the inner loop of every universal-property check.
+
+A map is a slotted record (``dataclass(slots=True)``): no ``__dict__``, and
+``MonotoneMap._trusted`` fills its three slots through their member
+descriptors, so the many maps the producers build stay small and cheap.
 
 Hom enumeration and iso search in both backends run ``_order_search``, the
 presheaf backend once per stage, so its candidate order fixes every "first
@@ -352,9 +358,10 @@ def _check_map(dom: FinPoset, cod: FinPoset, values: tuple, where: str = ""):
             row ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneMap:
-    """An order-preserving map; ``values`` is aligned with ``dom.elements``."""
+    """An order-preserving map; ``values`` is aligned with ``dom.elements``.
+    A slotted record: no ``__dict__``, its three fields in slots."""
 
     dom: FinPoset
     cod: FinPoset
@@ -369,11 +376,10 @@ class MonotoneMap:
         """Build without validation; ``values`` must already be a tuple that
         is total, lands in ``cod`` and is monotone (see the module docstring)."""
         f = object.__new__(cls)
-        # attribute by attribute, as the dataclass __init__ does: touching
-        # __dict__ would give every map its own dict, about 150 bytes more
-        object.__setattr__(f, "dom", dom)
-        object.__setattr__(f, "cod", cod)
-        object.__setattr__(f, "values", values)
+        # straight into the slots, past the frozen __setattr__
+        _set_dom(f, dom)
+        _set_cod(f, cod)
+        _set_values(f, values)
         return f
 
     @classmethod
@@ -394,6 +400,10 @@ class MonotoneMap:
     def __repr__(self):
         body = ", ".join(f"{x!r}->{v!r}" for x, v in zip(self.dom.elements, self.values))
         return f"MonotoneMap({body})"
+
+
+# the slots' member descriptors, bound once for MonotoneMap._trusted
+_set_dom, _set_cod, _set_values = MonotoneMap.dom.__set__, MonotoneMap.cod.__set__, MonotoneMap.values.__set__
 
 
 def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
@@ -600,29 +610,47 @@ def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
     """
     parent = list(range(B.n))
 
-    def find(i):
+    def union(i, j):
+        # path halving on both sides; the lesser root becomes the root, so
+        # every parent index is at most its child's
         while parent[i] != i:
             parent[i] = parent[parent[i]]
             i = parent[i]
-        return i
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i < j:
+            parent[j] = i
+        else:
+            parent[i] = j
 
-    def union(i, j):
-        i, j = find(i), find(j)
-        parent[max(i, j)] = min(i, j)
-
+    index = B._index
     for x, y in seeds:
-        union(B._index[x], B._index[y])
+        union(index[x], index[y])
     merged = True
     while merged:
-        roots = [i for i in range(B.n) if find(i) == i]
-        cls = {r: k for k, r in enumerate(roots)}
-        of = [cls[find(i)] for i in range(B.n)]
-        # a class's row: the classes that meet the up-set of one of its members
-        members, up = [0] * len(roots), [0] * len(roots)
-        for i, row in enumerate(B._rows):
-            members[of[i]] |= 1 << i
-            up[of[i]] |= row
-        rows = _close_rows([sum(1 << k for k, mask in enumerate(members) if u & mask) for u in up])
+        # one pass: a member's parent comes before it, in the same class
+        roots, of = [], []
+        for i, p in enumerate(parent):
+            if p == i:
+                of.append(len(roots))
+                roots.append(i)
+            else:
+                of.append(of[p])
+        up = [0] * len(roots)
+        for k, row in zip(of, B._rows):
+            up[k] |= row
+        # a class's row: the classes of the members of its up-mask
+        bit = [1 << k for k in of]
+        rows = []
+        for u in up:
+            r = 0
+            while u:
+                low = u & -u
+                r |= bit[low.bit_length() - 1]
+                u ^= low
+            rows.append(r)
+        rows = _close_rows(rows)
         merged = False
         for k, row in enumerate(rows):
             m = row >> k + 1 << k + 1  # the classes l > k above class k

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map, value_tables
-from .order import FinPoset, StructureError
+from .order import FinPoset, StructureError, _restrict_rows
 
 
 @dataclass
@@ -182,13 +182,21 @@ def direct_smash_classical(bk, A: FinPoset, B: FinPoset) -> FinPoset:
     els = (label,) + tuple(
         ("pr", a, b) for a in A.elements for b in B.elements if a != ba and b != bb
     )
-    pairs = {(label, e) for e in els} | {
-        (x, y)
-        for x in els[1:]
-        for y in els[1:]
-        if A.leq(x[1], y[1]) and B.leq(x[2], y[2])
-    }
-    return FinPoset(els, frozenset(pairs))
+    # the product order on the non-bottom pairs, from the factors' rows
+    # without their bottoms: pair (s, t) sits at bit 1 + s * nb + t
+    ra = _restrict_rows(A._rows, [i for i, a in enumerate(A.elements) if a != ba])
+    rb = _restrict_rows(B._rows, [i for i, b in enumerate(B.elements) if b != bb])
+    nb = len(rb)
+    rows = [(1 << len(els)) - 1]
+    for row_a in ra:
+        for row_b in rb:
+            r, m = 0, row_a
+            while m:
+                low = m & -m
+                r |= row_b << 1 + (low.bit_length() - 1) * nb
+                m ^= low
+            rows.append(r)
+    return FinPoset.from_rows(els, rows)
 
 
 def seal_tensor(bk, A, B):

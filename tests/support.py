@@ -4,9 +4,10 @@
 search or a CLI command reaches it (``test_reach.py``).  These serve the
 tests alone: the functor, monad and naturality laws of the lift, the
 support map into Sigma, order predicates, the top and bottom sieves, the
-internal semidirectedness formula at a stage, the associator check, and
-the element-level oracles of the presheaf supremum kernel."""
-from liftdom.order import FinPoset, MonotoneMap, Subset, is_semidirected, subsets
+internal semidirectedness formula at a stage, the associator check, the
+element-level oracles of the presheaf supremum kernel, and the slow
+references of the classical quotient and of the direct smash oracle."""
+from liftdom.order import FinPoset, MonotoneMap, StructureError, Subset, _close_rows, is_semidirected, subsets
 from liftdom.presheaf import (
     InternalPoset,
     Sieve,
@@ -91,6 +92,48 @@ def is_order_embedding(f: MonotoneMap) -> bool:
     return True
 
 
+def slow_quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
+    """The poset quotient of B by the congruence generated by ``seeds``, as
+    ``order.quotient_poset`` computed it before its class-bit table: each
+    class row found by testing the up-mask against every class's members."""
+    parent = list(range(B.n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i, j):
+        i, j = find(i), find(j)
+        parent[max(i, j)] = min(i, j)
+
+    for x, y in seeds:
+        union(B._index[x], B._index[y])
+    merged = True
+    while merged:
+        roots = [i for i in range(B.n) if find(i) == i]
+        cls = {r: k for k, r in enumerate(roots)}
+        of = [cls[find(i)] for i in range(B.n)]
+        # a class's row: the classes that meet the up-set of one of its members
+        members, up = [0] * len(roots), [0] * len(roots)
+        for i, row in enumerate(B._rows):
+            members[of[i]] |= 1 << i
+            up[of[i]] |= row
+        rows = _close_rows([sum(1 << k for k, mask in enumerate(members) if u & mask) for u in up])
+        merged = False
+        for k, row in enumerate(rows):
+            m = row >> k + 1 << k + 1  # the classes l > k above class k
+            while m:
+                low = m & -m
+                m ^= low
+                if rows[low.bit_length() - 1] >> k & 1:
+                    union(roots[k], roots[low.bit_length() - 1])
+                    merged = True
+    reps = tuple(B.elements[r] for r in roots)
+    return FinPoset._trusted(reps, tuple(rows)), {x: reps[of[i]] for i, x in enumerate(B.elements)}
+
+
 # ---------------------------------------------------------------------------
 # Presheaves and the tensor.
 
@@ -108,6 +151,27 @@ def internal_semidirected(D, stage) -> bool:
 
 def associator_iso_check(bk, A, B, C) -> bool:
     return bk.is_iso(associator(bk, A, B, C)[2])
+
+
+def slow_direct_smash_classical(bk, A: FinPoset, B: FinPoset) -> FinPoset:
+    """``tensor.direct_smash_classical`` as a pair set built from ``leq``
+    calls and validated by ``FinPoset(elements, pairs)``."""
+    if bk.name != "classical":
+        raise StructureError("backend", "the direct quotient oracle is classical-only")
+    if not A.is_pointed() or not B.is_pointed():
+        raise StructureError("pointedness", "smash products need pointed factors")
+    ba, bb = A.bottom(), B.bottom()
+    label = "⊥"
+    els = (label,) + tuple(
+        ("pr", a, b) for a in A.elements for b in B.elements if a != ba and b != bb
+    )
+    pairs = {(label, e) for e in els} | {
+        (x, y)
+        for x in els[1:]
+        for y in els[1:]
+        if A.leq(x[1], y[1]) and B.leq(x[2], y[2])
+    }
+    return FinPoset(els, frozenset(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import importlib.util
+import os
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 from itertools import product as iproduct
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftdom import backend
 from liftdom.backend import ClassicalBackend, CoeqData, LiftData, PresheafBackend
 from liftdom.lifting import arrow_object, scone_data
 from liftdom.oq1 import OQ1Bounds, _small_bases, internal_posets
@@ -33,7 +37,10 @@ from liftdom.order import (
     subsets,
 )
 
-from support import antichain, covers, directed_subsets, is_directed, is_order_embedding
+from liftdom.presheaf import BasePoset, InternalPoset
+from liftdom.tensor import smash, smash_presentations
+
+from support import antichain, covers, directed_subsets, is_directed, is_order_embedding, slow_quotient_poset
 
 CHAIN2 = FinPoset.chain(2)
 CHAIN3 = FinPoset.chain(3)
@@ -130,6 +137,22 @@ def test_no_poset_stores_a_pair_set():
         assert set(vars(P)) == {"elements", "_index", "_rows"}
     with pytest.raises(AttributeError):
         A.elements = ()
+
+
+def test_map_record_is_slotted_and_frozen():
+    # a trusted map and a validated map of the same data are one value
+    A, B = FinPoset.from_generators("abc", [("a", "b"), ("a", "c")]), CHAIN3
+    values = ("c0", "c1", "c2")
+    trusted, validated = MonotoneMap._trusted(A, B, values), MonotoneMap(A, B, list(values))
+    assert trusted == validated and hash(trusted) == hash(validated)
+    assert repr(trusted) == repr(validated) == "MonotoneMap('a'->'c0', 'b'->'c1', 'c'->'c2')"
+    for f in (trusted, validated, compose(MonotoneMap.identity(B), trusted)):
+        assert not hasattr(f, "__dict__")
+        for field in ("dom", "cod", "values"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(f, field, getattr(f, field))
+    with pytest.raises(StructureError, match="monotonicity"):
+        MonotoneMap(A, B, ("c1", "c0", "c2"))
 
 
 def test_semidirected_and_directed():
@@ -590,6 +613,83 @@ def test_quotient_poset_matches_pairs_reference():
                 Q, assign = quotient_poset(B, chosen)
                 R, ref_assign = reference_quotient_poset(B, chosen)
                 assert same_poset(Q, R) and assign == ref_assign
+
+
+def _same_quotient(B, seeds):
+    # the class-bit kernel against the slow reference it replaced: the same
+    # representatives, rows and assignment
+    Q, assign = quotient_poset(B, seeds)
+    R, ref_assign = slow_quotient_poset(B, seeds)
+    assert (Q.elements, Q._rows, assign) == (R.elements, R._rows, ref_assign)
+    return Q, assign
+
+
+def test_quotient_poset_matches_slow_reference_on_labelled_posets():
+    # every labelled poset with at most 4 elements, under every single seed
+    # pair and a seeded sample of two- and three-pair seeds
+    rng = random.Random(20261020)
+    for n in range(5):
+        for rows in _labeled_rows(n):
+            B = _rows_to_poset(rows)
+            pairs = [(x, y) for x in B.elements for y in B.elements]
+            for pair in pairs:
+                _same_quotient(B, [pair])
+            for k in (2, 3):
+                for _ in range(8 if pairs else 0):
+                    _same_quotient(B, rng.choices(pairs, k=k))
+
+
+def _checked_coequalisers(monkeypatch):
+    # every quotient the backends' coequalisers ask for, checked against the
+    # slow reference on the way
+    calls = []
+
+    def checked(B, seeds):
+        seeds = list(seeds)
+        calls.append(len(seeds))
+        return _same_quotient(B, seeds)
+
+    monkeypatch.setattr(backend, "quotient_poset", checked)
+    return calls
+
+
+def test_quotient_poset_matches_slow_reference_on_smash_presentations(monkeypatch):
+    # the coequalisers of all four presentations over every pointed pair
+    # with at most 4 elements, on a backend whose memo starts empty
+    calls = _checked_coequalisers(monkeypatch)
+    bk, pointed = ClassicalBackend(), posets_upto(4, pointed=True)
+    for A in pointed:
+        for B in pointed:
+            assert len(smash_presentations(bk, A, B)) == 4
+    assert len(calls) == 4 * len(pointed) ** 2
+
+
+def _build_inputs(seed):
+    # the seeded input stream of the benchmark's ``build`` workload
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.build_inputs(seed)
+
+
+def test_quotient_poset_matches_slow_reference_on_presheaf_coequalisers(monkeypatch):
+    # the stage quotients of the presheaf smash on the build stream's seed-1
+    # presheaf pairs; a smash over an ordered base may be refused later, but
+    # only after its coequaliser's quotients are checked
+    calls = _checked_coequalisers(monkeypatch)
+    backends = {}
+    for base_name, (stages, leq), a, b in _build_inputs(1)["presheaf"]:
+        if base_name not in backends:
+            backends[base_name] = PresheafBackend(BasePoset(FinPoset(stages, leq)))
+        bk = backends[base_name]
+        A = InternalPoset.make(bk.base, a["sets"], a["res"], a["orders"])
+        B = InternalPoset.make(bk.base, b["sets"], b["res"], b["orders"])
+        try:
+            smash(bk, A, B)
+        except backend.UnavailableError:
+            pass
+    assert calls
 
 
 def reference_row_pairs(els, rows):

@@ -25,7 +25,7 @@ from liftdom.tensor import (
     universal_bistrict_check,
 )
 
-from support import antichain, associator_iso_check
+from support import antichain, associator_iso_check, slow_direct_smash_classical
 
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
@@ -120,6 +120,24 @@ def test_direct_smash_formula():
         "wxyz", [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")]
     )
     assert direct_smash_classical(CL, diamond, SIGMA).n == 4
+
+
+def test_direct_smash_matches_pair_set_reference():
+    # the rows built from the factors' rows against the pair set built from
+    # leq calls: the same elements in the same order and the same rows
+    pointed = posets_upto(5, pointed=True)
+    assert len(pointed) ** 2 == 625
+    for A in pointed:
+        for B in pointed:
+            fast, slow = direct_smash_classical(CL, A, B), slow_direct_smash_classical(CL, A, B)
+            assert fast.elements == slow.elements and fast._rows == slow._rows
+    # the same refusal of an unpointed factor or a presheaf backend
+    for bk, A, B in ((CL, antichain(2), SIGMA), (CL, SIGMA, FinPoset((), ())), (PS, SIGMA, SIGMA)):
+        with pytest.raises(StructureError) as fast:
+            direct_smash_classical(bk, A, B)
+        with pytest.raises(StructureError) as slow:
+            slow_direct_smash_classical(bk, A, B)
+        assert (fast.value.law, str(fast.value)) == (slow.value.law, str(slow.value))
 
 
 def test_four_presentations_agree():
