@@ -50,28 +50,26 @@ def _print_report(rep: CheckReport, as_json: bool):
         print(f"    reason: {rep.reason}")
 
 
-def _names_and_covers(P: FinPoset, memo: dict) -> tuple[str, str]:
-    # each element formatted once, then reused in the list and every cover;
-    # ``memo`` (one per describe call) formats each shared component once
-    names = [fmt(e, memo) for e in P.elements]
+def _names_and_covers(P: FinPoset) -> tuple[str, str]:
+    # each element formatted once, then reused in the list and every cover
+    names = [fmt(e) for e in P.elements]
     covers = ", ".join(f"{names[i]} < {names[j]}" for i, j in P._cover_indices())
     return ", ".join(names), covers
 
 
 def _describe_poset(P: FinPoset) -> str:
-    memo: dict = {}
-    names, covers = _names_and_covers(P, memo)
+    names, covers = _names_and_covers(P)
     lines = [f"{P.n} elements: {names}", f"covers: {covers or 'none (discrete)'}"]
     b = P.bottom()
-    lines.append(f"bottom: {fmt(b, memo) if b is not None else 'none'}")
+    lines.append(f"bottom: {fmt(b) if b is not None else 'none'}")
     return "\n".join(lines)
 
 
 def _describe_ipo(A: InternalPoset) -> str:
-    lines, memo = [], {}
+    lines = []
     for p in A.base.stages:
         P = A.stage_poset(p)
-        names, covers = _names_and_covers(P, memo)
+        names, covers = _names_and_covers(P)
         lines.append(f"stage {p}: {P.n} elements [{names}]; {covers or 'discrete'}")
     return "\n".join(lines)
 

@@ -10,60 +10,45 @@ from .presheaf import InternalPoset, NatTrans, Sieve
 PASS, FAIL, UNAVAILABLE = "pass", "fail", "unavailable"
 
 
-def fmt(x, memo: dict | None = None) -> str:
-    """Deterministic, human-oriented rendering of elements and maps.
-
-    ``memo``, a dict that a caller keeps for one rendering, holds the text
-    of every element and component formatted so far, so that components
-    shared by many elements are formatted once.  It is keyed by identity and
-    keeps each object alive beside its text: equal objects of different
-    types, such as 1 and True, keep their own texts."""
+def fmt(x) -> str:
+    """Deterministic, human-oriented rendering of elements and maps."""
     if x.__class__ is str:
+        # most calls: the plain-string components of compound elements
         return x
-    if memo is not None:
-        hit = memo.get(id(x))
-        if hit is not None:
-            return hit[1]
     if isinstance(x, Sieve):
-        text = repr(x)
-    elif isinstance(x, tuple):
+        return repr(x)
+    if isinstance(x, tuple):
         if x and x[0] == "pr":
-            text = f"({fmt(x[1], memo)},{fmt(x[2], memo)})"
-        elif x and x[0] == "in":
+            return f"({fmt(x[1])},{fmt(x[2])})"
+        if x and x[0] == "in":
             side = "inl" if x[1] == 0 else "inr"
-            text = f"{side}({fmt(x[2], memo)})"
-        elif x and x[0] == "lf":
+            return f"{side}({fmt(x[2])})"
+        if x and x[0] == "lf":
             if not x[1]:
-                text = "⊥"
-            else:
-                stages = ",".join(map(str, x[1]))
-                vals = ",".join(fmt(v, memo) for v in x[2])
-                text = f"⟨{stages}|{vals}⟩"
-        elif x and x[0] == "fn":
-            text = "fn[" + ",".join([fmt(v, memo) for v in x[1:]]) + "]"
-        else:
-            text = "(" + ",".join(fmt(v, memo) for v in x) + ")"
-    elif isinstance(x, MonotoneMap):
-        body = ",".join(f"{fmt(a, memo)}→{fmt(b, memo)}" for a, b in zip(x.dom.elements, x.values))
-        text = "{" + body + "}"
-    elif isinstance(x, NatTrans):
+                return "⊥"
+            stages = ",".join(map(str, x[1]))
+            vals = ",".join(fmt(v) for v in x[2])
+            return f"⟨{stages}|{vals}⟩"
+        if x and x[0] == "fn":
+            return "fn[" + ",".join([fmt(v) for v in x[1:]]) + "]"
+        return "(" + ",".join(fmt(v) for v in x) + ")"
+    if isinstance(x, MonotoneMap):
+        body = ",".join(f"{fmt(a)}→{fmt(b)}" for a, b in zip(x.dom.elements, x.values))
+        return "{" + body + "}"
+    if isinstance(x, NatTrans):
         parts = []
         for p in x.dom.base.stages:
             body = ",".join(
-                f"{fmt(a, memo)}→{fmt(x.apply(p, a), memo)}" for a in x.dom.at(p)
+                f"{fmt(a)}→{fmt(x.apply(p, a))}" for a in x.dom.at(p)
             )
             parts.append(f"{p}:{{{body}}}")
-        text = "; ".join(parts)
-    elif isinstance(x, FinPoset):
-        text = f"poset[{','.join(fmt(e, memo) for e in x.elements)}]"
-    elif isinstance(x, InternalPoset):
-        parts = [f"{p}:[{','.join(fmt(e, memo) for e in x.at(p))}]" for p in x.base.stages]
-        text = "ipo{" + "; ".join(parts) + "}"
-    else:
-        text = str(x)
-    if memo is not None:
-        memo[id(x)] = (x, text)
-    return text
+        return "; ".join(parts)
+    if isinstance(x, FinPoset):
+        return f"poset[{','.join(fmt(e) for e in x.elements)}]"
+    if isinstance(x, InternalPoset):
+        parts = [f"{p}:[{','.join(fmt(e) for e in x.at(p))}]" for p in x.base.stages]
+        return "ipo{" + "; ".join(parts) + "}"
+    return str(x)
 
 
 @dataclass
