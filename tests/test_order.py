@@ -36,7 +36,6 @@ from liftdom.order import (
     scott_opens,
     subsets,
 )
-
 from liftdom.presheaf import BasePoset, InternalPoset
 from liftdom.tensor import smash, smash_presentations
 
