@@ -165,7 +165,7 @@ def test_coproduct_check_matches_scan():
 
 
 def test_creation_and_colimit_checks_match_scan():
-    for d in laws._generated_diagrams(CL):
+    for d in laws._generated_diagrams(CL, 3):
         assert creation_check(CL, d, APEXES) == scan_creation_check(CL, d, APEXES)
         res = colimit(CL, d)
         assert colimit_universal_check(CL, d, res, APEXES) == (

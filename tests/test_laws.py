@@ -114,9 +114,11 @@ def test_consecutive_runs_share_no_backend(monkeypatch):
 
 # sha256 over every default report's zero-elapsed JSON, each followed by a
 # newline, in registry order; pinned before the runners were rebuilt on one
-# check-to-report combinator, and re-pinned when the unread ``per_stage``
-# bound left every report's bounds.  Passing reports must not change.
-SUITE_SHA256 = "d44d4ead3ac455fb23f68e8546af8afeb2ed242ea2940bd8aa5ca680b632f31a"
+# check-to-report combinator, re-pinned when the unread ``per_stage`` bound
+# left every report's bounds, and again when monadicity-triple was registered
+# at the size its map-level lane checks (3, not 4), which that lane's summary
+# now names.  Passing reports must not change.
+SUITE_SHA256 = "0b6cf773a0291a850a80af0ea845d9637571158d37249adaf726fa676e5219f0"
 
 
 def test_default_suite_green(default_suite_run):
@@ -475,7 +477,7 @@ def test_exhausted_families_are_counted(default_suite_run):
         "conservative-L": [("all maps between posets ≤ 3", _maps_count(3))],
         "strict-iff-inductive": [("all maps between pointed posets ≤ 3", _maps_count(3, pointed=True))],
         "strict-iff-hom": [("all maps between pointed posets ≤ 4", _maps_count(4, pointed=True))],
-        "monadicity-triple": [("map-level equivalences", _maps_count(3, pointed=True))],
+        "monadicity-triple": [("map-level equivalences ≤ 3", _maps_count(3, pointed=True))],
         "smash-presentations": [
             ("four presentations agree for pointed pairs ≤ 5", _posets_upto_count(5, pointed=True) ** 2),
             ("unique bistrict factorisation on the bounded range", small**2),
@@ -500,3 +502,66 @@ def test_exhausted_families_are_counted(default_suite_run):
         81, 485, 77, 1679, 77, 625, 9, 2666, 16, 81, 6, 27, 17, 36, 81, 4
     ]
 
+
+# Laws checked above their default size, each with its checker stubbed to
+# pass and counting its calls: the bounds, the summary's size and the cases
+# checked, counted without the law.
+LARGER_BOUNDS = [
+    ("partial-product", lifting, "partial_product_check", "all pairs ≤ 4 classical",
+     lambda: _posets_upto_count(4) ** 2),
+    ("paths", lifting, "paths_check", "paths = pointwise order, A ≤ 2, B ≤ 4",
+     lambda: _posets_upto_count(2) * _posets_upto_count(4)),
+    ("seal-iso", tensor, "seal_iso_check", "tensor ≅ smash for pointed pairs ≤ 4",
+     lambda: _posets_upto_count(4, pointed=True) ** 2),
+    ("monoidal-adjunction", tensor, "monoidal_adjunction_check", "strong/lax symmetry for pairs ≤ 4",
+     lambda: _posets_upto_count(4) ** 2),
+    ("homs-coincide", tensor, "homs_coincide_check", "pointed pairs ≤ 4",
+     lambda: _posets_upto_count(4, pointed=True) ** 2),
+]
+
+
+@pytest.mark.parametrize("law,module,checker,summary,count", LARGER_BOUNDS, ids=[row[0] for row in LARGER_BOUNDS])
+def test_a_larger_max_size_is_checked_not_narrowed(monkeypatch, law, module, checker, summary, count):
+    calls = []
+    monkeypatch.setattr(module, checker, lambda *args: calls.append(args) or (True, None))
+    rep = run_law(law, bounds=replace(REGISTRY[law].bounds, max_size=4), backends=("classical",))
+    assert rep.status == PASS and rep.bounds["max_size"] == 4
+    assert InstanceReport(summary, PASS) in rep.instances
+    assert len(calls) == count()
+
+
+def test_a_larger_competing_bound_is_checked_not_narrowed(monkeypatch):
+    # the universal pairs factor through every pointed codomain up to competing
+    codomains = []
+    stub = lambda bk, T, cods: codomains.append(len(cods)) or (True, None)  # noqa: E731
+    monkeypatch.setattr(tensor, "universal_bistrict_check", stub)
+    rep = run_law("smash-presentations", bounds=Bounds(max_size=2, competing=5), backends=("classical",))
+    assert rep.status == PASS and rep.bounds["competing"] == 5
+    small = _posets_upto_count(2, pointed=True) + 1  # and the 3-chain
+    assert codomains == [_posets_upto_count(5, pointed=True)] * small**2
+
+
+def test_open_classifier_reads_model_internal_posets_up_to_max_size():
+    spec = parse_model(
+        "base P2 { elems s0 s1 ; leq s0<=s1 }\n"
+        "presheaf F over P2 { stage s1: a b c ; stage s0: u v ; restrict s1->s0: a->u b->u c->v }\n"
+        "iposet B5 over P2 from F { order s1: a<=b ; order s0: u<=v }"
+    )
+    for max_size, read in ((4, False), (5, True)):
+        rep = run_law("open-classifier", spec, Bounds(max_size=max_size), ("presheaf",))
+        assert rep.status == PASS
+        assert (InstanceReport("model:B5", PASS) in rep.instances) == read, max_size
+
+
+def test_monadicity_reports_the_size_of_its_map_level_lane():
+    # its object-level halves at 4 are pointed-iff-algebra and pointed-iff-inductive
+    rep = run_law("monadicity-triple")
+    assert rep.bounds["max_size"] == 3
+    assert rep.instances[-1] == InstanceReport("map-level equivalences ≤ 3", PASS)
+
+
+@pytest.mark.parametrize("name", ["connected-colimits", "algebras-cocomplete", "colimits-enriched"])
+def test_colimit_laws_without_a_pointed_carrier_fail_nothing(name):
+    # no pointed poset has 0 elements, so there is no diagram to draw
+    rep = run_law(name, bounds=Bounds(max_size=0, apex=2))
+    assert FAIL not in {i.status for i in rep.instances}
