@@ -28,7 +28,8 @@ A backend supplies only what depends on how it stores objects and maps:
   boundary; validating in presheaves, where ``NatTrans`` runs the one
   map check ``order._check_map`` on each component); ``identity``, ``compose``,
   ``terminal`` and ``initial``;
-* the hom enumerator ``_hom``, ``hom_leq`` and ``iso``;
+* the hom enumerator ``_hom``, which takes optional pinned values (stage
+  -> {element: value}), ``hom_leq`` and ``iso``;
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
 * the map ``scone_induced`` that a cone datum induces out of a lift, and
@@ -48,13 +49,14 @@ the pointwise order of a list of parallel maps, or of the maps after one
 leg, as up-mask rows.  Every map it derives from valid maps goes through
 ``_derived_mor`` (``inverse`` and ``descend`` do not), behind the
 composability checks ``compose`` keeps.  It also memoises the object
-constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates;
-both caches live as long as the backend, except what a ``scope`` block
-adds, which the block's end drops.  Both backends' hom enumeration and iso
-search run the one backtracking search ``order._order_search``.  Outside
-this module only ``report.fmt`` knows how a lift element is stored; other
-code reads an element's partial family with ``LiftData.family`` and builds
-one with ``LiftData.from_family``.
+constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates,
+as ``pinned_hom`` does each pinned search (the strict homs); both caches
+live as long as the backend, except what a ``scope`` block adds, which the
+block's end drops.  Both backends' hom enumeration and iso search run the
+one backtracking search ``order._order_search``.  Outside this module only
+``report.fmt`` knows how a lift element is stored; other code reads an
+element's partial family with ``LiftData.family`` and builds one with
+``LiftData.from_family``.
 """
 from __future__ import annotations
 
@@ -225,6 +227,19 @@ class _ConstructionCache:
         key = (A, B)
         if key not in self._hom_cache:
             self._hom_cache[key] = tuple(self._hom(A, B))
+        return self._hom_cache[key]
+
+    def pinned_hom(self, A, B, pins: tuple) -> tuple:
+        """The maps of ``hom(A, B)`` that send x to v at stage p for each
+        ``(p, x, v)`` in ``pins``, in hom order: ``_hom`` searches with those
+        values pinned and builds no other map.  Memoised beside the hom-sets,
+        so a ``scope`` block drops it too."""
+        key = (A, B, pins)
+        if key not in self._hom_cache:
+            stagewise: dict = {}
+            for p, x, v in pins:
+                stagewise.setdefault(p, {})[x] = v
+            self._hom_cache[key] = tuple(self._hom(A, B, stagewise))
         return self._hom_cache[key]
 
     # -- derived from the stage API ------------------------------------------
@@ -449,8 +464,8 @@ class ClassicalBackend(_ConstructionCache):
         els = elements(None)
         return FinPoset._trusted(els, order(None, els))
 
-    def _hom(self, A, B):
-        return enumerate_monotone_maps(A, B)
+    def _hom(self, A, B, pins=None):
+        return enumerate_monotone_maps(A, B, pins and pins[None])
 
     def hom_leq(self, f, g) -> bool:
         return map_leq(f, g)
@@ -605,8 +620,8 @@ class PresheafBackend(_ConstructionCache):
             base, tuple(FinPoset.from_rows(els, order(p, els)) for p, els in sets.items()), res
         )
 
-    def _hom(self, A, B):
-        return ps.continuous_maps(A, B)
+    def _hom(self, A, B, pins=None):
+        return ps.continuous_maps(A, B, pins)
 
     def hom_leq(self, f, g) -> bool:
         return ps.nt_leq(f, g)

@@ -47,7 +47,6 @@ from .order import (
     StructureError,
     Subset,
     lub,
-    poset_iso,
     posets_upto,
     semidirected_subsets,
 )
@@ -447,9 +446,9 @@ def _presentations_witness(cl, A, B):
                 te.smash_comparison(cl, tensors[0], T)
         except StructureError as e:
             return str(e)
-        T = tensors[0].obj
-        if poset_iso(T, te.direct_smash_classical(cl, A, B)) is None:
+        if not te.matches_direct_smash(cl, tensors[0]):
             return "disagrees with the direct quotient"
+        T = tensors[0].obj
         return None if T.n == (A.n - 1) * (B.n - 1) + 1 else f"cardinality {T.n}"
 
 
@@ -625,10 +624,18 @@ def _maximal(A):
 
 
 class _DropLastMap(ClassicalBackend):
-    """Every non-empty hom-set loses its last map."""
+    """Every non-empty hom-set, pinned or not, loses its last map."""
 
-    def _hom(self, A, B):
-        return list(super()._hom(A, B))[:-1]
+    def _hom(self, A, B, pins=None):
+        return list(super()._hom(A, B, pins))[:-1]
+
+
+class _DropLastFunction(ClassicalBackend):
+    """Every exponential loses its last function element."""
+
+    def _exponential(self, A, B):
+        E = super()._exponential(A, B)
+        return replace(E, obj=E.obj.restrict(E.obj.elements[:-1]))
 
 
 class _UnitAtBottom(ClassicalBackend):
@@ -864,7 +871,7 @@ REGISTRY: dict = {
             "smashing with A is left adjoint to the strict function space out of A",
             Bounds(max_size=3),
             run_tensor_hom,
-            _classical(_DropLastMap),
+            _classical(_DropLastFunction),
         ),
         Law(
             "homs-coincide",

@@ -411,7 +411,7 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     if f.cod is not g.dom and f.cod != g.dom:
         raise StructureError("composability", "codomain/domain mismatch")
     index, gv = g.dom._index, g.values
-    return MonotoneMap._trusted(f.dom, g.cod, tuple(gv[index[v]] for v in f.values))
+    return MonotoneMap._trusted(f.dom, g.cod, tuple([gv[index[v]] for v in f.values]))
 
 
 def map_leq(f: MonotoneMap, g: MonotoneMap) -> bool:
@@ -540,15 +540,19 @@ def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
     return rec(0)
 
 
-def enumerate_monotone_maps(A: FinPoset, B: FinPoset) -> list[MonotoneMap]:
-    """Every monotone map A -> B exactly once, lexicographic in the assignment."""
+def enumerate_monotone_maps(A: FinPoset, B: FinPoset, pins=None) -> list[MonotoneMap]:
+    """Every monotone map A -> B exactly once, lexicographic in the
+    assignment; with ``pins`` (element of A -> element of B), only the maps
+    that send each pinned element to its value, in the same order."""
     maps: list[MonotoneMap] = []
     els = B.elements
 
     def emit(vals):
         maps.append(MonotoneMap._trusted(A, B, tuple([els[v] for v in vals])))
 
-    _order_search(A._rows, B._rows, emit)
+    if pins:
+        pins = {A._index[x]: B._index[v] for x, v in pins.items()}
+    _order_search(A._rows, B._rows, emit, pins)
     return maps
 
 

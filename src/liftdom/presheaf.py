@@ -884,16 +884,17 @@ def _preserves(check: tuple, comps: list) -> bool:
     return True
 
 
-def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False, continuous=False) -> bool:
+def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False, continuous=False, pins=None) -> bool:
     """Every natural stagewise map A -> B that is monotone (with ``iso``, an
     order-iso; with ``continuous``, Scott continuous) at each stage,
     lexicographic over stages in ``stages_desc()`` order, elements in stage
-    order and values in codomain order.
+    order and values in codomain order.  ``pins`` (stage -> {element of A:
+    element of B}) keeps only the maps with those values, in the same order.
 
     Each stage above q comes before q, so naturality at q pins
-    f_q(res(x)) = res(f_r(x)) for every chosen r above q (conflicting pins
-    leave no component), and the order search lists the components at q
-    that agree with the pins.  A continuity check at p runs as soon as every
+    f_q(res(x)) = res(f_r(x)) for every chosen r above q, beside the given
+    pins at q (conflicting pins leave no component), and the order search
+    lists the components at q that agree with the pins.  A continuity check at p runs as soon as every
     stage <= p has its component, and a branch that fails it is dropped.
     ``emit(components)`` gets each map aligned with ``base.stages``; a true
     return stops the search."""
@@ -918,34 +919,41 @@ def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False, conti
         for check in _continuity_checks(A, B):
             ready[max(order.index(r) for r, _ in check[1])].append(check)
     chosen: list = [None] * len(stages)  # value indices per stage position
+    # per search position: the given pins as indices into the stage posets
+    given = [
+        {PA[k]._index[x]: PB[k]._index[v] for x, v in (pins or {}).get(q, {}).items()}
+        for q, k in zip(stages, order)
+    ]
 
     def rec(i: int) -> bool:
         if i == len(stages):
             return emit(tuple(tuple(map(Q.elements.__getitem__, vals)) for Q, vals in zip(PB, chosen)))
-        pins: dict = {}
+        fixed = dict(given[i])
         for k, res_a, res_b in above[i]:
             for x, v in zip(res_a, chosen[k]):
                 w = res_b[v]
-                if pins.setdefault(x, w) != w:
+                if fixed.setdefault(x, w) != w:
                     return False
 
         def stage_emit(vals):
             chosen[order[i]] = tuple(vals)
             return all(_preserves(check, chosen) for check in ready[i]) and rec(i + 1)
 
-        return _order_search(PA[order[i]]._rows, PB[order[i]]._rows, stage_emit, pins, iso)
+        return _order_search(PA[order[i]]._rows, PB[order[i]]._rows, stage_emit, fixed, iso)
 
     return rec(0)
 
 
-def enumerate_nat_trans(A: InternalPoset, B: InternalPoset, continuous: bool = False) -> list[NatTrans]:
+def enumerate_nat_trans(A: InternalPoset, B: InternalPoset, continuous: bool = False, pins=None) -> list[NatTrans]:
     """All order-preserving natural transformations A -> B (with
-    ``continuous``, the Scott-continuous ones), in canonical order.
+    ``continuous``, the Scott-continuous ones; with ``pins``, those with the
+    pinned values of ``_stagewise_search``), in canonical order.
 
     A trusted producer: the stagewise search checks monotonicity at every
     stage and every naturality square as it goes."""
     out: list[NatTrans] = []
-    _stagewise_search(A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)), continuous=continuous)
+    _stagewise_search(A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)), continuous=continuous,
+                      pins=pins)
     return out
 
 
@@ -971,10 +979,11 @@ def is_continuous(f: NatTrans) -> bool:
     return all(_preserves(check, comps) for check in _continuity_checks(f.dom, f.cod))
 
 
-def continuous_maps(A: InternalPoset, B: InternalPoset) -> list[NatTrans]:
-    """The continuous maps among ``enumerate_nat_trans(A, B)``, in its order;
-    the stagewise search prunes by continuity instead of filtering."""
-    return enumerate_nat_trans(A, B, continuous=True)
+def continuous_maps(A: InternalPoset, B: InternalPoset, pins=None) -> list[NatTrans]:
+    """The continuous maps among ``enumerate_nat_trans(A, B)`` (with
+    ``pins``, those with the pinned values), in its order; the stagewise
+    search prunes by continuity instead of filtering."""
+    return enumerate_nat_trans(A, B, continuous=True, pins=pins)
 
 
 # ---------------------------------------------------------------------------

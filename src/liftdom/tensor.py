@@ -3,12 +3,13 @@
 The smash product has four coequaliser presentations (two with lifted
 source, two plain; two into the cartesian product, two into its lift):
 ``smash`` builds the third, ``smash_presentations`` all four.  The module
-constructs explicit comparison isomorphisms between them, compares against
-a direct quotient oracle in the classical backend, verifies the universal
-property over bistrict maps by bounded exhaustion, and builds the braiding,
-associator and unitors through that universal property.  Function spaces
-are carved out of the exponential as equaliser subobjects, with the linear
-and strict descriptions checked to agree.
+constructs explicit comparison isomorphisms between them, checks in the
+classical backend that the canonical map from a direct quotient oracle is
+an order-iso, verifies the universal property over bistrict maps by
+bounded exhaustion, and builds the braiding, associator and unitors
+through that universal property.  Function spaces are carved out of the
+exponential as equaliser subobjects, with the linear and strict
+descriptions checked to agree.
 """
 from __future__ import annotations
 
@@ -197,6 +198,34 @@ def direct_smash_classical(bk, A: FinPoset, B: FinPoset) -> FinPoset:
                 m ^= low
             rows.append(r)
     return FinPoset.from_rows(els, rows)
+
+
+def matches_direct_smash(bk, T: TensorObject) -> bool:
+    """Whether the canonical map from the direct quotient onto T, a smash
+    presented as a quotient of the product, is an order-iso.  The map sends
+    the direct bottom to the class of the bottom pair and each pair (a, b)
+    to its class, read through ``T.proj``.  It is checked on up-mask rows,
+    and never built: it must be a bijection carrying each row of the direct
+    quotient onto the row of its image.  That asks more than the existence
+    of some iso."""
+    if T.source_kind != "prod":
+        raise StructureError("backend", "the canonical map reads a quotient of the product")
+    A, B = T.factors
+    D, Q, proj = direct_smash_classical(bk, A, B), T.obj, T.proj
+    at = Q._index
+    img = [at[proj(("pr", A.bottom(), B.bottom()))]] + [at[proj(d)] for d in D.elements[1:]]
+    if len(img) != Q.n or len(set(img)) != Q.n:
+        return False
+    bit = [1 << v for v in img]
+    for v, row in zip(img, D._rows):
+        r = 0
+        while row:
+            low = row & -row
+            r |= bit[low.bit_length() - 1]
+            row ^= low
+        if r != Q._rows[v]:
+            return False
+    return True
 
 
 def seal_tensor(bk, A, B):

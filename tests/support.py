@@ -5,8 +5,11 @@ search or a CLI command reaches it (``test_reach.py``).  These serve the
 tests alone: the functor, monad and naturality laws of the lift, the
 support map into Sigma, order predicates, the top and bottom sieves, the
 internal semidirectedness formula at a stage, the associator check, the
-element-level oracles of the presheaf supremum kernel, and the slow
-references of the classical quotient and of the direct smash oracle."""
+element-level oracles of the presheaf supremum kernel, the slow
+references of the classical quotient and of the direct smash oracle, and
+the pairwise and filtering references of the partial-map order and of the
+strict hom-sets."""
+from liftdom.lifting import is_strict
 from liftdom.order import FinPoset, MonotoneMap, StructureError, Subset, _close_rows, is_semidirected, subsets
 from liftdom.presheaf import (
     InternalPoset,
@@ -49,6 +52,26 @@ def unit_naturality_holds(bk, f) -> bool:
 def mult_naturality_holds(bk, f) -> bool:
     return bk.compose(bk.lift_map(f), bk.mult(f.dom)) == bk.compose(
         bk.mult(f.cod), bk.lift_map(bk.lift_map(f))
+    )
+
+
+def reference_strict_hom_set(bk, A, B):
+    """The strict maps A -> B as the filter of ``bk.hom(A, B)`` by
+    ``is_strict``, which composes each map with the bottom point."""
+    return tuple(f for f in bk.hom(A, B) if is_strict(bk, f))
+
+
+def partial_map_leq(bk, pm1, pm2) -> bool:
+    """The partial-map order, one pair at a time: the domains nest at every
+    stage, and the values are below on the smaller domain."""
+    m1, m2 = dict(pm1.members), dict(pm2.members)
+    for p in bk.stages(pm1.src):
+        if not m1[p] <= m2[p]:
+            return False
+    return all(
+        bk.leq_at(pm1.tgt, p, bk.app(pm1.value, p, x), bk.app(pm2.value, p, x))
+        for p in bk.stages(pm1.src)
+        for x in m1[p]
     )
 
 

@@ -1,3 +1,4 @@
+import liftdom.lifting as lifting
 from liftdom.backend import (
     ClassicalBackend,
     PresheafBackend,
@@ -21,6 +22,7 @@ from liftdom.lifting import (
     kz_check,
     lax_epi_check,
     open_classifier_check,
+    partial_map_order,
     partial_product_check,
     paths_check,
     phoa_check,
@@ -48,6 +50,7 @@ from support import (
     is_order_embedding,
     monad_laws_hold,
     mult_naturality_holds,
+    partial_map_leq,
     unit_naturality_holds,
 )
 
@@ -299,6 +302,38 @@ def test_partial_product_presheaf_terminal():
     one = PS.terminal()
     ok, w = partial_product_check(PS, one, one)
     assert ok, w
+
+
+def test_partial_map_order_matches_pairwise_reference():
+    # every pair of partial maps of the law's classical pairs (posets of at
+    # most 3 elements) and of its presheaf lane (1 ⇀ 1 over the 2-chain
+    # base): the 38,254 pairs the law compared one at a time; then the
+    # presheaf pairs among 1, Ω and the constant 2-chain
+    small = [PS.terminal(), omega(PS.base), InternalPoset.constant(PS.base, FinPoset.chain(2))]
+    law = [(CL, A, B) for A in posets_upto(3) for B in posets_upto(3)] + [(PS, PS.terminal(), PS.terminal())]
+    pairs = []
+    for bk, A, B in law + [(PS, A, B) for A in small for B in small]:
+        pms = enumerate_partial_maps(bk, A, B)
+        up = partial_map_order(bk, A, B, pms)
+        assert [[up[i] >> j & 1 for j in range(len(pms))] for i in range(len(pms))] == [
+            [int(partial_map_leq(bk, pm1, pm2)) for pm2 in pms] for pm1 in pms
+        ]
+        pairs.append(len(pms) ** 2)
+    assert sum(pairs[:len(law)]) == 38254 and sum(pairs) == 38254 + 899
+
+
+def test_partial_product_names_the_first_pair_where_the_orders_differ(monkeypatch):
+    A = B = FinPoset.chain(2)
+    pms = enumerate_partial_maps(CL, A, B)
+    real = partial_map_order(CL, A, B, pms)
+    for i, j in [(0, 0), (2, 1), (len(pms) - 1, 3)]:
+        # differences at (i, j) and, later, at (i, j + 1) and (i + 1, 0)
+        flipped = list(real)
+        flipped[i] ^= 3 << j
+        if i + 1 < len(pms):
+            flipped[i + 1] ^= 1
+        monkeypatch.setattr(lifting, "partial_map_order", lambda *args: flipped)
+        assert partial_product_check(CL, A, B) == (False, ("order", pms[i].members, pms[j].members))
 
 
 def _positive_elements_by_scan(X):

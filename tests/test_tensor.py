@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
@@ -11,6 +13,7 @@ from liftdom.tensor import (
     hexagon_check,
     homs_coincide_check,
     kock_criterion_check,
+    matches_direct_smash,
     monoidal_adjunction_check,
     pentagon_check,
     seal_iso_check,
@@ -138,6 +141,50 @@ def test_direct_smash_matches_pair_set_reference():
         with pytest.raises(StructureError) as slow:
             slow_direct_smash_classical(bk, A, B)
         assert (fast.value.law, str(fast.value)) == (slow.value.law, str(slow.value))
+
+
+def test_canonical_map_oracle_gives_the_iso_search_verdict():
+    # presentation 1 against the direct quotient, on every pointed pair the
+    # law checks: the canonical map is an order-iso, and an iso exists
+    pointed = posets_upto(5, pointed=True)
+    for A in pointed:
+        for B in pointed:
+            with CL.scope():
+                T = smash_presentations(CL, A, B)[0]
+                assert matches_direct_smash(CL, T) == (poset_iso(T.obj, direct_smash_classical(CL, A, B)) is not None)
+
+
+def _relabelled(T, swap):
+    """T with its quotient map followed by the transposition ``swap`` of
+    two elements of its apex."""
+    a, b = swap
+    values = tuple(b if v == a else a if v == b else v for v in T.proj.values)
+    return replace(T, proj=MonotoneMap._trusted(T.proj.dom, T.proj.cod, values))
+
+
+def test_canonical_map_oracle_is_stronger_than_the_iso_search():
+    # the smash of two 3-chains is a bottom below the square of the pairs
+    # of (c1, c2); swapping (c1, c1) with (c1, c2) keeps the apex, so an iso
+    # still exists, but the canonical map is no longer monotone
+    T = smash_presentations(CL, CHAIN3, CHAIN3)[0]
+    oracle = direct_smash_classical(CL, CHAIN3, CHAIN3)
+    low, mid = T.proj(("pr", "c1", "c1")), T.proj(("pr", "c1", "c2"))
+    assert not matches_direct_smash(CL, _relabelled(T, (low, mid)))
+    assert poset_iso(T.obj, oracle) is not None
+    # swapping the two incomparable middle pairs is an automorphism
+    other = T.proj(("pr", "c2", "c1"))
+    assert matches_direct_smash(CL, _relabelled(T, (mid, other)))
+    # a stray point, or two classes merged, leaves no bijection
+    Q = T.obj
+    stray = FinPoset._trusted(Q.elements + ("stray",), Q._rows + (1 << Q.n,))
+    onto_stray = MonotoneMap._trusted(T.proj.dom, stray, T.proj.values)
+    assert not matches_direct_smash(CL, replace(T, obj=stray, proj=onto_stray))
+    assert poset_iso(stray, oracle) is None
+    merged = tuple(low if v == mid else v for v in T.proj.values)
+    assert not matches_direct_smash(CL, replace(T, proj=MonotoneMap._trusted(T.proj.dom, Q, merged)))
+    # the canonical map reads a quotient of the product, not of its lift
+    with pytest.raises(StructureError):
+        matches_direct_smash(CL, smash_presentations(CL, CHAIN3, CHAIN3)[1])
 
 
 def test_four_presentations_agree():

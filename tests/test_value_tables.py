@@ -1,15 +1,17 @@
-"""The value-table fast paths against the composing references they replace.
+"""The value-table fast paths, and the bottom-pinned strict homs, against
+the composing references they replace.
 
 ``enumerate_cocones`` tests each edge of a candidate cocone by comparing
 value tables and lists each cocone by its legs' tables, ``strict_hom_set``
-reads strictness at the bottom, and ``restriction_groups`` keys its groups
-on value tables.  The references below are the versions that built a
-composite map for every test: the backtracking search that composed each
-leg with each edge, the filter ``is_strict`` (which composes with the
-bottom point), and the grouping keyed on the composite maps.  Fast and
-reference must give equal lists in equal order, on both backends; the
-cocones are compared by their legs' tables, which are equal exactly when
-the legs are.
+runs the hom search with the bottom pinned, and ``restriction_groups``
+keys its groups on value tables.  The references are the versions that
+built a composite map for every test: the backtracking search that
+composed each leg with each edge, the filter of the hom-set by
+``is_strict`` (which composes with the bottom point; in ``support.py``),
+and the grouping keyed on the composite maps.  Fast and reference must
+give equal lists in equal order, on both backends; the cocones are
+compared by their legs' tables, which are equal exactly when the legs
+are.
 """
 import itertools
 
@@ -18,11 +20,11 @@ import pytest
 from liftdom import laws
 from liftdom.backend import ClassicalBackend, PresheafBackend, sierpinski_base
 from liftdom.colimits import Diagram, enumerate_cocones
-from liftdom.lifting import is_strict, restriction_groups, strict_hom_set, value_tables
+from liftdom.lifting import restriction_groups, strict_hom_set, value_tables
 from liftdom.order import FinPoset, StructureError, posets_upto
-from liftdom.presheaf import InternalPoset
+from liftdom.presheaf import BasePoset, InternalPoset, omega
 
-from support import antichain
+from support import antichain, reference_strict_hom_set
 
 CL = ClassicalBackend()
 PS = PresheafBackend(sierpinski_base())
@@ -60,10 +62,6 @@ def reference_enumerate_cocones(bk, d, P, leg_pool):
 def reference_cocone_tables(bk, d, P, leg_pool):
     return [tuple(value_tables(bk, [legs[n]])[0] for n in d.nodes)
             for legs in reference_enumerate_cocones(bk, d, P, leg_pool)]
-
-
-def reference_strict_hom_set(bk, A, B):
-    return tuple(f for f in bk.hom(A, B) if is_strict(bk, f))
 
 
 def reference_restriction_groups(bk, homs, legs):
@@ -171,6 +169,24 @@ def test_strict_hom_set_raises_where_the_reference_raises():
             assert fast[1].startswith("pointedness:")
 
 
+def test_strict_homs_are_pinned_memoised_and_scoped():
+    bk, S, C3 = ClassicalBackend(), FinPoset.chain(2), FinPoset.chain(3)
+    with bk.scope():
+        strict = strict_hom_set(bk, C3, S)
+        assert strict_hom_set(bk, C3, S) is strict
+        # the pinned search enumerates no other map, and no full hom-set
+        assert list(bk._hom_cache) == [(C3, S, ((None, "c0", "c0"),))]
+    assert not bk._hom_cache
+
+
+def test_dropped_last_map_reaches_the_pinned_search():
+    # the fault of partial-product, pointed-iff-algebra and monadicity-triple
+    # corrupts _hom, which the strict homs read too
+    faulty = laws._DropLastMap()
+    for A, B in itertools.product(posets_upto(3, pointed=True), repeat=2):
+        assert strict_hom_set(faulty, A, B) == strict_hom_set(CL, A, B)[:-1]
+
+
 def test_restriction_groups_match_reference():
     S, C3 = FinPoset.chain(2), FinPoset.chain(3)
     for X, Y in [(S, C3), (C3, C3), (antichain(2), C3)]:
@@ -221,6 +237,21 @@ def test_presheaf_catalog_has_unpointed_ends_and_one_stage_strictness():
 def test_presheaf_strict_hom_set_matches_reference(A):
     for B in CATALOG:
         assert strict_or_error(strict_hom_set, PS, A, B) == strict_or_error(reference_strict_hom_set, PS, A, B)
+
+
+# every base of at most two stages, in the order of posets_upto(2)
+SMALL_BASES = dict(zip(("empty", "point", "antichain2", "chain2"), posets_upto(2)))
+
+
+@pytest.mark.parametrize("name", SMALL_BASES)
+def test_pinned_strict_homs_match_reference_over_small_bases(name):
+    # pointed and unpointed ends, in both orders
+    bk = PresheafBackend(BasePoset(SMALL_BASES[name]))
+    one = bk.terminal()
+    const = [InternalPoset.constant(bk.base, P) for P in (FinPoset.chain(2), FinPoset.chain(3), antichain(2))]
+    catalog = [one, omega(bk.base), bk.lift(one).obj, bk.initial(), *const, bk.lift(const[-1]).obj]
+    for A, B in itertools.product(catalog, repeat=2):
+        assert strict_or_error(strict_hom_set, bk, A, B) == strict_or_error(reference_strict_hom_set, bk, A, B)
 
 
 def presheaf_diagrams():
