@@ -29,7 +29,7 @@ A backend supplies only what depends on how it stores objects and maps:
   map check ``order._check_map`` on each component); ``identity``, ``compose``,
   ``terminal`` and ``initial``;
 * the hom enumerator ``_hom``, which takes optional pinned values (stage
-  -> {element: value}), ``hom_leq`` and ``iso``;
+  -> {element: value}), and ``iso``;
 * the lift ``_lift``: only the object LA, its unit, its bottom and the
   codec of its elements (``LiftData.family`` and ``from_family``);
 * the map ``scone_induced`` that a cone datum induces out of a lift, and
@@ -44,9 +44,9 @@ out of a quotient that a coequalising map induces), products with
 ``pair``, coproducts with ``cotuple``, the lifting monad's
 ``lift_map``, ``mult`` and ``strength`` over the lift's element codec,
 the fold of a pointed dcpo A, the map
-``scone_induced(lift(A), bottom, identity(A))``, and ``hom_up_masks``,
+``scone_induced(lift(A), bottom, identity(A))``, ``hom_up_masks``,
 the pointwise order of a list of parallel maps, or of the maps after one
-leg, as up-mask rows.  Every map it derives from valid maps goes through
+leg, as up-mask rows, and ``hom_leq``, that order on one pair.  Every map it derives from valid maps goes through
 ``_derived_mor`` (``inverse`` and ``descend`` do not), behind the
 composability checks ``compose`` keeps.  It also memoises the object
 constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates,
@@ -73,7 +73,6 @@ from .order import (
     _up_masks,
     compose,
     enumerate_monotone_maps,
-    map_leq,
     poset_iso,
     quotient_poset,
 )
@@ -83,11 +82,6 @@ from .order import (
 # so one shared value serves every caller.
 TERMINAL = FinPoset(("*",), frozenset([("*", "*")]))
 INITIAL = FinPoset((), frozenset())
-
-
-def _le_rows(els, le) -> tuple:
-    """The up-mask rows of the relation ``le`` on ``els``."""
-    return tuple(sum(1 << j for j, y in enumerate(els) if le(x, y)) for x in els)
 
 
 def _composable(have: tuple, want: tuple):
@@ -253,6 +247,12 @@ class _ConstructionCache:
             points = points if leg is None else [app(leg, p, x) for x in points]
             columns += [([P._index[app(f, p, y)] for f in maps], P._rows) for y in points]
         return _up_masks(len(maps), columns)
+
+    def hom_leq(self, f, g) -> bool:
+        """The pointwise order on parallel maps: bit 1 of row 0 of their rows."""
+        if f.dom != g.dom or f.cod != g.cod:
+            raise StructureError("composability", "maps are not parallel")
+        return bool(self.hom_up_masks(f.dom, f.cod, [f, g])[0] & 2)
 
     def bang(self, A):
         return self._derived_mor(A, self.terminal(), lambda p, x: "*")
@@ -467,9 +467,6 @@ class ClassicalBackend(_ConstructionCache):
     def _hom(self, A, B, pins=None):
         return enumerate_monotone_maps(A, B, pins and pins[None])
 
-    def hom_leq(self, f, g) -> bool:
-        return map_leq(f, g)
-
     def iso(self, A, B):
         return poset_iso(A, B)
 
@@ -544,9 +541,10 @@ class ClassicalBackend(_ConstructionCache):
         return CoeqData(Q, MonotoneMap._trusted(B, Q, tuple([assign[x] for x in B.elements])))
 
     def _exponential(self, A, B) -> ExpData:
-        from .order import hom_poset
-
-        E, mors = hom_poset(A, B)
+        maps = enumerate_monotone_maps(A, B)
+        els = tuple(("fn",) + f.values for f in maps)
+        E = FinPoset._trusted(els, tuple(self.hom_up_masks(A, B, maps)))
+        mors = dict(zip(els, maps))
 
         def apply_elem(stage, fe, stage2, a):
             return mors[fe](a)
@@ -623,9 +621,6 @@ class PresheafBackend(_ConstructionCache):
     def _hom(self, A, B, pins=None):
         return ps.continuous_maps(A, B, pins)
 
-    def hom_leq(self, f, g) -> bool:
-        return ps.nt_leq(f, g)
-
     def iso(self, A, B):
         """A natural stagewise order-iso pair, or None (first in search order)."""
         fwd = ps.natural_iso(A, B)
@@ -673,15 +668,17 @@ class PresheafBackend(_ConstructionCache):
             keep = [i for i, r in enumerate(S) if base.leq(r, q)]
             return ("lf", tuple(S[i] for i in keep), tuple(fam[i] for i in keep))
 
-        def le(x, y):
-            _, S, fam = x
-            _, T, gam = y
-            if not set(S) <= set(T):
-                return False
-            pos = {r: i for i, r in enumerate(T)}
-            return all(A.leq_at(r, fam[i], gam[pos[r]]) for i, r in enumerate(S))
+        def order(p, els):
+            # one column per stage r <= p: a family's value at r, or an extra
+            # index, whose row is full, where r lies outside its sieve
+            columns = []
+            for r in base.down_list(p):
+                P = A.stage_poset(r)
+                rows, out = P._rows + ((2 << P.n) - 1,), P.n
+                columns.append(([P._index[fam[S.index(r)]] if r in S else out for _, S, fam in els], rows))
+            return _up_masks(len(els), columns)
 
-        LA = self._build(elements, restrict, lambda p, els: _le_rows(els, le))
+        LA = self._build(elements, restrict, order)
 
         def eta(p, a):
             down = base.down_list(p)
@@ -698,7 +695,7 @@ class PresheafBackend(_ConstructionCache):
     def scone_induced(self, ld: LiftData, c0, c1):
         A = c1.dom
         C = c1.cod
-        if not ps.nt_leq(self.compose(c0, self.bang(A)), c1):
+        if not self.hom_leq(self.compose(c0, self.bang(A)), c1):
             raise StructureError("laxness", "bottom leg must sit below the top leg")
         ok, w = ps.is_internal_dcpo(C)
         if not ok:
@@ -783,14 +780,18 @@ class PresheafBackend(_ConstructionCache):
                 comp[q] = dict(zip(A.at(q), vals))
             return comp
 
-        def le(x, y):
-            cx, cy = decode(x), decode(y)
-            return all(B.leq_at(q, cx[q][a], cy[q][a]) for q in cx for a in cx[q])
+        def order(p, els):
+            # one column per element a of A at each stage q <= p
+            comps, columns = [decode(fe) for fe in els], []
+            for q in restricted[p][0].stages:
+                Q = B.stage_poset(q)
+                columns += [([Q._index[c[q][a]] for c in comps], Q._rows) for a in A.at(q)]
+            return _up_masks(len(els), columns)
 
         E = self._build(
             lambda p: tuple(encode_nt(p, nt) for nt in restricted[p][3]),
             lambda p, q, fe: ("fn",) + tuple(e for e in fe[1:] if base.leq(e[0], q)),
-            lambda p, els: _le_rows(els, le),
+            order,
         )
 
         def apply_elem(stage, fe, stage2, a):

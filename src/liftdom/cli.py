@@ -85,7 +85,7 @@ def describe(obj) -> str:
     return fmt(obj)
 
 
-def _backend_for(spec: ModelSpec, kind: str, obj):
+def _backend_for(kind: str, obj):
     if kind in ("posets", "maps"):
         return ClassicalBackend()
     if kind == "iposets":
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
                 print("objects must come from the same backend", file=sys.stderr)
                 return EXIT_UNAVAILABLE
             kind = next(iter(kinds))
-            bk = _backend_for(spec, kind, kinds_objs[0][1])
+            bk = _backend_for(kind, kinds_objs[0][1])
             objs = [o for _, o in kinds_objs]
             if args.cmd == "lift":
                 ld = bk.lift(objs[0])

@@ -32,8 +32,6 @@ construction:
   order pair in both directions as it backtracks; the inverse that
   ``poset_iso`` returns is the inverse of an order-iso;
 * ``FinPoset.restrict``: the order a valid poset induces on a subset;
-* ``hom_poset``: the rows of ``_up_masks`` are the pointwise order of
-  distinct monotone maps, a partial order;
 * ``quotient_poset``: its class rows are closed, and it merges preorder
   cycles until none is left.  One union-find keeps each class's least
   index as its root; a class's row is the OR, over the set bits j of the
@@ -45,8 +43,9 @@ The classical backend (``backend.py``) extends the boundary to the maps and
 objects it derives from valid ones: products, coproducts and subobjects
 (whose rows the shared base computes from the factors' rows), lifts with
 their unit and bottom, bottom points, coequaliser projections, the map
-``scone_induced`` builds once the laxness check has passed, and the maps
-of the shared base's ``_derived_mor``.  Re-validating those results would
+``scone_induced`` builds once the laxness check has passed, the maps
+of the shared base's ``_derived_mor``, and the exponential, whose rows are
+the pointwise order of distinct monotone maps, a partial order.  Re-validating those results would
 repeat work in the inner loop of every universal-property check.
 
 A map is a slotted record (``dataclass(slots=True)``): no ``__dict__``, and
@@ -68,10 +67,14 @@ the bits they touch, not with the square of the element count.
 bits through one table.  ``_cover_indices`` skips a strict successor j of i
 that lies strictly above a
 successor z it has already walked; the skip is exact in any listing of the
-elements, as row j then lies in row z minus z, already in the union.  The one
-pointwise-order kernel ``_up_masks`` serves ``hom_poset`` and, through the
-backends' ``hom_up_masks``, ``lax_epi_check``, ``colimits_enriched_check``,
-``paths_check``, ``partial_product_check`` and ``scone_data``.
+elements, as row j then lies in row z minus z, already in the union.
+
+``_up_masks`` is the one code that turns map values into their pointwise
+order.  Through the shared backend base's ``hom_up_masks`` it serves
+``hom_leq``, the classical exponential, ``lax_epi_check``,
+``colimits_enriched_check``, ``paths_check``, ``partial_product_check`` and
+``scone_data``; called directly, the presheaf lift and exponential orders
+and ``lifting.partial_map_order``.
 """
 from __future__ import annotations
 
@@ -414,13 +417,6 @@ def compose(g: MonotoneMap, f: MonotoneMap) -> MonotoneMap:
     return MonotoneMap._trusted(f.dom, g.cod, tuple([gv[index[v]] for v in f.values]))
 
 
-def map_leq(f: MonotoneMap, g: MonotoneMap) -> bool:
-    """Pointwise order on parallel maps."""
-    if f.dom != g.dom or f.cod != g.cod:
-        raise StructureError("composability", "maps are not parallel")
-    return all(f.cod.leq(a, b) for a, b in zip(f.values, g.values))
-
-
 def is_semidirected(P: FinPoset, S: Subset) -> bool:
     """Every pair in S has an upper bound within S (vacuous for empty S)."""
     if S.parent != P:
@@ -573,18 +569,6 @@ def _up_masks(n: int, columns) -> list[int]:
                 row ^= low
         up = [u & above[v] for u, v in zip(up, col)]
     return up
-
-
-def hom_poset(A: FinPoset, B: FinPoset) -> tuple[FinPoset, dict]:
-    """The pointwise-ordered poset of monotone maps A -> B.
-
-    Returns (poset, element -> MonotoneMap); element ids are ("fn", values).
-    """
-    maps = enumerate_monotone_maps(A, B)
-    els = tuple(("fn",) + f.values for f in maps)
-    index = B._index
-    up = _up_masks(len(maps), (([index[f.values[i]] for f in maps], B._rows) for i in range(A.n)))
-    return FinPoset._trusted(els, tuple(up)), dict(zip(els, maps))
 
 
 def poset_iso(A: FinPoset, B: FinPoset):

@@ -337,17 +337,6 @@ def nt_compose(g: NatTrans, f: NatTrans) -> NatTrans:
     return NatTrans._trusted(f.dom, g.cod, comps)
 
 
-def nt_leq(f: NatTrans, g: NatTrans) -> bool:
-    """Stagewise pointwise order on parallel transformations."""
-    if f.dom != g.dom or f.cod != g.cod:
-        raise StructureError("composability", "maps are not parallel")
-    return all(
-        P._rows[P._index[a]] >> P._index[b] & 1
-        for P, fc, gc in zip(f.cod.stage_posets, f.components, g.components)
-        for a, b in zip(fc, gc)
-    )
-
-
 def omega(base: BasePoset) -> InternalPoset:
     """The subobject classifier: sieves at each stage, ordered by inclusion."""
     sets = {p: sieves_on(base, p) for p in base.stages}
@@ -512,7 +501,7 @@ def _interp(term, stage, env):
     raise SortError(f"not a term: {term!r}")
 
 
-def _restrict_env(env, A_base: BasePoset, p, q):
+def _restrict_env(env, p, q):
     return {v: (A, A.res_el(p, q, x)) for v, (A, x) in env.items()}
 
 
@@ -542,19 +531,19 @@ def kj_forces(base: BasePoset, stage, formula, env: dict | None = None) -> bool:
         return kj_forces(base, stage, formula.lhs, env) or kj_forces(base, stage, formula.rhs, env)
     if isinstance(formula, Implies):
         for q in base.down_list(stage):
-            envq = _restrict_env(env, base, stage, q)
+            envq = _restrict_env(env, stage, q)
             if kj_forces(base, q, formula.lhs, envq) and not kj_forces(base, q, formula.rhs, envq):
                 return False
         return True
     if isinstance(formula, Not):
         return all(
-            not kj_forces(base, q, formula.body, _restrict_env(env, base, stage, q))
+            not kj_forces(base, q, formula.body, _restrict_env(env, stage, q))
             for q in base.down_list(stage)
         )
     if isinstance(formula, ForAll):
         A = _sort_of(formula.sort)
         for q in base.down_list(stage):
-            envq = _restrict_env(env, base, stage, q)
+            envq = _restrict_env(env, stage, q)
             for a in _domain_at(formula.sort, q):
                 if not kj_forces(base, q, formula.body, {**envq, formula.var: (A, a)}):
                     return False

@@ -6,9 +6,14 @@ tests alone: the functor, monad and naturality laws of the lift, the
 support map into Sigma, order predicates, the top and bottom sieves, the
 internal semidirectedness formula at a stage, the associator check, the
 element-level oracles of the presheaf supremum kernel, the slow
-references of the classical quotient and of the direct smash oracle, and
+references of the classical quotient and of the direct smash oracle,
 the pairwise and filtering references of the partial-map order and of the
-strict hom-sets."""
+strict hom-sets, the pairwise references of the pointwise order on maps and
+of the presheaf lift and exponential orders, and the seeded input stream of
+the benchmark's ``build`` workload."""
+import importlib.util
+import os
+
 from liftdom.lifting import is_strict
 from liftdom.order import FinPoset, MonotoneMap, StructureError, Subset, _close_rows, is_semidirected, subsets
 from liftdom.presheaf import (
@@ -305,3 +310,58 @@ def slow_is_continuous(f) -> bool:
 def slow_continuous_maps(A, B) -> list:
     """Every monotone natural map, then the filter."""
     return [f for f in enumerate_nat_trans(A, B) if slow_is_continuous(f)]
+
+
+# ---------------------------------------------------------------------------
+# The pointwise order, one pair at a time: the references of the up-mask
+# kernel ``order._up_masks``, which ``hom_leq``, ``hom_up_masks`` and the
+# lift and exponential orders read.
+
+def map_leq(f: MonotoneMap, g: MonotoneMap) -> bool:
+    """The pointwise order on parallel monotone maps."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise StructureError("composability", "maps are not parallel")
+    return all(f.cod.leq(a, b) for a, b in zip(f.values, g.values))
+
+
+def pairwise_hom_leq(bk, f, g) -> bool:
+    """The pointwise order on parallel maps of either backend, one element
+    at a time through ``app`` and ``leq_at``."""
+    if f.dom != g.dom or f.cod != g.cod:
+        raise StructureError("composability", "maps are not parallel")
+    return all(
+        bk.leq_at(f.cod, p, bk.app(f, p, x), bk.app(g, p, x)) for p in bk.stages(f.dom) for x in bk.at(f.dom, p)
+    )
+
+
+def lift_leq(A, x, y) -> bool:
+    """The presheaf lift's order on two elements ("lf", sieve, family) of
+    one stage: the sieves nest, and the families compare on the smaller."""
+    _, S, fam = x
+    _, T, gam = y
+    if not set(S) <= set(T):
+        return False
+    pos = {r: i for i, r in enumerate(T)}
+    return all(A.leq_at(r, fam[i], gam[pos[r]]) for i, r in enumerate(S))
+
+
+def exponential_leq(A, B, x, y) -> bool:
+    """The presheaf exponential's order on two function elements of one
+    stage, ("fn", (q, values at A's elements at q), ...): pointwise at every
+    stage they cover."""
+    cx, cy = ({e[0]: dict(zip(A.at(e[0]), e[1:])) for e in fe[1:]} for fe in (x, y))
+    return all(B.leq_at(q, cx[q][a], cy[q][a]) for q in cx for a in cx[q])
+
+
+def reference_rows(els, le) -> tuple:
+    """The up-mask rows of the relation ``le`` on ``els``."""
+    return tuple(sum(1 << j for j, y in enumerate(els) if le(x, y)) for x in els)
+
+
+def build_inputs(seed):
+    """The seeded input stream of the benchmark's ``build`` workload."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.build_inputs(seed)

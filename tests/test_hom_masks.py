@@ -1,6 +1,7 @@
-"""The up-mask rows of a list of parallel maps (``hom_up_masks``) against
-pairwise ``hom_leq``, and the checks that read them against the pairwise
-loops they replaced."""
+"""The up-mask kernel ``order._up_masks`` against the pairwise references
+of ``support.py``: the rows of a list of parallel maps (``hom_up_masks``),
+``hom_leq``, the presheaf lift and exponential orders, and the checks that
+read the rows against the pairwise loops they replaced."""
 import random
 
 import pytest
@@ -9,16 +10,19 @@ from liftdom import colimits as co
 from liftdom import laws
 from liftdom import lifting as li
 from liftdom.backend import ClassicalBackend, PresheafBackend
+from liftdom.model import default_model
 from liftdom.oq1 import OQ1Bounds, _small_bases
-from liftdom.order import FinPoset, MonotoneMap, posets_upto
-from liftdom.presheaf import omega
+from liftdom.order import FinPoset, MonotoneMap, StructureError, posets_upto
+from liftdom.presheaf import BasePoset, InternalPoset, omega
 from liftdom.report import FAIL, PASS
+
+from support import build_inputs, exponential_leq, lift_leq, pairwise_hom_leq, reference_rows
 
 CL = ClassicalBackend()
 
 
 def reference_up_masks(bk, maps):
-    return [sum(1 << j for j, g in enumerate(maps) if bk.hom_leq(f, g)) for f in maps]
+    return [sum(1 << j for j, g in enumerate(maps) if pairwise_hom_leq(bk, f, g)) for f in maps]
 
 
 # The pairwise checks that the masked ones replaced.
@@ -30,8 +34,10 @@ def reference_lax_epi_check(bk, A, C):
     rests = {h: (bk.compose(h, ld.bottom), bk.compose(h, ld.unit)) for h in homs}
     for f in homs:
         for g in homs:
-            restricted = bk.hom_leq(rests[f][0], rests[g][0]) and bk.hom_leq(rests[f][1], rests[g][1])
-            if restricted != bk.hom_leq(f, g):
+            restricted = pairwise_hom_leq(bk, rests[f][0], rests[g][0]) and pairwise_hom_leq(
+                bk, rests[f][1], rests[g][1]
+            )
+            if restricted != pairwise_hom_leq(bk, f, g):
                 return False, ("pair", f, g)
     return True, None
 
@@ -53,9 +59,10 @@ def reference_colimits_enriched_check(bk, d, res, apexes):
         for u in homs:
             for v in homs:
                 after = all(
-                    bk.hom_leq(bk.compose(u, res.legs[n]), bk.compose(v, res.legs[n])) for n in d.nodes
+                    pairwise_hom_leq(bk, bk.compose(u, res.legs[n]), bk.compose(v, res.legs[n]))
+                    for n in d.nodes
                 )
-                if after != bk.hom_leq(u, v):
+                if after != pairwise_hom_leq(bk, u, v):
                     return False, ("pair", P, u, v)
     return True, None
 
@@ -66,7 +73,7 @@ def reference_scone_data(bk, A, C):
         (c0, c1)
         for c0 in bk.global_elements(C)
         for c1 in bk.hom(A, C)
-        if bk.hom_leq(bk.compose(c0, bang), c1)
+        if pairwise_hom_leq(bk, bk.compose(c0, bang), c1)
     ]
 
 
@@ -140,6 +147,63 @@ def test_hom_up_masks_presheaf():
                 for leg in _legs(bk, ld, [bk.terminal()]):
                     assert_leg_form(bk, B, out, leg)
     assert nontrivial
+
+
+def hom_leq_rows(bk, maps):
+    return [sum(1 << j for j, g in enumerate(maps) if bk.hom_leq(f, g)) for f in maps]
+
+
+def test_hom_leq_matches_pairwise():
+    # every pair of maps in the hom-sets of the two tests above
+    for A in posets_upto(3):
+        for B in posets_upto(3):
+            homs = CL.hom(A, B)
+            assert hom_leq_rows(CL, homs) == reference_up_masks(CL, homs)
+    for _, base in _small_bases(OQ1Bounds(max_base=2)):
+        bk = PresheafBackend(base)
+        objects = [omega(base), bk.terminal(), bk.lift(bk.terminal()).obj]
+        for A in objects:
+            for B in objects:
+                homs = bk.hom(A, B)
+                assert hom_leq_rows(bk, homs) == reference_up_masks(bk, homs)
+    # maps that are not parallel are not compared
+    f, g = MonotoneMap.identity(FinPoset.chain(2)), MonotoneMap.identity(FinPoset.chain(3))
+    for leq in (CL.hom_leq, lambda f, g: pairwise_hom_leq(CL, f, g)):
+        with pytest.raises(StructureError) as e:
+            leq(f, g)
+        assert e.value.law == "composability"
+
+
+def presheaf_order_cases():
+    """(backend, objects): Ω and lift(Ω) over the bases of at most 2 stages,
+    the default model's internal posets, and the objects of the ``build``
+    workload's seed-1 presheaf pairs, by base."""
+    for _, base in _small_bases(OQ1Bounds(max_base=2)):
+        bk = PresheafBackend(base)
+        yield bk, [omega(base), bk.lift(omega(base)).obj]
+    for A in default_model().iposets.values():
+        yield PresheafBackend(A.base), [A]
+    streams: dict = {}
+    for name, (stages, leq), a, b in build_inputs(1)["presheaf"]:
+        streams.setdefault(name, (BasePoset(FinPoset(stages, leq)), []))[1].extend((a, b))
+    for base, data in streams.values():
+        yield PresheafBackend(base), [InternalPoset.make(base, x["sets"], x["res"], x["orders"]) for x in data]
+
+
+def test_presheaf_lift_and_exponential_orders_match_pairwise():
+    # the stage rows of every lift, and of every exponential between two
+    # objects of one case, against the pairwise predicates
+    lifts = exponentials = 0
+    for bk, objects in presheaf_order_cases():
+        for A in objects:
+            for P in bk.lift(A).obj.stage_posets:
+                assert P._rows == reference_rows(P.elements, lambda x, y: lift_leq(A, x, y))
+            lifts += 1
+            for B in objects:
+                for P in bk.exponential(A, B).obj.stage_posets:
+                    assert P._rows == reference_rows(P.elements, lambda x, y: exponential_leq(A, B, x, y))
+                exponentials += 1
+    assert lifts and exponentials
 
 
 def _parity(monkeypatch, module, name, reference):

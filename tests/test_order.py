@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
@@ -26,10 +24,8 @@ from liftdom.order import (
     all_posets,
     compose,
     enumerate_monotone_maps,
-    hom_poset,
     is_semidirected,
     lub,
-    map_leq,
     poset_iso,
     posets_upto,
     quotient_poset,
@@ -39,7 +35,16 @@ from liftdom.order import (
 from liftdom.presheaf import BasePoset, InternalPoset
 from liftdom.tensor import smash, smash_presentations
 
-from support import antichain, covers, directed_subsets, is_directed, is_order_embedding, slow_quotient_poset
+from support import (
+    antichain,
+    build_inputs,
+    covers,
+    directed_subsets,
+    is_directed,
+    is_order_embedding,
+    map_leq,
+    slow_quotient_poset,
+)
 
 CHAIN2 = FinPoset.chain(2)
 CHAIN3 = FinPoset.chain(3)
@@ -129,7 +134,7 @@ def test_no_poset_stores_a_pair_set():
         cl.subobject(A, {None: {"a", "c"}})[0],
         A.restrict("ab"),
         quotient_poset(A, [("b", "c")])[0],
-        hom_poset(A, B)[0],
+        cl.exponential(A, B).obj,
         _rows_to_poset(_labeled_rows(3)[5]),
     ]
     for P in produced:
@@ -254,7 +259,7 @@ def test_arrow_poset():
 def test_arrow_poset_is_hom_from_chain2():
     # comma-square instance: monotone maps 2-chain -> Y, ordered pointwise
     for Y in posets_upto(4):
-        H, _ = hom_poset(CHAIN2, Y)
+        H = CL.exponential(CHAIN2, Y).obj
         assert poset_iso(H, arrow_object(CL, Y)[0]) is not None
 
 
@@ -663,22 +668,13 @@ def test_quotient_poset_matches_slow_reference_on_smash_presentations(monkeypatc
     assert len(calls) == 4 * len(pointed) ** 2
 
 
-def _build_inputs(seed):
-    # the seeded input stream of the benchmark's ``build`` workload
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.build_inputs(seed)
-
-
 def test_quotient_poset_matches_slow_reference_on_presheaf_coequalisers(monkeypatch):
     # the stage quotients of the presheaf smash on the build stream's seed-1
     # presheaf pairs; a smash over an ordered base may be refused later, but
     # only after its coequaliser's quotients are checked
     calls = _checked_coequalisers(monkeypatch)
     backends = {}
-    for base_name, (stages, leq), a, b in _build_inputs(1)["presheaf"]:
+    for base_name, (stages, leq), a, b in build_inputs(1)["presheaf"]:
         if base_name not in backends:
             backends[base_name] = PresheafBackend(BasePoset(FinPoset(stages, leq)))
         bk = backends[base_name]
@@ -796,7 +792,7 @@ def small_hom_posets():
     # the hom poset of every ordered pair of posets with at most 3 elements:
     # up to 27 elements, most of them comparable
     small = posets_upto(3)
-    return [(A, B, hom_poset(A, B)[0]) for A in small for B in small]
+    return [(A, B, CL.exponential(A, B).obj) for A in small for B in small]
 
 
 def strict_indices(A, B, H):
@@ -839,14 +835,17 @@ def test_covers_match_reference():
 
 
 def test_hom_poset_matches_pairwise_reference():
-    small = posets_upto(4)
+    # the classical exponential: its elements, their order and what each
+    # function element does, on a backend whose memo starts empty
+    bk, small = ClassicalBackend(), posets_upto(4)
     assert len(small) ** 2 == 625
     for A in small:
         for B in small:
-            H, by_el = hom_poset(A, B)
+            E = bk.exponential(A, B)
             R, ref_by_el = reference_hom_poset(A, B)
-            assert same_poset(H, R)
-            assert list(by_el.items()) == list(ref_by_el.items())
+            assert same_poset(E.obj, R)
+            for e, f in ref_by_el.items():
+                assert tuple(E.apply_elem(None, e, None, a) for a in A.elements) == f.values
 
 
 def test_validator_matches_reference():
