@@ -112,6 +112,19 @@ def _rel_pairs(toks: list[_Tok], sep: str = "<=") -> list[tuple]:
     return pairs
 
 
+def _arrows(toks: list[_Tok], sources, where: str) -> dict:
+    """The x->y entries as a dict.  A source outside ``sources``, or given
+    twice, is refused rather than dropped or overwritten."""
+    out: dict = {}
+    for t, (x, y) in zip(toks, _rel_pairs(toks, sep="->")):
+        if x not in sources:
+            raise ModelError(f"{x!r} is not in {where}", t.line, t.col)
+        if x in out:
+            raise ModelError(f"{x!r} is mapped twice", t.line, t.col)
+        out[x] = y
+    return out
+
+
 def _reflexive(elements, pairs):
     rel = {(e, e) for e in elements} | set(pairs)
     return frozenset(rel)
@@ -170,6 +183,8 @@ def parse_model(text: str) -> ModelSpec:
                     st = p.next("a stage name")
                     if st.text not in base.stages:
                         raise ModelError(f"unknown stage {st.text!r}", st.line, st.col)
+                    if st.text in stage_sets:
+                        raise ModelError(f"stage {st.text!r} is given twice", st.line, st.col)
                     p.expect(":")
                     stage_sets[st.text] = tuple(x.text for x in p.until_close_or_semi())
                 elif t.text == "restrict":
@@ -183,17 +198,26 @@ def parse_model(text: str) -> ModelSpec:
                         raise ModelError(
                             f"unknown stage in {arrow.text!r}", arrow.line, arrow.col
                         )
+                    if (src, tgt) not in base.strict_pairs():
+                        raise ModelError(
+                            f"{arrow.text!r} is not a restriction: {tgt!r} must lie strictly below {src!r}",
+                            arrow.line, arrow.col,
+                        )
+                    if (src, tgt) in restrictions:
+                        raise ModelError(f"restriction {arrow.text!r} is given twice", arrow.line, arrow.col)
                     p.expect(":")
-                    mapping = dict(_rel_pairs(p.until_close_or_semi(), sep="->"))
-                    restrictions[(src, tgt)] = mapping
+                    # the entries, read once every stage set is known
+                    restrictions[(src, tgt)] = p.until_close_or_semi()
                 else:
                     raise ModelError(
                         f"expected 'stage' or 'restrict', found {t.text!r}", t.line, t.col
                     )
             for st in base.stages:
                 stage_sets.setdefault(st, ())
-            for pair in base.strict_pairs():
-                restrictions.setdefault(pair, {})
+            restrictions = {
+                (src, tgt): _arrows(restrictions.get((src, tgt), []), stage_sets[src], f"stage {src!r}")
+                for src, tgt in base.strict_pairs()
+            }
             try:
                 discrete = {st: _reflexive(els, ()) for st, els in stage_sets.items()}
                 spec.presheaves[name] = InternalPoset.make(base, stage_sets, restrictions, discrete)
@@ -231,6 +255,8 @@ def parse_model(text: str) -> ModelSpec:
                 st = p.next("a stage name")
                 if st.text not in base.stages:
                     raise ModelError(f"unknown stage {st.text!r}", st.line, st.col)
+                if st.text in orders:
+                    raise ModelError(f"the order at stage {st.text!r} is given twice", st.line, st.col)
                 p.expect(":")
                 orders[st.text] = _rel_pairs(p.until_close_or_semi())
             try:
@@ -248,12 +274,11 @@ def parse_model(text: str) -> ModelSpec:
                 if t.text not in spec.posets:
                     raise ModelError(f"unresolved reference {t.text!r}", t.line, t.col)
             p.expect("{")
-            mapping = dict(_rel_pairs(p.until_close_or_semi(), sep="->"))
+            src = spec.posets[src_t.text]
+            mapping = _arrows(p.until_close_or_semi(), src.elements, f"poset {src_t.text!r}")
             p.expect("}")
             try:
-                spec.maps[name] = MonotoneMap.make(
-                    spec.posets[src_t.text], spec.posets[tgt_t.text], mapping
-                )
+                spec.maps[name] = MonotoneMap.make(src, spec.posets[tgt_t.text], mapping)
             except StructureError as e:
                 raise ModelError(f"invalid map: {e}", head.line, head.col) from e
             except KeyError as e:

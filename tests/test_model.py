@@ -117,3 +117,48 @@ def test_partial_restriction_is_a_model_error():
             "presheaf F over P2 { stage s1: x y ; stage s0: u ; restrict s1->s0: x->u }"
         )
     assert "not total" in str(e.value) and e.value.line == 2
+
+
+def _position(text, needle):
+    # the (line, column) of the last occurrence of ``needle``
+    lines = text.splitlines()
+    ln = max(i for i, line in enumerate(lines) if needle in line)
+    return ln + 1, lines[ln].rindex(needle) + 1
+
+
+_BASE = "base P2 { elems s0 s1 ; leq s0<=s1 }\n"
+_PSH = "presheaf F over P2 { stage s1: x ; stage s0: u ; restrict s1->s0: x->u"
+_C2 = "poset C2 { elems a b ; leq a<=b }\n"
+
+
+# input that the parser once dropped or overwrote without a word: the text,
+# the token the error points at, and a word of its message
+@pytest.mark.parametrize(
+    "text, token, message",
+    [
+        (_BASE + _PSH + " ; restrict s0->s1: u->x }", "s0->s1", "not a restriction"),
+        (_BASE + _PSH + " ; restrict s0->s0: u->u }", "s0->s0", "not a restriction"),
+        (_BASE + _PSH + " ; restrict s1->s0: x->u }", "s1->s0", "given twice"),
+        (_BASE + "presheaf F over P2 { stage s1: x ; stage s0: v ; stage s0: u ; restrict s1->s0: x->u }",
+         "s0: u", "given twice"),
+        (_BASE + _PSH + " }\niposet A over P2 from F { order s1: ; order s0: ; order s0: }", "s0:", "given twice"),
+        (_BASE + _PSH + " zz->u }", "zz->u", "is not in"),
+        (_C2 + "map f : C2 -> C2 { a->a b->b q->a }", "q->a", "is not in"),
+        (_C2 + "map f : C2 -> C2 { a->a a->b b->b }", "a->b", "mapped twice"),
+    ],
+    ids=[
+        "restriction-upwards",
+        "restriction-to-its-own-stage",
+        "restriction-twice",
+        "stage-twice",
+        "order-twice",
+        "restriction-from-outside-its-stage",
+        "map-from-outside-its-source",
+        "map-entry-twice",
+    ],
+)
+def test_dropped_or_overwritten_input_is_refused(text, token, message):
+    with pytest.raises(ModelError) as e:
+        parse_model(text)
+    assert message in str(e.value)
+    assert (e.value.line, e.value.col) == _position(text, token)
