@@ -46,9 +46,9 @@ out of a quotient that a coequalising map induces), products with
 the fold of a pointed dcpo A, the map
 ``scone_induced(lift(A), bottom, identity(A))``, ``hom_up_masks``,
 the pointwise order of a list of parallel maps, or of the maps after one
-leg, as up-mask rows, and ``hom_leq``, that order on one pair.  Every map it derives from valid maps goes through
-``_derived_mor`` (``inverse`` and ``descend`` do not), behind the
-composability checks ``compose`` keeps.  It also memoises the object
+leg, as up-mask rows, and ``hom_leq``, that order on one pair.  Every map
+it derives from valid maps goes through ``_derived_mor`` (``inverse`` and
+``descend`` do not), behind the composability checks ``compose`` keeps.  It also memoises the object
 constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates,
 as ``pinned_hom`` does each pinned search (the strict homs); both caches
 live as long as the backend, except what a ``scope`` block adds, which the
@@ -674,8 +674,8 @@ class PresheafBackend(_ConstructionCache):
             columns = []
             for r in base.down_list(p):
                 P = A.stage_poset(r)
-                rows, out = P._rows + ((2 << P.n) - 1,), P.n
-                columns.append(([P._index[fam[S.index(r)]] if r in S else out for _, S, fam in els], rows))
+                col = [P._index[fam[S.index(r)]] if r in S else P.n for _, S, fam in els]
+                columns.append((col, P._rows + ((2 << P.n) - 1,)))
             return _up_masks(len(els), columns)
 
         LA = self._build(elements, restrict, order)

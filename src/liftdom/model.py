@@ -189,22 +189,16 @@ def parse_model(text: str) -> ModelSpec:
                     stage_sets[st.text] = tuple(x.text for x in p.until_close_or_semi())
                 elif t.text == "restrict":
                     arrow = p.next("a stage pair like s1->s0")
+                    at = (arrow.line, arrow.col)
                     if "->" not in arrow.text:
-                        raise ModelError(
-                            f"expected s->t, found {arrow.text!r}", arrow.line, arrow.col
-                        )
+                        raise ModelError(f"expected s->t, found {arrow.text!r}", *at)
                     src, tgt = arrow.text.split("->", 1)
                     if src not in base.stages or tgt not in base.stages:
-                        raise ModelError(
-                            f"unknown stage in {arrow.text!r}", arrow.line, arrow.col
-                        )
+                        raise ModelError(f"unknown stage in {arrow.text!r}", *at)
                     if (src, tgt) not in base.strict_pairs():
-                        raise ModelError(
-                            f"{arrow.text!r} is not a restriction: {tgt!r} must lie strictly below {src!r}",
-                            arrow.line, arrow.col,
-                        )
+                        raise ModelError(f"{arrow.text!r} is not a strict pair of the base", *at)
                     if (src, tgt) in restrictions:
-                        raise ModelError(f"restriction {arrow.text!r} is given twice", arrow.line, arrow.col)
+                        raise ModelError(f"restriction {arrow.text!r} is given twice", *at)
                     p.expect(":")
                     # the entries, read once every stage set is known
                     restrictions[(src, tgt)] = p.until_close_or_semi()

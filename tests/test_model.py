@@ -136,8 +136,8 @@ _C2 = "poset C2 { elems a b ; leq a<=b }\n"
 @pytest.mark.parametrize(
     "text, token, message",
     [
-        (_BASE + _PSH + " ; restrict s0->s1: u->x }", "s0->s1", "not a restriction"),
-        (_BASE + _PSH + " ; restrict s0->s0: u->u }", "s0->s0", "not a restriction"),
+        (_BASE + _PSH + " ; restrict s0->s1: u->x }", "s0->s1", "not a strict pair"),
+        (_BASE + _PSH + " ; restrict s0->s0: u->u }", "s0->s0", "not a strict pair"),
         (_BASE + _PSH + " ; restrict s1->s0: x->u }", "s1->s0", "given twice"),
         (_BASE + "presheaf F over P2 { stage s1: x ; stage s0: v ; stage s0: u ; restrict s1->s0: x->u }",
          "s0: u", "given twice"),
