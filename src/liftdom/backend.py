@@ -48,11 +48,11 @@ the fold of a pointed dcpo A, the map
 the pointwise order of a list of parallel maps, or of the maps after one
 leg, as up-mask rows, and ``hom_leq``, that order on one pair.  Every map
 it derives from valid maps goes through ``_derived_mor`` (``inverse`` and
-``descend`` do not), behind the composability checks ``compose`` keeps.  It also memoises the object
-constructions, and ``hom`` memoises each hom-set that ``_hom`` enumerates,
-as ``pinned_hom`` does each pinned search (the strict homs); both caches
-live as long as the backend, except what a ``scope`` block adds, which the
-block's end drops.  Both backends' hom enumeration and iso search run the
+``descend`` do not), behind the composability checks ``compose`` keeps.
+It also memoises the object constructions, and ``hom`` memoises each
+hom-set that ``_hom`` enumerates, as ``pinned_hom`` does each pinned
+search (the strict homs); both caches live as long as the backend, except
+what a ``scope`` block adds, which the block's end drops.  Both backends' hom enumeration and iso search run the
 one backtracking search ``order._order_search``.  Outside this module only
 ``report.fmt`` knows how a lift element is stored; other code reads an
 element's partial family with ``LiftData.family`` and builds one with

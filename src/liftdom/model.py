@@ -4,8 +4,10 @@ Blocks declare named finite posets, base posets, presheaves, internal
 posets and monotone maps.  `leq` and `order` entries list the relation
 literally (reflexive pairs are implied, omitted pairs are incomparable),
 so a relation that is not transitively closed is a validation error, not
-something to repair silently.  `#` starts a comment; whitespace is free
-inside blocks.
+something to repair silently.  Nor is any input dropped or overwritten: a
+restriction off the base's strict pairs, a second line for one stage or
+pair, and an entry with an unknown or repeated source are errors.  `#`
+starts a comment; whitespace is free inside blocks.
 """
 from __future__ import annotations
 
@@ -172,7 +174,7 @@ def parse_model(text: str) -> ModelSpec:
             base = spec.bases[base_t.text]
             p.expect("{")
             stage_sets: dict = {}
-            restrictions: dict = {}
+            entries: dict = {}  # (src, tgt) -> its entry tokens, read once every stage set is known
             while True:
                 t = p.next("'stage', 'restrict' or '}'")
                 if t.text == "}":
@@ -197,11 +199,10 @@ def parse_model(text: str) -> ModelSpec:
                         raise ModelError(f"unknown stage in {arrow.text!r}", *at)
                     if (src, tgt) not in base.strict_pairs():
                         raise ModelError(f"{arrow.text!r} is not a strict pair of the base", *at)
-                    if (src, tgt) in restrictions:
+                    if (src, tgt) in entries:
                         raise ModelError(f"restriction {arrow.text!r} is given twice", *at)
                     p.expect(":")
-                    # the entries, read once every stage set is known
-                    restrictions[(src, tgt)] = p.until_close_or_semi()
+                    entries[(src, tgt)] = p.until_close_or_semi()
                 else:
                     raise ModelError(
                         f"expected 'stage' or 'restrict', found {t.text!r}", t.line, t.col
@@ -209,7 +210,7 @@ def parse_model(text: str) -> ModelSpec:
             for st in base.stages:
                 stage_sets.setdefault(st, ())
             restrictions = {
-                (src, tgt): _arrows(restrictions.get((src, tgt), []), stage_sets[src], f"stage {src!r}")
+                (src, tgt): _arrows(entries.get((src, tgt), []), stage_sets[src], f"stage {src!r}")
                 for src, tgt in base.strict_pairs()
             }
             try:

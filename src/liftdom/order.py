@@ -43,10 +43,11 @@ The classical backend (``backend.py``) extends the boundary to the maps and
 objects it derives from valid ones: products, coproducts and subobjects
 (whose rows the shared base computes from the factors' rows), lifts with
 their unit and bottom, bottom points, coequaliser projections, the map
-``scone_induced`` builds once the laxness check has passed, the maps
-of the shared base's ``_derived_mor``, and the exponential, whose rows are
-the pointwise order of distinct monotone maps, a partial order.  Re-validating those results would
-repeat work in the inner loop of every universal-property check.
+``scone_induced`` builds once the laxness check has passed, the maps of
+the shared base's ``_derived_mor``, and the exponential, whose rows are the
+pointwise order of distinct monotone maps, a partial order.  Re-validating
+those results would repeat work in the inner loop of every
+universal-property check.
 
 A map is a slotted record (``dataclass(slots=True)``): no ``__dict__``, and
 ``MonotoneMap._trusted`` fills its three slots through their member
