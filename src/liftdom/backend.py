@@ -47,8 +47,9 @@ the fold of a pointed dcpo A, the map
 ``scone_induced(lift(A), bottom, identity(A))``, ``hom_up_masks``,
 the pointwise order of a list of parallel maps, or of the maps after one
 leg, as up-mask rows, and ``hom_leq``, that order on one pair.  Every map
-it derives from valid maps goes through ``_derived_mor`` (``inverse`` and
-``descend`` do not), behind the composability checks ``compose`` keeps.
+it derives from valid maps goes through ``_derived_mor`` (``inverse`` does
+not, and ``descend`` only out of a ``CoeqData``), behind the composability
+checks ``compose`` keeps.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates, as ``pinned_hom`` does each pinned
 search (the strict homs); both caches live as long as the backend, except
@@ -301,9 +302,24 @@ class _ConstructionCache:
         """The h with h ∘ q == f, for a quotient map q out of f's domain.
         q's codomain holds representatives of the elements of q's domain
         (as ``CoeqData`` states), so h is f evaluated at each of them.
-        Raises StructureError when f does not descend."""
-        h = self.mor_from_fn(q.cod, f.cod, lambda p, x: self.app(f, p, x))
+        Raises StructureError when f does not descend.
+
+        Given a ``CoeqData``, q is its projection: onto, and its codomain's
+        order is generated by the image of its domain's order.  Then h ∘ q
+        == f, with f a map, makes h one (q x <= q y from x <= y gives
+        f x <= f y), so h goes through ``_derived_mor``.  Any other q is
+        taken as a map, and h is validated.  A refusal names what
+        validation finds first, as it did before the equation check."""
+        trusted = isinstance(q, CoeqData)
+        q = q.proj if trusted else q
+
+        def fn(p, x):
+            return self.app(f, p, x)
+
+        h = (self._derived_mor if trusted else self.mor_from_fn)(q.cod, f.cod, fn)
         if self.compose(h, q) != f:
+            if trusted:
+                self.mor_from_fn(q.cod, f.cod, fn)
             raise StructureError("factorisation", "map does not descend to the quotient")
         return h
 

@@ -110,7 +110,7 @@ def colimit(bk, d: Diagram) -> ColimitResult:
 
     def factor(cocone_legs):
         fs = [cocone_legs[n] for n in d.nodes]
-        return bk.descend(coeq.proj, cot(fs, fs[0].cod))
+        return bk.descend(coeq, cot(fs, fs[0].cod))
 
     return ColimitResult(coeq.obj, legs, factor)
 

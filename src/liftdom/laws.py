@@ -106,11 +106,18 @@ def _each_pair(label, pointed=False):
     return lambda cl, spec, b: _pairs(_gen_posets(b.max_size, pointed), label)
 
 
-def _each_map(pointed=False):
-    """The family of maps between generated posets up to ``max_size``, named by their ends."""
-    return lambda cl, spec, b: (
-        (name, f) for name, A, B in _pairs(_gen_posets(b.max_size, pointed), "{}->{}") for f in cl.hom(A, B)
-    )
+def _each_map(*tests, pointed=False):
+    """The family of maps between generated posets up to ``max_size``, named
+    by their ends, each with its pair's per-map tests ``test(cl, A, B)``:
+    made for the pair, so their tables are dropped when the pair is done."""
+
+    def family(cl, spec, b):
+        for name, A, B in _pairs(_gen_posets(b.max_size, pointed), "{}->{}"):
+            pair_tests = [test(cl, A, B) for test in tests]
+            for f in cl.hom(A, B):
+                yield name, f, *pair_tests
+
+    return family
 
 
 def _witness(result):
@@ -267,15 +274,16 @@ run_partial_product = _seq(
 # ---------------------------------------------------------------------------
 # conservative-L
 
-def _named_conservativity_witness(bk, f):
-    ok, w = li.conservativity_check(bk, f)
+def _named_conservativity_witness(bk, f, test):
+    ok, w = test(f)
     return None if ok else f"{fmt(f)}: {fmt(w)}"
 
 
 run_conservative = _seq(
     _lanes(lambda bk, f: _witness(li.conservativity_check(bk, f)),
            classical=lambda cl, spec, b: ((f"model:{name}", f) for name, f in spec.maps.items())),
-    _lanes(_named_conservativity_witness, classical=_each_map(), summary="all maps between posets ≤ {n}"),
+    _lanes(_named_conservativity_witness, classical=_each_map(li.conservativity_test),
+           summary="all maps between posets ≤ {n}"),
 )
 
 
@@ -320,27 +328,56 @@ def _preserves_sups(f) -> bool:
     return True
 
 
-def _strict_inductive_witness(bk, f):
-    return None if li.is_strict(bk, f) == _preserves_sups(f) else fmt(f)
+def _strict_inductive_test(cl, A, B):
+    """``is_strict(f) == _preserves_sups(f)`` on the maps A -> B, read off
+    tables: the indices of A's bottom, and of the members and the lub of
+    each semidirected subset of A with a lub; B's lubs are memoised by the
+    mask of the indices they bound."""
+
+    def build(f):
+        sups, lubs, at = [], {}, B._index
+        for S in semidirected_subsets(A):
+            if (v := lub(A, S)) is not None:
+                sups.append(([A._index[x] for x in S.members], A._index[v]))
+        ba, bb = (cl.app(cl.bottom_point(X), None, "*") for X in (A, B))
+        ba = A._index[ba]
+
+        def lub_at(members, vi):
+            mask = 0
+            for i in members:
+                mask |= 1 << vi[i]
+            if mask not in lubs:
+                w = lub(B, Subset(B, frozenset(y for j, y in enumerate(B.elements) if mask >> j & 1)))
+                lubs[mask] = None if w is None else at[w]
+            return lubs[mask]
+
+        def verdict(f):
+            vi = [at[y] for y in f.values]
+            return (f.values[ba] == bb) == all(lub_at(members, vi) == vi[v] for members, v in sups)
+
+        return verdict, True
+
+    return li._table_test(lambda f: li.is_strict(cl, f) == _preserves_sups(f), build)
 
 
-run_strict_iff_inductive = _lanes(_strict_inductive_witness, classical=_each_map(pointed=True),
+def _holds_or_named(bk, f, *tests):
+    """None when every per-map test holds of f, tried in turn, else f."""
+    return None if all(test(f) for test in tests) else fmt(f)
+
+
+run_strict_iff_inductive = _lanes(_holds_or_named, classical=_each_map(_strict_inductive_test, pointed=True),
                                   summary="all maps between pointed posets ≤ {n}")
 
 
-def _strict_hom_witness(bk, f):
-    return None if li.strict_iff_hom_check(bk, f) else fmt(f)
-
-
-run_strict_iff_hom = _lanes(_strict_hom_witness, classical=_each_map(pointed=True),
+run_strict_iff_hom = _lanes(_holds_or_named, classical=_each_map(li.strict_iff_hom_test, pointed=True),
                             summary="all maps between pointed posets ≤ {n}")
 
 
 run_monadicity = _seq(
     run_pointed_iff_algebra,
     run_pointed_iff_inductive,
-    _lanes(lambda bk, f: _strict_hom_witness(bk, f) or _strict_inductive_witness(bk, f),
-           classical=_each_map(pointed=True), summary="map-level equivalences ≤ {n}"),
+    _lanes(_holds_or_named, classical=_each_map(li.strict_iff_hom_test, _strict_inductive_test, pointed=True),
+           summary="map-level equivalences ≤ {n}"),
 )
 
 

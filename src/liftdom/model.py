@@ -6,11 +6,14 @@ literally (reflexive pairs are implied, omitted pairs are incomparable),
 so a relation that is not transitively closed is a validation error, not
 something to repair silently.  Nor is any input dropped or overwritten: a
 restriction off the base's strict pairs, a second line for one stage or
-pair, and an entry with an unknown or repeated source are errors.  `#`
-starts a comment; whitespace is free inside blocks.
+pair, and an entry with an unknown or repeated source are errors.  An
+error names its line and column: a constructor's refusal points at the
+last entry that states a pair the refusal names, else at the block's
+keyword.  `#` starts a comment; whitespace is free inside blocks.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .order import FinPoset, MonotoneMap, StructureError
@@ -132,11 +135,26 @@ def _reflexive(elements, pairs):
     return frozenset(rel)
 
 
-def _build_poset(tok: _Tok, elements, pairs) -> FinPoset:
+def _stated(toks: list[_Tok], sep: str) -> list[tuple]:
+    """The entries ``toks`` as (token, pair) in text order."""
+    return list(zip(toks, _rel_pairs(toks, sep)))
+
+
+@contextmanager
+def _refusals(what: str, stated: list[tuple], head: _Tok):
+    """A block whose constructor refusal becomes a ``ModelError`` at the
+    last entry among ``stated`` that states a pair the refusal names, else
+    at the block keyword ``head``."""
     try:
-        return FinPoset(tuple(elements), _reflexive(elements, pairs))
+        yield
     except StructureError as e:
-        raise ModelError(f"invalid relation: {e}", tok.line, tok.col) from e
+        at = next((t for t, pair in reversed(stated) if pair in e.pairs), head)
+        raise ModelError(f"{what}: {e}", at.line, at.col) from e
+
+
+def _build_poset(head: _Tok, elements, stated) -> FinPoset:
+    with _refusals("invalid relation", stated, head):
+        return FinPoset(tuple(elements), _reflexive(elements, [pair for _, pair in stated]))
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -157,9 +175,9 @@ def parse_model(text: str) -> ModelSpec:
             elems = [t.text for t in p.until_close_or_semi()]
             p.expect(";")
             p.expect("leq")
-            pairs = _rel_pairs(p.until_close_or_semi())
+            stated = _stated(p.until_close_or_semi(), "<=")
             p.expect("}")
-            P = _build_poset(head, elems, pairs)
+            P = _build_poset(head, elems, stated)
             if head.text == "poset":
                 spec.posets[name] = P
             else:
@@ -213,13 +231,13 @@ def parse_model(text: str) -> ModelSpec:
                 (src, tgt): _arrows(entries.get((src, tgt), []), stage_sets[src], f"stage {src!r}")
                 for src, tgt in base.strict_pairs()
             }
-            try:
-                discrete = {st: _reflexive(els, ()) for st, els in stage_sets.items()}
-                spec.presheaves[name] = InternalPoset.make(base, stage_sets, restrictions, discrete)
-            except StructureError as e:
-                raise ModelError(f"invalid presheaf: {e}", head.line, head.col) from e
-            except KeyError as e:
-                raise ModelError(f"restriction is not total: missing {e}", head.line, head.col)
+            stated = [entry for toks in entries.values() for entry in _stated(toks, "->")]
+            with _refusals("invalid presheaf", stated, head):
+                try:
+                    discrete = {st: _reflexive(els, ()) for st, els in stage_sets.items()}
+                    spec.presheaves[name] = InternalPoset.make(base, stage_sets, restrictions, discrete)
+                except KeyError as e:
+                    raise ModelError(f"restriction is not total: missing {e}", head.line, head.col)
         elif head.text == "iposet":
             p.expect("over")
             base_t = p.next("a base name")
@@ -253,13 +271,12 @@ def parse_model(text: str) -> ModelSpec:
                 if st.text in orders:
                     raise ModelError(f"the order at stage {st.text!r} is given twice", st.line, st.col)
                 p.expect(":")
-                orders[st.text] = _rel_pairs(p.until_close_or_semi())
-            try:
+                orders[st.text] = _stated(p.until_close_or_semi(), "<=")
+            with _refusals("invalid internal poset", [entry for st in orders for entry in orders[st]], head):
                 spec.iposets[name] = InternalPoset(base, tuple(
-                    FinPoset(F.at(st), _reflexive(F.at(st), orders.get(st, []))) for st in base.stages
+                    FinPoset(F.at(st), _reflexive(F.at(st), [pair for _, pair in orders.get(st, [])]))
+                    for st in base.stages
                 ), F.restrictions)
-            except StructureError as e:
-                raise ModelError(f"invalid internal poset: {e}", head.line, head.col) from e
         else:  # map
             p.expect(":")
             src_t = p.next("a source poset name")
@@ -270,14 +287,14 @@ def parse_model(text: str) -> ModelSpec:
                     raise ModelError(f"unresolved reference {t.text!r}", t.line, t.col)
             p.expect("{")
             src = spec.posets[src_t.text]
-            mapping = _arrows(p.until_close_or_semi(), src.elements, f"poset {src_t.text!r}")
+            toks = p.until_close_or_semi()
+            mapping = _arrows(toks, src.elements, f"poset {src_t.text!r}")
             p.expect("}")
-            try:
-                spec.maps[name] = MonotoneMap.make(src, spec.posets[tgt_t.text], mapping)
-            except StructureError as e:
-                raise ModelError(f"invalid map: {e}", head.line, head.col) from e
-            except KeyError as e:
-                raise ModelError(f"map is not total: missing {e}", head.line, head.col)
+            with _refusals("invalid map", _stated(toks, "->"), head):
+                try:
+                    spec.maps[name] = MonotoneMap.make(src, spec.posets[tgt_t.text], mapping)
+                except KeyError as e:
+                    raise ModelError(f"map is not total: missing {e}", head.line, head.col)
     return spec
 
 

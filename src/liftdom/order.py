@@ -32,10 +32,12 @@ construction:
   order pair in both directions as it backtracks; the inverse that
   ``poset_iso`` returns is the inverse of an order-iso;
 * ``FinPoset.restrict``: the order a valid poset induces on a subset;
-* ``quotient_poset``: its class rows are closed, and it merges preorder
-  cycles until none is left.  One union-find keeps each class's least
-  index as its root; a class's row is the OR, over the set bits j of the
-  class's up-mask, of the table entry ``bit[j]`` = 1 << (class of j);
+* ``quotient_poset``: its class rows are closed (through the classes of
+  more than one member: a path through a singleton is already an edge),
+  and it merges preorder cycles until none is left.  One union-find keeps
+  each class's least index as its root; a class's row is the OR, over the
+  set bits j of the class's up-mask, of the table entry ``bit[j]`` =
+  1 << (class of j);
 * ``_rows_to_poset``: ``_extensions`` adds one point to a poset at a time,
   below an up-closed and above a down-closed set.
 
@@ -85,11 +87,15 @@ from typing import Iterator
 
 
 class StructureError(ValueError):
-    """A constructor invariant failed; ``law`` names the violated law."""
+    """A constructor invariant failed; ``law`` names the violated law, and
+    ``pairs`` the pairs the failure names: order pairs ``(x, y)`` for x <= y,
+    and map entries ``(x, f(x))``, so that a parser can point at the input
+    that stated them."""
 
-    def __init__(self, law: str, message: str):
+    def __init__(self, law: str, message: str, pairs: tuple = ()):
         super().__init__(f"{law}: {message}")
         self.law = law
+        self.pairs = pairs
 
 
 def _transitive_gap(rows: tuple[int, ...]) -> tuple[int, int] | None:
@@ -159,20 +165,17 @@ def _check_order(elements: tuple, rows: tuple):
     if gap is not None:
         i, j = gap
         k = (rows[j] & ~rows[i]).bit_length() - 1
-        raise StructureError(
-            "transitivity",
-            f"{elements[i]!r} <= {elements[j]!r} <= {elements[k]!r}"
-            f" but {elements[i]!r} <= {elements[k]!r} missing",
-        )
+        x, y, z = elements[i], elements[j], elements[k]
+        raise StructureError("transitivity", f"{x!r} <= {y!r} <= {z!r} but {x!r} <= {z!r} missing",
+                             ((x, y), (y, z)))
     for i, row in enumerate(rows):
         m = row >> i + 1 << i + 1  # the j > i above element i
         while m:
             low = m & -m
             j = low.bit_length() - 1
             if rows[j] >> i & 1:
-                raise StructureError(
-                    "antisymmetry", f"{elements[i]!r} and {elements[j]!r} are mutually related"
-                )
+                x, y = elements[i], elements[j]
+                raise StructureError("antisymmetry", f"{x!r} and {y!r} are mutually related", ((x, y), (y, x)))
             m ^= low
 
 
@@ -193,7 +196,7 @@ class FinPoset:
         rows = [0] * len(elements)
         for x, y in pairs:
             if x not in idx or y not in idx:
-                raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier")
+                raise StructureError("membership", f"pair ({x!r},{y!r}) outside the carrier", ((x, y),))
             rows[idx[x]] |= 1 << idx[y]
         rows = tuple(rows)
         _check_order(elements, rows)
@@ -343,9 +346,9 @@ def _check_map(dom: FinPoset, cod: FinPoset, values: tuple, where: str = ""):
     if len(values) != dom.n:
         raise StructureError("totality", f"{where}assignment must cover every element")
     index = cod._index
-    for v in values:
+    for x, v in zip(dom.elements, values):
         if v not in index:
-            raise StructureError("membership", f"{where}value {v!r} not in the codomain")
+            raise StructureError("membership", f"{where}value {v!r} not in the codomain", ((x, v),))
     vi = [index[v] for v in values]
     cod_rows = cod._rows
     for i, row in enumerate(dom._rows):
@@ -354,10 +357,11 @@ def _check_map(dom: FinPoset, cod: FinPoset, values: tuple, where: str = ""):
             low = row & -row
             j = low.bit_length() - 1
             if not up >> vi[j] & 1:
+                x, y = dom.elements[i], dom.elements[j]
                 raise StructureError(
                     "monotonicity",
-                    f"{where}{dom.elements[i]!r} <= {dom.elements[j]!r}"
-                    f" but {values[i]!r} <= {values[j]!r} fails",
+                    f"{where}{x!r} <= {y!r} but {values[i]!r} <= {values[j]!r} fails",
+                    ((x, y), (x, values[i]), (y, values[j])),
                 )
             row ^= low
 
@@ -626,9 +630,10 @@ def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
                 roots.append(i)
             else:
                 of.append(of[p])
-        up = [0] * len(roots)
+        up, size = [0] * len(roots), [0] * len(roots)
         for k, row in zip(of, B._rows):
             up[k] |= row
+            size[k] += 1
         # a class's row: the classes of the members of its up-mask
         bit = [1 << k for k in of]
         rows = []
@@ -639,7 +644,15 @@ def quotient_poset(B: FinPoset, seeds) -> tuple[FinPoset, dict]:
                 r |= bit[low.bit_length() - 1]
                 u ^= low
             rows.append(r)
-        rows = _close_rows(rows)
+        # close the rows (Warshall) through the classes of more than one
+        # member only: a path through a singleton class {s} is already an
+        # edge, as x <= s <= z gives x <= z in B, whose order is transitive
+        for k, n in enumerate(size):
+            if n > 1:
+                rk = rows[k]
+                for i, ri in enumerate(rows):
+                    if ri >> k & 1:
+                        rows[i] = ri | rk
         merged = False
         for k, row in enumerate(rows):
             m = row >> k + 1 << k + 1  # the classes l > k above class k

@@ -186,6 +186,7 @@ class InternalPoset:
                         raise StructureError(
                             "functoriality",
                             f"restrictions {p!r}->{q!r}->{r!r} disagree with {p!r}->{r!r} at {x!r}",
+                            ((x, y), (x, z)),
                         )
 
     def at(self, p) -> tuple:

@@ -16,7 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map, value_tables
+from .backend import CoeqData
+from .lifting import (
+    _lifted,
+    _points,
+    _read_right,
+    _table_test,
+    commutator,
+    kleisli_extend,
+    restriction_groups,
+    strict_hom_set,
+    swap_map,
+    value_tables,
+)
 from .order import FinPoset, StructureError, _restrict_rows
 
 
@@ -113,30 +125,59 @@ def _bilinear_legs(bk, A, B):
     return commutator(bk, A, B), folds
 
 
+def is_bilinear(bk, f, kappa, folds) -> bool:
+    """Whether f : A x B -> C makes the bilinearity square commute, C's fold
+    after L f after the commutator against f after the folds, by composites."""
+    alpha_c = bk.algebra_structure(f.cod)
+    if alpha_c is None:
+        raise StructureError("pointedness", "bilinearity needs algebra structure")
+    return bk.compose(bk.compose(alpha_c, bk.lift_map(f)), kappa) == bk.compose(f, folds)
+
+
 def bilinearity(bk, A, B):
     """The test of maps f : A x B -> C for bilinearity, with the commutator
-    and the folds computed once for every f it is given."""
+    and the folds computed once for every f it is given, and ``is_bilinear``
+    read off tables per codomain C: for each element k of L(A x B) that the
+    commutator reaches, the positions of the folds of its preimages among
+    the points of A x B.  f is bilinear when C's fold at the codec's L f(k)
+    is f's value there, for every k."""
     kappa, folds = _bilinear_legs(bk, A, B)
+    by_cod = {}
+
+    def build(f):
+        app, X = bk.app, f.dom
+        points, lifted = _lifted(bk, X, f.cod)
+        at, fold = {pt: i for i, pt in enumerate(points)}, bk.algebra_structure(f.cod)
+        place, square = {pt: k for k, pt in enumerate(_points(bk, bk.lift(X).obj))}, {}
+        for p, w in _points(bk, kappa.dom):
+            square.setdefault((p, place[p, app(kappa, p, w)]), set()).add(at[p, app(folds, p, w)])
+
+        def verdict(f):
+            fv = [app(f, p, x) for p, x in points]
+            lf = lifted(fv)
+            return all(fv[i] == app(fold, p, lf[k]) for (p, k), targets in square.items() for i in targets)
+
+        return verdict, _read_right(bk, f, lifted, [app(f, p, x) for p, x in points])
 
     def bilinear(f) -> bool:
-        alpha_c = bk.algebra_structure(f.cod)
-        if alpha_c is None:
-            raise StructureError("pointedness", "bilinearity needs algebra structure")
-        return bk.compose(bk.compose(alpha_c, bk.lift_map(f)), kappa) == bk.compose(f, folds)
+        if f.cod not in by_cod:
+            by_cod[f.cod] = _table_test(lambda g: is_bilinear(bk, g, kappa, folds), build)
+        return by_cod[f.cod](f)
 
     return bilinear
 
 
 def factor_bistrict(bk, T: TensorObject, f):
     """The strict map out of the smash induced by a bistrict f, verified."""
+    coeq = CoeqData(T.obj, T.proj)  # the coequaliser that presents T
     if T.source_kind == "prod":
         # the universal map is the quotient itself
-        return bk.descend(T.proj, f)
+        return bk.descend(coeq, f)
     # a lifted source: descend f's extension, the fold after L f
     alpha = bk.algebra_structure(f.cod)
     if alpha is None:
         raise StructureError("pointedness", "bistrict maps need pointed codomain")
-    h = bk.descend(T.proj, bk.compose(alpha, bk.lift_map(f)))
+    h = bk.descend(coeq, bk.compose(alpha, bk.lift_map(f)))
     if bk.compose(h, T.universal) != f:
         raise StructureError("factorisation", "factorisation misses the universal map")
     return h
@@ -269,7 +310,7 @@ def seal_iso_check(bk, A, B) -> tuple:
     T = smash(bk, A, B)
     alpha = bk.algebra_structure(T.obj)
     try:
-        u = bk.descend(q, bk.compose(alpha, bk.lift_map(T.universal)))
+        u = bk.descend(CoeqData(Q, q), bk.compose(alpha, bk.lift_map(T.universal)))
     except StructureError:
         return False, "tensor-to-smash map does not descend"
     v = factor_bistrict(bk, T, boxtimes)
@@ -374,10 +415,13 @@ def associator(bk, A, B, C):
     )
     h = bk.compose(T_right.universal, w)
     # descend along (x)_{A,B} x id_C: the smash of A and B holds
-    # representatives, so (A (x) B) x C holds elements of (A x B) x C
+    # representatives, so (A (x) B) x C holds elements of (A x B) x C.  The
+    # map is a quotient as descend asks: T_ab's universal map is its
+    # coequaliser projection (presentation 3), so the product of it with
+    # the identity is onto, and its image generates the product order
     pd_tab_c = bk.product(T_ab.obj, C)
     t_x_id = bk.pair(pd_tab_c, bk.compose(T_ab.universal, pd_ab_c.fst), pd_ab_c.snd)
-    assoc = factor_bistrict(bk, T_left, bk.descend(t_x_id, h))
+    assoc = factor_bistrict(bk, T_left, bk.descend(CoeqData(pd_tab_c.obj, t_x_id), h))
     return T_left, T_right, assoc
 
 

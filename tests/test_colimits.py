@@ -213,3 +213,42 @@ def test_descend_refuses_a_map_that_does_not_coequalise(bk):
     with pytest.raises(StructureError) as e:
         bk.descend(q, bk.identity(B))
     assert e.value.law == "factorisation"
+
+
+def test_descend_validates_out_of_a_map_that_is_not_a_quotient():
+    # the bijection from the 2-antichain onto the 2-chain on the same labels
+    # is onto, but the antichain's order does not generate the chain's: the
+    # h with h ∘ q == f for the monotone f that swaps the labels is not
+    # monotone, and descend refuses it
+    anti, chain = antichain(2, prefix="c"), FinPoset.chain(2)
+    q = MonotoneMap(anti, chain, anti.elements)
+    f = MonotoneMap(anti, chain, ("c1", "c0"))
+    with pytest.raises(StructureError) as e:
+        CL.descend(q, f)
+    assert e.value.law == "monotonicity"
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructureError as e:
+        return e.law, str(e)
+
+
+def test_descend_out_of_a_coequaliser_matches_the_validating_path():
+    # out of a coequaliser, descend builds h unvalidated: on every
+    # coequaliser of two points of a poset up to 3 elements, and every map
+    # out of it into a poset up to 3 elements, h and every refusal are the
+    # validating path's, which descend takes out of the projection as a map
+    posets, seen = posets_upto(3), 0
+    for B in posets:
+        points = CL.global_elements(B)
+        for x in points:
+            for y in points:
+                coeq = CL.coequalizer(x, y)
+                for C in posets:
+                    for f in CL.hom(B, C):
+                        trusted = _outcome(CL.descend, coeq, f)
+                        assert trusted == _outcome(CL.descend, coeq.proj, f)
+                        seen += not isinstance(trusted, tuple)
+    assert seen > 1000

@@ -162,3 +162,64 @@ def test_dropped_or_overwritten_input_is_refused(text, token, message):
         parse_model(text)
     assert message in str(e.value)
     assert (e.value.line, e.value.col) == _position(text, token)
+
+
+_CHAIN3 = "base P3 { elems s0 s1 s2 ; leq s0<=s1 s1<=s2 s0<=s2 }\n"
+_IPOSET = "iposet A over P2 from F { order s1: "
+_C2A2 = _C2 + "poset A2 { elems l r ; leq }\n"
+
+
+# a constructor's refusal: the text, the token the error points at (the last
+# entry stating a pair the refusal names, else the block keyword), a word
+# of its message
+@pytest.mark.parametrize(
+    "text, token, message",
+    [
+        ("poset P { elems a b ; leq a<=c }", "a<=c", "outside the carrier"),
+        ("poset P { elems a b c ; leq a<=b b<=c }", "b<=c", "transitivity"),
+        ("poset P { elems a b ; leq b<=a a<=b }", "a<=b", "antisymmetry"),
+        ("poset P { elems a a ; leq }", "poset", "distinctness"),
+        ("base P { elems s0 s1 ; leq s0<=s1 s1<=s0 }", "s1<=s0", "antisymmetry"),
+        (_BASE + "presheaf F over P2 { stage s1: x ; stage s0: u ; restrict s1->s0: x->w }",
+         "x->w", "not in the codomain"),
+        (_CHAIN3 + "presheaf F over P3 { stage s2: x ; stage s1: y ; stage s0: u v ; "
+         "restrict s2->s1: x->y ; restrict s2->s0: x->u ; restrict s1->s0: y->v }", "x->u", "functoriality"),
+        (_BASE + "presheaf F over P2 { stage s1: x x ; stage s0: u ; restrict s1->s0: x->u }",
+         "presheaf", "distinctness"),
+        (_BASE + "presheaf F over P2 { stage s1: x y ; stage s0: u ; restrict s1->s0: x->u }",
+         "presheaf", "not total"),
+        (_BASE + _PSH + " }\n" + _IPOSET + "x<=q ; order s0: }", "x<=q", "outside the carrier"),
+        (_BASE + "presheaf F over P2 { stage s1: x y z ; stage s0: u ; restrict s1->s0: x->u y->u z->u }\n"
+         + _IPOSET + "x<=y y<=z ; order s0: }", "y<=z", "transitivity"),
+        (_BASE + "presheaf F over P2 { stage s1: x y ; stage s0: u ; restrict s1->s0: x->u y->u }\n"
+         + _IPOSET + "x<=y y<=x ; order s0: }", "y<=x", "antisymmetry"),
+        (_BASE + "presheaf F over P2 { stage s1: x y ; stage s0: u v ; restrict s1->s0: x->u y->v }\n"
+         + _IPOSET + "x<=y ; order s0: }", "x<=y", "monotonicity"),
+        (_C2A2 + "map f : C2 -> A2 { a->l b->q }", "b->q", "not in the codomain"),
+        (_C2A2 + "map f : C2 -> A2 { b->r a->l }", "a->l", "monotonicity"),
+        (_C2A2 + "map f : C2 -> A2 { a->l }", "map", "not total"),
+    ],
+    ids=[
+        "poset-pair-outside",
+        "poset-transitivity",
+        "poset-antisymmetry",
+        "poset-distinctness",
+        "base-antisymmetry",
+        "restriction-value-outside",
+        "restriction-functoriality",
+        "stage-distinctness",
+        "restriction-not-total",
+        "iposet-pair-outside",
+        "iposet-transitivity",
+        "iposet-antisymmetry",
+        "iposet-restriction-monotonicity",
+        "map-value-outside",
+        "map-monotonicity",
+        "map-not-total",
+    ],
+)
+def test_constructor_refusal_points_at_its_entry(text, token, message):
+    with pytest.raises(ModelError) as e:
+        parse_model(text)
+    assert message in str(e.value)
+    assert (e.value.line, e.value.col) == _position(text, token)

@@ -643,6 +643,16 @@ def test_quotient_poset_matches_slow_reference_on_labelled_posets():
                     _same_quotient(B, rng.choices(pairs, k=k))
 
 
+def test_quotient_poset_matches_slow_reference_on_five_element_posets():
+    # the closure through the classes of more than one member only, on every
+    # labelled poset with 5 elements under seeded seeds of one to three pairs
+    rng = random.Random(20261022)
+    for rows in _labeled_rows(5):
+        B = _rows_to_poset(rows)
+        for k in (1, 2, 3):
+            _same_quotient(B, [tuple(rng.sample(B.elements, 2)) for _ in range(k)])
+
+
 def _checked_coequalisers(monkeypatch):
     # every quotient the backends' coequalisers ask for, checked against the
     # slow reference on the way
