@@ -38,6 +38,7 @@ from typing import Callable
 
 from . import colimits as co
 from . import lifting as li
+from . import tables
 from . import tensor as te
 from .backend import ClassicalBackend, CoeqData, LiftData, PresheafBackend, UnavailableError, sierpinski_base
 from .model import ModelSpec, default_model
@@ -45,7 +46,6 @@ from .order import (
     FinPoset,
     MonotoneMap,
     StructureError,
-    Subset,
     lub,
     posets_upto,
     semidirected_subsets,
@@ -282,7 +282,7 @@ def _named_conservativity_witness(bk, f, test):
 run_conservative = _seq(
     _lanes(lambda bk, f: _witness(li.conservativity_check(bk, f)),
            classical=lambda cl, spec, b: ((f"model:{name}", f) for name, f in spec.maps.items())),
-    _lanes(_named_conservativity_witness, classical=_each_map(li.conservativity_test),
+    _lanes(_named_conservativity_witness, classical=_each_map(tables.conservativity_test),
            summary="all maps between posets ≤ {n}"),
 )
 
@@ -317,66 +317,23 @@ def _pointed_inductive_witness(bk, X):
 run_pointed_iff_inductive = _lanes(_pointed_inductive_witness, classical=_each_poset())
 
 
-def _preserves_sups(f) -> bool:
-    for S in semidirected_subsets(f.dom):
-        v = lub(f.dom, S)
-        if v is None:
-            continue
-        w = lub(f.cod, Subset(f.cod, frozenset(f(x) for x in S.members)))
-        if w is None or f(v) != w:
-            return False
-    return True
-
-
-def _strict_inductive_test(cl, A, B):
-    """``is_strict(f) == _preserves_sups(f)`` on the maps A -> B, read off
-    tables: the indices of A's bottom, and of the members and the lub of
-    each semidirected subset of A with a lub; B's lubs are memoised by the
-    mask of the indices they bound."""
-
-    def build(f):
-        sups, lubs, at = [], {}, B._index
-        for S in semidirected_subsets(A):
-            if (v := lub(A, S)) is not None:
-                sups.append(([A._index[x] for x in S.members], A._index[v]))
-        ba, bb = (cl.app(cl.bottom_point(X), None, "*") for X in (A, B))
-        ba = A._index[ba]
-
-        def lub_at(members, vi):
-            mask = 0
-            for i in members:
-                mask |= 1 << vi[i]
-            if mask not in lubs:
-                w = lub(B, Subset(B, frozenset(y for j, y in enumerate(B.elements) if mask >> j & 1)))
-                lubs[mask] = None if w is None else at[w]
-            return lubs[mask]
-
-        def verdict(f):
-            vi = [at[y] for y in f.values]
-            return (f.values[ba] == bb) == all(lub_at(members, vi) == vi[v] for members, v in sups)
-
-        return verdict, True
-
-    return li._table_test(lambda f: li.is_strict(cl, f) == _preserves_sups(f), build)
-
-
 def _holds_or_named(bk, f, *tests):
     """None when every per-map test holds of f, tried in turn, else f."""
     return None if all(test(f) for test in tests) else fmt(f)
 
 
-run_strict_iff_inductive = _lanes(_holds_or_named, classical=_each_map(_strict_inductive_test, pointed=True),
+run_strict_iff_inductive = _lanes(_holds_or_named, classical=_each_map(tables.strict_inductive_test, pointed=True),
                                   summary="all maps between pointed posets ≤ {n}")
 
 
-run_strict_iff_hom = _lanes(_holds_or_named, classical=_each_map(li.strict_iff_hom_test, pointed=True),
+run_strict_iff_hom = _lanes(_holds_or_named, classical=_each_map(tables.strict_iff_hom_test, pointed=True),
                             summary="all maps between pointed posets ≤ {n}")
 
 
 run_monadicity = _seq(
     run_pointed_iff_algebra,
     run_pointed_iff_inductive,
-    _lanes(_holds_or_named, classical=_each_map(li.strict_iff_hom_test, _strict_inductive_test, pointed=True),
+    _lanes(_holds_or_named, classical=_each_map(tables.strict_iff_hom_test, tables.strict_inductive_test, pointed=True),
            summary="map-level equivalences ≤ {n}"),
 )
 

@@ -158,85 +158,6 @@ def strict_iff_hom_check(bk, f) -> bool:
     return is_strict(bk, f) == is_homomorphism(bk, f, alpha_a, alpha_b)
 
 
-# ---------------------------------------------------------------------------
-# Per-pair tables for the per-map checks.
-#
-# A law that checks every map A -> B reads each map's value table against
-# tables built once for the pair from the backend's constructions: the
-# folds, the bottoms and the lift's element codec (never the unit, which
-# the map-level checks do not read).  ``_table_test`` checks them on the
-# pair's first map against the constructions and the map-level check,
-# which stays the reference.
-
-def _table_test(reference, build):
-    """The per-map test of one pair: ``reference(*case)`` on the first case,
-    then the verdict of the pair's table, which ``build(*case)`` makes on
-    that case with whether its predictions there equal the constructions.
-    When they differ, or the verdicts do, or no table can be built, every
-    case goes to ``reference``.  The table lives as long as the test."""
-    table, started = None, False
-
-    def test(*case):
-        nonlocal table, started
-        if started:
-            return (table or reference)(*case)
-        want, started = reference(*case), True
-        try:
-            verdict, agrees = build(*case)
-            if agrees and verdict(*case) == want:
-                table = verdict
-        except (LookupError, StructureError, UnavailableError):
-            pass  # the constructions support no table: the pair keeps the reference
-        return want
-
-    return test
-
-
-def _points(bk, X) -> list:
-    """The (stage, element) points of X in the order of a value table."""
-    return [(p, x) for p in bk.stages(X) for x in bk.at(X, p)]
-
-
-def _lifted(bk, X, C):
-    """X's points, and L f for f : X -> C as the codec reads it off f's
-    value table: the values of L f at the points of LX."""
-    lx, lc, points = bk.lift(X), bk.lift(C), _points(bk, X)
-    at = {pt: i for i, pt in enumerate(points)}
-    rows = [(p, [(q, at[q, x]) for q, x in lx.family(p, u)]) for p, u in _points(bk, lx.obj)]
-    return points, lambda fv: [lc.from_family(p, [(q, fv[i]) for q, i in fam]) for p, fam in rows]
-
-
-def _read_right(bk, f, lifted, fv) -> bool:
-    """Whether ``bk.lift_map(f)`` is the L f that ``lifted`` reads off f's
-    value table ``fv``."""
-    return value_tables(bk, [bk.lift_map(f)])[0] == tuple(lifted(fv))
-
-
-def strict_iff_hom_test(bk, A, B):
-    """``strict_iff_hom_check`` on the maps A -> B, read off tables: the
-    positions of A's bottom and of the fold of each element of LA among A's
-    points.  f is a homomorphism when B's fold after the codec's L f is f
-    after A's fold."""
-
-    def build(f):
-        app, la = bk.app, bk.lift(A)
-        points, lifted = _lifted(bk, A, B)
-        at, fold_a, fold_b = {pt: i for i, pt in enumerate(points)}, bk.algebra_structure(A), bk.algebra_structure(B)
-        ups = _points(bk, la.obj)
-        folds = [at[p, app(fold_a, p, u)] for p, u in ups]
-        ba, bb = bk.bottom_point(A), bk.bottom_point(B)
-        bottoms = [(at[p, app(ba, p, "*")], app(bb, p, "*")) for p in bk.stages(A)]
-
-        def verdict(f):
-            fv = [app(f, p, x) for p, x in points]
-            strict = all(fv[i] == b for i, b in bottoms)
-            return strict == all(app(fold_b, p, v) == fv[i] for (p, _), v, i in zip(ups, lifted(fv), folds))
-
-        return verdict, _read_right(bk, f, lifted, [app(f, p, x) for p, x in points])
-
-    return _table_test(lambda f: strict_iff_hom_check(bk, f), build)
-
-
 def strict_hom_set(bk, A, B) -> tuple:
     """The strict maps A -> B, in ``bk.hom`` order: the hom search with A's
     bottom pinned to B's at every stage (``bk.pinned_hom``), so no other map
@@ -276,7 +197,7 @@ def value_tables(bk, maps, leg=None) -> list:
     if not maps:
         return []
     app, X = bk.app, maps[0].dom if leg is None else leg.dom
-    points = [(p, x if leg is None else app(leg, p, x)) for p, x in _points(bk, X)]
+    points = [(p, x if leg is None else app(leg, p, x)) for p in bk.stages(X) for x in bk.at(X, p)]
     return [tuple([app(f, p, y) for p, y in points]) for f in maps]
 
 
@@ -507,27 +428,6 @@ def round_trips(bk, pm, tot) -> bool:
     return (back.members, back.value) == (pm.members, pm.value)
 
 
-def _round_trip_test(bk, A, B):
-    """``round_trips`` on the partial maps A ⇀ B, read off the codec: the
-    domain read back from tot is where tot is a unit image, and the value
-    there the unit's argument.  Where that differs from pm the reference
-    decides, and names what a construction refuses."""
-
-    def build(pm, tot):
-        ld, app = bk.lift(B), bk.app
-
-        def verdict(pm, tot):
-            back = [(p, [(a, v) for a in bk.at(A, p) if (v := ld.as_eta(p, app(tot, p, a))) is not None])
-                    for p in bk.stages(A)]
-            same = (tuple([(p, frozenset([a for a, _ in vals])) for p, vals in back]) == pm.members
-                    and all(v == app(pm.value, p, a) for p, vals in back for a, v in vals))
-            return same or round_trips(bk, pm, tot)
-
-        return verdict, True
-
-    return _table_test(lambda pm, tot: round_trips(bk, pm, tot), build)
-
-
 def partial_product_check(bk, A, B):
     """The two translations are mutually inverse order-preserving bijections."""
     ld = bk.lift(B)
@@ -537,7 +437,9 @@ def partial_product_check(bk, A, B):
         return False, "classifying maps collide"
     if set(totals) != set(bk.hom(A, ld.obj)):
         return False, "classifying maps do not exhaust the hom-set"
-    round_trip = _round_trip_test(bk, A, B)
+    from .tables import round_trip_test  # tables reads this module's checks
+
+    round_trip = round_trip_test(bk, A, B)
     for pm, tot in zip(pms, totals):
         if not round_trip(pm, tot):
             return False, ("roundtrip", pm.members)
@@ -599,51 +501,3 @@ def conservativity_check(bk, f):
         return False, "functorial image is invertible but the map is not"
     return True, None
 
-
-def conservativity_test(bk, A, B):
-    """``conservativity_check`` on the maps A -> B, with L f and both units
-    read through the codec; only a map whose L f is a bijection at every
-    stage builds L f, for the iso test."""
-
-    def build(f):
-        la, lb, app = bk.lift(A), bk.lift(B), bk.app
-        points, lifted = _lifted(bk, A, B)
-        ups = _points(bk, la.obj)
-
-        def unit(ld, X, p, x):
-            return ld.from_family(p, [(q, bk.res_el(X, p, q, x)) for q in bk.base_down(p)])
-
-        units_a = [unit(la, A, p, a) for p, a in points]
-        units_b = {pt: unit(lb, B, *pt) for pt in _points(bk, B)}
-        place = {pt: k for k, pt in enumerate(ups)}
-        home = [place[p, u] for (p, _), u in zip(points, units_a)]  # each unit's position in LA
-        under = {}  # (stage, element of LB) -> the elements of B whose unit it is
-        for (p, b), w in units_b.items():
-            under.setdefault((p, w), []).append(b)
-        spans, i = [], 0  # per stage: LA's positions, and LB's size there
-        for p in bk.stages(A):
-            n = len(bk.at(la.obj, p))
-            spans.append((i, i + n, len(bk.at(lb.obj, p))))
-            i += n
-
-        def verdict(f):
-            fv = [app(f, p, x) for p, x in points]
-            lf = lifted(fv)
-            if any(lf[k] != units_b[p, y] for (p, _), k, y in zip(points, home, fv)):
-                return False, "naturality square does not commute"
-            for k, ((p, u), v) in enumerate(zip(ups, lf)):
-                for b in under.get((p, v), ()):
-                    if (n := sum(h == k and y == b for h, y in zip(home, fv))) != 1:
-                        return False, ("fiber", p, u, b, n)
-            # inverse's first test, a bijection at every stage, on the codec's L f
-            if all(j - i == nb == len(set(lf[i:j])) for i, j, nb in spans) and bk.is_iso(bk.lift_map(f)) \
-                    and not bk.is_iso(f):
-                return False, "functorial image is invertible but the map is not"
-            return True, None
-
-        agrees = (_read_right(bk, f, lifted, [app(f, p, x) for p, x in points])
-                  and value_tables(bk, [la.unit])[0] == tuple(units_a)
-                  and value_tables(bk, [lb.unit])[0] == tuple(units_b.values()))
-        return verdict, agrees
-
-    return _table_test(lambda f: conservativity_check(bk, f), build)

@@ -17,19 +17,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from .backend import CoeqData
-from .lifting import (
-    _lifted,
-    _points,
-    _read_right,
-    _table_test,
-    commutator,
-    kleisli_extend,
-    restriction_groups,
-    strict_hom_set,
-    swap_map,
-    value_tables,
-)
+from .lifting import commutator, kleisli_extend, restriction_groups, strict_hom_set, swap_map, value_tables
 from .order import FinPoset, StructureError, _restrict_rows
+from .tables import bilinear_test
 
 
 @dataclass
@@ -136,35 +126,10 @@ def is_bilinear(bk, f, kappa, folds) -> bool:
 
 def bilinearity(bk, A, B):
     """The test of maps f : A x B -> C for bilinearity, with the commutator
-    and the folds computed once for every f it is given, and ``is_bilinear``
-    read off tables per codomain C: for each element k of L(A x B) that the
-    commutator reaches, the positions of the folds of its preimages among
-    the points of A x B.  f is bilinear when C's fold at the codec's L f(k)
-    is f's value there, for every k."""
+    and the folds computed once for every f it is given, and
+    ``is_bilinear`` read off tables per codomain (``tables.bilinear_test``)."""
     kappa, folds = _bilinear_legs(bk, A, B)
-    by_cod = {}
-
-    def build(f):
-        app, X = bk.app, f.dom
-        points, lifted = _lifted(bk, X, f.cod)
-        at, fold = {pt: i for i, pt in enumerate(points)}, bk.algebra_structure(f.cod)
-        place, square = {pt: k for k, pt in enumerate(_points(bk, bk.lift(X).obj))}, {}
-        for p, w in _points(bk, kappa.dom):
-            square.setdefault((p, place[p, app(kappa, p, w)]), set()).add(at[p, app(folds, p, w)])
-
-        def verdict(f):
-            fv = [app(f, p, x) for p, x in points]
-            lf = lifted(fv)
-            return all(fv[i] == app(fold, p, lf[k]) for (p, k), targets in square.items() for i in targets)
-
-        return verdict, _read_right(bk, f, lifted, [app(f, p, x) for p, x in points])
-
-    def bilinear(f) -> bool:
-        if f.cod not in by_cod:
-            by_cod[f.cod] = _table_test(lambda g: is_bilinear(bk, g, kappa, folds), build)
-        return by_cod[f.cod](f)
-
-    return bilinear
+    return bilinear_test(bk, kappa, folds, is_bilinear)
 
 
 def factor_bistrict(bk, T: TensorObject, f):

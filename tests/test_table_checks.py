@@ -4,7 +4,7 @@ references, map by map.
 ``strict-iff-hom``, ``strict-iff-inductive``, ``monadicity-triple`` (whose
 map lane runs the first two tests), ``conservative-L``, ``partial-product``
 (its round trip) and ``bistrict-iff-bilinear`` read each map against a
-table built once per pair (``lifting._table_test``).  The table is checked
+table built once per pair (``tables.table_test``).  The table is checked
 on the pair's first map; the map-level check stays the reference and the
 fallback.  Here every pair of each family runs through its test and through
 the reference, and both must give the same outcome, a refusal included, on
@@ -20,7 +20,7 @@ about 25 s at 5), ``conservative-L`` and ``partial-product`` at 4.
 hold millions of maps."""
 import pytest
 
-from liftdom import laws
+from liftdom import laws, tables
 from liftdom import lifting as li
 from liftdom import tensor as te
 from liftdom.backend import ClassicalBackend, PresheafBackend, UnavailableError, sierpinski_base
@@ -41,14 +41,13 @@ def _outcome(fn, *case):
 @pytest.fixture
 def made(monkeypatch):
     """The (reference, build) of every per-pair test made while it is active."""
-    out, real = [], li._table_test
+    out, real = [], tables.table_test
 
     def spy(reference, build):
         out.append((reference, build))
         return real(reference, build)
 
-    monkeypatch.setattr(li, "_table_test", spy)
-    monkeypatch.setattr(te, "_table_test", spy)
+    monkeypatch.setattr(tables, "table_test", spy)
     return out
 
 
@@ -97,7 +96,7 @@ def _round_trip_tests(bk, made, objects):
                 cases = [(pm, li.partial_to_total(bk, pm)) for pm in pms]
             except (StructureError, UnavailableError, LookupError):
                 continue  # the law stops before its round trip
-            out.append((A, _check(made, li._round_trip_test(bk, A, B), cases)))
+            out.append((A, _check(made, tables.round_trip_test(bk, A, B), cases)))
     return out
 
 
@@ -128,10 +127,10 @@ def _all_tests(bk, made, sizes):
     """Each family through its tests at ``sizes`` (family -> max_size); per
     family, the (domain, trusted) of its pairs."""
     return {
-        "strict-iff-hom": _map_tests(bk, made, sizes["strict-iff-hom"], True, li.strict_iff_hom_test),
+        "strict-iff-hom": _map_tests(bk, made, sizes["strict-iff-hom"], True, tables.strict_iff_hom_test),
         "strict-iff-inductive": _map_tests(bk, made, sizes["strict-iff-inductive"], True,
-                                           laws._strict_inductive_test),
-        "conservative-L": _map_tests(bk, made, sizes["conservative-L"], False, li.conservativity_test),
+                                           tables.strict_inductive_test),
+        "conservative-L": _map_tests(bk, made, sizes["conservative-L"], False, tables.conservativity_test),
         "partial-product": _round_trip_tests(bk, made, posets_upto(sizes["partial-product"])),
         "bistrict-iff-bilinear": _bilinear_tests(bk, made, sizes["bistrict-iff-bilinear"]),
     }
@@ -152,9 +151,9 @@ def test_the_default_bounds_use_every_table(made):
 
 def test_one_bound_more_uses_every_table(made):
     bk = ClassicalBackend()
-    for pairs in (_map_tests(bk, made, 5, True, li.strict_iff_hom_test),
-                  _map_tests(bk, made, 4, True, laws._strict_inductive_test),
-                  _map_tests(bk, made, 4, False, li.conservativity_test),
+    for pairs in (_map_tests(bk, made, 5, True, tables.strict_iff_hom_test),
+                  _map_tests(bk, made, 4, True, tables.strict_inductive_test),
+                  _map_tests(bk, made, 4, False, tables.conservativity_test),
                   _round_trip_tests(bk, made, posets_upto(4))):
         assert all(flag for _, flag in pairs)
 
