@@ -53,8 +53,9 @@ checks ``compose`` keeps.
 It also memoises the object constructions, and ``hom`` memoises each
 hom-set that ``_hom`` enumerates, as ``pinned_hom`` does each pinned
 search (the strict homs); both caches live as long as the backend, except
-what a ``scope`` block adds, which the block's end drops.  Both backends' hom enumeration and iso search run the
-one backtracking search ``order._order_search``.  Outside this module only
+what a ``scope`` block adds, which the block's end drops.  Both backends'
+hom enumeration and iso search run the one backtracking loop
+``order._solve``.  Outside this module only
 ``report.fmt`` knows how a lift element is stored; other code reads an
 element's partial family with ``LiftData.family`` and builds one with
 ``LiftData.from_family``.

@@ -22,7 +22,7 @@ from .lifting import (
     strict_hom_set,
     value_tables,
 )
-from .order import StructureError
+from .order import StructureError, _solve
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def colimit(bk, d: Diagram) -> ColimitResult:
 
 def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list:
     """All commuting cocones under d with apex P whose legs X -> P come from
-    ``leg_pool(X, P)``, by backtracking over the nodes in order; each cocone
+    ``leg_pool(X, P)``, by ``_solve`` over the nodes in order; each cocone
     is the tuple of its legs' value tables, in node order.  The value tables
     of each pool member and of its composite with each edge into its node are
     read before the search.  Each edge between a node and an earlier one is a
@@ -141,22 +141,7 @@ def enumerate_cocones(bk, d: Diagram, P, leg_pool) -> list:
         else:
             joins[i].append((j, _admits(own[i], along)))
     out: list = []
-    picked = [0] * len(pools)
-
-    def rec(i):
-        if i == len(pools):
-            out.append(tuple([tables[k] for tables, k in zip(own, picked)]))
-            return
-        mask = fits[i]
-        for j, admit in joins[i]:
-            mask &= admit[picked[j]]
-        while mask:
-            low = mask & -mask
-            picked[i] = low.bit_length() - 1
-            rec(i + 1)
-            mask ^= low
-
-    rec(0)
+    _solve(fits, joins, lambda picked: out.append(tuple([tables[k] for tables, k in zip(own, picked)])))
     return out
 
 

@@ -124,13 +124,9 @@ def _stage_canon(P: FinPoset, canon: dict) -> tuple:
     got = canon.get(P)
     if got is None:
         isos: list = []
-
-        def emit(vals):
-            isos.append(tuple(vals))
-            return False  # collect every iso
-
         for Q in all_posets(P.n):
-            _order_search(P._rows, Q._rows, emit, iso=True)
+            # every iso: the emit's None return never stops the search
+            _order_search(P._rows, Q._rows, lambda vals: isos.append(tuple(vals)), iso=True)
             if isos:
                 break
         onto = tuple((tuple(vals.index(k) for k in range(P.n)), dict(zip(P.elements, vals))) for vals in isos)

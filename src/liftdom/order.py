@@ -28,9 +28,10 @@ construction:
   monotone, since monotone maps compose; it still checks composability;
 * ``MonotoneMap.identity`` is the identity on a valid poset;
 * ``enumerate_monotone_maps`` and ``poset_iso`` take their maps from
-  ``_order_search``, which draws values from the codomain and checks every
-  order pair in both directions as it backtracks; the inverse that
-  ``poset_iso`` returns is the inverse of an order-iso;
+  ``_order_search``, whose ``_compile`` draws values from the codomain and
+  whose ``_solve`` checks every order pair in both directions as it
+  backtracks; the inverse that ``poset_iso`` returns is the inverse of an
+  order-iso;
 * ``FinPoset.restrict``: the order a valid poset induces on a subset;
 * ``quotient_poset``: its class rows are closed (through the classes of
   more than one member: a path through a singleton is already an edge),
@@ -55,9 +56,12 @@ A map is a slotted record (``dataclass(slots=True)``): no ``__dict__``, and
 ``MonotoneMap._trusted`` fills its three slots through their member
 descriptors, so the many maps the producers build stay small and cheap.
 
-Hom enumeration and iso search in both backends run ``_order_search``, the
-presheaf backend once per stage, so its candidate order fixes every "first
-found" witness and iso in the reports.
+Hom enumeration and iso search in both backends compile their tables with
+``_compile`` and run the one backtracking loop ``_solve``: the classical
+backend one stage through ``_order_search``, the presheaf backend every
+stage at once, lower stages first, sorting what it finds back into
+lexicographic order over the stages, higher first.  That order fixes every
+"first found" witness and iso in the reports.
 
 Row kernels.  The Hasse covers ``FinPoset._cover_indices``, the pointwise
 order of parallel maps and the map check ``_check_map`` walk the up-mask
@@ -486,24 +490,23 @@ def _degrees(rows, down) -> list[tuple[int, int]]:
     return [(d.bit_count(), u.bit_count()) for d, u in zip(down, rows)]
 
 
-def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
-    """The one backtracking search for maps between posets given by their
-    up-mask rows: every monotone map i -> v (element indices), or with
-    ``iso`` every order-iso, lexicographic in the values, which are tried in
-    codomain order.  ``pins`` maps some domain indices to their only value.
-
-    In iso mode candidates must have the same degrees, and the map must
-    reflect the order; an order-reflecting map is injective.  ``emit(vals)``
-    gets each map as a list that the search goes on to mutate; a true
-    return stops the search, which then returns True.  A callback, not a
-    generator, keeps ``yield from`` chains out of the recursion."""
+def _compile(dom_rows, cod_rows, pins, iso, offset):
+    """One stage of a mask search for maps between posets given by their
+    up-mask rows, as variables ``offset``, ``offset + 1``, ... of a flat
+    list: ``(cand, cons)`` with ``cand[i]`` the mask of the codomain indices
+    element i may take and ``cons[i]`` the ``(j, table)`` for each earlier
+    variable j that constrains i (the value at i must lie in
+    ``table[vals[j]]``).  ``pins`` maps some domain indices to their only
+    value.  In iso mode candidates must have the same degrees and the map
+    must reflect the order, so it is injective; None when the degree
+    multisets differ and no iso exists."""
     n, m = len(dom_rows), len(cod_rows)
     full = (1 << m) - 1
     cod_down = _down_rows(cod_rows)
     if iso:
         dom_deg, cod_deg = _degrees(dom_rows, _down_rows(dom_rows)), _degrees(cod_rows, cod_down)
         if sorted(dom_deg) != sorted(cod_deg):
-            return False
+            return None
         cand = [sum(1 << v for v, e in enumerate(cod_deg) if e == d) for d in dom_deg]
         above = [up & ~(1 << v) for v, up in enumerate(cod_rows)]
         below = [down & ~(1 << v) for v, down in enumerate(cod_down)]
@@ -512,19 +515,33 @@ def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
         cand, above, below, apart = [full] * n, cod_rows, cod_down, None
     for i, v in (pins or {}).items():
         cand[i] &= 1 << v
-    # cons[i]: (j, table) for each earlier j that constrains i: the value at
-    # i must lie in table[vals[j]]
     cons = [
         [
-            (j, above if dom_rows[j] >> i & 1 else below if dom_rows[i] >> j & 1 else apart)
+            (offset + j, above if dom_rows[j] >> i & 1 else below if dom_rows[i] >> j & 1 else apart)
             for j in range(i)
             if iso or dom_rows[j] >> i & 1 or dom_rows[i] >> j & 1
         ]
         for i in range(n)
     ]
+    return cand, cons
+
+
+def _solve(cand, cons, emit, ready=None) -> bool:
+    """The one backtracking loop for value assignments: every ``vals`` with
+    ``vals[i]`` in ``cand[i]`` and in ``table[vals[j]]`` for each
+    ``(j, table)`` of ``cons[i]`` (every j < i), lexicographic in the
+    values, which are tried in increasing order.  ``ready`` maps a count k
+    of set variables to a hook that sees ``vals`` once the first k are set;
+    a false return drops the branch.  ``emit(vals)`` gets each assignment as
+    a list that the search goes on to mutate; a true return stops the
+    search, which then returns True.  A callback, not a generator, keeps
+    ``yield from`` chains out of the recursion."""
+    n = len(cand)
     vals = [0] * n
 
     def rec(i: int) -> bool:
+        if ready and i in ready and not ready[i](vals):
+            return False
         if i == n:
             return emit(vals)
         mask = cand[i]
@@ -539,6 +556,13 @@ def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
         return False
 
     return rec(0)
+
+
+def _order_search(dom_rows, cod_rows, emit, pins=None, iso=False) -> bool:
+    """Every monotone map i -> v (element indices) between posets given by
+    their up-mask rows, or with ``iso`` every order-iso, through ``_solve``."""
+    problem = _compile(dom_rows, cod_rows, pins, iso, 0)
+    return problem is not None and _solve(*problem, emit)
 
 
 def enumerate_monotone_maps(A: FinPoset, B: FinPoset, pins=None) -> list[MonotoneMap]:
@@ -579,12 +603,7 @@ def _up_masks(n: int, columns) -> list[int]:
 def poset_iso(A: FinPoset, B: FinPoset):
     """The lexicographically first order-iso A -> B and its inverse, or None."""
     found: list = []
-
-    def emit(vals):
-        found.append(tuple(vals))
-        return True
-
-    if not _order_search(A._rows, B._rows, emit, iso=True):
+    if not _order_search(A._rows, B._rows, lambda vals: found.append(tuple(vals)) or True, iso=True):
         return None
     vals = found[0]
     fwd = MonotoneMap._trusted(A, B, tuple([B.elements[v] for v in vals]))

@@ -48,10 +48,13 @@ r, the mask of the s at q with d <= res(q, r, s); the upper bounds at q
 of a family are the AND of its members' masks, and the least is the u
 whose up-row covers them.  A lax family's candidates at a stage are the
 AND of the up-rows of the restricted earlier picks.  Each top-level call
-builds its table once and keeps it nowhere.  Continuity is a constraint
-of ``_stagewise_search``: a branch is dropped as soon as the stages below
-p are chosen and f_p of a family's supremum is not the least upper bound
-of its image.
+builds its table once and keeps it nowhere.  Natural maps are one mask
+search (``order._solve``) over every (stage, element), lower stages first:
+each stage's order tables, and per strict pair q < p the preimages under
+B's restriction as the table that ties x at p to res(p, q, x) at q.
+Continuity is a constraint of that search: a branch is dropped as soon as
+p's last element has its value and f_p of a family's supremum is not the
+least upper bound of its image.
 
 The references.  ``tests/support.py`` keeps the element-level kernel this
 one replaced (``slow_lax_families``, ``slow_least_upper_bound`` and the
@@ -60,14 +63,16 @@ with.  ``subpresheaves_below``, ``directed_subpresheaves_below`` and
 ``kj_forces`` keep the literal definitions: they are the second
 reference, and ``oq1.positivity_by_forcing`` re-verifies search results
 through them on purpose, so that the re-verification shares nothing with
-the kernel.
+the kernel.  The per-stage search for natural maps and the recursion of
+``compatible_families`` that the one mask search replaced are kept there
+too (``reference_stagewise_search``, ``reference_compatible_families``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any
 
-from .order import FinPoset, StructureError, _check_map, _down_rows, _order_search
+from .order import FinPoset, StructureError, _check_map, _compile, _down_rows, _solve
 
 
 class SortError(TypeError):
@@ -351,42 +356,40 @@ def omega(base: BasePoset) -> InternalPoset:
     return InternalPoset.make(base, sets, res, orders)
 
 
-def compatible_families(A: InternalPoset, stage_list):
+def _restriction(X: InternalPoset, p, q) -> tuple:
+    """X's restriction from p to q < p as stage indices, and its preimage
+    masks: ``pre[w]`` holds the elements at p that restrict to element w at q."""
+    Q = X.stage_poset(q)
+    res = [Q._index[y] for y in X.restrictions[X.base._pair_index[p, q]]]
+    pre = [0] * Q.n
+    for v, w in enumerate(res):
+        pre[w] |= 1 << v
+    return res, pre
+
+
+def compatible_families(A: InternalPoset, stage_list) -> list:
     """Every restriction-compatible family on ``stage_list`` (distinct stages
     forming a down-closed set): a tuple aligned with the list, one element
     of A per stage, such that each member restricts to the member at every
     listed lower stage.
 
-    Backtracks along the list, checking each new stage against the stages
-    already chosen in both directions and trying the elements of ``A.at(q)``
-    in order, so families come out in lexicographic order."""
-    base = A.base
-    # per stage: (position, stage, whether the new stage lies below it)
-    earlier = [
+    One ``_solve`` variable per listed stage, tied to each earlier stage
+    above it by the restriction and to each earlier stage below it by the
+    preimages, with the elements of ``A.at(q)`` tried in order, so families
+    come out in lexicographic order."""
+    leq = A.base.leq
+    cons = [
         [
-            (j, r, base.leq(q, r))
+            (j, [1 << w for w in _restriction(A, r, q)[0]] if leq(q, r) else _restriction(A, q, r)[1])
             for j, r in enumerate(stage_list[:i])
-            if base.leq(q, r) or base.leq(r, q)
+            if leq(q, r) or leq(r, q)
         ]
         for i, q in enumerate(stage_list)
     ]
-    fam: list = []
-
-    def rec(i: int):
-        if i == len(stage_list):
-            yield tuple(fam)
-            return
-        q = stage_list[i]
-        for x in A.at(q):
-            if all(
-                A.res_el(r, q, fam[j]) == x if below else A.res_el(q, r, x) == fam[j]
-                for j, r, below in earlier[i]
-            ):
-                fam.append(x)
-                yield from rec(i + 1)
-                fam.pop()
-
-    return rec(0)
+    els = [A.at(q) for q in stage_list]
+    out: list = []
+    _solve([(1 << len(e)) - 1 for e in els], cons, lambda vals: out.append(tuple(map(tuple.__getitem__, els, vals))))
+    return out
 
 
 def global_elements_raw(A: InternalPoset) -> list[dict]:
@@ -881,57 +884,42 @@ def _stagewise_search(A: InternalPoset, B: InternalPoset, emit, iso=False, conti
     order and values in codomain order.  ``pins`` (stage -> {element of A:
     element of B}) keeps only the maps with those values, in the same order.
 
-    Each stage above q comes before q, so naturality at q pins
-    f_q(res(x)) = res(f_r(x)) for every chosen r above q, beside the given
-    pins at q (conflicting pins leave no component), and the order search
-    lists the components at q that agree with the pins.  A continuity check at p runs as soon as every
-    stage <= p has its component, and a branch that fails it is dropped.
-    ``emit(components)`` gets each map aligned with ``base.stages``; a true
-    return stops the search."""
+    One ``_solve`` over every (stage, element) of A, lower stages first (the
+    ascending linear extension ``reversed(stages_desc())``).  Each stage
+    compiles its order tables (``order._compile``), and for each strict
+    pair q < p the variable of x at p must take a value whose restriction in
+    B is the value of res(p, q, x): one more table, B's preimages.  A
+    continuity check at p runs once p's last element has its value, and a
+    branch that fails it is dropped.  The maps found are sorted back into
+    the order above; ``emit(components)`` gets each aligned with
+    ``base.stages``, and a true return stops the search."""
     base = A.base
-    at = base.poset._index
-    stages = base.stages_desc()
-    order = [at[q] for q in stages]
-    PA, PB = A.stage_posets, B.stage_posets
-
-    def res_index(X, r, q):
-        # X's restriction from r to q, as indices into X's stage poset at q
-        return tuple(X.stage_posets[at[q]]._index[y] for y in X.restrictions[base._pair_index[r, q]])
-
-    # per search position i: each earlier stage above it, with both restrictions
-    above = [
-        [(at[r], res_index(A, r, q), res_index(B, r, q)) for r in stages[:i] if base.leq(q, r)]
-        for i, q in enumerate(stages)
-    ]
-    # per search position: the continuity checks whose stages are all chosen there
-    ready: list = [[] for _ in stages]
-    if continuous:
-        for check in _continuity_checks(A, B):
-            ready[max(order.index(r) for r, _ in check[1])].append(check)
-    chosen: list = [None] * len(stages)  # value indices per stage position
-    # per search position: the given pins as indices into the stage posets
-    given = [
-        {PA[k]._index[x]: PB[k]._index[v] for x, v in (pins or {}).get(q, {}).items()}
-        for q, k in zip(stages, order)
-    ]
-
-    def rec(i: int) -> bool:
-        if i == len(stages):
-            return emit(tuple(tuple(map(Q.elements.__getitem__, vals)) for Q, vals in zip(PB, chosen)))
-        fixed = dict(given[i])
-        for k, res_a, res_b in above[i]:
-            for x, v in zip(res_a, chosen[k]):
-                w = res_b[v]
-                if fixed.setdefault(x, w) != w:
-                    return False
-
-        def stage_emit(vals):
-            chosen[order[i]] = tuple(vals)
-            return all(_preserves(check, chosen) for check in ready[i]) and rec(i + 1)
-
-        return _order_search(PA[order[i]]._rows, PB[order[i]]._rows, stage_emit, fixed, iso)
-
-    return rec(0)
+    span, cand, cons = {}, [], []  # span[q]: the positions of stage q's elements
+    for q in reversed(base.stages_desc()):
+        P, Q = A.stage_poset(q), B.stage_poset(q)
+        span[q] = slice(len(cand), len(cand) + P.n)
+        at_q = (pins or {}).get(q, {})
+        stage = _compile(P._rows, Q._rows, {P._index[x]: Q._index[v] for x, v in at_q.items()}, iso, len(cand))
+        if stage is None:
+            return False
+        cand += stage[0]
+        cons += stage[1]
+    for p, q in base.strict_pairs():
+        pre = _restriction(B, p, q)[1]
+        for x, y in enumerate(_restriction(A, p, q)[0]):
+            cons[span[p].start + x].append((span[q].start + y, pre))
+    spans = [span[q] for q in base.stages]
+    # one check per stage p; p has an element, so its last one ends it alone
+    ready = {
+        spans[check[0]].stop: lambda vals, check=check: _preserves(check, [vals[s] for s in spans])
+        for check in (_continuity_checks(A, B) if continuous else ())
+    }
+    found: list = []
+    _solve(cand, cons, lambda vals: found.append(tuple(vals)), ready)
+    found.sort(key=lambda vals: [vals[span[q]] for q in base.stages_desc()])
+    return any(
+        emit(tuple(tuple(map(Q.elements.__getitem__, vals[s])) for Q, s in zip(B.stage_posets, spans))) for vals in found
+    )
 
 
 def enumerate_nat_trans(A: InternalPoset, B: InternalPoset, continuous: bool = False, pins=None) -> list[NatTrans]:
@@ -950,14 +938,8 @@ def enumerate_nat_trans(A: InternalPoset, B: InternalPoset, continuous: bool = F
 def natural_iso(A: InternalPoset, B: InternalPoset):
     """The first natural stagewise order-iso A -> B in the search order, or None."""
     found: list = []
-
-    def emit(comps):
-        found.append(comps)
-        return True
-
-    if not _stagewise_search(A, B, emit, iso=True):
-        return None
-    return NatTrans._trusted(A, B, found[0])
+    _stagewise_search(A, B, found.append, iso=True)
+    return NatTrans._trusted(A, B, found[0]) if found else None
 
 
 def is_continuous(f: NatTrans) -> bool:

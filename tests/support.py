@@ -8,18 +8,31 @@ internal semidirectedness formula at a stage, the associator check, the
 element-level oracles of the presheaf supremum kernel, the slow
 references of the classical quotient and of the direct smash oracle,
 the pairwise and filtering references of the partial-map order and of the
-strict hom-sets, the pairwise references of the pointwise order on maps and
-of the presheaf lift and exponential orders, and the seeded input stream of
-the benchmark's ``build`` workload."""
+strict hom-sets, the per-stage searches for natural maps and compatible
+families that the one mask search replaced, the pairwise references of the
+pointwise order on maps and of the presheaf lift and exponential orders, and
+the seeded input stream of the benchmark's ``build`` workload."""
 import importlib.util
 import os
 
 from liftdom.lifting import is_strict
-from liftdom.order import FinPoset, MonotoneMap, StructureError, Subset, _close_rows, is_semidirected, subsets
+from liftdom.order import (
+    FinPoset,
+    MonotoneMap,
+    StructureError,
+    Subset,
+    _close_rows,
+    _order_search,
+    is_semidirected,
+    subsets,
+)
 from liftdom.presheaf import (
     InternalPoset,
+    NatTrans,
     Sieve,
     Subpresheaf,
+    _continuity_checks,
+    _preserves,
     enumerate_nat_trans,
     kj_forces,
     semidirectedness_formula,
@@ -310,6 +323,119 @@ def slow_is_continuous(f) -> bool:
 def slow_continuous_maps(A, B) -> list:
     """Every monotone natural map, then the filter."""
     return [f for f in enumerate_nat_trans(A, B) if slow_is_continuous(f)]
+
+
+# ---------------------------------------------------------------------------
+# The per-stage searches that the one mask search of ``presheaf.py`` replaced:
+# one ``_order_search`` per stage, higher stages first, naturality passed
+# down as pins, and the own recursion of ``compatible_families``.
+
+def reference_stagewise_search(A, B, emit, iso=False, continuous=False, pins=None) -> bool:
+    """Every natural stagewise map A -> B that is monotone (with ``iso``, an
+    order-iso; with ``continuous``, Scott continuous) at each stage,
+    lexicographic over stages in ``stages_desc()`` order, elements in stage
+    order and values in codomain order.  ``pins`` (stage -> {element of A:
+    element of B}) keeps only the maps with those values, in the same order.
+
+    Each stage above q comes before q, so naturality at q pins
+    f_q(res(x)) = res(f_r(x)) for every chosen r above q, beside the given
+    pins at q (conflicting pins leave no component), and the order search
+    lists the components at q that agree with the pins.  A continuity check
+    at p runs as soon as every stage <= p has its component, and a branch
+    that fails it is dropped.  ``emit(components)`` gets each map aligned
+    with ``base.stages``; a true return stops the search."""
+    base = A.base
+    at = base.poset._index
+    stages = base.stages_desc()
+    order = [at[q] for q in stages]
+    PA, PB = A.stage_posets, B.stage_posets
+
+    def res_index(X, r, q):
+        # X's restriction from r to q, as indices into X's stage poset at q
+        return tuple(X.stage_posets[at[q]]._index[y] for y in X.restrictions[base._pair_index[r, q]])
+
+    # per search position i: each earlier stage above it, with both restrictions
+    above = [
+        [(at[r], res_index(A, r, q), res_index(B, r, q)) for r in stages[:i] if base.leq(q, r)]
+        for i, q in enumerate(stages)
+    ]
+    # per search position: the continuity checks whose stages are all chosen there
+    ready: list = [[] for _ in stages]
+    if continuous:
+        for check in _continuity_checks(A, B):
+            ready[max(order.index(r) for r, _ in check[1])].append(check)
+    chosen: list = [None] * len(stages)  # value indices per stage position
+    # per search position: the given pins as indices into the stage posets
+    given = [
+        {PA[k]._index[x]: PB[k]._index[v] for x, v in (pins or {}).get(q, {}).items()}
+        for q, k in zip(stages, order)
+    ]
+
+    def rec(i: int) -> bool:
+        if i == len(stages):
+            return emit(tuple(tuple(map(Q.elements.__getitem__, vals)) for Q, vals in zip(PB, chosen)))
+        fixed = dict(given[i])
+        for k, res_a, res_b in above[i]:
+            for x, v in zip(res_a, chosen[k]):
+                w = res_b[v]
+                if fixed.setdefault(x, w) != w:
+                    return False
+
+        def stage_emit(vals):
+            chosen[order[i]] = tuple(vals)
+            return all(_preserves(check, chosen) for check in ready[i]) and rec(i + 1)
+
+        return _order_search(PA[order[i]]._rows, PB[order[i]]._rows, stage_emit, fixed, iso)
+
+    return rec(0)
+
+
+def reference_nat_trans(A, B, continuous=False, pins=None) -> list:
+    out: list = []
+    reference_stagewise_search(
+        A, B, lambda comps: out.append(NatTrans._trusted(A, B, comps)), continuous=continuous, pins=pins
+    )
+    return out
+
+
+def reference_natural_iso(A, B):
+    """The first natural stagewise order-iso in the per-stage search order."""
+    found: list = []
+    reference_stagewise_search(A, B, lambda comps: found.append(comps) or True, iso=True)
+    return NatTrans._trusted(A, B, found[0]) if found else None
+
+
+def reference_compatible_families(A, stage_list):
+    """Backtracks along the list, checking each new stage against the stages
+    already chosen in both directions and trying the elements of ``A.at(q)``
+    in order, so families come out in lexicographic order."""
+    base = A.base
+    # per stage: (position, stage, whether the new stage lies below it)
+    earlier = [
+        [
+            (j, r, base.leq(q, r))
+            for j, r in enumerate(stage_list[:i])
+            if base.leq(q, r) or base.leq(r, q)
+        ]
+        for i, q in enumerate(stage_list)
+    ]
+    fam: list = []
+
+    def rec(i: int):
+        if i == len(stage_list):
+            yield tuple(fam)
+            return
+        q = stage_list[i]
+        for x in A.at(q):
+            if all(
+                A.res_el(r, q, fam[j]) == x if below else A.res_el(q, r, x) == fam[j]
+                for j, r, below in earlier[i]
+            ):
+                fam.append(x)
+                yield from rec(i + 1)
+                fam.pop()
+
+    return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,15 @@ def test_poset_iso():
     assert compose(f, g) == MonotoneMap.identity(relabeled)
 
 
+def test_no_poset_iso_between_different_sizes():
+    # the degree multisets differ, so the search ends before it emits a
+    # map, also out of the empty poset, whose one map would be empty
+    for P, Q in ((EMPTY, FinPoset.chain(1)), (CHAIN2, CHAIN3), (ANTI2, FinPoset.chain(1)), (DIAMOND, CHAIN2)):
+        assert poset_iso(P, Q) is None
+        assert poset_iso(Q, P) is None
+    assert poset_iso(EMPTY, EMPTY) is not None
+
+
 def test_poset_iso_is_the_first_iso_of_every_relabelling():
     # oracle: the bijections onto the relabelled copy in lexicographic order
     # of codomain positions; poset_iso must return the first order-iso, and
